@@ -80,11 +80,14 @@ bench-overhead:
 # tolerance is essentially zero, and B/op is gated alongside it. Timing is
 # not this gate's job (bench-compare covers it), hence the wide -tol.
 # EffPhaseMacroFSM pins the scratch-pinned phase-macromodel integrator
-# (Result arrays only — 13 allocs/op, down from 9,652).
+# (Result arrays only — 13 allocs/op, down from 9,652). AdderEvalFJ and
+# AdderIterationLU pin the SPICE-level Newton iteration's two unit costs
+# (circuit evaluation, dense LU factor+solve) at 0 allocs/op; each op is
+# 1,000 calls, so a single-op run times milliseconds, not one cold call.
 bench-alloc:
-	$(GO) test -run '^$$' -bench '^Benchmark(EffSpiceTransientFSM|EffPhaseMacroFSM|Fig19FlipFlop|Fig20AdderStates|ShootAutonomousRing)$$' -benchtime 1x -count 2 -benchmem . \
+	$(GO) test -run '^$$' -bench '^Benchmark(EffSpiceTransientFSM|EffPhaseMacroFSM|Fig19FlipFlop|Fig20AdderStates|ShootAutonomousRing|AdderEvalFJ|AdderIterationLU)$$' -benchtime 1x -count 2 -benchmem . \
 		| $(GO) run ./cmd/phlogon-benchdiff compare -baseline BENCH_baseline.json \
-			-only '^Benchmark(EffSpiceTransientFSM|EffPhaseMacroFSM|Fig19FlipFlop|Fig20AdderStates|ShootAutonomousRing)$$' \
+			-only '^Benchmark(EffSpiceTransientFSM|EffPhaseMacroFSM|Fig19FlipFlop|Fig20AdderStates|ShootAutonomousRing|AdderEvalFJ|AdderIterationLU)$$' \
 			-tol 1.0 -alloc-tol 0.05 -bytes-tol 0.25
 
 # Sparse-backend scaling gate: the coupled-array benchmarks (transient and

@@ -210,10 +210,12 @@ func BenchmarkEffPhaseMacroBitFlip(b *testing.B) {
 	}
 }
 
-// BenchmarkEffSpiceTransientFSM: the full transistor/op-amp serial adder
-// (two latch rings, majority gates, clocked coupling) adding 101 + 101 over
-// 3 clock periods — the honest SPICE-level cost of the FSM scenario.
-func BenchmarkEffSpiceTransientFSM(b *testing.B) {
+// benchAdder builds the transistor/op-amp serial adder (two latch rings,
+// majority gates, clocked coupling; 14 free nodes) for the 101 + 101
+// operands, coupled from the shared latch's calibration, with its initial
+// state and reference period T1.
+func benchAdder(b *testing.B) (ac *ringosc.AdderCircuit, x0 []float64, T1 float64) {
+	b.Helper()
 	_, sol, p := benchFixture(b)
 	latch := &phasemacro.Latch{P: p, Node: 0, Out: 0, SyncAmp: 120e-6}
 	cal, err := phasemacro.Calibrate(latch, 10e3)
@@ -225,7 +227,7 @@ func BenchmarkEffSpiceTransientFSM(b *testing.B) {
 		b.Fatal(err)
 	}
 	aBits := []bool{true, false, true}
-	ac, err := ringosc.BuildSerialAdderCircuit(ringosc.AdderCircuitConfig{
+	ac, err = ringosc.BuildSerialAdderCircuit(ringosc.AdderCircuitConfig{
 		Ring: ringosc.DefaultConfig(), F1: sol.F0,
 		SyncAmp: 120e-6, SyncPhase: cal.SyncPhase,
 		InputAmp: cmplx.Abs(cal.OutPhasor0), OutAngle: cmplx.Phase(cal.OutPhasor0),
@@ -235,8 +237,14 @@ func BenchmarkEffSpiceTransientFSM(b *testing.B) {
 	if err != nil {
 		b.Fatal(err)
 	}
-	T1 := 1 / sol.F0
-	x0 := ac.InitialState(sol, false, false)
+	return ac, ac.InitialState(sol, false, false), 1 / sol.F0
+}
+
+// BenchmarkEffSpiceTransientFSM: the full transistor/op-amp serial adder
+// adding 101 + 101 over 3 clock periods — the honest SPICE-level cost of
+// the FSM scenario.
+func BenchmarkEffSpiceTransientFSM(b *testing.B) {
+	ac, x0, T1 := benchAdder(b)
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
@@ -244,6 +252,61 @@ func BenchmarkEffSpiceTransientFSM(b *testing.B) {
 			Method: transient.Trap, Step: T1 / 256, Record: 8,
 		}); err != nil {
 			b.Fatal(err)
+		}
+	}
+}
+
+// adderUnitReps is the number of unit operations in one op of the adder
+// unit-cost benchmarks, so that a single-op run (bench-alloc's
+// -benchtime 1x) still times milliseconds, not one cold call.
+const adderUnitReps = 1000
+
+// BenchmarkAdderEvalFJ is the circuit layer's unit cost under
+// BenchmarkEffSpiceTransientFSM: adderUnitReps Workspace.EvalFJ calls on
+// the adder. Every call evaluates at a fresh time point, so the rail memo
+// misses and every rail waveform runs — the first evaluation of a θ step;
+// the step's further Newton iterations at that time reuse the rails.
+func BenchmarkAdderEvalFJ(b *testing.B) {
+	ac, x0, T1 := benchAdder(b)
+	sys := ac.Sys
+	ws := sys.NewWorkspace()
+	f, j := linalg.NewVec(sys.N), linalg.NewMat(sys.N, sys.N)
+	x := linalg.Vec(x0)
+	h := T1 / 256
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		for r := 1; r <= adderUnitReps; r++ {
+			ws.EvalFJ(x, float64(i*adderUnitReps+r)*h, f, j)
+		}
+	}
+}
+
+// BenchmarkAdderIterationLU is the linear-algebra unit cost under the same
+// run: adderUnitReps dense FactorizeInto + SolveInto pairs on the adder's
+// trapezoidal iteration matrix C/h + J/2 (N = 14), on warm LU buffers.
+func BenchmarkAdderIterationLU(b *testing.B) {
+	ac, x0, T1 := benchAdder(b)
+	sys := ac.Sys
+	n := sys.N
+	f, j := linalg.NewVec(n), linalg.NewMat(n, n)
+	sys.EvalFJ(x0, 0, f, j)
+	a := sys.C.Clone()
+	a.Scale(256 / T1)
+	a.AddScaled(0.5, j)
+	var lu linalg.LU
+	if err := lu.FactorizeInto(a); err != nil {
+		b.Fatal(err)
+	}
+	dx := linalg.NewVec(n)
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		for r := 0; r < adderUnitReps; r++ {
+			if err := lu.FactorizeInto(a); err != nil {
+				b.Fatal(err)
+			}
+			lu.SolveInto(dx, f)
 		}
 	}
 }

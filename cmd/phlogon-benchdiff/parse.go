@@ -17,6 +17,9 @@ type Result struct {
 	NsPerOp     float64 `json:"ns_per_op"`
 	BytesPerOp  float64 `json:"bytes_per_op,omitempty"`
 	AllocsPerOp float64 `json:"allocs_per_op,omitempty"`
+	// Mem records that the run reported the B/op and allocs/op columns, so
+	// zero counts are measurements rather than missing columns.
+	Mem bool `json:"benchmem,omitempty"`
 }
 
 // Set is a parsed benchmark run, keyed by benchmark name with any
@@ -67,8 +70,10 @@ func ParseBench(r io.Reader) (*Set, error) {
 			if res.AllocsPerOp, err = strconv.ParseFloat(m[4], 64); err != nil {
 				return nil, fmt.Errorf("bad allocs/op in %q: %w", sc.Text(), err)
 			}
+			res.Mem = true
 		}
 		if prev, ok := set.Benchmarks[name]; ok {
+			res.Mem = res.Mem || prev.Mem
 			if prev.NsPerOp < res.NsPerOp {
 				res.NsPerOp = prev.NsPerOp
 			}
@@ -128,7 +133,8 @@ func (d Diff) String() string {
 // baseline, its B/op exceed (1+bytesTol)× the baseline, or it vanished from
 // the run; new benchmarks are reported but pass (pin them with
 // `make bench-baseline`). Allocation counts and bytes are only gated when
-// both sides carry them (-benchmem on both the baseline and current run).
+// both sides carry them (-benchmem on both the baseline and current run); a
+// baseline measured at 0 allocs/op (Mem set) fails on any allocation.
 func Compare(base, cur *Set, tol, allocTol, bytesTol float64) []Diff {
 	var diffs []Diff
 	for _, name := range sortedNames(base, cur) {
@@ -174,6 +180,13 @@ func Compare(base, cur *Set, tol, allocTol, bytesTol float64) []Diff {
 					d.Why += "; "
 				}
 				d.Why += fmt.Sprintf("bytes above tol ×%.2f", 1+bytesTol)
+			}
+			if d.Base.Mem && d.Cur.Mem && d.Base.AllocsPerOp == 0 && d.Cur.AllocsPerOp > 0 {
+				d.Regressed = true
+				if d.Why != "" {
+					d.Why += "; "
+				}
+				d.Why += fmt.Sprintf("allocates %.0f/op against a 0 allocs/op baseline", d.Cur.AllocsPerOp)
 			}
 		}
 		diffs = append(diffs, d)

@@ -120,3 +120,36 @@ func TestCompareExactBaselinePasses(t *testing.T) {
 		}
 	}
 }
+
+// A baseline pinned at 0 allocs/op with -benchmem gates any allocation; a
+// zero from a run without -benchmem stays ungated.
+func TestCompareZeroAllocBaseline(t *testing.T) {
+	base := mkSet(map[string]Result{
+		"BenchmarkZero":   {NsPerOp: 100, Mem: true},
+		"BenchmarkLegacy": {NsPerOp: 100},
+	})
+	for _, tc := range []struct {
+		name      string
+		cur       Result
+		regressed bool
+	}{
+		{"BenchmarkZero", Result{NsPerOp: 100, Mem: true}, false},
+		{"BenchmarkZero", Result{NsPerOp: 100, AllocsPerOp: 1, BytesPerOp: 16, Mem: true}, true},
+		{"BenchmarkLegacy", Result{NsPerOp: 100, AllocsPerOp: 1, BytesPerOp: 16, Mem: true}, false},
+	} {
+		cur := mkSet(map[string]Result{tc.name: tc.cur})
+		for _, d := range Compare(base, cur, 1.0, 0.05, 0.25) {
+			if d.Name == tc.name && d.Regressed != tc.regressed {
+				t.Errorf("%s at %v allocs/op: regressed = %v, want %v (%s)",
+					tc.name, tc.cur.AllocsPerOp, d.Regressed, tc.regressed, d)
+			}
+		}
+	}
+	set, err := ParseBench(strings.NewReader("BenchmarkZero-2   1   4301 ns/op   0 B/op   0 allocs/op\n"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if r := set.Benchmarks["BenchmarkZero"]; !r.Mem || r.AllocsPerOp != 0 {
+		t.Fatalf("parsed %+v, want a 0 allocs/op measurement", r)
+	}
+}

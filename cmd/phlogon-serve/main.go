@@ -85,6 +85,11 @@ func main() {
 		fatal(err)
 	}
 	httpSrv := &http.Server{Handler: srv.Handler()}
+	// Catch the shutdown signals before announcing the address: a caller
+	// that signals as soon as it reads the line must get a drain, not the
+	// default kill.
+	sigc := make(chan os.Signal, 1)
+	signal.Notify(sigc, os.Interrupt, syscall.SIGTERM)
 	// The resolved address is printed (not just the flag) so port 0 is
 	// usable: tests and scripts parse this line to find the server.
 	fmt.Printf("phlogon-serve: listening on http://%s\n", ln.Addr())
@@ -92,8 +97,6 @@ func main() {
 	errc := make(chan error, 1)
 	go func() { errc <- httpSrv.Serve(ln) }()
 
-	sigc := make(chan os.Signal, 1)
-	signal.Notify(sigc, os.Interrupt, syscall.SIGTERM)
 	select {
 	case sig := <-sigc:
 		fmt.Printf("phlogon-serve: %s received, draining\n", sig)

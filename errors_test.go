@@ -3,9 +3,12 @@ package phlogon_test
 import (
 	"context"
 	"errors"
+	"math"
 	"testing"
 
 	phlogon "repro"
+	"repro/internal/circuit"
+	"repro/internal/device"
 	"repro/internal/gae"
 	"repro/internal/linalg"
 	"repro/internal/linalg/sparse"
@@ -81,5 +84,74 @@ func TestErrUnsupported(t *testing.T) {
 	}
 	if !errors.Is(err, transient.ErrGear2Adaptive) {
 		t.Fatalf("specific sentinel lost from the chain: %v", err)
+	}
+}
+
+// nanJacobian stamps a NaN self-conductance derivative on its node after
+// time After, making every later iteration matrix singular.
+type nanJacobian struct {
+	Node  circuit.NodeID
+	After float64
+}
+
+func (d *nanJacobian) Label() string              { return "nanJ" }
+func (d *nanJacobian) StampC(*circuit.CapStamper) {}
+func (d *nanJacobian) Eval(ctx *circuit.EvalContext) {
+	if ctx.T > d.After {
+		ctx.AddJac(d.Node, d.Node, math.NaN())
+	}
+}
+
+// A θ run whose corrector keeps meeting a singular iteration matrix halves
+// its step to the floor; the underflow error must keep both the cause and
+// the underflow in its chain.
+func TestErrTransientUnderflowKeepsSingularCause(t *testing.T) {
+	c := circuit.New()
+	n1 := c.Node("n1")
+	c.Add(
+		&device.Resistor{Name: "r", A: n1, B: circuit.Ground, R: 1e3},
+		&nanJacobian{Node: n1, After: 1e-3},
+	)
+	sys, err := c.Assemble()
+	if err != nil {
+		t.Fatal(err)
+	}
+	_, err = phlogon.RunTransientCtx(context.Background(), sys, linalg.Vec{1}, 0, 2e-3,
+		phlogon.TransientOptions{Method: transient.Trap, Step: 1e-5})
+	if !errors.Is(err, phlogon.ErrSingularJacobian) {
+		t.Fatalf("corrector underflow does not wrap ErrSingularJacobian: %v", err)
+	}
+	if !errors.Is(err, transient.ErrStepUnderflow) {
+		t.Fatalf("corrector underflow does not wrap ErrStepUnderflow: %v", err)
+	}
+}
+
+// Every "Newton corrector did not converge" failure — θ (through the step
+// underflow), Gear2 and a batched lane — wraps the public ErrNoConvergence.
+func TestErrTransientCorrectorNoConvergence(t *testing.T) {
+	r, err := phlogon.BuildRing(phlogon.DefaultRingConfig())
+	if err != nil {
+		t.Fatal(err)
+	}
+	step := 1 / r.EstimatedF0() / 256
+	for _, m := range []transient.Method{transient.Trap, transient.Gear2} {
+		_, err := phlogon.RunTransientCtx(context.Background(), r.Sys, r.KickStart(), 0, 4*step,
+			phlogon.TransientOptions{Method: m, Step: step, MaxNewton: 1, NewtonTol: 1e-15})
+		if !errors.Is(err, phlogon.ErrNoConvergence) {
+			t.Fatalf("%v corrector failure does not wrap ErrNoConvergence: %v", m, err)
+		}
+	}
+	b, err := circuit.NewBatch([]*circuit.System{r.Sys})
+	if err != nil {
+		t.Fatal(err)
+	}
+	res, err := transient.RunBatch(context.Background(), b, r.KickStart(), transient.BatchOptions{
+		Method: transient.Trap, Steps: 4, H: []float64{step}, MaxNewton: 1, NewtonTol: 1e-15,
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !errors.Is(res.Err[0], phlogon.ErrNoConvergence) {
+		t.Fatalf("batched lane failure does not wrap ErrNoConvergence: %v", res.Err[0])
 	}
 }

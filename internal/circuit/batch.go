@@ -438,8 +438,8 @@ func (w *BatchWorkspace) evalBatch(x []float64, t float64, wantJ bool, gminScale
 	for _, k := range w.active {
 		base := k * b.N
 		jbase := k * nnz
+		g := b.ckts[k].Gmin * gminScale
 		for i := 0; i < b.N; i++ {
-			g := b.ckts[k].Gmin * gminScale
 			w.F[base+i] += g * x[base+i]
 			if wantJ {
 				w.JV[jbase+b.diagSlots[i]] += g

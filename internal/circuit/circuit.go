@@ -37,6 +37,13 @@ func (n NodeID) IsFree() bool { return n >= 0 }
 
 // Rail describes a fixed node: a prescribed potential V(t) and its time
 // derivative (needed when capacitors attach to time-varying rails).
+//
+// Rail contract: V and DVDt are pure functions of t — no state, no reads of
+// anything that changes — and a rail's waveform is fixed once the circuit is
+// assembled. A Workspace relies on this: it evaluates each rail's V(t) (and
+// dV/dt) once per distinct t and serves every later read at that t from
+// memory, so a Newton step that reads a rail from many devices over several
+// iterations runs its waveform once per time point.
 type Rail struct {
 	Name string
 	V    func(t float64) float64
@@ -103,6 +110,8 @@ func (c *Circuit) Node(name string) NodeID {
 
 // AddRail registers a fixed node with a prescribed potential and returns its
 // NodeID. Registering must happen before the name is used as a free node.
+// v must be a pure function of t and must not change after Assemble (see
+// Rail): workspaces evaluate it once per distinct t and reuse the value.
 func (c *Circuit) AddRail(name string, v func(t float64) float64) NodeID {
 	if _, ok := c.nodeIndex[name]; ok {
 		panic(fmt.Sprintf("circuit: node %q already exists as a free node", name))
@@ -249,7 +258,12 @@ func (s *CapStamper) AddCap(a, b NodeID, cap float64) {
 // linalg.BackendSparse stamp path), or a pattern recorder (position-only,
 // used once per topology to precompute the sparsity pattern).
 type EvalContext struct {
-	ckt          *Circuit
+	ckt *Circuit
+	// railV/railD memoize rail potentials and dV/dt at T, indexed by rail;
+	// NaN marks a slot not yet evaluated at T. Only a Workspace's reusable
+	// context carries them (it clears them whenever T changes); System's
+	// per-call contexts leave them nil and evaluate every read.
+	railV, railD []float64
 	T            float64
 	X            linalg.Vec
 	F            linalg.Vec
@@ -269,7 +283,33 @@ func (e *EvalContext) V(n NodeID) float64 {
 	if n.IsFree() {
 		return e.X[int(n)]
 	}
-	return e.ckt.RailVoltage(n, e.T)
+	if n == Ground {
+		return 0
+	}
+	i := -2 - int(n)
+	if i >= len(e.railV) {
+		return e.ckt.rails[i].V(e.T)
+	}
+	v := e.railV[i]
+	if v != v { // not yet evaluated at T (a NaN rail simply re-runs)
+		v = e.ckt.rails[i].V(e.T)
+		e.railV[i] = v
+	}
+	return v
+}
+
+// railDVDt is dV/dt of rail n at the context's t, memoized like V.
+func (e *EvalContext) railDVDt(n NodeID) float64 {
+	i := -2 - int(n)
+	if i < 0 || i >= len(e.railD) {
+		return e.ckt.railDVDt(n, e.T)
+	}
+	d := e.railD[i]
+	if d != d {
+		d = e.ckt.railDVDt(n, e.T)
+		e.railD[i] = d
+	}
+	return d
 }
 
 // AddCurrent adds a current i flowing out of node n into the device.
@@ -312,6 +352,8 @@ type System struct {
 	CLU *linalg.LU
 
 	railCaps []railCap
+	// cNZ holds C's nonzero entries; built once at Assemble.
+	cNZ *sparse.CSC
 
 	// Sparse-backend artifacts, computed once on first use (sync.Once keeps
 	// the System immutable-in-effect and race-free): the structural Jacobian
@@ -344,8 +386,16 @@ func (c *Circuit) Assemble() (*System, error) {
 		C:        st.C,
 		CLU:      lu,
 		railCaps: st.railCaps,
+		cNZ:      sparse.FromDense(st.C),
 	}, nil
 }
+
+// CNonzeros returns C's nonzero entries as a CSC matrix (shared and
+// read-only), built once at Assemble. Its MulVecInto adds each row's terms
+// from zero in ascending column order, exactly like a dense row product,
+// and skips only terms that are exact zeros — so for finite vectors it
+// returns the dense product's bits while touching C's nonzeros alone.
+func (s *System) CNonzeros() *sparse.CSC { return s.cNZ }
 
 // evalInto runs every device plus the implicit terms against a prepared
 // context — the single evaluation core shared by System and Workspace.
@@ -361,7 +411,7 @@ func (s *System) evalInto(ctx *EvalContext) {
 		}
 	}
 	for _, rc := range s.railCaps {
-		ctx.F[rc.node] -= rc.cap * s.Ckt.railDVDt(rc.rail, ctx.T)
+		ctx.F[rc.node] -= rc.cap * ctx.railDVDt(rc.rail)
 	}
 }
 

@@ -1,6 +1,8 @@
 package circuit
 
 import (
+	"math"
+
 	"repro/internal/diag"
 	"repro/internal/linalg"
 	"repro/internal/linalg/sparse"
@@ -8,8 +10,9 @@ import (
 
 // Workspace holds every piece of mutable per-evaluation scratch needed to
 // run analyses against a (shared, immutable) System: the reusable
-// EvalContext handed to devices plus F/J buffers for the derived quantities
-// XDot and RHSJacobian.
+// EvalContext handed to devices, its rail memo (each rail's V and dV/dt at
+// the last evaluated time — see Rail for the contract), plus F/J buffers
+// for the derived quantities XDot and RHSJacobian.
 //
 // A Workspace is NOT safe for concurrent use — that is its whole point: give
 // each worker goroutine its own Workspace via System.NewWorkspace() and any
@@ -19,6 +22,10 @@ import (
 type Workspace struct {
 	sys *System
 	ctx EvalContext // reused across evaluations to avoid per-call allocation
+	// railMemo backs ctx.railV and ctx.railD: rail values at the time whose
+	// bits are railKey (see Rail for the purity contract this relies on).
+	railMemo []float64
+	railKey  uint64
 	// scratch for XDot / RHSJacobian
 	fbuf linalg.Vec
 	jbuf *linalg.Mat
@@ -42,11 +49,32 @@ func (w *Workspace) SetMetrics(m *diag.Metrics) { w.m = m }
 // NewWorkspace returns a fresh, independent evaluation workspace for the
 // system. Each concurrent analysis should own exactly one.
 func (s *System) NewWorkspace() *Workspace {
-	return &Workspace{
-		sys:  s,
-		ctx:  EvalContext{ckt: s.Ckt},
-		fbuf: linalg.NewVec(s.N),
-		jbuf: linalg.NewMat(s.N, s.N),
+	nr := len(s.Ckt.rails)
+	buf := make([]float64, s.N+2*nr) // fbuf and the rail memo share one allocation
+	w := &Workspace{
+		sys:      s,
+		railMemo: buf[s.N:],
+		fbuf:     linalg.Vec(buf[:s.N:s.N]),
+		jbuf:     linalg.NewMat(s.N, s.N),
+	}
+	w.ctx = EvalContext{ckt: s.Ckt, railV: w.railMemo[:nr:nr], railD: w.railMemo[nr:]}
+	w.clearRails()
+	return w
+}
+
+// clearRails empties the rail memo.
+func (w *Workspace) clearRails() {
+	for i := range w.railMemo {
+		w.railMemo[i] = math.NaN()
+	}
+}
+
+// railsAt points the rail memo at time t, emptying it when t differs (bit
+// for bit) from the time it holds.
+func (w *Workspace) railsAt(t float64) {
+	if k := math.Float64bits(t); k != w.railKey {
+		w.railKey = k
+		w.clearRails()
 	}
 }
 
@@ -59,6 +87,7 @@ func (w *Workspace) eval(x linalg.Vec, t float64, f linalg.Vec, j *linalg.Mat, w
 	if wantJ {
 		w.m.Inc(diag.CircuitJacEvals)
 	}
+	w.railsAt(t)
 	w.ctx.T = t
 	w.ctx.X = x
 	w.ctx.F = f
@@ -141,6 +170,7 @@ func (w *Workspace) evalSparse(x linalg.Vec, t float64, f linalg.Vec, sj *sparse
 	if sj != nil {
 		w.m.Inc(diag.CircuitJacEvals)
 	}
+	w.railsAt(t)
 	w.ctx.T = t
 	w.ctx.X = x
 	w.ctx.F = f

@@ -10,8 +10,8 @@ import (
 // Batched (structure-of-arrays) kernels for the hot device models. Each
 // kernel holds the per-lane parameters in contiguous arrays and evaluates
 // all active lanes of one netlist position in a single virtual call — no
-// per-lane interface dispatch, no defer in the MOSFET current law, Jacobian
-// slots resolved once at batch construction instead of per stamp.
+// per-lane interface dispatch, Jacobian slots resolved once at batch
+// construction instead of per stamp.
 //
 // Bit-equality contract (pinned by circuit's batch property test): every
 // kernel replicates the corresponding scalar Eval's floating-point
@@ -123,9 +123,8 @@ func (kn *mosfetKernel) EvalLanes(bc *circuit.BatchEvalContext) {
 		}
 		vgs, vds := vg-vs, vd-vs
 
-		// Inlined ids(): identical expressions to MOSFET.ids, with the
-		// deferred smoothing factor applied as an in-order post-branch
-		// multiply (where the scalar defer fires).
+		// Inlined ids(): identical expressions to MOSFET.ids, including the
+		// post-branch smoothing factor on gm.
 		vov := vgs - kn.vt0[k]
 		var id, gm, gds, dvov float64
 		sm := kn.smooth[k]

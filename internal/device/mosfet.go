@@ -55,16 +55,17 @@ func (m *MOSFET) Label() string { return m.Name }
 func (m *MOSFET) StampC(*circuit.CapStamper) {}
 
 // ids computes the drain current and its partials for vds ≥ 0 (internally
-// guaranteed by the caller's source/drain swap).
+// guaranteed by the caller's source/drain swap). With cutoff smoothing, gm
+// takes the chain-rule factor dvov after the region branch.
 func (m *MOSFET) ids(vgs, vds float64) (id, gm, gds float64) {
 	p := m.Params
 	vov := vgs - p.VT0
+	var dvov float64
 	if d := p.SmoothVov; d > 0 {
 		// Softplus-style smoothing: vov_eff → 0 smoothly below threshold.
 		s := math.Sqrt(vov*vov + d*d)
-		dvov := 0.5 * (1 + vov/s)
+		dvov = 0.5 * (1 + vov/s)
 		vov = 0.5 * (vov + s)
-		defer func() { gm *= dvov }()
 	} else if vov <= 0 {
 		return 0, 0, 0
 	}
@@ -77,6 +78,9 @@ func (m *MOSFET) ids(vgs, vds float64) (id, gm, gds float64) {
 		id = 0.5 * p.Beta * vov * vov * clm
 		gm = p.Beta * vov * clm
 		gds = 0.5 * p.Beta * vov * vov * p.Lambda
+	}
+	if p.SmoothVov > 0 {
+		gm *= dvov
 	}
 	return id, gm, gds
 }
@@ -96,11 +100,9 @@ func (m *MOSFET) Eval(ctx *circuit.EvalContext) {
 	// Symmetric source/drain handling: operate on the terminal pair so that
 	// the effective vds ≥ 0.
 	dNode, sNode := m.D, m.S
-	swapped := false
 	if vd < vs {
 		vd, vs = vs, vd
 		dNode, sNode = m.S, m.D
-		swapped = true
 	}
 	vgs, vds := vg-vs, vd-vs
 	id, gm, gds := m.ids(vgs, vds)
@@ -118,12 +120,10 @@ func (m *MOSFET) Eval(ctx *circuit.EvalContext) {
 	// For PMOS, terminal voltages were negated, so each partial w.r.t. a
 	// real terminal voltage gains a (-1) that cancels the sign on the
 	// current: d(sign·id)/dVreal = sign·∂id/∂vmirror·(sign) = ∂id/∂vmirror.
-	addJ := func(row circuit.NodeID, dd, dg, ds float64) {
-		ctx.AddJac(row, dNode, dd)
-		ctx.AddJac(row, m.G, dg)
-		ctx.AddJac(row, sNode, ds)
-	}
-	_ = swapped
-	addJ(dNode, gds, gm, -(gm + gds))
-	addJ(sNode, -gds, -gm, gm+gds)
+	ctx.AddJac(dNode, dNode, gds)
+	ctx.AddJac(dNode, m.G, gm)
+	ctx.AddJac(dNode, sNode, -(gm + gds))
+	ctx.AddJac(sNode, dNode, -gds)
+	ctx.AddJac(sNode, m.G, -gm)
+	ctx.AddJac(sNode, sNode, gm+gds)
 }

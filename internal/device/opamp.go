@@ -93,9 +93,10 @@ func (t *TransGate) conductance(vc float64) (g, dg float64) {
 	width := (von - voff) / 8 // ~±4σ inside the band
 	a := 1 / (1 + math.Exp(-(vc-mid)/width))
 	da := a * (1 - a) / width
-	lg := math.Log(gOff) + a*(math.Log(gOn)-math.Log(gOff))
-	g = math.Exp(lg)
-	dg = g * da * (math.Log(gOn) - math.Log(gOff))
+	lgOff := math.Log(gOff)
+	span := math.Log(gOn) - lgOff
+	g = math.Exp(lgOff + a*span)
+	dg = g * da * span
 	return g, dg
 }
 

@@ -142,21 +142,29 @@ func (m *Mat) MulVec(v Vec) Vec {
 
 // MulVecT returns mᵀ·v without forming the transpose.
 func (m *Mat) MulVecT(v Vec) Vec {
+	return m.MulVecTInto(NewVec(m.Cols), v)
+}
+
+// MulVecTInto computes dst = mᵀ·v without allocating and returns dst. dst
+// must not alias v.
+func (m *Mat) MulVecTInto(dst, v Vec) Vec {
 	if len(v) != m.Rows {
 		panic(fmt.Sprintf("linalg: MulVecT dimension mismatch %d vs %d", m.Rows, len(v)))
 	}
-	out := NewVec(m.Cols)
+	if len(dst) != m.Cols {
+		panic("linalg: MulVecTInto dst length mismatch")
+	}
+	dst.Zero()
 	for i := 0; i < m.Rows; i++ {
 		row := m.Data[i*m.Cols : (i+1)*m.Cols]
 		vi := v[i]
 		for j, x := range row {
-			out[j] += x * vi
+			dst[j] += x * vi
 		}
 	}
-	return out
+	return dst
 }
 
-// Mul returns m·a.
 func (m *Mat) Mul(a *Mat) *Mat {
 	return m.MulInto(NewMat(m.Rows, a.Cols), a)
 }

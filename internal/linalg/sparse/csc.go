@@ -160,13 +160,13 @@ func (m *CSC) MulVecInto(dst, x linalg.Vec) linalg.Vec {
 	for i := range dst {
 		dst[i] = 0
 	}
-	for j := 0; j < n; j++ {
-		xj := x[j]
+	colPtr, rows, val := m.P.ColPtr[:n+1], m.P.Rows, m.Val
+	for j, xj := range x {
 		if xj == 0 {
 			continue
 		}
-		for k := m.P.ColPtr[j]; k < m.P.ColPtr[j+1]; k++ {
-			dst[m.P.Rows[k]] += m.Val[k] * xj
+		for k := colPtr[j]; k < colPtr[j+1]; k++ {
+			dst[rows[k]] += val[k] * xj
 		}
 	}
 	return dst
@@ -224,24 +224,27 @@ func (m *CSC) ToDense(dst *linalg.Mat) *linalg.Mat {
 	return dst
 }
 
-// FromDense builds a pattern+values CSC from a dense matrix, keeping entries
-// with |a| > 0. Test helper; production patterns come from circuit assembly.
+// FromDense builds a pattern+values CSC of the square matrix a holding
+// exactly its entries that are not zero, rows ascending within each column.
+// It counts them first, so the result takes five allocations whatever its
+// size.
 func FromDense(a *linalg.Mat) *CSC {
-	n := a.Rows
-	var rows, cols []int
-	for j := 0; j < n; j++ {
-		for i := 0; i < n; i++ {
-			if a.At(i, j) != 0 {
-				rows = append(rows, i)
-				cols = append(cols, j)
-			}
+	n, nnz := a.Rows, 0
+	for _, v := range a.Data {
+		if v != 0 {
+			nnz++
 		}
 	}
-	m := NewCSC(PatternFromEntries(n, rows, cols))
+	p := &Pattern{N: n, ColPtr: make([]int, n+1), Rows: make([]int, 0, nnz)}
+	m := &CSC{P: p, Val: make([]float64, 0, nnz)}
 	for j := 0; j < n; j++ {
-		for k := m.P.ColPtr[j]; k < m.P.ColPtr[j+1]; k++ {
-			m.Val[k] = a.At(m.P.Rows[k], j)
+		for i := 0; i < n; i++ {
+			if v := a.At(i, j); v != 0 {
+				p.Rows = append(p.Rows, i)
+				m.Val = append(m.Val, v)
+			}
 		}
+		p.ColPtr[j+1] = len(p.Rows)
 	}
 	return m
 }

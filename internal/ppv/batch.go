@@ -91,6 +91,7 @@ func FromSolutionsBatch(ctx context.Context, b *circuit.Batch, sols []*pss.Solut
 	tl := make([]float64, K)
 	aCur := make([]*linalg.Mat, K)
 	aNext := make([]*linalg.Mat, K)
+	wSpare := make([]linalg.Vec, K) // the buffer w_i is computed into, swapped with ws[k]
 	vis := make([][]linalg.Vec, K)
 	minC := make([]float64, K)
 	maxC := make([]float64, K)
@@ -98,7 +99,13 @@ func FromSolutionsBatch(ctx context.Context, b *circuit.Batch, sols []*pss.Solut
 	for _, k := range active {
 		aCur[k] = linalg.NewMat(n, n)
 		aNext[k] = linalg.NewMat(n, n)
+		wSpare[k] = linalg.NewVec(n)
+		// One block per lane holds its kg+1 PPV samples.
+		blk := make([]float64, (kg+1)*n)
 		vis[k] = make([]linalg.Vec, kg+1)
+		for i := range vis[k] {
+			vis[k][i] = linalg.Vec(blk[i*n : (i+1)*n : (i+1)*n])
+		}
 		minC[k], maxC[k] = math.Inf(1), math.Inf(-1)
 		h[k] = sols[k].T0 / float64(kg)
 	}
@@ -107,6 +114,7 @@ func FromSolutionsBatch(ctx context.Context, b *circuit.Batch, sols []*pss.Solut
 	xd := linalg.NewVec(n)
 	lhs := linalg.NewMat(n, n)
 	tmp := linalg.NewVec(n)
+	vn := linalg.NewVec(n)
 	var lu linalg.LU
 	for i := kg; i >= 0 && len(active) > 0; i-- {
 		if cerr := ctx.Err(); cerr != nil {
@@ -142,10 +150,10 @@ func FromSolutionsBatch(ctx context.Context, b *circuit.Batch, sols []*pss.Solut
 				}
 				lu.SolveTInto(tmp, ws[k])
 				dm.Inc(diag.LUSolves)
-				wi := aCur[k].MulVecT(tmp)
+				wi := aCur[k].MulVecTInto(wSpare[k], tmp)
 				wi.Scale(h[k] / 2)
 				wi.Add(wi, tmp)
-				ws[k] = wi
+				ws[k], wSpare[k] = wi, ws[k]
 			}
 			// Normalization at i: ẋ_i from the same evaluation's residual.
 			copy(fb, bw.LaneF(k))
@@ -162,10 +170,10 @@ func FromSolutionsBatch(ctx context.Context, b *circuit.Batch, sols []*pss.Solut
 			if c > maxC[k] {
 				maxC[k] = c
 			}
-			v := ws[k].Clone()
-			v.Scale(1 / c)
+			copy(vn, ws[k])
+			vn.Scale(1 / c)
 			dm.Inc(diag.LUSolves)
-			vis[k][i] = sys.CLU.SolveT(v)
+			sys.CLU.SolveTBuf(vis[k][i], vn, vn) // CLU is shared: no LU-held scratch
 			aCur[k], aNext[k] = aNext[k], aCur[k]
 		}
 		active = prune(active)

@@ -112,13 +112,16 @@ type BatchScratch struct {
 	resid, dxv linalg.Vec
 	jac        *linalg.Mat
 	lus        []linalg.LU
+	// Per-lane correctors for the run's backend: lane k's C and its C
+	// scaled for opt.H[k] (lazy; rebuilt when the backend changes).
+	cors      []corrector
+	corSparse bool
 	// Dense sensitivity scratch (lazy).
 	lhs, rhs, prop, prod *linalg.Mat
 	slus                 []linalg.LU
 
 	// Per-lane sparse solve scratch (lazy).
 	sjac       *sparse.CSC
-	cdx        linalg.Vec
 	plus       []sparse.LU
 	slhs, srhs *sparse.CSC
 	stmp       *linalg.Mat
@@ -163,14 +166,38 @@ func (sc *BatchScratch) ensureDenseSens() {
 	sc.slus = make([]linalg.LU, sc.K)
 }
 
+// ensureCorrectors binds one corrector per lane to the backend's layout of
+// that lane's C: the dense matrix, or its values on the shared pattern. The
+// lanes correct one at a time, so they share the update buffer as their
+// residual scratch.
+func (sc *BatchScratch) ensureCorrectors(useSparse bool) {
+	if sc.cors != nil && sc.corSparse == useSparse {
+		return
+	}
+	size := sc.N * sc.N
+	if useSparse {
+		size = sc.nnz
+	}
+	buf := make([]float64, sc.K*size)
+	if sc.cors == nil {
+		sc.cors = make([]corrector, sc.K)
+	}
+	for k, s := range sc.b.Systems {
+		c := s.C.Data
+		if useSparse {
+			c = sc.b.CVals(k)
+		}
+		sc.cors[k] = newCorrector(s, c, buf[k*size:(k+1)*size], sc.dxv, false)
+	}
+	sc.corSparse = useSparse
+}
+
 // ensureSparse lazily allocates the sparse corrector scratch.
 func (sc *BatchScratch) ensureSparse() {
 	if sc.sjac != nil {
 		return
 	}
-	pat := sc.b.Pattern()
-	sc.sjac = sparse.NewCSC(pat)
-	sc.cdx = linalg.NewVec(sc.N)
+	sc.sjac = sparse.NewCSC(sc.b.Pattern())
 	sc.plus = make([]sparse.LU, sc.K)
 }
 
@@ -223,12 +250,10 @@ func (sc *BatchScratch) Run(ctx context.Context, x0 []float64, opt BatchOptions)
 	if opt.MaxNewton == 0 {
 		opt.MaxNewton = 40
 	}
-	vtol := opt.NewtonTol
-	if vtol > 1e-6 {
-		vtol = 1e-6
-	}
+	vtol := updateTol(opt.NewtonTol)
 	th := opt.Method.theta()
 	useSparse := sc.b.Systems[0].ResolveBackend(opt.Backend) == linalg.BackendSparse
+	sc.ensureCorrectors(useSparse)
 	if useSparse {
 		sc.ensureSparse()
 		if opt.Sensitivity {
@@ -242,7 +267,7 @@ func (sc *BatchScratch) Run(ctx context.Context, x0 []float64, opt BatchOptions)
 	dm := diag.FromContext(ctx)
 	sc.bw.SetMetrics(dm)
 	if !sc.counted && dm != nil {
-		dm.Add(diag.ScratchBytesPinned, int64(8*(6*K*n+2*K+2*K*nnz+2*n+n*n)))
+		dm.Add(diag.ScratchBytesPinned, int64(8*(6*K*n+2*K+2*K*nnz+2*n+n*n+K*len(sc.cors[0].scaled))))
 		sc.counted = true
 	}
 
@@ -276,19 +301,10 @@ func (sc *BatchScratch) Run(ctx context.Context, x0 []float64, opt BatchOptions)
 			res.Sens[k] = linalg.Eye(n)
 		}
 	}
-	if opt.Record {
-		if opt.RecordNode < 0 || opt.RecordNode >= n {
-			return nil, fmt.Errorf("transient: BatchOptions.RecordNode %d out of range [0,%d)", opt.RecordNode, n)
-		}
-		res.T = make([][]float64, K)
-		res.NodeV = make([][]float64, K)
+	if opt.Record && (opt.RecordNode < 0 || opt.RecordNode >= n) {
+		return nil, fmt.Errorf("transient: BatchOptions.RecordNode %d out of range [0,%d)", opt.RecordNode, n)
 	}
-	if opt.RecordStates {
-		if res.T == nil {
-			res.T = make([][]float64, K)
-		}
-		res.States = make([][]linalg.Vec, K)
-	}
+	stateBuf := sc.allocRecords(res, opt)
 	record := func(k int) {
 		if res.T != nil {
 			res.T[k] = append(res.T[k], sc.tl[k])
@@ -297,7 +313,11 @@ func (sc *BatchScratch) Run(ctx context.Context, x0 []float64, opt BatchOptions)
 			res.NodeV[k] = append(res.NodeV[k], sc.x[k*n+opt.RecordNode])
 		}
 		if opt.RecordStates {
-			res.States[k] = append(res.States[k], append(linalg.Vec(nil), sc.x[k*n:(k+1)*n]...))
+			st := res.States[k]
+			i := len(st) * n
+			v := linalg.Vec(stateBuf[k][i : i+n : i+n])
+			copy(v, sc.x[k*n:(k+1)*n])
+			res.States[k] = append(st, v)
 		}
 	}
 	for _, k := range sc.live {
@@ -388,7 +408,7 @@ func (sc *BatchScratch) Run(ctx context.Context, x0 []float64, opt BatchOptions)
 		}
 		for _, k := range sc.iterLanes {
 			if res.Err[k] == nil {
-				fail(k, fmt.Errorf("transient: lane %d Newton corrector did not converge at step %d", k, s))
+				fail(k, fmt.Errorf("transient: lane %d corrector failed at step %d: %w", k, s, errNoConverge))
 			}
 		}
 		// Prune failed lanes.
@@ -444,6 +464,39 @@ func (sc *BatchScratch) Run(ctx context.Context, x0 []float64, opt BatchOptions)
 	return res, nil
 }
 
+// allocRecords sizes res's recordings for a run of opt.Steps steps: every
+// live lane records at most Steps+1 points, so each lane's time axis, node
+// waveform and state trajectory get their full capacity up front, and
+// recording never reallocates. The returned blocks (RecordStates runs) back
+// the lanes' recorded states, Steps+1 n-vectors per lane. Each lane's
+// storage is its own, so a caller that keeps one lane's trajectory keeps no
+// other lane's.
+func (sc *BatchScratch) allocRecords(res *BatchResult, opt BatchOptions) (stateBuf [][]float64) {
+	if !opt.Record && !opt.RecordStates {
+		return nil
+	}
+	K, n, pts := sc.K, sc.N, opt.Steps+1
+	res.T = make([][]float64, K)
+	if opt.Record {
+		res.NodeV = make([][]float64, K)
+	}
+	if opt.RecordStates {
+		res.States = make([][]linalg.Vec, K)
+		stateBuf = make([][]float64, K)
+	}
+	for _, k := range sc.live {
+		res.T[k] = make([]float64, 0, pts)
+		if opt.Record {
+			res.NodeV[k] = make([]float64, 0, pts)
+		}
+		if opt.RecordStates {
+			res.States[k] = make([]linalg.Vec, 0, pts)
+			stateBuf[k] = make([]float64, pts*n)
+		}
+	}
+	return stateBuf
+}
+
 // correctLane assembles and solves one lane's Newton correction from the
 // batch workspace's current (x1, t+h) evaluation, updating the lane's x1
 // block in place. Returns done=true when the vntol convergence test passes.
@@ -451,73 +504,42 @@ func (sc *BatchScratch) correctLane(k int, th, h, vtol float64, useSparse bool, 
 	n := sc.N
 	base := k * n
 	jb := k * sc.nnz
-	f1 := sc.bw.F[base : base+n]
-	pat := sc.b.Pattern()
-
-	if useSparse {
-		cv := sc.b.CVals(k)
-		// cdx = C·(x1 − x0), on the shared pattern.
-		for i := 0; i < n; i++ {
-			sc.cdx[i] = 0
-		}
-		for j := 0; j < n; j++ {
-			d := sc.x1[base+j] - sc.x[base+j]
-			for p := pat.ColPtr[j]; p < pat.ColPtr[j+1]; p++ {
-				sc.cdx[pat.Rows[p]] += cv[p] * d
-			}
-		}
-		for i := 0; i < n; i++ {
-			sc.resid[i] = sc.cdx[i]/h + th*f1[i] + (1-th)*sc.f0[base+i]
-		}
-		for i := range sc.sjac.Val {
-			sc.sjac.Val[i] = cv[i]/h + th*sc.bw.JV[jb+i]
-		}
-		if err := sparseFactor(dm, &sc.plus[k], sc.sjac); err != nil {
-			return false, fmt.Errorf("singular iteration matrix: %w", err)
-		}
-	} else {
-		c := sc.b.Systems[k].C
-		for i := 0; i < n; i++ {
-			acc := 0.0
-			row := c.Data[i*n : (i+1)*n]
-			for j := 0; j < n; j++ {
-				acc += row[j] * (sc.x1[base+j] - sc.x[base+j])
-			}
-			sc.resid[i] = acc/h + th*f1[i] + (1-th)*sc.f0[base+i]
-		}
-		for i := range sc.jac.Data {
-			sc.jac.Data[i] = c.Data[i] / h
-		}
-		for j := 0; j < n; j++ {
-			for p := pat.ColPtr[j]; p < pat.ColPtr[j+1]; p++ {
-				sc.jac.Data[pat.Rows[p]*n+j] += th * sc.bw.JV[jb+p]
-			}
-		}
-		err := sc.lus[k].FactorizeInto(sc.jac)
-		dm.Inc(diag.LUFactorizations)
-		if sc.lus[k].ReusedBuffers() {
-			dm.Inc(diag.LUFactorizationsReused)
-		}
-		if err != nil {
-			return false, fmt.Errorf("singular iteration matrix: %w", err)
-		}
-	}
+	x1 := linalg.Vec(sc.x1[base : base+n])
+	cor := &sc.cors[k]
+	cor.thetaResidual(sc.resid, x1, sc.x[base:base+n], sc.bw.F[base:base+n], sc.f0[base:base+n], th, h)
+	ch := cor.scaledC(h)
+	jv := sc.bw.JV[jb : jb+sc.nnz]
 
 	var dx linalg.Vec
 	if useSparse {
+		copy(sc.sjac.Val, jv)
+		addScaled(sc.sjac.Val, ch, th)
+		if err := sparseFactor(dm, &sc.plus[k], sc.sjac); err != nil {
+			return false, fmt.Errorf("singular iteration matrix: %w", err)
+		}
 		dx = sc.plus[k].SolveInto(sc.dxv, sc.resid)
 	} else {
+		copy(sc.jac.Data, ch)
+		sc.addPattern(sc.jac, th, jv)
+		if err := denseFactor(dm, &sc.lus[k], sc.jac); err != nil {
+			return false, fmt.Errorf("singular iteration matrix: %w", err)
+		}
 		dx = sc.lus[k].SolveInto(sc.dxv, sc.resid)
 	}
 	dm.Inc(diag.LUSolves)
-	if m := dx.NormInf(); m > 2 {
-		dx.Scale(2 / m)
+	return newtonUpdate(x1, dx, vtol)
+}
+
+// addPattern adds w·v to the dense dst at the shared pattern's positions,
+// v holding one lane's values on the pattern.
+func (sc *BatchScratch) addPattern(dst *linalg.Mat, w float64, v []float64) {
+	pat := sc.b.Pattern()
+	n := sc.N
+	for j := 0; j < n; j++ {
+		for p := pat.ColPtr[j]; p < pat.ColPtr[j+1]; p++ {
+			dst.Data[pat.Rows[p]*n+j] += w * v[p]
+		}
 	}
-	x1 := linalg.Vec(sc.x1[base : base+n])
-	for i := 0; i < n; i++ {
-		x1[i] -= dx[i]
-	}
-	return dx.NormInf() <= vtol*(1+x1.NormInf()), nil
 }
 
 // sensLaneDense propagates lane k's monodromy through the accepted step:
@@ -530,11 +552,9 @@ func (sc *BatchScratch) sensLaneDense(k int, th, h float64, sens *linalg.Mat, dm
 	n := sc.N
 	jb := k * sc.nnz
 	pat := sc.b.Pattern()
-	c := sc.b.Systems[k].C
-	for i := range sc.lhs.Data {
-		sc.lhs.Data[i] = c.Data[i] / h
-		sc.rhs.Data[i] = c.Data[i] / h
-	}
+	ch := sc.cors[k].scaledC(h)
+	copy(sc.lhs.Data, ch)
+	copy(sc.rhs.Data, ch)
 	for j := 0; j < n; j++ {
 		for p := pat.ColPtr[j]; p < pat.ColPtr[j+1]; p++ {
 			di := pat.Rows[p]*n + j
@@ -542,12 +562,7 @@ func (sc *BatchScratch) sensLaneDense(k int, th, h float64, sens *linalg.Mat, dm
 			sc.rhs.Data[di] -= (1 - th) * sc.jcache[jb+p]
 		}
 	}
-	err := sc.slus[k].FactorizeInto(sc.lhs)
-	dm.Inc(diag.LUFactorizations)
-	if sc.slus[k].ReusedBuffers() {
-		dm.Inc(diag.LUFactorizationsReused)
-	}
-	if err != nil {
+	if err := denseFactor(dm, &sc.slus[k], sc.lhs); err != nil {
 		return fmt.Errorf("singular sensitivity matrix: %w", err)
 	}
 	dm.Add(diag.LUSolves, int64(n))
@@ -562,10 +577,10 @@ func (sc *BatchScratch) sensLaneDense(k int, th, h float64, sens *linalg.Mat, dm
 // against the lane's retained symbolic factorization.
 func (sc *BatchScratch) sensLaneSparse(k int, th, h float64, sens *linalg.Mat, dm *diag.Metrics) error {
 	jb := k * sc.nnz
-	cv := sc.b.CVals(k)
+	ch := sc.cors[k].scaledC(h)
 	for i := range sc.slhs.Val {
-		sc.slhs.Val[i] = cv[i]/h + th*sc.bw.JV[jb+i]
-		sc.srhs.Val[i] = cv[i]/h - (1-th)*sc.jcache[jb+i]
+		sc.slhs.Val[i] = ch[i] + th*sc.bw.JV[jb+i]
+		sc.srhs.Val[i] = ch[i] - (1-th)*sc.jcache[jb+i]
 	}
 	if err := sparseFactor(dm, &sc.pslus[k], sc.slhs); err != nil {
 		return fmt.Errorf("singular sensitivity matrix: %w", err)

@@ -1,0 +1,31 @@
+package transient
+
+import (
+	"repro/internal/circuit"
+	"repro/internal/linalg"
+)
+
+// StepFunc is one corrector step: the accepted iterate, its Newton
+// iteration count, or the failure. a and b are the method's two history
+// states — (x0, predictor) for the θ-method, (x_{n−1}, x_n) for Gear2.
+type StepFunc func(a, b linalg.Vec, t, h float64) (linalg.Vec, int, error)
+
+// ThetaStepper returns the step of a fresh Scratch's θ stepper on opt's
+// backend (opt's defaults must already be filled in).
+func ThetaStepper(sys *circuit.System, opt Options) StepFunc {
+	return NewScratch(sys).thetaStepper(opt, nil).step
+}
+
+// GearStepper returns the step of a fresh dense Gear2 stepper.
+func GearStepper(sys *circuit.System, opt Options) StepFunc {
+	g := newGearStepper(sys)
+	g.bind(opt, nil)
+	return g.step
+}
+
+// SparseGearStepper returns the step of a fresh sparse Gear2 stepper.
+func SparseGearStepper(sys *circuit.System, opt Options) StepFunc {
+	g := newSparseGearStepper(sys)
+	g.bind(opt, nil)
+	return g.step
+}

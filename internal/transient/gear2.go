@@ -2,7 +2,6 @@ package transient
 
 import (
 	"context"
-	"errors"
 	"fmt"
 
 	"repro/internal/circuit"
@@ -89,14 +88,14 @@ func (sc *Scratch) runGear2(ctx context.Context, x0 linalg.Vec, t0, t1 float64, 
 	if sc.sys.ResolveBackend(opt.Backend) == linalg.BackendSparse {
 		if sc.sg == nil {
 			sc.sg = newSparseGearStepper(sys)
-			sc.pinned += int64(8 * (5*n + 2*sys.SparsePattern().NNZ()))
+			sc.pinned += int64(8 * (4*n + 2*sys.SparsePattern().NNZ()))
 		}
 		sc.sg.bind(opt, dm)
 		g = sc.sg
 	} else {
 		if sc.g == nil {
 			sc.g = newGearStepper(sys)
-			sc.pinned += int64(8 * (3*n + 3*n*n + n*n)) // vectors, mats, LU factors
+			sc.pinned += int64(8 * (3*n + 3*n*n + n*n)) // vectors; Jacobian, scaled C and workspace J; LU factors
 		}
 		sc.g.bind(opt, dm)
 		g = sc.g
@@ -185,10 +184,10 @@ type gearStepper struct {
 	ws    *circuit.Workspace
 	opt   Options
 	m     *diag.Metrics // nil when diagnostics are off
+	cor   corrector     // 3C/(2h) cache and sparse-C residual
 	f1    linalg.Vec
-	jac   *linalg.Mat
+	jac   *linalg.Mat // df/dx, then the iteration matrix assembled in place
 	resid linalg.Vec
-	sysJ  *linalg.Mat
 	dx    linalg.Vec
 	x1    linalg.Vec // the corrector iterate; step's return value aliases it
 	lu    linalg.LU
@@ -199,14 +198,16 @@ type gearStepper struct {
 
 func newGearStepper(sys *circuit.System) *gearStepper {
 	n := sys.N
+	jac, scaled := pairedMat(n)
+	dx := linalg.NewVec(n)
 	return &gearStepper{
 		sys:   sys,
 		ws:    sys.NewWorkspace(),
+		cor:   newCorrector(sys, sys.C.Data, scaled, dx, true),
 		f1:    linalg.NewVec(n),
-		jac:   linalg.NewMat(n, n),
+		jac:   jac,
 		resid: linalg.NewVec(n),
-		sysJ:  linalg.NewMat(n, n),
-		dx:    linalg.NewVec(n),
+		dx:    dx,
 		x1:    linalg.NewVec(n),
 	}
 }
@@ -218,70 +219,34 @@ func (g *gearStepper) bind(opt Options, m *diag.Metrics) {
 	g.ws.SetMetrics(m)
 }
 
+// iterationMatrix evaluates f and J at (x1, t+h) and assembles
+// 3C/(2h) + J into g.jac.
+func (g *gearStepper) iterationMatrix(x1 linalg.Vec, t, h float64) {
+	g.ws.EvalFJ(x1, t+h, g.f1, g.jac)
+	addScaled(g.jac.Data, g.cor.scaledC(h), 1)
+}
+
 func (g *gearStepper) step(xm1, x0 linalg.Vec, t, h float64) (linalg.Vec, int, error) {
-	n := g.sys.N
-	c := g.sys.C
 	// Predictor: linear extrapolation.
 	x1 := g.x1
 	for i := range x1 {
 		x1[i] = 2*x0[i] - xm1[i]
 	}
-	vtol := g.opt.NewtonTol
-	if vtol > 1e-6 {
-		vtol = 1e-6
-	}
-	for iter := 0; iter < g.opt.MaxNewton; iter++ {
-		g.ws.EvalFJ(x1, t+h, g.f1, g.sysJ)
-		for i := 0; i < n; i++ {
-			acc := 0.0
-			row := c.Data[i*n : (i+1)*n]
-			for j := 0; j < n; j++ {
-				acc += row[j] * (3*x1[j] - 4*x0[j] + xm1[j])
-			}
-			g.resid[i] = acc/(2*h) + g.f1[i]
+	return newtonLoop(g.m, x1, g.opt.MaxNewton, updateTol(g.opt.NewtonTol), func() (linalg.Vec, error) {
+		g.iterationMatrix(x1, t, h)
+		g.cor.gearResidual(g.resid, x1, x0, xm1, g.f1, h)
+		if err := denseFactor(g.m, &g.lu, g.jac); err != nil {
+			return nil, fmt.Errorf("transient: singular Gear2 matrix: %w", err)
 		}
-		for i := 0; i < n*n; i++ {
-			g.jac.Data[i] = 3*c.Data[i]/(2*h) + g.sysJ.Data[i]
-		}
-		err := g.lu.FactorizeInto(g.jac)
-		g.m.Inc(diag.LUFactorizations)
-		if g.lu.ReusedBuffers() {
-			g.m.Inc(diag.LUFactorizationsReused)
-		}
-		if err != nil {
-			return nil, iter, fmt.Errorf("transient: singular Gear2 matrix: %w", err)
-		}
-		dx := g.lu.SolveInto(g.dx, g.resid)
-		g.m.Inc(diag.LUSolves)
-		g.m.Inc(diag.NewtonIterations)
-		if m := dx.NormInf(); m > 2 {
-			dx.Scale(2 / m)
-		}
-		for i := 0; i < n; i++ {
-			x1[i] -= dx[i]
-		}
-		if dx.NormInf() <= vtol*(1+x1.NormInf()) {
-			return x1, iter + 1, nil
-		}
-	}
-	return nil, g.opt.MaxNewton, errors.New("transient: Gear2 Newton did not converge")
+		return g.lu.SolveInto(g.dx, g.resid), nil
+	})
 }
 
 // sensFactors factorizes the iteration matrix at the accepted point into the
 // pinned sensitivity LU.
 func (g *gearStepper) sensFactors(x1 linalg.Vec, t, h float64) error {
-	n := g.sys.N
-	c := g.sys.C
-	g.ws.EvalFJ(x1, t+h, g.f1, g.sysJ)
-	for i := 0; i < n*n; i++ {
-		g.jac.Data[i] = 3*c.Data[i]/(2*h) + g.sysJ.Data[i]
-	}
-	err := g.slu.FactorizeInto(g.jac)
-	g.m.Inc(diag.LUFactorizations)
-	if g.slu.ReusedBuffers() {
-		g.m.Inc(diag.LUFactorizationsReused)
-	}
-	if err != nil {
+	g.iterationMatrix(x1, t, h)
+	if err := denseFactor(g.m, &g.slu, g.jac); err != nil {
 		return fmt.Errorf("transient: singular sensitivity matrix: %w", err)
 	}
 	return nil

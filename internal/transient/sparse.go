@@ -1,7 +1,6 @@
 package transient
 
 import (
-	"errors"
 	"fmt"
 
 	"repro/internal/circuit"
@@ -28,13 +27,11 @@ type sparseStepper struct {
 	opt   Options
 	m     *diag.Metrics // nil when diagnostics are off
 	pat   *sparse.Pattern
-	cs    *sparse.CSC // shared C values on pat (read-only)
+	cor   corrector // C/h cache on pat and sparse-C residual
 	f0    linalg.Vec
 	f1    linalg.Vec
 	resid linalg.Vec
-	sysJ  *sparse.CSC // stamped df/dx
-	jac   *sparse.CSC // iteration matrix C/h + θ·J1
-	cdx   linalg.Vec  // C·(x1−x0) product
+	jac   *sparse.CSC // stamped df/dx, then C/h + θ·J1 in place
 	dx    linalg.Vec
 	x1    linalg.Vec // the corrector iterate; step's return value aliases it
 	lu    sparse.LU
@@ -46,21 +43,29 @@ type sparseStepper struct {
 	sensCounted bool
 }
 
+// pairedCSC returns a value array on pat whose storage is the front half of
+// a 2·nnz allocation, and the back half as a pinned nnz scratch slice.
+func pairedCSC(pat *sparse.Pattern) (*sparse.CSC, []float64) {
+	nnz := pat.NNZ()
+	buf := make([]float64, 2*nnz)
+	return &sparse.CSC{P: pat, Val: buf[:nnz:nnz]}, buf[nnz:]
+}
+
 func newSparseStepper(sys *circuit.System) *sparseStepper {
 	n := sys.N
 	pat := sys.SparsePattern()
+	jac, scaled := pairedCSC(pat)
+	dx := linalg.NewVec(n)
 	return &sparseStepper{
 		sys:   sys,
 		ws:    sys.NewWorkspace(),
 		pat:   pat,
-		cs:    sys.SparseC(),
+		cor:   newCorrector(sys, sys.SparseC().Val, scaled, dx, false),
 		f0:    linalg.NewVec(n),
 		f1:    linalg.NewVec(n),
 		resid: linalg.NewVec(n),
-		sysJ:  sparse.NewCSC(pat),
-		jac:   sparse.NewCSC(pat),
-		cdx:   linalg.NewVec(n),
-		dx:    linalg.NewVec(n),
+		jac:   jac,
+		dx:    dx,
 		x1:    linalg.NewVec(n),
 	}
 }
@@ -90,47 +95,19 @@ func sparseFactor(m *diag.Metrics, lu *sparse.LU, a *sparse.CSC) error {
 // same corrector as stepper.step with every dense matrix operation replaced
 // by its O(nnz) counterpart.
 func (s *sparseStepper) step(x0, pred linalg.Vec, t, h float64) (linalg.Vec, int, error) {
-	n := s.sys.N
 	th := s.opt.Method.theta()
 	s.ws.EvalF(x0, t, s.f0)
 	x1 := s.x1
 	x1.CopyFrom(pred)
-
-	vtol := s.opt.NewtonTol
-	if vtol > 1e-6 {
-		vtol = 1e-6
-	}
-	for iter := 0; iter < s.opt.MaxNewton; iter++ {
-		s.ws.EvalFJSparse(x1, t+h, s.f1, s.sysJ)
-		// residual = C(x1-x0)/h + θ f1 + (1-θ) f0
-		for i := 0; i < n; i++ {
-			s.dx[i] = x1[i] - x0[i]
-		}
-		s.cs.MulVecInto(s.cdx, s.dx)
-		for i := 0; i < n; i++ {
-			s.resid[i] = s.cdx[i]/h + th*s.f1[i] + (1-th)*s.f0[i]
-		}
-		// Iteration matrix = C/h + θ J1, entrywise on the shared pattern.
-		for k := range s.jac.Val {
-			s.jac.Val[k] = s.cs.Val[k]/h + th*s.sysJ.Val[k]
-		}
+	return newtonLoop(s.m, x1, s.opt.MaxNewton, updateTol(s.opt.NewtonTol), func() (linalg.Vec, error) {
+		s.ws.EvalFJSparse(x1, t+h, s.f1, s.jac)
+		s.cor.thetaResidual(s.resid, x1, x0, s.f1, s.f0, th, h)
+		addScaled(s.jac.Val, s.cor.scaledC(h), th) // C/h + θ J1 on the shared pattern
 		if err := sparseFactor(s.m, &s.lu, s.jac); err != nil {
-			return nil, iter, fmt.Errorf("transient: singular iteration matrix: %w", err)
+			return nil, fmt.Errorf("transient: singular iteration matrix: %w", err)
 		}
-		dx := s.lu.SolveInto(s.dx, s.resid)
-		s.m.Inc(diag.LUSolves)
-		s.m.Inc(diag.NewtonIterations)
-		if m := dx.NormInf(); m > 2 {
-			dx.Scale(2 / m)
-		}
-		for i := 0; i < n; i++ {
-			x1[i] -= dx[i]
-		}
-		if dx.NormInf() <= vtol*(1+x1.NormInf()) {
-			return x1, iter + 1, nil
-		}
-	}
-	return nil, s.opt.MaxNewton, errors.New("transient: Newton corrector did not converge")
+		return s.lu.SolveInto(s.dx, s.resid), nil
+	})
 }
 
 // ensureSens lazily allocates the sparse sensitivity scratch: four value
@@ -172,9 +149,10 @@ func (s *sparseStepper) stepSensitivity(x0, x1 linalg.Vec, t, h float64, sens *l
 	s.ensureSens()
 	s.ws.EvalFJSparse(x0, t, s.f0, s.sj0)
 	s.ws.EvalFJSparse(x1, t+h, s.f1, s.sj1)
+	ch := s.cor.scaledC(h)
 	for k := range s.slhs.Val {
-		s.slhs.Val[k] = s.cs.Val[k]/h + th*s.sj1.Val[k]
-		s.srhs.Val[k] = s.cs.Val[k]/h - (1-th)*s.sj0.Val[k]
+		s.slhs.Val[k] = ch[k] + th*s.sj1.Val[k]
+		s.srhs.Val[k] = ch[k] - (1-th)*s.sj0.Val[k]
 	}
 	if err := sparseFactor(s.m, &s.slu, s.slhs); err != nil {
 		return fmt.Errorf("transient: singular sensitivity matrix: %w", err)
@@ -194,11 +172,10 @@ type sparseGearStepper struct {
 	m     *diag.Metrics
 	pat   *sparse.Pattern
 	cs    *sparse.CSC
+	cor   corrector // 3C/(2h) cache on pat and sparse-C residual
 	f1    linalg.Vec
 	resid linalg.Vec
-	sysJ  *sparse.CSC
-	jac   *sparse.CSC
-	cdx   linalg.Vec
+	jac   *sparse.CSC // stamped df/dx, then 3C/(2h) + J in place
 	dx    linalg.Vec
 	x1    linalg.Vec
 	lu    sparse.LU
@@ -210,17 +187,19 @@ type sparseGearStepper struct {
 func newSparseGearStepper(sys *circuit.System) *sparseGearStepper {
 	n := sys.N
 	pat := sys.SparsePattern()
+	cs := sys.SparseC()
+	jac, scaled := pairedCSC(pat)
+	dx := linalg.NewVec(n)
 	return &sparseGearStepper{
 		sys:   sys,
 		ws:    sys.NewWorkspace(),
 		pat:   pat,
-		cs:    sys.SparseC(),
+		cs:    cs,
+		cor:   newCorrector(sys, cs.Val, scaled, dx, true),
 		f1:    linalg.NewVec(n),
 		resid: linalg.NewVec(n),
-		sysJ:  sparse.NewCSC(pat),
-		jac:   sparse.NewCSC(pat),
-		cdx:   linalg.NewVec(n),
-		dx:    linalg.NewVec(n),
+		jac:   jac,
+		dx:    dx,
 		x1:    linalg.NewVec(n),
 	}
 }
@@ -232,56 +211,33 @@ func (g *sparseGearStepper) bind(opt Options, m *diag.Metrics) {
 	g.ws.SetMetrics(m)
 }
 
+// iterationMatrix evaluates f and J at (x1, t+h) and assembles
+// 3C/(2h) + J into g.jac on the shared pattern.
+func (g *sparseGearStepper) iterationMatrix(x1 linalg.Vec, t, h float64) {
+	g.ws.EvalFJSparse(x1, t+h, g.f1, g.jac)
+	addScaled(g.jac.Val, g.cor.scaledC(h), 1)
+}
+
 func (g *sparseGearStepper) step(xm1, x0 linalg.Vec, t, h float64) (linalg.Vec, int, error) {
-	n := g.sys.N
 	// Predictor: linear extrapolation.
 	x1 := g.x1
 	for i := range x1 {
 		x1[i] = 2*x0[i] - xm1[i]
 	}
-	vtol := g.opt.NewtonTol
-	if vtol > 1e-6 {
-		vtol = 1e-6
-	}
-	for iter := 0; iter < g.opt.MaxNewton; iter++ {
-		g.ws.EvalFJSparse(x1, t+h, g.f1, g.sysJ)
-		// residual = C·(3x1 − 4x0 + xm1)/(2h) + f1
-		for i := 0; i < n; i++ {
-			g.dx[i] = 3*x1[i] - 4*x0[i] + xm1[i]
-		}
-		g.cs.MulVecInto(g.cdx, g.dx)
-		for i := 0; i < n; i++ {
-			g.resid[i] = g.cdx[i]/(2*h) + g.f1[i]
-		}
-		for k := range g.jac.Val {
-			g.jac.Val[k] = 3*g.cs.Val[k]/(2*h) + g.sysJ.Val[k]
-		}
+	return newtonLoop(g.m, x1, g.opt.MaxNewton, updateTol(g.opt.NewtonTol), func() (linalg.Vec, error) {
+		g.iterationMatrix(x1, t, h)
+		g.cor.gearResidual(g.resid, x1, x0, xm1, g.f1, h)
 		if err := sparseFactor(g.m, &g.lu, g.jac); err != nil {
-			return nil, iter, fmt.Errorf("transient: singular Gear2 matrix: %w", err)
+			return nil, fmt.Errorf("transient: singular Gear2 matrix: %w", err)
 		}
-		dx := g.lu.SolveInto(g.dx, g.resid)
-		g.m.Inc(diag.LUSolves)
-		g.m.Inc(diag.NewtonIterations)
-		if m := dx.NormInf(); m > 2 {
-			dx.Scale(2 / m)
-		}
-		for i := 0; i < n; i++ {
-			x1[i] -= dx[i]
-		}
-		if dx.NormInf() <= vtol*(1+x1.NormInf()) {
-			return x1, iter + 1, nil
-		}
-	}
-	return nil, g.opt.MaxNewton, errors.New("transient: Gear2 Newton did not converge")
+		return g.lu.SolveInto(g.dx, g.resid), nil
+	})
 }
 
 // sensFactors factorizes the iteration matrix at the accepted point into the
 // pinned sparse sensitivity factorization.
 func (g *sparseGearStepper) sensFactors(x1 linalg.Vec, t, h float64) error {
-	g.ws.EvalFJSparse(x1, t+h, g.f1, g.sysJ)
-	for k := range g.jac.Val {
-		g.jac.Val[k] = 3*g.cs.Val[k]/(2*h) + g.sysJ.Val[k]
-	}
+	g.iterationMatrix(x1, t, h)
 	if err := sparseFactor(g.m, &g.slu, g.jac); err != nil {
 		return fmt.Errorf("transient: singular sensitivity matrix: %w", err)
 	}

@@ -187,7 +187,7 @@ func NewScratch(sys *circuit.System) *Scratch {
 		pred: linalg.NewVec(n),
 		prev: linalg.NewVec(n),
 	}
-	sc.pinned = int64(8 * (3*n + 4*n + 3*n*n + n*n)) // run+stepper vectors, stepper mats, LU
+	sc.pinned = int64(8 * (3*n + 4*n + 3*n*n + n*n)) // run+stepper vectors; Jacobian, scaled C and workspace J; LU
 	return sc
 }
 
@@ -293,7 +293,7 @@ func (sc *Scratch) Run(ctx context.Context, x0 linalg.Vec, t0, t1 float64, opt O
 		if err != nil {
 			// Newton failure: retry with a smaller step.
 			if h/2 < opt.MinStep {
-				return res, fmt.Errorf("transient: corrector failed at t=%.6g (%v): %w", t, err, ErrStepUnderflow)
+				return res, fmt.Errorf("transient: corrector failed at t=%.6g: %w: %w", t, err, ErrStepUnderflow)
 			}
 			h /= 2
 			res.Rejected++
@@ -380,7 +380,7 @@ func (sc *Scratch) thetaStepper(opt Options, dm *diag.Metrics) oneStepper {
 		if sc.sst == nil {
 			sc.sst = newSparseStepper(sc.sys)
 			n, nnz := sc.sys.N, sc.sys.SparsePattern().NNZ()
-			sc.pinned += int64(8 * (6*n + 2*nnz))
+			sc.pinned += int64(8 * (5*n + 2*nnz))
 		}
 		sc.sst.bind(opt, dm)
 		return sc.sst
@@ -398,11 +398,11 @@ type stepper struct {
 	ws    *circuit.Workspace
 	opt   Options
 	m     *diag.Metrics // nil when diagnostics are off
+	cor   corrector     // C/h cache and sparse-C residual
 	f0    linalg.Vec
 	f1    linalg.Vec
-	jac   *linalg.Mat
+	jac   *linalg.Mat // df/dx, then the iteration matrix assembled in place
 	resid linalg.Vec
-	sysJ  *linalg.Mat
 	dx    linalg.Vec
 	x1    linalg.Vec // the corrector iterate; step's return value aliases it
 	lu    linalg.LU
@@ -413,17 +413,27 @@ type stepper struct {
 	sensCounted          bool // sens buffers folded into pinned-bytes accounting
 }
 
+// pairedMat returns an n×n matrix whose storage is the front half of a
+// 2n² allocation, and the back half as a pinned n² slice (a corrector's
+// scaled C rides along with the Jacobian it is added to).
+func pairedMat(n int) (*linalg.Mat, []float64) {
+	buf := make([]float64, 2*n*n)
+	return &linalg.Mat{Rows: n, Cols: n, Data: buf[: n*n : n*n]}, buf[n*n:]
+}
+
 func newStepper(sys *circuit.System) *stepper {
 	n := sys.N
+	jac, scaled := pairedMat(n)
+	dx := linalg.NewVec(n)
 	return &stepper{
 		sys:   sys,
 		ws:    sys.NewWorkspace(),
+		cor:   newCorrector(sys, sys.C.Data, scaled, dx, false),
 		f0:    linalg.NewVec(n),
 		f1:    linalg.NewVec(n),
-		jac:   linalg.NewMat(n, n),
+		jac:   jac,
 		resid: linalg.NewVec(n),
-		sysJ:  linalg.NewMat(n, n),
-		dx:    linalg.NewVec(n),
+		dx:    dx,
 		x1:    linalg.NewVec(n),
 	}
 }
@@ -462,60 +472,19 @@ func (s *stepper) ensureSens() {
 // starting from the predictor. The returned vector aliases the stepper's
 // iterate buffer; callers copy it before the next step.
 func (s *stepper) step(x0, pred linalg.Vec, t, h float64) (linalg.Vec, int, error) {
-	n := s.sys.N
 	th := s.opt.Method.theta()
 	s.ws.EvalF(x0, t, s.f0)
 	x1 := s.x1
 	x1.CopyFrom(pred)
-	c := s.sys.C
-
-	// Convergence is judged on the Newton update size in volts (SPICE-style
-	// vntol), never on the raw residual alone: the residual scale C·Δx/h
-	// shrinks with h, which would otherwise accept the raw predictor.
-	vtol := s.opt.NewtonTol
-	if vtol > 1e-6 {
-		vtol = 1e-6
-	}
-	for iter := 0; iter < s.opt.MaxNewton; iter++ {
-		s.ws.EvalFJ(x1, t+h, s.f1, s.sysJ)
-		// residual = C(x1-x0)/h + θ f1 + (1-θ) f0
-		for i := 0; i < n; i++ {
-			acc := 0.0
-			row := c.Data[i*n : (i+1)*n]
-			for j := 0; j < n; j++ {
-				acc += row[j] * (x1[j] - x0[j])
-			}
-			s.resid[i] = acc/h + th*s.f1[i] + (1-th)*s.f0[i]
+	return newtonLoop(s.m, x1, s.opt.MaxNewton, updateTol(s.opt.NewtonTol), func() (linalg.Vec, error) {
+		s.ws.EvalFJ(x1, t+h, s.f1, s.jac)
+		s.cor.thetaResidual(s.resid, x1, x0, s.f1, s.f0, th, h)
+		addScaled(s.jac.Data, s.cor.scaledC(h), th) // C/h + θ J1
+		if err := denseFactor(s.m, &s.lu, s.jac); err != nil {
+			return nil, fmt.Errorf("transient: singular iteration matrix: %w", err)
 		}
-		// Jacobian = C/h + θ J1
-		for i := 0; i < n*n; i++ {
-			s.jac.Data[i] = c.Data[i]/h + th*s.sysJ.Data[i]
-		}
-		err := s.lu.FactorizeInto(s.jac)
-		s.m.Inc(diag.LUFactorizations)
-		if s.lu.ReusedBuffers() {
-			s.m.Inc(diag.LUFactorizationsReused)
-		}
-		if err != nil {
-			return nil, iter, fmt.Errorf("transient: singular iteration matrix: %w", err)
-		}
-		dx := s.lu.SolveInto(s.dx, s.resid)
-		s.m.Inc(diag.LUSolves)
-		s.m.Inc(diag.NewtonIterations)
-		// Simple step clamp: node voltages should not move more than ~2 V
-		// per Newton iteration (device models are exponential-free, but the
-		// tgate logistic can still overshoot).
-		if m := dx.NormInf(); m > 2 {
-			dx.Scale(2 / m)
-		}
-		for i := 0; i < n; i++ {
-			x1[i] -= dx[i]
-		}
-		if dx.NormInf() <= vtol*(1+x1.NormInf()) {
-			return x1, iter + 1, nil
-		}
-	}
-	return nil, s.opt.MaxNewton, errors.New("transient: Newton corrector did not converge")
+		return s.lu.SolveInto(s.dx, s.resid), nil
+	})
 }
 
 // stepSensitivity propagates the monodromy factor for the accepted step,
@@ -532,18 +501,13 @@ func (s *stepper) stepSensitivity(x0, x1 linalg.Vec, t, h float64, sens *linalg.
 	j0, j1 := s.sj0, s.sj1
 	s.ws.EvalFJ(x0, t, s.f0, j0)
 	s.ws.EvalFJ(x1, t+h, s.f1, j1)
-	c := s.sys.C
+	ch := s.cor.scaledC(h)
 	lhs, rhs := s.slhs, s.srhs
-	for i := 0; i < n*n; i++ {
-		lhs.Data[i] = c.Data[i]/h + th*j1.Data[i]
-		rhs.Data[i] = c.Data[i]/h - (1-th)*j0.Data[i]
+	for i := range ch {
+		lhs.Data[i] = ch[i] + th*j1.Data[i]
+		rhs.Data[i] = ch[i] - (1-th)*j0.Data[i]
 	}
-	err := s.slu.FactorizeInto(lhs)
-	s.m.Inc(diag.LUFactorizations)
-	if s.slu.ReusedBuffers() {
-		s.m.Inc(diag.LUFactorizationsReused)
-	}
-	if err != nil {
+	if err := denseFactor(s.m, &s.slu, lhs); err != nil {
 		return fmt.Errorf("transient: singular sensitivity matrix: %w", err)
 	}
 	s.m.Add(diag.LUSolves, int64(n))
