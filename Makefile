@@ -1,11 +1,12 @@
 GO ?= go
 
-.PHONY: check fmt vet build test test-short race xval xval-update bench bench-baseline bench-compare bench-overhead bench-alloc bench-engine bench-sparse bench-batch bench-noise bench-serve lint-deprecated
+.PHONY: check fmt vet build perfbench-check test test-short race xval xval-update bench bench-baseline bench-compare bench-overhead bench-alloc bench-engine bench-sparse bench-batch bench-noise bench-serve lint-deprecated
 
-# The tier-1+ gate (see ROADMAP.md): formatting, vet, build, the full test
-# suite under the race detector, the cross-method conformance ledger, and
-# the deprecated-API lint. CI and pre-commit both run this.
-check: fmt vet lint-deprecated build race xval
+# The tier-1+ gate (see ROADMAP.md): formatting, vet, build, the pinned
+# benchmark's vet and tests, the full test suite under the race detector,
+# the cross-method conformance ledger, and the deprecated-API lint. CI and
+# pre-commit both run this.
+check: fmt vet lint-deprecated build perfbench-check race xval
 
 # The pre-context wrappers in phlogon.go (FindPSS, ExtractPPV, RingPPV,
 # RunTransient) exist for external compatibility only. Nothing inside the
@@ -33,6 +34,14 @@ vet:
 
 build:
 	$(GO) build ./...
+
+# perfbench (the pinned benchmark, see BENCHMARK.json) is a module of its
+# own that replaces repro with this checkout, so the root vet/build/test
+# never compile it. Vetting and testing it here keeps a library API change
+# from breaking the benchmark unseen.
+perfbench-check:
+	$(GO) -C perfbench vet ./...
+	$(GO) -C perfbench test ./...
 
 test:
 	$(GO) test ./...
@@ -84,10 +93,12 @@ bench-overhead:
 # AdderIterationLU pin the SPICE-level Newton iteration's two unit costs
 # (circuit evaluation, dense LU factor+solve) at 0 allocs/op; each op is
 # 1,000 calls, so a single-op run times milliseconds, not one cold call.
+# EngineRingPPVCold pins the engine's cold PSS→PPV extraction, which runs
+# as a one-lane batch (~670 allocs/op, down from ~8,000 on the scalar path).
 bench-alloc:
-	$(GO) test -run '^$$' -bench '^Benchmark(EffSpiceTransientFSM|EffPhaseMacroFSM|Fig19FlipFlop|Fig20AdderStates|ShootAutonomousRing|AdderEvalFJ|AdderIterationLU)$$' -benchtime 1x -count 2 -benchmem . \
+	$(GO) test -run '^$$' -bench '^Benchmark(EffSpiceTransientFSM|EffPhaseMacroFSM|Fig19FlipFlop|Fig20AdderStates|ShootAutonomousRing|AdderEvalFJ|AdderIterationLU|EngineRingPPVCold)$$' -benchtime 1x -count 2 -benchmem . \
 		| $(GO) run ./cmd/phlogon-benchdiff compare -baseline BENCH_baseline.json \
-			-only '^Benchmark(EffSpiceTransientFSM|EffPhaseMacroFSM|Fig19FlipFlop|Fig20AdderStates|ShootAutonomousRing|AdderEvalFJ|AdderIterationLU)$$' \
+			-only '^Benchmark(EffSpiceTransientFSM|EffPhaseMacroFSM|Fig19FlipFlop|Fig20AdderStates|ShootAutonomousRing|AdderEvalFJ|AdderIterationLU|EngineRingPPVCold)$$' \
 			-tol 1.0 -alloc-tol 0.05 -bytes-tol 0.25
 
 # Sparse-backend scaling gate: the coupled-array benchmarks (transient and

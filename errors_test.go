@@ -39,6 +39,38 @@ func TestErrNoConvergenceFromShooting(t *testing.T) {
 	}
 }
 
+// dampedRC is a one-node RC (time constant 1 ms) posing as an oscillator:
+// no limit cycle, only an equilibrium at 0 V that the default twenty settle
+// cycles decay onto.
+type dampedRC struct{ sys *phlogon.System }
+
+func (o dampedRC) System() *phlogon.System { return o.sys }
+func (o dampedRC) InitialState() []float64 { return []float64{1} }
+func (o dampedRC) EstimatedF0() float64    { return 1e3 }
+func (o dampedRC) OscillatorKey() (string, any) {
+	return "rc", struct{ R, C float64 }{1e3, 1e-6}
+}
+
+// A fixed point passes the periodicity test for any period; the facade's
+// uncached FindPSSCtx must refuse it through the public sentinel rather than
+// report f0 = 1/GuessT.
+func TestErrNoConvergenceFromFixedPoint(t *testing.T) {
+	c := phlogon.NewCircuit()
+	c.ParasiticCap = 0
+	n1 := c.Node("n1")
+	c.Add(
+		&phlogon.Resistor{Name: "r", A: n1, B: phlogon.Ground, R: 1e3},
+		&phlogon.Capacitor{Name: "c", A: n1, B: phlogon.Ground, C: 1e-6},
+	)
+	sys, err := c.Assemble()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if sol, err := phlogon.FindPSSCtx(context.Background(), dampedRC{sys}); !errors.Is(err, phlogon.ErrNoConvergence) {
+		t.Fatalf("FindPSSCtx on a damped RC: (%v, %v), want ErrNoConvergence", sol, err)
+	}
+}
+
 func TestErrSingularJacobian(t *testing.T) {
 	_, err := linalg.Factorize(linalg.NewMat(2, 2)) // the zero matrix
 	if !errors.Is(err, phlogon.ErrSingularJacobian) {

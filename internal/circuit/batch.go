@@ -128,15 +128,18 @@ type BatchKerneler interface {
 
 // fallbackKernel evaluates a non-batchable device by running each lane's
 // own scalar Eval with the lane block as the context's F and a CSC view of
-// the lane's JV block as the sparse Jacobian sink. Accumulation order per
-// lane is identical to the scalar path by construction.
+// the lane's JV block as the sparse Jacobian sink. The view carries the
+// batch's shared pattern, through which the device's AddJac stamps resolve
+// their slots. Accumulation order per lane is identical to the scalar path
+// by construction.
 type fallbackKernel struct {
 	peers []Device
+	pat   *sparse.Pattern
 }
 
 func (fk *fallbackKernel) EvalLanes(bc *BatchEvalContext) {
 	var ctx EvalContext
-	var view sparse.CSC
+	view := sparse.CSC{P: fk.pat}
 	for _, k := range bc.Active {
 		ctx = EvalContext{
 			ckt:          bc.ckts[k],
@@ -252,7 +255,7 @@ func NewBatch(systems []*System) (*Batch, error) {
 func makeKernel(peers []Device, lay *BatchLayout) (BatchKernel, error) {
 	bk, ok := peers[0].(BatchKerneler)
 	if !ok {
-		return &fallbackKernel{peers: append([]Device(nil), peers...)}, nil
+		return &fallbackKernel{peers: append([]Device(nil), peers...), pat: lay.pat}, nil
 	}
 	for _, p := range peers[1:] {
 		if _, ok := p.(BatchKerneler); !ok {

@@ -78,8 +78,10 @@ func TestEvalFJBatchBitEqualsScalar(t *testing.T) {
 	}
 }
 
-// mixedSystems builds K congruent systems exercising rails, sources
-// (fallback kernels), resistors, conductors and a VCCS alongside MOSFETs.
+// mixedSystems builds K congruent systems exercising rails, fallback
+// kernels (a source, and a transmission gate and a summer that stamp
+// Jacobian entries through the fallback's CSC view), resistors, conductors
+// and a VCCS alongside MOSFETs.
 func mixedSystems(t testing.TB, k int) []*circuit.System {
 	t.Helper()
 	systems := make([]*circuit.System, k)
@@ -87,7 +89,7 @@ func mixedSystems(t testing.TB, k int) []*circuit.System {
 		scale := 1 + 0.1*float64(i)
 		c := circuit.New()
 		vdd := c.AddDCRail("vdd", 3)
-		a, bn := c.Node("a"), c.Node("b")
+		a, bn, o := c.Node("a"), c.Node("b"), c.Node("o")
 		c.Add(
 			&device.Resistor{Name: "rl", A: vdd, B: a, R: 10e3 * scale},
 			&device.MOSFET{Name: "mn", D: a, G: bn, S: circuit.Ground,
@@ -96,7 +98,11 @@ func mixedSystems(t testing.TB, k int) []*circuit.System {
 			&device.VCCS{Name: "vc", CtrlP: a, CtrlN: circuit.Ground, OutP: bn, OutN: circuit.Ground, Gm: 2e-5 * scale},
 			&device.Capacitor{Name: "ca", A: a, B: circuit.Ground, C: 1e-9 * scale},
 			&device.Capacitor{Name: "cb", A: bn, B: circuit.Ground, C: 1e-9},
+			&device.Capacitor{Name: "co", A: o, B: circuit.Ground, C: 2e-9},
 			&device.SineCurrent{Name: "inj", From: circuit.Ground, To: bn, Amp: 1e-6 * scale, Freq: 10e3},
+			&device.TransGate{Name: "tg", A: a, B: o, Ctrl: bn, Ron: 1e3 * scale, Roff: 1e11},
+			&device.Summer{Name: "sum", Inputs: []circuit.NodeID{a, bn, vdd}, Weights: []float64{1, -0.5 * scale, 0.25},
+				Out: o, Mid: 1.5, Swing: 1.2, Rout: 100 * scale},
 		)
 		sys, err := c.Assemble()
 		if err != nil {
@@ -107,8 +113,9 @@ func mixedSystems(t testing.TB, k int) []*circuit.System {
 	return systems
 }
 
-// TestEvalFJBatchMixedDevices covers the scalar fallback path (sources) and
-// rail-connected kernels: still bit-identical per lane.
+// TestEvalFJBatchMixedDevices covers the scalar fallback path (a source,
+// and devices that stamp Jacobian entries through it) and rail-connected
+// kernels: still bit-identical per lane.
 func TestEvalFJBatchMixedDevices(t *testing.T) {
 	const K = 4
 	systems := mixedSystems(t, K)
@@ -116,8 +123,8 @@ func TestEvalFJBatchMixedDevices(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if b.Fallbacks != 1 {
-		t.Fatalf("Fallbacks = %d, want 1 (the sine source)", b.Fallbacks)
+	if b.Fallbacks != 3 {
+		t.Fatalf("Fallbacks = %d, want 3 (the sine source, transmission gate and summer)", b.Fallbacks)
 	}
 	bw := b.NewWorkspace()
 	n := b.N

@@ -389,7 +389,18 @@ func TestArtifactCodecRoundTrip(t *testing.T) {
 	if _, err := decodeSolution(enc[:len(enc)/3]); err == nil {
 		t.Error("truncated solution payload decoded without error")
 	}
-	if _, err := decodeSolution([]byte("ppv1\njunk")); err == nil {
+	if _, err := decodeSolution([]byte("ppv2\njunk")); err == nil {
 		t.Error("wrong-schema payload decoded without error")
+	}
+
+	// Version 1 payloads hold the scalar cold path's artifacts, whose orbits
+	// start at a slightly different phase origin: they are recomputed, so a
+	// stored PPV never meets a PSS from the other path.
+	if _, err := decodeSolution(append([]byte("pss1\n"), enc[len(pssSchemaTag):]...)); err == nil {
+		t.Error("version 1 solution payload decoded without error")
+	}
+	encP := encodePPV(p)
+	if _, err := decodePPV(append([]byte("ppv1\n"), encP[len(ppvSchemaTag):]...), sol); err == nil {
+		t.Error("version 1 PPV payload decoded without error")
 	}
 }

@@ -220,11 +220,7 @@ func (e *Engine) pssArtifactFor(ctx context.Context, key string, build func() (O
 			}
 			e.diskReject(cctx)
 		}
-		opt := e.pssOpt
-		if opt.GuessT == 0 {
-			opt.GuessT = 1 / osc.EstimatedF0()
-		}
-		sol, err := pss.ShootAutonomousCtx(cctx, osc.System(), osc.InitialState(), opt)
+		sol, err := ColdPSS(cctx, osc, e.pssOpt)
 		if err != nil {
 			return nil, 0, err
 		}
@@ -255,7 +251,7 @@ func (e *Engine) ppvArtifactFor(ctx context.Context, pssKey, ppvKey string, buil
 			}
 			e.diskReject(cctx)
 		}
-		p, err := ppv.FromSolutionCtx(cctx, osc.System(), sol, e.workers)
+		p, err := ColdPPV(cctx, osc, sol)
 		if err != nil {
 			return nil, 0, err
 		}

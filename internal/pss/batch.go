@@ -202,6 +202,10 @@ func ShootAutonomousBatch(ctx context.Context, b *circuit.Batch, x0 []float64, o
 					fail(k, fmt.Errorf("pss: expected %d grid points, got %d", spp+1, len(run.States[k])))
 					continue
 				}
+				if serr := checkOrbitSwing(run.States[k], opt.Tol); serr != nil {
+					fail(k, serr)
+					continue
+				}
 				grid := make([]float64, spp+1)
 				for i := range grid {
 					grid[i] = T[k] * float64(i) / float64(spp)

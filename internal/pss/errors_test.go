@@ -1,6 +1,8 @@
 package pss_test
 
 import (
+	"context"
+	"errors"
 	"strings"
 	"testing"
 
@@ -9,6 +11,7 @@ import (
 	"repro/internal/linalg"
 	"repro/internal/pss"
 	"repro/internal/ringosc"
+	"repro/internal/solver"
 )
 
 func TestShootAutonomousRequiresGuess(t *testing.T) {
@@ -69,6 +72,53 @@ func TestShootAutonomousNonOscillator(t *testing.T) {
 		GuessT: 1e-3, MaxIter: 6, SettleCycles: 2,
 	}); err == nil {
 		t.Fatal("non-oscillating circuit must not yield a PSS")
+	}
+}
+
+// dampedRC is a one-node RC circuit (time constant 1 ms): no limit cycle,
+// only a stable equilibrium at 0 V.
+func dampedRC(t *testing.T) *circuit.System {
+	t.Helper()
+	c := circuit.New()
+	c.ParasiticCap = 0
+	n1 := c.Node("n1")
+	c.Add(
+		&device.Resistor{Name: "r", A: n1, B: circuit.Ground, R: 1e3},
+		&device.Capacitor{Name: "c", A: n1, B: circuit.Ground, C: 1e-6},
+	)
+	sys, err := c.Assemble()
+	if err != nil {
+		t.Fatal(err)
+	}
+	return sys
+}
+
+// TestShootAutonomousRejectsFixedPoint: with the default twenty settle
+// cycles the damped RC decays to ~e⁻²⁰ V, so x(T) − x(0) is under the
+// periodicity tolerance at the first iterate and any period guess
+// "converges". Both the scalar and the batched solve must refuse the
+// motionless orbit with ErrFixedPoint, which wraps ErrNoConvergence, instead
+// of reporting f0 = 1/GuessT.
+func TestShootAutonomousRejectsFixedPoint(t *testing.T) {
+	sys := dampedRC(t)
+	fixedPoint := func(err error) bool {
+		return errors.Is(err, pss.ErrFixedPoint) && errors.Is(err, solver.ErrNoConvergence)
+	}
+	if _, err := pss.ShootAutonomous(sys, linalg.Vec{1}, pss.Options{GuessT: 1e-3}); !fixedPoint(err) {
+		t.Fatalf("scalar: err = %v, want ErrFixedPoint", err)
+	}
+	b, err := circuit.NewBatch([]*circuit.System{sys})
+	if err != nil {
+		t.Fatal(err)
+	}
+	sols, errs, err := pss.ShootAutonomousBatch(context.Background(), b, []float64{1}, pss.BatchShootOptions{
+		GuessT: []float64{1e-3},
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if sols[0] != nil || !fixedPoint(errs[0]) {
+		t.Fatalf("batched: err = %v, want ErrFixedPoint and no solution", errs[0])
 	}
 }
 

@@ -328,6 +328,11 @@ func buildSolution(ctx context.Context, tsc *transient.Scratch, sys *circuit.Sys
 	if len(run.X) != k+1 {
 		return nil, fmt.Errorf("pss: expected %d grid points, got %d", k+1, len(run.X))
 	}
+	if anchor >= 0 {
+		if err := checkOrbitSwing(run.X, opt.Tol); err != nil {
+			return nil, err
+		}
+	}
 	grid := make([]float64, k+1)
 	for i := range grid {
 		grid[i] = T * float64(i) / float64(k)
@@ -346,6 +351,37 @@ func buildSolution(ctx context.Context, tsc *transient.Scratch, sys *circuit.Sys
 		Residual:    resid.NormInf(),
 		Iterations:  iters,
 	}, nil
+}
+
+// fixedPointSwing is the multiple of the periodicity tolerance below which
+// a converged autonomous orbit counts as a fixed point.
+const fixedPointSwing = 100
+
+// ErrFixedPoint reports an autonomous shooting solve that converged onto an
+// equilibrium instead of a limit cycle. It wraps solver.ErrNoConvergence.
+var ErrFixedPoint = fmt.Errorf("pss: converged orbit is a fixed point: %w", solver.ErrNoConvergence)
+
+// checkOrbitSwing rejects a converged autonomous orbit that does not move.
+// An equilibrium satisfies x(T) = x(0) for every T, so a shooting solve
+// that settles onto one passes the periodicity test with whatever period it
+// was handed and would report a frequency it never measured. The orbit is
+// refused when its largest node peak-to-peak swing over the grid is within
+// fixedPointSwing·tol. Shared by the scalar and batched solves; it
+// allocates nothing when the orbit passes.
+func checkOrbitSwing(states []linalg.Vec, tol float64) error {
+	swing := 0.0
+	for j := range states[0] {
+		lo, hi := states[0][j], states[0][j]
+		for _, x := range states[1:] {
+			lo = math.Min(lo, x[j])
+			hi = math.Max(hi, x[j])
+		}
+		swing = math.Max(swing, hi-lo)
+	}
+	if limit := fixedPointSwing * tol; !(swing > limit) {
+		return fmt.Errorf("%w (largest node swing %.3g V, limit %.3g V)", ErrFixedPoint, swing, limit)
+	}
+	return nil
 }
 
 // estimatePeriodFromRecurrence refines a period guess by measuring spacing

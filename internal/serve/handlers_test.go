@@ -8,7 +8,9 @@ import (
 	"strings"
 	"testing"
 
+	"repro/internal/engine"
 	"repro/internal/serve"
+	"repro/internal/solver"
 	"repro/internal/transient"
 )
 
@@ -146,6 +148,29 @@ func TestErrorsIsAcrossTheWire(t *testing.T) {
 	}
 	if !errors.Is(err, transient.ErrUnsupported) {
 		t.Fatal("errors.Is(err, transient.ErrUnsupported) = false across the wire")
+	}
+}
+
+// TestPSSFixedPointIs422: at 0.5 V the ring's inverters never switch, so
+// settling lands on the equilibrium (swing ~5e-8 V) and any period guess
+// passes the periodicity test. The request must fail as 422
+// "no_convergence" instead of reporting a frequency the solve never
+// measured.
+func TestPSSFixedPointIs422(t *testing.T) {
+	_, c := newTestServer(t, serve.Options{Engine: engine.New(engine.Options{})})
+	resp, err := c.PSS(context.Background(), serve.PSSRequest{Ring: serve.RingSpec{Vdd: 0.5}})
+	if err == nil {
+		t.Fatalf("vdd 0.5: got 200 with f0 %g Hz, want 422", resp.F0)
+	}
+	var ae *serve.APIError
+	if !errors.As(err, &ae) {
+		t.Fatalf("err = %T %v, want *serve.APIError", err, err)
+	}
+	if ae.Status != http.StatusUnprocessableEntity || ae.Code != serve.CodeNoConvergence {
+		t.Fatalf("got %d/%s, want 422/%s", ae.Status, ae.Code, serve.CodeNoConvergence)
+	}
+	if !errors.Is(err, solver.ErrNoConvergence) {
+		t.Fatal("errors.Is(err, solver.ErrNoConvergence) = false across the wire")
 	}
 }
 

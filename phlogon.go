@@ -142,11 +142,10 @@ type Oscillator = engine.Oscillator
 // FindPSSCtx computes an oscillator's periodic steady state by shooting.
 // The context carries cancellation and diagnostics (see package diag via
 // the cmd-line tools' -diag flag). Any Oscillator may be passed: the
-// paper's ring, a D latch, or a custom substrate.
+// paper's ring, a D latch, or a custom substrate. The solve is the one a
+// default Engine runs on a miss, so both return identical artifacts.
 func FindPSSCtx(ctx context.Context, osc Oscillator) (*PSS, error) {
-	return pss.ShootAutonomousCtx(ctx, osc.System(), osc.InitialState(), pss.Options{
-		GuessT: 1 / osc.EstimatedF0(), StepsPerPeriod: 1024,
-	})
+	return engine.ColdPSS(ctx, osc, pss.Options{StepsPerPeriod: 1024})
 }
 
 // FindPSS computes a ring's periodic steady state by shooting.
@@ -155,9 +154,9 @@ func FindPSSCtx(ctx context.Context, osc Oscillator) (*PSS, error) {
 func FindPSS(r *Ring) (*PSS, error) { return FindPSSCtx(context.Background(), r) }
 
 // ExtractPPVCtx extracts the time-domain PPV macromodel from an
-// oscillator's PSS.
+// oscillator's PSS, as an Engine miss does.
 func ExtractPPVCtx(ctx context.Context, osc Oscillator, sol *PSS) (*PPV, error) {
-	return ppv.FromSolutionCtx(ctx, osc.System(), sol, 1)
+	return engine.ColdPPV(ctx, osc, sol)
 }
 
 // ExtractPPV extracts the time-domain PPV macromodel from a PSS.

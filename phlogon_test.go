@@ -1,11 +1,14 @@
 package phlogon_test
 
 import (
+	"context"
 	"math"
+	"reflect"
 	"testing"
 
 	phlogon "repro"
 	"repro/internal/phlogic"
+	"repro/internal/ringosc"
 	"repro/internal/transient"
 )
 
@@ -33,6 +36,45 @@ func TestFacadePipeline(t *testing.T) {
 	}
 	if math.Abs(math.Abs(d0-d1)-0.5) > 0.02 && math.Abs(math.Abs(d0-d1)-0.5) < 0.48 {
 		t.Errorf("SHIL phases %g, %g not antipodal", d0, d1)
+	}
+}
+
+// TestFacadeMatchesEngine: the uncached FindPSSCtx/ExtractPPVCtx run the
+// same cold extraction as a default Engine's miss, so both return equal
+// artifacts, down to every grid state and PPV sample.
+func TestFacadeMatchesEngine(t *testing.T) {
+	if testing.Short() {
+		t.Skip("cold PSS solves skipped in -short")
+	}
+	ctx := context.Background()
+	ring, err := phlogon.BuildRing(phlogon.DefaultRingConfig())
+	if err != nil {
+		t.Fatal(err)
+	}
+	latch, err := phlogon.BuildDLatch(ringosc.DefaultLatchConfig(9596))
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, osc := range []phlogon.Oscillator{ring, latch} {
+		sol, err := phlogon.FindPSSCtx(ctx, osc)
+		if err != nil {
+			t.Fatal(err)
+		}
+		p, err := phlogon.ExtractPPVCtx(ctx, osc, sol)
+		if err != nil {
+			t.Fatal(err)
+		}
+		esol, ep, err := phlogon.NewEngine(phlogon.EngineOptions{}).PPV(ctx, osc)
+		if err != nil {
+			t.Fatal(err)
+		}
+		kind, _ := osc.OscillatorKey()
+		if !reflect.DeepEqual(sol, esol) {
+			t.Errorf("%s: FindPSSCtx differs from Engine.PSS", kind)
+		}
+		if !reflect.DeepEqual(p, ep) {
+			t.Errorf("%s: ExtractPPVCtx differs from Engine.PPV", kind)
+		}
 	}
 }
 
