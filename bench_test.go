@@ -14,6 +14,7 @@ import (
 	"testing"
 
 	phlogon "repro"
+	"repro/internal/diag"
 	"repro/internal/figs"
 	"repro/internal/gae"
 	"repro/internal/linalg"
@@ -242,18 +243,26 @@ func benchAdder(b *testing.B) (ac *ringosc.AdderCircuit, x0 []float64, T1 float6
 
 // BenchmarkEffSpiceTransientFSM: the full transistor/op-amp serial adder
 // adding 101 + 101 over 3 clock periods — the honest SPICE-level cost of
-// the FSM scenario.
+// the FSM scenario. It reports the Newton corrector's work per op (Newton
+// iterations, LU factorizations, Jacobian evaluations), which the chord
+// iterations of the Newton policy move.
 func BenchmarkEffSpiceTransientFSM(b *testing.B) {
 	ac, x0, T1 := benchAdder(b)
+	m := diag.New()
+	ctx := diag.WithMetrics(context.Background(), m)
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, err := transient.Run(ac.Sys, x0, 0, 3*ac.ClockPeriod, transient.Options{
+		if _, err := transient.RunCtx(ctx, ac.Sys, x0, 0, 3*ac.ClockPeriod, transient.Options{
 			Method: transient.Trap, Step: T1 / 256, Record: 8,
 		}); err != nil {
 			b.Fatal(err)
 		}
 	}
+	n := float64(b.N)
+	b.ReportMetric(float64(m.Get(diag.NewtonIterations))/n, "newton_iters/op")
+	b.ReportMetric(float64(m.Get(diag.LUFactorizations))/n, "lu_factorizations/op")
+	b.ReportMetric(float64(m.Get(diag.CircuitJacEvals))/n, "jac_evals/op")
 }
 
 // adderUnitReps is the number of unit operations in one op of the adder

@@ -29,13 +29,14 @@ type Set struct {
 	Benchmarks map[string]Result `json:"benchmarks"`
 }
 
-// benchLine matches e.g.
+// benchLine matches a result line, e.g.
 //
-//	BenchmarkFoo-8    100    123.4 ns/op    56 B/op    7 allocs/op
+//	BenchmarkFoo-8    100    123.4 ns/op    2.44 iters/op    56 B/op    7 allocs/op
 //
-// The B/op and allocs/op columns are optional (-benchmem dependent).
-var benchLine = regexp.MustCompile(
-	`^(Benchmark\S+)\s+\d+\s+([0-9.eE+]+) ns/op(?:\s+([0-9.eE+]+) B/op)?(?:\s+([0-9.eE+]+) allocs/op)?`)
+// capturing the name and the "value unit" pairs after the iteration count.
+// Metrics a benchmark reports with b.ReportMetric sit between ns/op and the
+// -benchmem columns (B/op, allocs/op), which are optional.
+var benchLine = regexp.MustCompile(`^(Benchmark\S+)\s+\d+\s+(.*)$`)
 
 // gomaxprocsSuffix strips the trailing -N go test appends to benchmark names.
 var gomaxprocsSuffix = regexp.MustCompile(`-\d+$`)
@@ -55,23 +56,14 @@ func ParseBench(r io.Reader) (*Set, error) {
 		if m == nil {
 			continue
 		}
+		res, ok, err := parseMetrics(strings.Fields(m[2]))
+		if err != nil {
+			return nil, fmt.Errorf("%q: %w", sc.Text(), err)
+		}
+		if !ok {
+			continue
+		}
 		name := gomaxprocsSuffix.ReplaceAllString(m[1], "")
-		var res Result
-		var err error
-		if res.NsPerOp, err = strconv.ParseFloat(m[2], 64); err != nil {
-			return nil, fmt.Errorf("bad ns/op in %q: %w", sc.Text(), err)
-		}
-		if m[3] != "" {
-			if res.BytesPerOp, err = strconv.ParseFloat(m[3], 64); err != nil {
-				return nil, fmt.Errorf("bad B/op in %q: %w", sc.Text(), err)
-			}
-		}
-		if m[4] != "" {
-			if res.AllocsPerOp, err = strconv.ParseFloat(m[4], 64); err != nil {
-				return nil, fmt.Errorf("bad allocs/op in %q: %w", sc.Text(), err)
-			}
-			res.Mem = true
-		}
 		if prev, ok := set.Benchmarks[name]; ok {
 			res.Mem = res.Mem || prev.Mem
 			if prev.NsPerOp < res.NsPerOp {
@@ -90,6 +82,30 @@ func ParseBench(r io.Reader) (*Set, error) {
 		return nil, err
 	}
 	return set, nil
+}
+
+// parseMetrics reads a result line's "value unit" pairs wherever they sit,
+// keeping ns/op, B/op and allocs/op and ignoring other units. ok is false
+// when the line has no ns/op, which every result line carries.
+func parseMetrics(fields []string) (res Result, ok bool, err error) {
+	for i := 0; i+1 < len(fields); i += 2 {
+		var dst *float64
+		unit := fields[i+1]
+		switch unit {
+		case "ns/op":
+			dst, ok = &res.NsPerOp, true
+		case "B/op":
+			dst = &res.BytesPerOp
+		case "allocs/op":
+			dst, res.Mem = &res.AllocsPerOp, true
+		default:
+			continue
+		}
+		if *dst, err = strconv.ParseFloat(fields[i], 64); err != nil {
+			return res, false, fmt.Errorf("bad %s: %w", unit, err)
+		}
+	}
+	return res, ok, nil
 }
 
 // Diff is one benchmark's baseline-vs-current verdict.

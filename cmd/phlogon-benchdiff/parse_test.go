@@ -14,6 +14,7 @@ BenchmarkFig07LockingRangeWorkersN 	       1	   3107396 ns/op	   16744 B/op	    
 BenchmarkNoAllocCols           	     100	     987.5 ns/op
 BenchmarkDup-4                 	       1	       200 ns/op	     80 B/op	      9 allocs/op
 BenchmarkDup-4                 	       1	       100 ns/op	     96 B/op	      7 allocs/op
+BenchmarkCustom-2              	       1	 444000000 ns/op	         1.260 lu/op	         2.440 newton/op	  150000 B/op	    9999 allocs/op
 PASS
 ok  	repro	3.927s
 `
@@ -26,8 +27,8 @@ func TestParseBench(t *testing.T) {
 	if set.Version != SetVersion {
 		t.Errorf("version = %d, want %d", set.Version, SetVersion)
 	}
-	if len(set.Benchmarks) != 4 {
-		t.Fatalf("parsed %d benchmarks, want 4: %v", len(set.Benchmarks), set.Benchmarks)
+	if len(set.Benchmarks) != 5 {
+		t.Fatalf("parsed %d benchmarks, want 5: %v", len(set.Benchmarks), set.Benchmarks)
 	}
 	// The -8 GOMAXPROCS suffix must be stripped.
 	got, ok := set.Benchmarks["BenchmarkShooting1N1P"]
@@ -45,6 +46,12 @@ func TestParseBench(t *testing.T) {
 	if got := set.Benchmarks["BenchmarkNoAllocCols"]; got.NsPerOp != 987.5 ||
 		got.BytesPerOp != 0 || got.AllocsPerOp != 0 {
 		t.Errorf("BenchmarkNoAllocCols = %+v", got)
+	}
+	// Custom b.ReportMetric units between ns/op and the -benchmem columns
+	// are skipped, not mistaken for a line without -benchmem.
+	if got := set.Benchmarks["BenchmarkCustom"]; got.NsPerOp != 444000000 ||
+		got.BytesPerOp != 150000 || got.AllocsPerOp != 9999 || !got.Mem {
+		t.Errorf("BenchmarkCustom = %+v, want 444000000 ns/op, 150000 B/op, 9999 allocs/op", got)
 	}
 	// -count repeats fold to min time / min bytes / max allocs.
 	if got := set.Benchmarks["BenchmarkDup"]; got.NsPerOp != 100 ||

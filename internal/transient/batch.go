@@ -98,9 +98,12 @@ type BatchScratch struct {
 	bw        *circuit.BatchWorkspace
 	K, N, nnz int
 
-	// Lane-major per-run state.
-	x, x1, prev, f0 []float64
-	tl, tl1         []float64
+	// Lane-major per-run state; prev and prev2 are the accepted points
+	// before x, for the predictor.
+	x, x1, prev, prev2, f0 []float64
+	tl, tl1                []float64
+	// Per-lane Newton policy state of the current step.
+	pol []newtonPolicy
 
 	// Accepted-point FJ cache (sensitivity runs): jcache/fcache hold the
 	// evaluation at the current (x, tl) for lanes with haveCache set, filled
@@ -127,8 +130,10 @@ type BatchScratch struct {
 	stmp       *linalg.Mat
 	pslus      []sparse.LU
 
-	// Lane bookkeeping.
-	live, iterLanes, needEval []int
+	// Lane bookkeeping: the live lanes, the lanes still iterating and those
+	// of them refactoring or taking a chord iteration next, and the lanes
+	// whose accepted-point evaluation is not cached.
+	live, iterLanes, factorLanes, chordLanes, needEval []int
 
 	counted bool
 }
@@ -140,14 +145,16 @@ func NewBatchScratch(b *circuit.Batch) *BatchScratch {
 		b: b, bw: b.NewWorkspace(),
 		K: k, N: n, nnz: nnz,
 		x: make([]float64, k*n), x1: make([]float64, k*n),
-		prev: make([]float64, k*n), f0: make([]float64, k*n),
+		prev: make([]float64, k*n), prev2: make([]float64, k*n), f0: make([]float64, k*n),
 		tl: make([]float64, k), tl1: make([]float64, k),
+		pol:    make([]newtonPolicy, k),
 		jcache: make([]float64, k*nnz), fcache: make([]float64, k*n),
 		haveCache: make([]bool, k),
 		resid:     linalg.NewVec(n), dxv: linalg.NewVec(n),
 		jac:  linalg.NewMat(n, n),
 		lus:  make([]linalg.LU, k),
 		live: make([]int, 0, k), iterLanes: make([]int, 0, k),
+		factorLanes: make([]int, 0, k), chordLanes: make([]int, 0, k),
 		needEval: make([]int, 0, k),
 	}
 	return sc
@@ -267,7 +274,7 @@ func (sc *BatchScratch) Run(ctx context.Context, x0 []float64, opt BatchOptions)
 	dm := diag.FromContext(ctx)
 	sc.bw.SetMetrics(dm)
 	if !sc.counted && dm != nil {
-		dm.Add(diag.ScratchBytesPinned, int64(8*(6*K*n+2*K+2*K*nnz+2*n+n*n+K*len(sc.cors[0].scaled))))
+		dm.Add(diag.ScratchBytesPinned, int64(8*(7*K*n+2*K+2*K*nnz+2*n+n*n+K*len(sc.cors[0].scaled))+16*K))
 		sc.counted = true
 	}
 
@@ -369,27 +376,43 @@ func (sc *BatchScratch) Run(ctx context.Context, x0 []float64, opt BatchOptions)
 			}
 		}
 
-		// Predictor: first step starts from x, later steps extrapolate
-		// linearly (fixed h, so the scalar h/hPrev ratio is 1).
+		// Predictor: the scalar run's, on the lane's equal steps.
 		for _, k := range sc.live {
-			base := k * n
-			if s == 0 {
-				copy(sc.x1[base:base+n], sc.x[base:base+n])
-			} else {
-				// Same FP expression as the scalar predictor with h/hPrev = 1.
-				for i := 0; i < n; i++ {
-					sc.x1[base+i] = sc.x[base+i] + (sc.x[base+i] - sc.prev[base+i])
-				}
+			h, h1, h2 := opt.H[k], 0.0, 0.0
+			if s > 0 {
+				h1 = h
 			}
+			if s > 1 {
+				h2 = h
+			}
+			lane := k * n
+			predict(sc.x1[lane:lane+n], sc.x[lane:lane+n], sc.prev[lane:lane+n], sc.prev2[lane:lane+n], h, h1, h2)
+			sc.pol[k] = newtonPolicy{}
 		}
 
-		// Masked Newton: all iterating lanes are evaluated in one batched
-		// call; each lane factorizes and updates independently and drops out
-		// of the active set as it converges.
+		// Masked Newton under the shared policy (see newtonLoop): the lanes
+		// that refactor are evaluated with J in one batched call, those
+		// taking a chord iteration with f only in another; each lane solves
+		// and updates independently and drops out of the active set as it
+		// converges.
 		sc.iterLanes = append(sc.iterLanes[:0], sc.live...)
 		for iter := 0; iter < opt.MaxNewton && len(sc.iterLanes) > 0; iter++ {
-			sc.bw.SetActive(sc.iterLanes)
-			sc.bw.EvalBatchAt(sc.x1, sc.tl1, true)
+			sc.factorLanes, sc.chordLanes = sc.factorLanes[:0], sc.chordLanes[:0]
+			for _, k := range sc.iterLanes {
+				if sc.pol[k].refactor() {
+					sc.factorLanes = append(sc.factorLanes, k)
+				} else {
+					sc.chordLanes = append(sc.chordLanes, k)
+				}
+			}
+			if len(sc.factorLanes) > 0 {
+				sc.bw.SetActive(sc.factorLanes)
+				sc.bw.EvalBatchAt(sc.x1, sc.tl1, true)
+			}
+			if len(sc.chordLanes) > 0 {
+				sc.bw.SetActive(sc.chordLanes)
+				sc.bw.EvalBatchAt(sc.x1, sc.tl1, false)
+			}
 			w := 0
 			for _, k := range sc.iterLanes {
 				done, err := sc.correctLane(k, th, opt.H[k], vtol, useSparse, dm)
@@ -452,6 +475,7 @@ func (sc *BatchScratch) Run(ctx context.Context, x0 []float64, opt BatchOptions)
 		// Advance the surviving lanes.
 		for _, k := range sc.live {
 			base := k * n
+			copy(sc.prev2[base:base+n], sc.prev[base:base+n])
 			copy(sc.prev[base:base+n], sc.x[base:base+n])
 			copy(sc.x[base:base+n], sc.x1[base:base+n])
 			sc.tl[k] = sc.tl1[k]
@@ -497,9 +521,11 @@ func (sc *BatchScratch) allocRecords(res *BatchResult, opt BatchOptions) (stateB
 	return stateBuf
 }
 
-// correctLane assembles and solves one lane's Newton correction from the
-// batch workspace's current (x1, t+h) evaluation, updating the lane's x1
-// block in place. Returns done=true when the vntol convergence test passes.
+// correctLane solves one lane's Newton correction from the batch
+// workspace's current (x1, t+h) evaluation under the lane's Newton policy —
+// assembling and factoring the iteration matrix when the policy refactors,
+// solving with the step's factorization otherwise — and updates the lane's
+// x1 block in place. Returns done=true when the convergence test passes.
 func (sc *BatchScratch) correctLane(k int, th, h, vtol float64, useSparse bool, dm *diag.Metrics) (bool, error) {
 	n := sc.N
 	base := k * n
@@ -507,27 +533,33 @@ func (sc *BatchScratch) correctLane(k int, th, h, vtol float64, useSparse bool, 
 	x1 := linalg.Vec(sc.x1[base : base+n])
 	cor := &sc.cors[k]
 	cor.thetaResidual(sc.resid, x1, sc.x[base:base+n], sc.bw.F[base:base+n], sc.f0[base:base+n], th, h)
-	ch := cor.scaledC(h)
-	jv := sc.bw.JV[jb : jb+sc.nnz]
-
+	pol := &sc.pol[k]
+	fresh := pol.refactor()
+	if fresh {
+		ch := cor.scaledC(h)
+		jv := sc.bw.JV[jb : jb+sc.nnz]
+		var err error
+		if useSparse {
+			copy(sc.sjac.Val, jv)
+			addScaled(sc.sjac.Val, ch, th)
+			err = sparseFactor(dm, &sc.plus[k], sc.sjac)
+		} else {
+			copy(sc.jac.Data, ch)
+			sc.addPattern(sc.jac, th, jv)
+			err = denseFactor(dm, &sc.lus[k], sc.jac)
+		}
+		if err != nil {
+			return false, fmt.Errorf("singular iteration matrix: %w", err)
+		}
+	}
 	var dx linalg.Vec
 	if useSparse {
-		copy(sc.sjac.Val, jv)
-		addScaled(sc.sjac.Val, ch, th)
-		if err := sparseFactor(dm, &sc.plus[k], sc.sjac); err != nil {
-			return false, fmt.Errorf("singular iteration matrix: %w", err)
-		}
 		dx = sc.plus[k].SolveInto(sc.dxv, sc.resid)
 	} else {
-		copy(sc.jac.Data, ch)
-		sc.addPattern(sc.jac, th, jv)
-		if err := denseFactor(dm, &sc.lus[k], sc.jac); err != nil {
-			return false, fmt.Errorf("singular iteration matrix: %w", err)
-		}
 		dx = sc.lus[k].SolveInto(sc.dxv, sc.resid)
 	}
 	dm.Inc(diag.LUSolves)
-	return newtonUpdate(x1, dx, vtol)
+	return pol.apply(x1, dx, vtol, fresh)
 }
 
 // addPattern adds w·v to the dense dst at the shared pattern's positions,

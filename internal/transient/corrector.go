@@ -13,12 +13,12 @@ import (
 
 // This file holds the Newton-iteration pieces every transient corrector
 // shares — the dense and sparse θ and Gear2 steppers and the batched lanes:
-// the method-scaled capacitance cache, the residual's capacitive term over
-// C's nonzeros, and the clamped update with its convergence test. Each piece
-// performs the floating-point operations of the n²-dense assembly it
-// replaced (kept as the test oracle), in the same order, less additions of
-// exact zeros, so its results are bit for bit the same; it only stops
-// recomputing values that are already known.
+// the θ predictor, the method-scaled capacitance cache, the residual's
+// capacitive term over C's nonzeros, the clamped update, and the Newton
+// policy (convergence test, refactor or chord). The capacitance cache and
+// the residual perform the floating-point operations of the n²-dense
+// assembly they replaced (kept as the test oracle), in the same order, less
+// additions of exact zeros, so their results are bit for bit the same.
 
 // errNoConverge is the corrector's iteration-cap failure.
 var errNoConverge = fmt.Errorf("transient: Newton corrector did not converge: %w", solver.ErrNoConvergence)
@@ -34,6 +34,38 @@ func updateTol(newtonTol float64) float64 {
 		return 1e-6
 	}
 	return newtonTol
+}
+
+// predict writes the θ corrector's starting point for a step of size h
+// into pred: the quadratic extrapolant through the last three accepted
+// points — x, xp one step of h1 before it, and xpp a further h2 back — in
+// variable-step divided differences,
+//
+//	p = x + h·x[t, t−h1] + h·(h+h1)·x[t, t−h1, t−h1−h2],
+//
+// the line through x and xp when h2 is 0 (one point of history), and x
+// itself when h1 is 0 (none). The coefficients are taken in step ratios, so
+// equal steps give exactly p = x + 2·(x−xp) − (xp−xpp).
+func predict(pred, x, xp, xpp []float64, h, h1, h2 float64) {
+	x = x[:len(pred)]
+	switch {
+	case h1 == 0:
+		copy(pred, x)
+	case h2 == 0:
+		r := h / h1
+		xp = xp[:len(pred)]
+		for i, v := range x {
+			pred[i] = v + r*(v-xp[i])
+		}
+	default:
+		r, s := h/h1, h2/h1
+		w := r * (r + 1) / (1 + s)
+		ca, cb := r+w, w/s
+		xp, xpp = xp[:len(pred)], xpp[:len(pred)]
+		for i, v := range x {
+			pred[i] = v + ca*(v-xp[i]) - cb*(xp[i]-xpp[i])
+		}
+	}
 }
 
 // corrector is the capacitance side of one Newton corrector: C's nonzeros,
@@ -126,14 +158,13 @@ func (co *corrector) gearResidual(resid, x1, x0, xm1, f1 []float64, h float64) {
 
 // newtonUpdate applies one Newton correction to the iterate: it clamps dx
 // so no node moves more than 2 V (the device models are exponential-free,
-// but the tgate logistic can still overshoot), sets x1 −= dx, and reports
-// convergence on the update size in volts, SPICE-style:
-// |dx|∞ ≤ vtol·(1+|x1|∞). Judging the raw residual instead would accept the
-// raw predictor, since its C·Δx/h scale shrinks with h. A non-finite
+// but the tgate logistic can still overshoot) and sets x1 −= dx. It returns
+// the clamped update's size |dx|∞ and the new iterate's |x1|∞, which the
+// Newton policy judges convergence and chord iterations by. A non-finite
 // update or iterate fails with errNonFinite: a NaN update entry, and an
 // infinite one (which the clamp turns into ∞·0), leave a NaN in the
 // iterate, and an infinite iterate shows in its norm. dx is left unclamped.
-func newtonUpdate(x1, dx []float64, vtol float64) (bool, error) {
+func newtonUpdate(x1, dx []float64) (dm, xm float64, err error) {
 	m := 0.0
 	for _, d := range dx {
 		if a := math.Abs(d); a > m {
@@ -144,7 +175,6 @@ func newtonUpdate(x1, dx []float64, vtol float64) (bool, error) {
 	if m > 2 {
 		s = 2 / m
 	}
-	dm, xm := 0.0, 0.0
 	x1 = x1[:len(dx)]
 	for i, d := range dx {
 		d *= s
@@ -156,29 +186,90 @@ func newtonUpdate(x1, dx []float64, vtol float64) (bool, error) {
 		if a := math.Abs(x); a > xm {
 			xm = a
 		} else if a != a {
-			return false, errNonFinite
+			return 0, 0, errNonFinite
 		}
 	}
 	if xm > math.MaxFloat64 {
-		return false, errNonFinite
+		return 0, 0, errNonFinite
 	}
-	return dm <= vtol*(1+xm), nil
+	return dm, xm, nil
 }
 
-// newtonLoop runs up to maxNewton corrector iterations on the iterate x1.
-// solve performs one iteration's evaluation, assembly, factorization and
-// solve, returning the Newton update; newtonLoop counts the solve and the
-// iteration, applies the update, and stops on convergence. It returns x1
-// and the iterations taken, or the failure.
-func newtonLoop(m *diag.Metrics, x1 linalg.Vec, maxNewton int, vtol float64, solve func() (linalg.Vec, error)) (linalg.Vec, int, error) {
+// The chord rule's two constants. A freshly factored iteration whose update
+// is at most chordGate·(1+|x|∞) is close enough to the solution that the
+// Jacobian barely changes over the rest of the step, so its factorization
+// may serve the step's later iterations. Without that gate, a chord started
+// from a far-off predictor can stall: the coarse-stepped ring shooting
+// solves stop converging under a contraction test alone. A chord update
+// larger than chordContraction times the previous update means the stale
+// matrix no longer contracts fast enough, so the next iteration refactors.
+const (
+	chordGate        = 1e-3
+	chordContraction = 0.3
+)
+
+// newtonPolicy is one corrector step's iteration state under the Newton
+// policy every corrector shares (see newtonLoop). Its zero value starts a
+// step: the first iteration refactors.
+type newtonPolicy struct {
+	chord bool    // the step's factorization serves the next iteration
+	last  float64 // the previous iteration's update size
+}
+
+// refactor reports whether the next iteration must evaluate J and factor
+// the iteration matrix; otherwise it evaluates f only and solves with the
+// step's factorization.
+func (p *newtonPolicy) refactor() bool { return !p.chord }
+
+// apply applies the iteration's update dx to x1 (newtonUpdate) and reports
+// convergence on the update size in volts, SPICE-style:
+// |dx|∞ ≤ vtol·(1+|x1|∞). Judging the raw residual instead would accept the
+// raw predictor, since its C·Δx/h scale shrinks with h. fresh says the
+// iteration factored its matrix; on an unconverged iteration apply decides
+// whether the next one may reuse that factorization.
+func (p *newtonPolicy) apply(x1, dx []float64, vtol float64, fresh bool) (bool, error) {
+	dm, xm, err := newtonUpdate(x1, dx)
+	if err != nil {
+		return false, err
+	}
+	s := 1 + xm
+	if dm <= vtol*s {
+		return true, nil
+	}
+	if fresh {
+		p.chord = dm <= chordGate*s
+	} else if dm > chordContraction*p.last {
+		p.chord = false
+	}
+	p.last = dm
+	return false, nil
+}
+
+// newtonLoop runs up to maxNewton corrector iterations on the iterate x1
+// under the one Newton policy of every transient corrector. The step's first
+// iteration evaluates f and J at the predictor and factors the iteration
+// matrix. Once a freshly factored iteration's update is at most
+// chordGate·(1+|x1|∞), later iterations evaluate f only and solve with that
+// factorization (chord iterations), until a chord update exceeds
+// chordContraction times the previous update, which makes the next
+// iteration refactor. No factorization outlives its step.
+//
+// solve performs one iteration's evaluation, assembly, factorization (when
+// refactor is set) and solve, returning the Newton update; newtonLoop
+// counts the solve and the iteration, applies the update, and stops on
+// convergence. It returns x1 and the iterations taken, or the failure with
+// the iterations it spent.
+func newtonLoop(m *diag.Metrics, x1 linalg.Vec, maxNewton int, vtol float64, solve func(refactor bool) (linalg.Vec, error)) (linalg.Vec, int, error) {
+	var p newtonPolicy
 	for iter := 0; iter < maxNewton; iter++ {
-		dx, err := solve()
+		fresh := p.refactor()
+		dx, err := solve(fresh)
 		if err != nil {
 			return nil, iter, err
 		}
 		m.Inc(diag.LUSolves)
 		m.Inc(diag.NewtonIterations)
-		done, err := newtonUpdate(x1, dx, vtol)
+		done, err := p.apply(x1, dx, vtol, fresh)
 		if err != nil {
 			return nil, iter + 1, err
 		}

@@ -10,22 +10,34 @@ import (
 // states — (x0, predictor) for the θ-method, (x_{n−1}, x_n) for Gear2.
 type StepFunc func(a, b linalg.Vec, t, h float64) (linalg.Vec, int, error)
 
-// ThetaStepper returns the step of a fresh Scratch's θ stepper on opt's
-// backend (opt's defaults must already be filled in).
+// ThetaStepper returns the step from t to t+h of a fresh Scratch's θ
+// stepper on opt's backend (opt's defaults must already be filled in).
 func ThetaStepper(sys *circuit.System, opt Options) StepFunc {
-	return NewScratch(sys).thetaStepper(opt, nil).step
+	st := NewScratch(sys).thetaStepper(opt, nil)
+	return func(x0, pred linalg.Vec, t, h float64) (linalg.Vec, int, error) {
+		return st.step(x0, pred, t, t+h, h)
+	}
 }
 
 // GearStepper returns the step of a fresh dense Gear2 stepper.
 func GearStepper(sys *circuit.System, opt Options) StepFunc {
 	g := newGearStepper(sys)
 	g.bind(opt, nil)
-	return g.step
+	return gearStep(g)
 }
 
 // SparseGearStepper returns the step of a fresh sparse Gear2 stepper.
 func SparseGearStepper(sys *circuit.System, opt Options) StepFunc {
 	g := newSparseGearStepper(sys)
 	g.bind(opt, nil)
-	return g.step
+	return gearStep(g)
 }
+
+func gearStep(g gearOneStepper) StepFunc {
+	return func(xm1, x0 linalg.Vec, t, h float64) (linalg.Vec, int, error) {
+		return g.step(xm1, x0, t+h, h)
+	}
+}
+
+// Predict is the θ predictor the scalar run and the batched lanes share.
+var Predict = predict

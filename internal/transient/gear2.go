@@ -49,120 +49,84 @@ func (sc *Scratch) runGear2(ctx context.Context, x0 linalg.Vec, t0, t1 float64, 
 		sensNext = linalg.NewMat(n, n)
 	}
 
-	// Bootstrap: one BE step (θ-stepper with BE), on the run's backend.
+	// Bootstrap: one BE step (θ-stepper with BE), on the run's backend. The
+	// grid's steps are all h long except, when the interval is not a whole
+	// number of steps, a shorter last one, which BE takes too: BDF2's
+	// coefficients assume equal steps.
 	beOpt := opt
 	beOpt.Method = BE
 	st := sc.thetaStepper(beOpt, dm)
 	sc.countPinned(dm)
-	xPrev := sc.prev
-	xPrev.CopyFrom(x)
-	{
-		hh := h
-		if t0+hh > t1 {
-			hh = t1 - t0
-		}
-		x1, iters, err := st.step(x, x, t0, hh)
-		if err != nil {
-			return res, fmt.Errorf("transient: Gear2 bootstrap: %w", err)
-		}
-		res.NewtonIters += iters
-		if opt.Sensitivity {
-			sensPrev.CopyFrom(sens)
-			if err := st.stepSensitivity(x, x1, t0, hh, sens); err != nil {
-				return res, err
-			}
-		}
-		xPrev.CopyFrom(x)
-		x.CopyFrom(x1)
-		res.Steps++
-		dm.Inc(diag.TransientSteps)
-		res.T = append(res.T, t0+hh)
-		res.X = append(res.X, arena.clone(x))
-		if t0+hh >= t1 {
-			res.Sens = sens
-			return res, nil
-		}
-	}
-
+	grid := newStepGrid(t0, t1, h)
 	var g gearOneStepper
-	if sc.sys.ResolveBackend(opt.Backend) == linalg.BackendSparse {
-		if sc.sg == nil {
-			sc.sg = newSparseGearStepper(sys)
-			sc.pinned += int64(8 * (4*n + 2*sys.SparsePattern().NNZ()))
+	if grid.n > 1 {
+		if sc.sys.ResolveBackend(opt.Backend) == linalg.BackendSparse {
+			if sc.sg == nil {
+				sc.sg = newSparseGearStepper(sys)
+				sc.pinned += int64(8 * (4*n + 2*sys.SparsePattern().NNZ()))
+			}
+			sc.sg.bind(opt, dm)
+			g = sc.sg
+		} else {
+			if sc.g == nil {
+				sc.g = newGearStepper(sys)
+				sc.pinned += int64(8 * (3*n + 3*n*n + n*n)) // vectors; Jacobian, scaled C and workspace J; LU factors
+			}
+			sc.g.bind(opt, dm)
+			g = sc.g
 		}
-		sc.sg.bind(opt, dm)
-		g = sc.sg
-	} else {
-		if sc.g == nil {
-			sc.g = newGearStepper(sys)
-			sc.pinned += int64(8 * (3*n + 3*n*n + n*n)) // vectors; Jacobian, scaled C and workspace J; LU factors
-		}
-		sc.g.bind(opt, dm)
-		g = sc.g
+		sc.countPinned(dm)
 	}
-	sc.countPinned(dm)
-	t := t0 + h
-	sinceRecord := 0 // the bootstrap point above was recorded
-	for t < t1-1e-15 {
+	xPrev := sc.prev
+	sinceRecord := 0
+	for k := 0; k < grid.n; k++ {
 		if err := ctx.Err(); err != nil {
 			return res, err
 		}
-		hh := h
-		if t+hh > t1 {
-			// BDF2 coefficients assume equal steps; finish the interval with
-			// a BE step instead of a mismatched one.
-			hh = t1 - t
-			x1, iters, err := st.step(x, x, t, hh)
+		t, tNext, hh := grid.at(k), grid.at(k+1), grid.size(k)
+		var x1 linalg.Vec
+		var iters int
+		var err error
+		if k == 0 || hh != h {
+			x1, iters, err = st.step(x, x, t, tNext, hh)
+			res.NewtonIters += iters
 			if err != nil {
+				if k == 0 {
+					return res, fmt.Errorf("transient: Gear2 bootstrap: %w", err)
+				}
 				return res, fmt.Errorf("transient: Gear2 tail step: %w", err)
 			}
-			res.NewtonIters += iters
 			if opt.Sensitivity {
 				sensPrev.CopyFrom(sens)
-				if err := st.stepSensitivity(x, x1, t, hh, sens); err != nil {
+				if err := st.stepSensitivity(x, x1, t, tNext, hh, sens); err != nil {
 					return res, err
 				}
 			}
-			xPrev.CopyFrom(x)
-			x.CopyFrom(x1)
-			t += hh
-			res.Steps++
-			dm.Inc(diag.TransientSteps)
-			res.T = append(res.T, t)
-			res.X = append(res.X, arena.clone(x))
-			sinceRecord = 0 // recorded above; keep the post-loop flush honest
-			break
-		}
-		x1, iters, err := g.step(xPrev, x, t, hh)
-		if err != nil {
-			return res, fmt.Errorf("transient: Gear2 corrector failed at t=%.6g: %w", t, err)
-		}
-		res.NewtonIters += iters
-		if opt.Sensitivity {
-			if err := g.sensFactors(x1, t, hh); err != nil {
-				return res, err
+		} else {
+			x1, iters, err = g.step(xPrev, x, tNext, hh)
+			res.NewtonIters += iters
+			if err != nil {
+				return res, fmt.Errorf("transient: Gear2 corrector failed at t=%.6g: %w", t, err)
 			}
-			// S_{n+1} = M⁻¹·(4/(2h)·C·S_n − 1/(2h)·C·S_{n−1})
-			g.combineSens(sensNext, sens, sensPrev, hh)
-			sens, sensPrev, sensNext = sensNext, sens, sensPrev
+			if opt.Sensitivity {
+				if err := g.sensFactors(x1, tNext, hh); err != nil {
+					return res, err
+				}
+				// S_{n+1} = M⁻¹·(4/(2h)·C·S_n − 1/(2h)·C·S_{n−1})
+				g.combineSens(sensNext, sens, sensPrev, hh)
+				sens, sensPrev, sensNext = sensNext, sens, sensPrev
+			}
 		}
 		xPrev.CopyFrom(x)
 		x.CopyFrom(x1)
-		t += hh
 		res.Steps++
 		dm.Inc(diag.TransientSteps)
 		sinceRecord++
-		if sinceRecord >= opt.Record || t >= t1 {
-			res.T = append(res.T, t)
+		if sinceRecord >= opt.Record || k+1 == grid.n || k == 0 {
+			res.T = append(res.T, tNext)
 			res.X = append(res.X, arena.clone(x))
 			sinceRecord = 0
 		}
-	}
-	// Flush the decimation tail (see Scratch.Run): never drop the final
-	// accepted state when Record > 1 and the loop exits inside the guard band.
-	if sinceRecord > 0 {
-		res.T = append(res.T, t)
-		res.X = append(res.X, arena.clone(x))
 	}
 	res.Sens = sens
 	return res, nil
@@ -171,8 +135,8 @@ func (sc *Scratch) runGear2(ctx context.Context, x0 linalg.Vec, t0, t1 float64, 
 // gearOneStepper is the BDF2 corrector contract runGear2 integrates through
 // — implemented by gearStepper (dense) and sparseGearStepper.
 type gearOneStepper interface {
-	step(xm1, x0 linalg.Vec, t, h float64) (linalg.Vec, int, error)
-	sensFactors(x1 linalg.Vec, t, h float64) error
+	step(xm1, x0 linalg.Vec, t1, h float64) (linalg.Vec, int, error)
+	sensFactors(x1 linalg.Vec, t1, h float64) error
 	combineSens(dst, sN, sNm1 *linalg.Mat, h float64)
 }
 
@@ -219,24 +183,30 @@ func (g *gearStepper) bind(opt Options, m *diag.Metrics) {
 	g.ws.SetMetrics(m)
 }
 
-// iterationMatrix evaluates f and J at (x1, t+h) and assembles
+// iterationMatrix evaluates f and J at (x1, t1) and assembles
 // 3C/(2h) + J into g.jac.
-func (g *gearStepper) iterationMatrix(x1 linalg.Vec, t, h float64) {
-	g.ws.EvalFJ(x1, t+h, g.f1, g.jac)
+func (g *gearStepper) iterationMatrix(x1 linalg.Vec, t1, h float64) {
+	g.ws.EvalFJ(x1, t1, g.f1, g.jac)
 	addScaled(g.jac.Data, g.cor.scaledC(h), 1)
 }
 
-func (g *gearStepper) step(xm1, x0 linalg.Vec, t, h float64) (linalg.Vec, int, error) {
+func (g *gearStepper) step(xm1, x0 linalg.Vec, t1, h float64) (linalg.Vec, int, error) {
 	// Predictor: linear extrapolation.
 	x1 := g.x1
 	for i := range x1 {
 		x1[i] = 2*x0[i] - xm1[i]
 	}
-	return newtonLoop(g.m, x1, g.opt.MaxNewton, updateTol(g.opt.NewtonTol), func() (linalg.Vec, error) {
-		g.iterationMatrix(x1, t, h)
+	return newtonLoop(g.m, x1, g.opt.MaxNewton, updateTol(g.opt.NewtonTol), func(refactor bool) (linalg.Vec, error) {
+		if refactor {
+			g.iterationMatrix(x1, t1, h)
+		} else {
+			g.ws.EvalF(x1, t1, g.f1)
+		}
 		g.cor.gearResidual(g.resid, x1, x0, xm1, g.f1, h)
-		if err := denseFactor(g.m, &g.lu, g.jac); err != nil {
-			return nil, fmt.Errorf("transient: singular Gear2 matrix: %w", err)
+		if refactor {
+			if err := denseFactor(g.m, &g.lu, g.jac); err != nil {
+				return nil, fmt.Errorf("transient: singular Gear2 matrix: %w", err)
+			}
 		}
 		return g.lu.SolveInto(g.dx, g.resid), nil
 	})
@@ -244,8 +214,8 @@ func (g *gearStepper) step(xm1, x0 linalg.Vec, t, h float64) (linalg.Vec, int, e
 
 // sensFactors factorizes the iteration matrix at the accepted point into the
 // pinned sensitivity LU.
-func (g *gearStepper) sensFactors(x1 linalg.Vec, t, h float64) error {
-	g.iterationMatrix(x1, t, h)
+func (g *gearStepper) sensFactors(x1 linalg.Vec, t1, h float64) error {
+	g.iterationMatrix(x1, t1, h)
 	if err := denseFactor(g.m, &g.slu, g.jac); err != nil {
 		return fmt.Errorf("transient: singular sensitivity matrix: %w", err)
 	}

@@ -91,20 +91,26 @@ func sparseFactor(m *diag.Metrics, lu *sparse.LU, a *sparse.CSC) error {
 	return err
 }
 
-// step solves C(x1−x0)/h + θ f(x1,t+h) + (1−θ) f(x0,t) = 0 for x1 — the
+// step solves C(x1−x0)/h + θ f(x1,t1) + (1−θ) f(x0,t0) = 0 for x1 — the
 // same corrector as stepper.step with every dense matrix operation replaced
 // by its O(nnz) counterpart.
-func (s *sparseStepper) step(x0, pred linalg.Vec, t, h float64) (linalg.Vec, int, error) {
+func (s *sparseStepper) step(x0, pred linalg.Vec, t0, t1, h float64) (linalg.Vec, int, error) {
 	th := s.opt.Method.theta()
-	s.ws.EvalF(x0, t, s.f0)
+	s.ws.EvalF(x0, t0, s.f0)
 	x1 := s.x1
 	x1.CopyFrom(pred)
-	return newtonLoop(s.m, x1, s.opt.MaxNewton, updateTol(s.opt.NewtonTol), func() (linalg.Vec, error) {
-		s.ws.EvalFJSparse(x1, t+h, s.f1, s.jac)
+	return newtonLoop(s.m, x1, s.opt.MaxNewton, updateTol(s.opt.NewtonTol), func(refactor bool) (linalg.Vec, error) {
+		if refactor {
+			s.ws.EvalFJSparse(x1, t1, s.f1, s.jac)
+		} else {
+			s.ws.EvalF(x1, t1, s.f1)
+		}
 		s.cor.thetaResidual(s.resid, x1, x0, s.f1, s.f0, th, h)
-		addScaled(s.jac.Val, s.cor.scaledC(h), th) // C/h + θ J1 on the shared pattern
-		if err := sparseFactor(s.m, &s.lu, s.jac); err != nil {
-			return nil, fmt.Errorf("transient: singular iteration matrix: %w", err)
+		if refactor {
+			addScaled(s.jac.Val, s.cor.scaledC(h), th) // C/h + θ J1 on the shared pattern
+			if err := sparseFactor(s.m, &s.lu, s.jac); err != nil {
+				return nil, fmt.Errorf("transient: singular iteration matrix: %w", err)
+			}
 		}
 		return s.lu.SolveInto(s.dx, s.resid), nil
 	})
@@ -144,11 +150,11 @@ func (s *sparseStepper) sensBytesOnce() int64 {
 // sparse path computes rhs·S as a sparse×dense product and back-solves the
 // n columns against the sparse factorization — O(n·(nnz + factor)) instead
 // of O(n³) per step.
-func (s *sparseStepper) stepSensitivity(x0, x1 linalg.Vec, t, h float64, sens *linalg.Mat) error {
+func (s *sparseStepper) stepSensitivity(x0, x1 linalg.Vec, t0, t1, h float64, sens *linalg.Mat) error {
 	th := s.opt.Method.theta()
 	s.ensureSens()
-	s.ws.EvalFJSparse(x0, t, s.f0, s.sj0)
-	s.ws.EvalFJSparse(x1, t+h, s.f1, s.sj1)
+	s.ws.EvalFJSparse(x0, t0, s.f0, s.sj0)
+	s.ws.EvalFJSparse(x1, t1, s.f1, s.sj1)
 	ch := s.cor.scaledC(h)
 	for k := range s.slhs.Val {
 		s.slhs.Val[k] = ch[k] + th*s.sj1.Val[k]
@@ -211,24 +217,30 @@ func (g *sparseGearStepper) bind(opt Options, m *diag.Metrics) {
 	g.ws.SetMetrics(m)
 }
 
-// iterationMatrix evaluates f and J at (x1, t+h) and assembles
+// iterationMatrix evaluates f and J at (x1, t1) and assembles
 // 3C/(2h) + J into g.jac on the shared pattern.
-func (g *sparseGearStepper) iterationMatrix(x1 linalg.Vec, t, h float64) {
-	g.ws.EvalFJSparse(x1, t+h, g.f1, g.jac)
+func (g *sparseGearStepper) iterationMatrix(x1 linalg.Vec, t1, h float64) {
+	g.ws.EvalFJSparse(x1, t1, g.f1, g.jac)
 	addScaled(g.jac.Val, g.cor.scaledC(h), 1)
 }
 
-func (g *sparseGearStepper) step(xm1, x0 linalg.Vec, t, h float64) (linalg.Vec, int, error) {
+func (g *sparseGearStepper) step(xm1, x0 linalg.Vec, t1, h float64) (linalg.Vec, int, error) {
 	// Predictor: linear extrapolation.
 	x1 := g.x1
 	for i := range x1 {
 		x1[i] = 2*x0[i] - xm1[i]
 	}
-	return newtonLoop(g.m, x1, g.opt.MaxNewton, updateTol(g.opt.NewtonTol), func() (linalg.Vec, error) {
-		g.iterationMatrix(x1, t, h)
+	return newtonLoop(g.m, x1, g.opt.MaxNewton, updateTol(g.opt.NewtonTol), func(refactor bool) (linalg.Vec, error) {
+		if refactor {
+			g.iterationMatrix(x1, t1, h)
+		} else {
+			g.ws.EvalF(x1, t1, g.f1)
+		}
 		g.cor.gearResidual(g.resid, x1, x0, xm1, g.f1, h)
-		if err := sparseFactor(g.m, &g.lu, g.jac); err != nil {
-			return nil, fmt.Errorf("transient: singular Gear2 matrix: %w", err)
+		if refactor {
+			if err := sparseFactor(g.m, &g.lu, g.jac); err != nil {
+				return nil, fmt.Errorf("transient: singular Gear2 matrix: %w", err)
+			}
 		}
 		return g.lu.SolveInto(g.dx, g.resid), nil
 	})
@@ -236,8 +248,8 @@ func (g *sparseGearStepper) step(xm1, x0 linalg.Vec, t, h float64) (linalg.Vec, 
 
 // sensFactors factorizes the iteration matrix at the accepted point into the
 // pinned sparse sensitivity factorization.
-func (g *sparseGearStepper) sensFactors(x1 linalg.Vec, t, h float64) error {
-	g.iterationMatrix(x1, t, h)
+func (g *sparseGearStepper) sensFactors(x1 linalg.Vec, t1, h float64) error {
+	g.iterationMatrix(x1, t1, h)
 	if err := sparseFactor(g.m, &g.slu, g.jac); err != nil {
 		return fmt.Errorf("transient: singular sensitivity matrix: %w", err)
 	}

@@ -74,7 +74,7 @@ type Options struct {
 	MinStep     float64 // adaptive floor (default Step/1e6)
 	MaxStep     float64 // adaptive ceiling (default 100·Step)
 	LTETol      float64 // adaptive local-error tolerance on voltages (default 1e-4 V)
-	NewtonTol   float64 // corrector residual tolerance (default 1e-9)
+	NewtonTol   float64 // corrector update tolerance in volts, capped at 1e-6, times 1+|x|∞ (default 1e-9)
 	MaxNewton   int     // corrector iteration cap (default 40)
 	Sensitivity bool    // propagate dx(t)/dx(0) alongside the state
 	// Record decimation: keep every Record-th accepted point (default 1).
@@ -94,7 +94,8 @@ type Result struct {
 	Sens *linalg.Mat
 	// Steps is the number of accepted steps; Rejected counts LTE rejections.
 	Steps, Rejected int
-	// NewtonIters accumulates corrector iterations (cost metric).
+	// NewtonIters accumulates corrector iterations (cost metric), those of
+	// failed attempts included.
 	NewtonIters int
 }
 
@@ -173,7 +174,8 @@ type Scratch struct {
 	g                *gearStepper       // lazy: Gear2 runs only
 	sst              *sparseStepper     // lazy: sparse-backend runs only
 	sg               *sparseGearStepper // lazy: sparse Gear2 runs only
-	x, pred, prev    linalg.Vec
+	x, pred          linalg.Vec
+	prev, prev2      linalg.Vec // the accepted points before x, for the predictor
 	pinned, reported int64
 }
 
@@ -181,13 +183,14 @@ type Scratch struct {
 func NewScratch(sys *circuit.System) *Scratch {
 	n := sys.N
 	sc := &Scratch{
-		sys:  sys,
-		st:   newStepper(sys),
-		x:    linalg.NewVec(n),
-		pred: linalg.NewVec(n),
-		prev: linalg.NewVec(n),
+		sys:   sys,
+		st:    newStepper(sys),
+		x:     linalg.NewVec(n),
+		pred:  linalg.NewVec(n),
+		prev:  linalg.NewVec(n),
+		prev2: linalg.NewVec(n),
 	}
-	sc.pinned = int64(8 * (3*n + 4*n + 3*n*n + n*n)) // run+stepper vectors; Jacobian, scaled C and workspace J; LU
+	sc.pinned = int64(8 * (4*n + 4*n + 3*n*n + n*n)) // run+stepper vectors; Jacobian, scaled C and workspace J; LU
 	return sc
 }
 
@@ -266,52 +269,73 @@ func (sc *Scratch) Run(ctx context.Context, x0 linalg.Vec, t0, t1 float64, opt O
 		sens = linalg.Eye(n) // caller-owned via res.Sens; propagated in place
 	}
 
+	// Fixed-step runs walk the grid g; adaptive runs step h from t.
 	h := opt.Step
+	g := newStepGrid(t0, t1, h)
+	k := 0
 	sinceRecord := 0
-	prev := sc.prev // for the AB2-style predictor
-	prev.CopyFrom(x)
+	// The accepted points before x and the steps between them (0 until the
+	// run has them), for the predictor.
+	prev, prev2 := sc.prev, sc.prev2
+	h1, h2 := 0.0, 0.0
 	pred := sc.pred
-	hPrev := 0.0
 
-	for t < t1-1e-15*math.Max(1, math.Abs(t1)) {
+	for {
 		if err := ctx.Err(); err != nil {
 			return res, err
 		}
-		if t+h > t1 {
-			h = t1 - t
-		}
-		hTaken := h
-		// Predictor: linear extrapolation once history exists.
-		pred.CopyFrom(x)
-		if hPrev > 0 {
-			r := h / hPrev
-			for i := 0; i < n; i++ {
-				pred[i] = x[i] + r*(x[i]-prev[i])
+		var hTaken, tNext float64
+		if opt.Adaptive {
+			if t >= t1-1e-15*math.Max(1, math.Abs(t1)) {
+				break
 			}
+			if t+h > t1 {
+				h = t1 - t
+			}
+			hTaken, tNext = h, t+h
+		} else {
+			if k >= g.n {
+				break
+			}
+			hTaken, tNext = g.size(k), g.at(k+1)
 		}
-		xNew, iters, err := st.step(x, pred, t, h)
+		predict(pred, x, prev, prev2, hTaken, h1, h2)
+		xNew, iters, err := st.step(x, pred, t, tNext, hTaken)
+		res.NewtonIters += iters
 		if err != nil {
-			// Newton failure: retry with a smaller step.
-			if h/2 < opt.MinStep {
+			// Newton failure: retry with a smaller step; a fixed-step run
+			// restarts its grid at the accepted point.
+			if hTaken/2 < opt.MinStep {
 				return res, fmt.Errorf("transient: corrector failed at t=%.6g: %w: %w", t, err, ErrStepUnderflow)
 			}
-			h /= 2
+			h = hTaken / 2
+			if !opt.Adaptive {
+				g, k = newStepGrid(t, t1, h), 0
+			}
 			res.Rejected++
 			dm.Inc(diag.TransientRejections)
 			continue
 		}
-		res.NewtonIters += iters
 
 		if opt.Adaptive {
-			// LTE estimate: difference between corrector and predictor,
-			// scaled for the trapezoidal rule's error constant.
+			// LTE estimate: difference between the corrector and the linear
+			// extrapolant (not the predictor Newton started from), scaled
+			// for the trapezoidal rule's error constant.
 			lte := 0.0
+			r := 0.0
+			if h1 > 0 {
+				r = hTaken / h1
+			}
 			for i := 0; i < n; i++ {
-				if d := math.Abs(xNew[i] - pred[i]); d > lte {
+				lin := x[i]
+				if h1 > 0 {
+					lin = x[i] + r*(x[i]-prev[i])
+				}
+				if d := math.Abs(xNew[i] - lin); d > lte {
 					lte = d
 				}
 			}
-			if hPrev > 0 {
+			if h1 > 0 {
 				lte /= 3 // C_trap/(C_AB2−C_trap)-style scaling
 			}
 			if lte > opt.LTETol && h > opt.MinStep {
@@ -328,7 +352,7 @@ func (sc *Scratch) Run(ctx context.Context, x0 linalg.Vec, t0, t1 float64, opt O
 		}
 
 		if opt.Sensitivity {
-			if err := st.stepSensitivity(x, xNew, t, hTaken, sens); err != nil {
+			if err := st.stepSensitivity(x, xNew, t, tNext, hTaken, sens); err != nil {
 				return res, err
 			}
 			if b := st.sensBytesOnce(); b > 0 {
@@ -337,10 +361,12 @@ func (sc *Scratch) Run(ctx context.Context, x0 linalg.Vec, t0, t1 float64, opt O
 			}
 		}
 
+		prev2.CopyFrom(prev)
 		prev.CopyFrom(x)
-		hPrev = hTaken
+		h2, h1 = h1, hTaken
 		x.CopyFrom(xNew)
-		t += hTaken
+		t = tNext
+		k++
 		res.Steps++
 		dm.Inc(diag.TransientSteps)
 		sinceRecord++
@@ -350,9 +376,9 @@ func (sc *Scratch) Run(ctx context.Context, x0 linalg.Vec, t0, t1 float64, opt O
 			sinceRecord = 0
 		}
 	}
-	// Flush the decimation tail: with Record > 1 the loop can exit (t within
-	// the 1e-15 guard band of t1, so `t >= t1` never fired) with the final
-	// accepted state unrecorded. The trajectory must always end at the last
+	// Flush the decimation tail: with Record > 1 an adaptive run can exit (t
+	// within the 1e-15 guard band of t1, so `t >= t1` never fired) with the
+	// final accepted state unrecorded. The trajectory must always end at the last
 	// accepted point — Final() and every PSS/xval consumer depend on it.
 	if sinceRecord > 0 {
 		res.T = append(res.T, t)
@@ -363,13 +389,56 @@ func (sc *Scratch) Run(ctx context.Context, x0 linalg.Vec, t0, t1 float64, opt O
 }
 
 // oneStepper is the θ-method corrector contract Scratch.Run integrates
-// through — implemented by the dense stepper and by sparseStepper.
-// sensBytesOnce reports lazily-pinned sensitivity scratch exactly once for
-// the pinned-bytes accounting.
+// through — implemented by the dense stepper and by sparseStepper. A step
+// runs from (x0, t0) to the time t1 with the formula's step size h; on a
+// fixed-step grid t1 − t0 and h differ by rounding, and the circuit is
+// evaluated at the grid's own times, so a time point's rail values are
+// computed once. sensBytesOnce reports lazily-pinned sensitivity scratch
+// exactly once for the pinned-bytes accounting.
 type oneStepper interface {
-	step(x0, pred linalg.Vec, t, h float64) (linalg.Vec, int, error)
-	stepSensitivity(x0, x1 linalg.Vec, t, h float64, sens *linalg.Mat) error
+	step(x0, pred linalg.Vec, t0, t1, h float64) (linalg.Vec, int, error)
+	stepSensitivity(x0, x1 linalg.Vec, t0, t1, h float64, sens *linalg.Mat) error
 	sensBytesOnce() int64
+}
+
+// stepGrid is a fixed-step run's time grid: the points base + k·h for
+// k = 0 … n−1 and t1 as point n. When the interval holds a whole number of
+// steps to within 1e-9 of a step, every step is h long and the last lands
+// on t1; otherwise the last step is the shorter remainder. Stepping by
+// index instead of accumulating t += h keeps rounding from adding a sliver
+// step at the end.
+type stepGrid struct {
+	base, h, t1 float64
+	n           int
+	whole       bool
+}
+
+func newStepGrid(base, t1, h float64) stepGrid {
+	g := stepGrid{base: base, h: h, t1: t1}
+	if q := (t1 - base) / h; q > 0 {
+		if r := math.Round(q); math.Abs(q-r) <= 1e-9 {
+			g.n, g.whole = int(r), true
+		} else {
+			g.n = int(math.Ceil(q))
+		}
+	}
+	return g
+}
+
+// at returns grid point k's time.
+func (g stepGrid) at(k int) float64 {
+	if k == g.n {
+		return g.t1
+	}
+	return g.base + float64(k)*g.h
+}
+
+// size returns the formula step size from point k to point k+1.
+func (g stepGrid) size(k int) float64 {
+	if k+1 == g.n && !g.whole {
+		return g.t1 - g.at(k)
+	}
+	return g.h
 }
 
 // thetaStepper resolves the run's backend and returns the bound θ-stepper,
@@ -468,20 +537,26 @@ func (s *stepper) ensureSens() {
 	s.srhs = linalg.NewMat(n, n)
 }
 
-// step solves C(x1−x0)/h + θ f(x1,t+h) + (1−θ) f(x0,t) = 0 for x1,
+// step solves C(x1−x0)/h + θ f(x1,t1) + (1−θ) f(x0,t0) = 0 for x1,
 // starting from the predictor. The returned vector aliases the stepper's
 // iterate buffer; callers copy it before the next step.
-func (s *stepper) step(x0, pred linalg.Vec, t, h float64) (linalg.Vec, int, error) {
+func (s *stepper) step(x0, pred linalg.Vec, t0, t1, h float64) (linalg.Vec, int, error) {
 	th := s.opt.Method.theta()
-	s.ws.EvalF(x0, t, s.f0)
+	s.ws.EvalF(x0, t0, s.f0)
 	x1 := s.x1
 	x1.CopyFrom(pred)
-	return newtonLoop(s.m, x1, s.opt.MaxNewton, updateTol(s.opt.NewtonTol), func() (linalg.Vec, error) {
-		s.ws.EvalFJ(x1, t+h, s.f1, s.jac)
+	return newtonLoop(s.m, x1, s.opt.MaxNewton, updateTol(s.opt.NewtonTol), func(refactor bool) (linalg.Vec, error) {
+		if refactor {
+			s.ws.EvalFJ(x1, t1, s.f1, s.jac)
+		} else {
+			s.ws.EvalF(x1, t1, s.f1)
+		}
 		s.cor.thetaResidual(s.resid, x1, x0, s.f1, s.f0, th, h)
-		addScaled(s.jac.Data, s.cor.scaledC(h), th) // C/h + θ J1
-		if err := denseFactor(s.m, &s.lu, s.jac); err != nil {
-			return nil, fmt.Errorf("transient: singular iteration matrix: %w", err)
+		if refactor {
+			addScaled(s.jac.Data, s.cor.scaledC(h), th) // C/h + θ J1
+			if err := denseFactor(s.m, &s.lu, s.jac); err != nil {
+				return nil, fmt.Errorf("transient: singular iteration matrix: %w", err)
+			}
 		}
 		return s.lu.SolveInto(s.dx, s.resid), nil
 	})
@@ -494,13 +569,13 @@ func (s *stepper) step(x0, pred linalg.Vec, t, h float64) (linalg.Vec, int, erro
 //
 // All intermediates live in four pinned n×n matrices and one pinned LU; the
 // arithmetic matches the historical allocate-per-step version bit for bit.
-func (s *stepper) stepSensitivity(x0, x1 linalg.Vec, t, h float64, sens *linalg.Mat) error {
+func (s *stepper) stepSensitivity(x0, x1 linalg.Vec, t0, t1, h float64, sens *linalg.Mat) error {
 	n := s.sys.N
 	th := s.opt.Method.theta()
 	s.ensureSens()
 	j0, j1 := s.sj0, s.sj1
-	s.ws.EvalFJ(x0, t, s.f0, j0)
-	s.ws.EvalFJ(x1, t+h, s.f1, j1)
+	s.ws.EvalFJ(x0, t0, s.f0, j0)
+	s.ws.EvalFJ(x1, t1, s.f1, j1)
 	ch := s.cor.scaledC(h)
 	lhs, rhs := s.slhs, s.srhs
 	for i := range ch {
