@@ -94,11 +94,16 @@ bench-overhead:
 # (circuit evaluation, dense LU factor+solve) at 0 allocs/op; each op is
 # 1,000 calls, so a single-op run times milliseconds, not one cold call.
 # EngineRingPPVCold pins the engine's cold PSS→PPV extraction, which runs
-# as a one-lane batch (~670 allocs/op, down from ~8,000 on the scalar path).
+# as a one-lane batch (~590 allocs/op, down from ~8,000 on the scalar path).
+# AdderEvalF (the chord iteration's f-only evaluation at its step's time)
+# and AdderEvalFJBatch (8 adder corners through one batch) pin the other
+# two circuit-layer unit costs at 0 allocs/op. Work counts a benchmark
+# reports (EffSpiceTransientFSM's newton_iters/op, lu_factorizations/op,
+# jac_evals/op and circuit_evals/op) are gated exactly: any change fails.
 bench-alloc:
-	$(GO) test -run '^$$' -bench '^Benchmark(EffSpiceTransientFSM|EffPhaseMacroFSM|Fig19FlipFlop|Fig20AdderStates|ShootAutonomousRing|AdderEvalFJ|AdderIterationLU|EngineRingPPVCold)$$' -benchtime 1x -count 2 -benchmem . \
+	$(GO) test -run '^$$' -bench '^Benchmark(EffSpiceTransientFSM|EffPhaseMacroFSM|Fig19FlipFlop|Fig20AdderStates|ShootAutonomousRing|AdderEvalFJ|AdderEvalF|AdderEvalFJBatch|AdderIterationLU|EngineRingPPVCold)$$' -benchtime 1x -count 2 -benchmem . \
 		| $(GO) run ./cmd/phlogon-benchdiff compare -baseline BENCH_baseline.json \
-			-only '^Benchmark(EffSpiceTransientFSM|EffPhaseMacroFSM|Fig19FlipFlop|Fig20AdderStates|ShootAutonomousRing|AdderEvalFJ|AdderIterationLU|EngineRingPPVCold)$$' \
+			-only '^Benchmark(EffSpiceTransientFSM|EffPhaseMacroFSM|Fig19FlipFlop|Fig20AdderStates|ShootAutonomousRing|AdderEvalFJ|AdderEvalF|AdderEvalFJBatch|AdderIterationLU|EngineRingPPVCold)$$' \
 			-tol 1.0 -alloc-tol 0.05 -bytes-tol 0.25
 
 # Sparse-backend scaling gate: the coupled-array benchmarks (transient and

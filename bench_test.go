@@ -14,6 +14,7 @@ import (
 	"testing"
 
 	phlogon "repro"
+	"repro/internal/circuit"
 	"repro/internal/diag"
 	"repro/internal/figs"
 	"repro/internal/gae"
@@ -216,6 +217,17 @@ func BenchmarkEffPhaseMacroBitFlip(b *testing.B) {
 // operands, coupled from the shared latch's calibration, with its initial
 // state and reference period T1.
 func benchAdder(b *testing.B) (ac *ringosc.AdderCircuit, x0 []float64, T1 float64) {
+	cfg, sol := benchAdderConfig(b)
+	ac, err := ringosc.BuildSerialAdderCircuit(cfg)
+	if err != nil {
+		b.Fatal(err)
+	}
+	return ac, ac.InitialState(sol, false, false), 1 / sol.F0
+}
+
+// benchAdderConfig is the serial adder configuration behind benchAdder,
+// with the PSS solution its initial state is taken from.
+func benchAdderConfig(b *testing.B) (ringosc.AdderCircuitConfig, *pss.Solution) {
 	b.Helper()
 	_, sol, p := benchFixture(b)
 	latch := &phasemacro.Latch{P: p, Node: 0, Out: 0, SyncAmp: 120e-6}
@@ -228,17 +240,13 @@ func benchAdder(b *testing.B) (ac *ringosc.AdderCircuit, x0 []float64, T1 float6
 		b.Fatal(err)
 	}
 	aBits := []bool{true, false, true}
-	ac, err = ringosc.BuildSerialAdderCircuit(ringosc.AdderCircuitConfig{
+	return ringosc.AdderCircuitConfig{
 		Ring: ringosc.DefaultConfig(), F1: sol.F0,
 		SyncAmp: 120e-6, SyncPhase: cal.SyncPhase,
 		InputAmp: cmplx.Abs(cal.OutPhasor0), OutAngle: cmplx.Phase(cal.OutPhasor0),
 		CouplingR: cr, CouplingC: cc, Invert: inv,
 		ClockCycles: 120, ABits: aBits, BBits: aBits,
-	})
-	if err != nil {
-		b.Fatal(err)
-	}
-	return ac, ac.InitialState(sol, false, false), 1 / sol.F0
+	}, sol
 }
 
 // BenchmarkEffSpiceTransientFSM: the full transistor/op-amp serial adder
@@ -263,6 +271,7 @@ func BenchmarkEffSpiceTransientFSM(b *testing.B) {
 	b.ReportMetric(float64(m.Get(diag.NewtonIterations))/n, "newton_iters/op")
 	b.ReportMetric(float64(m.Get(diag.LUFactorizations))/n, "lu_factorizations/op")
 	b.ReportMetric(float64(m.Get(diag.CircuitJacEvals))/n, "jac_evals/op")
+	b.ReportMetric(float64(m.Get(diag.CircuitEvals))/n, "circuit_evals/op")
 }
 
 // adderUnitReps is the number of unit operations in one op of the adder
@@ -289,6 +298,70 @@ func BenchmarkAdderEvalFJ(b *testing.B) {
 			ws.EvalFJ(x, float64(i*adderUnitReps+r)*h, f, j)
 		}
 	}
+}
+
+// BenchmarkAdderEvalF is the unit cost of a chord iteration under the same
+// run: adderUnitReps Workspace.EvalF calls on the adder at one time point,
+// so every call after an op's first reads rails, sources and the clocked
+// transmission gates' conductances from the time memo and skips the
+// Jacobian-only arithmetic — a corrector's f-only iterations at its step's
+// own time.
+func BenchmarkAdderEvalF(b *testing.B) {
+	ac, x0, T1 := benchAdder(b)
+	sys := ac.Sys
+	ws := sys.NewWorkspace()
+	f := linalg.NewVec(sys.N)
+	x := linalg.Vec(x0)
+	h := T1 / 256
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		t := float64(i+1) * h
+		for r := 0; r < adderUnitReps; r++ {
+			ws.EvalF(x, t, f)
+		}
+	}
+}
+
+// adderBatchLanes is the corner count of BenchmarkAdderEvalFJBatch.
+const adderBatchLanes = 8
+
+// BenchmarkAdderEvalFJBatch is BenchmarkAdderEvalFJ through one Batch of
+// adderBatchLanes adder corners (coupling and device parameters spread per
+// lane): adderUnitReps EvalFJBatch calls at fresh time points per op. It
+// reports the cost per lane evaluation, comparable with AdderEvalFJ's
+// ns/op divided by adderUnitReps.
+func BenchmarkAdderEvalFJBatch(b *testing.B) {
+	cfg, sol := benchAdderConfig(b)
+	systems := make([]*circuit.System, adderBatchLanes)
+	var x []float64
+	for k := range systems {
+		c := cfg
+		d := float64(k) - adderBatchLanes/2
+		c.CouplingR *= 1 + 0.02*d
+		c.Ring.NMOS.Beta *= 1 + 0.01*d
+		c.Ring.PMOS.VT0 *= 1 - 0.01*d
+		ac, err := ringosc.BuildSerialAdderCircuit(c)
+		if err != nil {
+			b.Fatal(err)
+		}
+		systems[k] = ac.Sys
+		x = append(x, ac.InitialState(sol, false, false)...)
+	}
+	bt, err := circuit.NewBatch(systems)
+	if err != nil {
+		b.Fatal(err)
+	}
+	bw := bt.NewWorkspace()
+	h := 1 / sol.F0 / 256
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		for r := 1; r <= adderUnitReps; r++ {
+			bw.EvalFJBatch(x, float64(i*adderUnitReps+r)*h)
+		}
+	}
+	b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N*adderUnitReps*adderBatchLanes), "ns/lane")
 }
 
 // BenchmarkAdderIterationLU is the linear-algebra unit cost under the same

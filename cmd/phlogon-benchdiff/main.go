@@ -8,9 +8,11 @@
 //	go test -run '^$' -bench . -benchtime 1x . | phlogon-benchdiff compare -baseline BENCH_baseline.json
 //
 // compare exits 1 when any benchmark slows down or allocates beyond the
-// tolerances, or when a baselined benchmark disappears. Timing tolerance
-// defaults wide (-benchtime 1x numbers are noisy); allocation counts are
-// deterministic, so their tolerance is tight. For tight timing gates, run
+// tolerances, when a baselined benchmark disappears, or when a pinned work
+// count (a b.ReportMetric unit ending in /op) differs or is missing. Timing
+// tolerance defaults wide (-benchtime 1x numbers are noisy); allocation
+// counts are deterministic, so their tolerance is tight, and work counts
+// must repeat exactly. For tight timing gates, run
 // the benchmark with `-count N` — parse keeps the per-name minimum, which
 // suppresses scheduling noise — and restrict compare with -only.
 package main

@@ -5,6 +5,7 @@ import (
 	"fmt"
 	"io"
 	"regexp"
+	"sort"
 	"strconv"
 	"strings"
 )
@@ -20,6 +21,10 @@ type Result struct {
 	// Mem records that the run reported the B/op and allocs/op columns, so
 	// zero counts are measurements rather than missing columns.
 	Mem bool `json:"benchmem,omitempty"`
+	// Counts holds the b.ReportMetric values whose unit ends in "/op" (ns/op,
+	// B/op and allocs/op aside), keyed by unit: deterministic work counts
+	// such as newton_iters/op, which compare gates exactly.
+	Counts map[string]float64 `json:"counts,omitempty"`
 }
 
 // Set is a parsed benchmark run, keyed by benchmark name with any
@@ -46,7 +51,9 @@ var gomaxprocsSuffix = regexp.MustCompile(`-\d+$`)
 // `-count N` repeats) keep the minimum ns/op and B/op — the minimum is the
 // standard noise-robust estimator of a benchmark's true cost, since
 // scheduling and frequency-scaling jitter only ever add time — and the
-// maximum allocs/op, which is deterministic and must not be flattered.
+// maximum allocs/op, which is deterministic and must not be flattered. A
+// work count that differs between repeats is an error: it is not
+// deterministic, so no pin can hold it.
 func ParseBench(r io.Reader) (*Set, error) {
 	set := &Set{Version: SetVersion, Benchmarks: map[string]Result{}}
 	sc := bufio.NewScanner(r)
@@ -75,6 +82,11 @@ func ParseBench(r io.Reader) (*Set, error) {
 			if prev.AllocsPerOp > res.AllocsPerOp {
 				res.AllocsPerOp = prev.AllocsPerOp
 			}
+			for unit, v := range prev.Counts {
+				if c, ok := res.Counts[unit]; ok && c != v {
+					return nil, fmt.Errorf("%s: %s differs between repeats (%g, %g)", name, unit, v, c)
+				}
+			}
 		}
 		set.Benchmarks[name] = res
 	}
@@ -85,24 +97,34 @@ func ParseBench(r io.Reader) (*Set, error) {
 }
 
 // parseMetrics reads a result line's "value unit" pairs wherever they sit,
-// keeping ns/op, B/op and allocs/op and ignoring other units. ok is false
-// when the line has no ns/op, which every result line carries.
+// keeping ns/op, B/op, allocs/op and the work counts (other "/op" units),
+// and ignoring other units. ok is false when the line has no ns/op, which
+// every result line carries.
 func parseMetrics(fields []string) (res Result, ok bool, err error) {
 	for i := 0; i+1 < len(fields); i += 2 {
 		var dst *float64
+		var count float64
 		unit := fields[i+1]
-		switch unit {
-		case "ns/op":
+		switch {
+		case unit == "ns/op":
 			dst, ok = &res.NsPerOp, true
-		case "B/op":
+		case unit == "B/op":
 			dst = &res.BytesPerOp
-		case "allocs/op":
+		case unit == "allocs/op":
 			dst, res.Mem = &res.AllocsPerOp, true
+		case strings.HasSuffix(unit, "/op"):
+			dst = &count
 		default:
 			continue
 		}
 		if *dst, err = strconv.ParseFloat(fields[i], 64); err != nil {
 			return res, false, fmt.Errorf("bad %s: %w", unit, err)
+		}
+		if dst == &count {
+			if res.Counts == nil {
+				res.Counts = map[string]float64{}
+			}
+			res.Counts[unit] = count
 		}
 	}
 	return res, ok, nil
@@ -137,6 +159,9 @@ func (d Diff) String() string {
 		if d.ByteRatio > 0 {
 			s += fmt.Sprintf("  bytes ×%.2f", d.ByteRatio)
 		}
+		if n := len(d.Base.Counts); n > 0 {
+			s += fmt.Sprintf("  %d pinned counts", n)
+		}
 		if d.Why != "" {
 			s += "  (" + d.Why + ")"
 		}
@@ -146,10 +171,11 @@ func (d Diff) String() string {
 
 // Compare evaluates cur against base. A benchmark regresses when its ns/op
 // exceeds (1+tol)× the baseline, its allocs/op exceed (1+allocTol)× the
-// baseline, its B/op exceed (1+bytesTol)× the baseline, or it vanished from
-// the run; new benchmarks are reported but pass (pin them with
-// `make bench-baseline`). Allocation counts and bytes are only gated when
-// both sides carry them (-benchmem on both the baseline and current run); a
+// baseline, its B/op exceed (1+bytesTol)× the baseline, a pinned work count
+// differs at all or is missing from the run, or it vanished from the run;
+// new benchmarks are reported but pass (pin them with `make
+// bench-baseline`). Allocation counts and bytes are only gated when both
+// sides carry them (-benchmem on both the baseline and current run); a
 // baseline measured at 0 allocs/op (Mem set) fails on any allocation.
 func Compare(base, cur *Set, tol, allocTol, bytesTol float64) []Diff {
 	var diffs []Diff
@@ -204,8 +230,34 @@ func Compare(base, cur *Set, tol, allocTol, bytesTol float64) []Diff {
 				}
 				d.Why += fmt.Sprintf("allocates %.0f/op against a 0 allocs/op baseline", d.Cur.AllocsPerOp)
 			}
+			for _, unit := range sortedKeys(d.Base.Counts) {
+				pin := d.Base.Counts[unit]
+				got, ok := d.Cur.Counts[unit]
+				if ok && got == pin {
+					continue
+				}
+				d.Regressed = true
+				if d.Why != "" {
+					d.Why += "; "
+				}
+				if ok {
+					d.Why += fmt.Sprintf("%g %s, pinned %g", got, unit, pin)
+				} else {
+					d.Why += fmt.Sprintf("pinned %s missing", unit)
+				}
+			}
 		}
 		diffs = append(diffs, d)
 	}
 	return diffs
+}
+
+// sortedKeys returns m's keys in order, so verdicts print deterministically.
+func sortedKeys(m map[string]float64) []string {
+	keys := make([]string, 0, len(m))
+	for k := range m {
+		keys = append(keys, k)
+	}
+	sort.Strings(keys)
+	return keys
 }

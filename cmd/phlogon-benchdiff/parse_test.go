@@ -53,6 +53,10 @@ func TestParseBench(t *testing.T) {
 		got.BytesPerOp != 150000 || got.AllocsPerOp != 9999 || !got.Mem {
 		t.Errorf("BenchmarkCustom = %+v, want 444000000 ns/op, 150000 B/op, 9999 allocs/op", got)
 	}
+	// Custom "/op" metrics are work counts.
+	if got := set.Benchmarks["BenchmarkCustom"].Counts; got["lu/op"] != 1.26 || got["newton/op"] != 2.44 || len(got) != 2 {
+		t.Errorf("BenchmarkCustom counts = %v, want lu/op 1.26 and newton/op 2.44", got)
+	}
 	// -count repeats fold to min time / min bytes / max allocs.
 	if got := set.Benchmarks["BenchmarkDup"]; got.NsPerOp != 100 ||
 		got.BytesPerOp != 80 || got.AllocsPerOp != 9 {
@@ -158,5 +162,38 @@ func TestCompareZeroAllocBaseline(t *testing.T) {
 	}
 	if r := set.Benchmarks["BenchmarkZero"]; !r.Mem || r.AllocsPerOp != 0 {
 		t.Fatalf("parsed %+v, want a 0 allocs/op measurement", r)
+	}
+}
+
+// Work counts are deterministic, so compare gates them exactly: a count
+// that moves by one, or a pinned count the run no longer reports, fails;
+// a timing metric in another unit (ns/lane) is not a count.
+func TestCompareGatesCountsExactly(t *testing.T) {
+	parse := func(out string) *Set {
+		t.Helper()
+		set, err := ParseBench(strings.NewReader(out))
+		if err != nil {
+			t.Fatal(err)
+		}
+		return set
+	}
+	base := parse("BenchmarkX-2   1   1000 ns/op   226034 newton_iters/op   12.5 ns/lane   0 B/op   0 allocs/op\n")
+	for _, tc := range []struct {
+		name, run string
+		regressed bool
+	}{
+		{"same counts", "BenchmarkX-2   1   1500 ns/op   226034 newton_iters/op   99 ns/lane   0 B/op   0 allocs/op\n", false},
+		{"one more", "BenchmarkX-2   1   1000 ns/op   226035 newton_iters/op   12.5 ns/lane   0 B/op   0 allocs/op\n", true},
+		{"one fewer", "BenchmarkX-2   1   1000 ns/op   226033 newton_iters/op   12.5 ns/lane   0 B/op   0 allocs/op\n", true},
+		{"dropped", "BenchmarkX-2   1   1000 ns/op   12.5 ns/lane   0 B/op   0 allocs/op\n", true},
+	} {
+		for _, d := range Compare(base, parse(tc.run), 1.0, 0.05, 0.25) {
+			if d.Regressed != tc.regressed {
+				t.Errorf("%s: regressed = %v, want %v (%s)", tc.name, d.Regressed, tc.regressed, d)
+			}
+		}
+	}
+	if _, err := ParseBench(strings.NewReader("BenchmarkX 1 9 ns/op 3 iters/op\nBenchmarkX 1 9 ns/op 4 iters/op\n")); err == nil {
+		t.Error("a count that differs between -count repeats parsed without error")
 	}
 }

@@ -128,9 +128,35 @@ type nanJacobian struct {
 
 func (d *nanJacobian) Label() string              { return "nanJ" }
 func (d *nanJacobian) StampC(*circuit.CapStamper) {}
-func (d *nanJacobian) Eval(ctx *circuit.EvalContext) {
-	if ctx.T > d.After {
-		ctx.AddJac(d.Node, d.Node, math.NaN())
+
+// NewKernel implements circuit.Device; the kernel stamps position i's NaN
+// into its resolved self-conductance slot.
+func (d *nanJacobian) NewKernel(p circuit.Peers, lay *circuit.Layout) (circuit.Kernel, error) {
+	nk := lay.Lanes()
+	kn := &nanJacobianKernel{slots: lay.Slots(p.Len()), after: make([]float64, p.Len()*nk), k: nk}
+	for i := range kn.slots {
+		node := p.At(i, 0).(*nanJacobian).Node
+		kn.slots[i] = lay.Slot(node, node)
+		for k := 0; k < nk; k++ {
+			kn.after[i*nk+k] = p.At(i, k).(*nanJacobian).After
+		}
+	}
+	return kn, nil
+}
+
+type nanJacobianKernel struct {
+	slots []int
+	after []float64 // [i·K + k]
+	k     int
+}
+
+func (kn *nanJacobianKernel) Eval(lo, hi int, e *circuit.EvalContext) {
+	for i := lo; i < hi; i++ {
+		for _, k := range e.Active {
+			if e.WantJacobian && kn.slots[i] >= 0 && e.T(k) > kn.after[i*kn.k+k] {
+				e.JV[k*e.NNZ+kn.slots[i]] += math.NaN()
+			}
+		}
 	}
 }
 

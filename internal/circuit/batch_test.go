@@ -42,9 +42,6 @@ func TestEvalFJBatchBitEqualsScalar(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if b.Fallbacks != 0 {
-		t.Fatalf("ring batch used %d fallback kernels, want 0 (MOSFET/Capacitor are batched)", b.Fallbacks)
-	}
 	bw := b.NewWorkspace()
 	n := b.N
 	rng := rand.New(rand.NewSource(7))
@@ -78,10 +75,9 @@ func TestEvalFJBatchBitEqualsScalar(t *testing.T) {
 	}
 }
 
-// mixedSystems builds K congruent systems exercising rails, fallback
-// kernels (a source, and a transmission gate and a summer that stamp
-// Jacobian entries through the fallback's CSC view), resistors, conductors
-// and a VCCS alongside MOSFETs.
+// mixedSystems builds K congruent systems exercising rails, a source, a
+// transmission gate and a summer, resistors, conductors and a VCCS
+// alongside MOSFETs.
 func mixedSystems(t testing.TB, k int) []*circuit.System {
 	t.Helper()
 	systems := make([]*circuit.System, k)
@@ -113,18 +109,15 @@ func mixedSystems(t testing.TB, k int) []*circuit.System {
 	return systems
 }
 
-// TestEvalFJBatchMixedDevices covers the scalar fallback path (a source,
-// and devices that stamp Jacobian entries through it) and rail-connected
-// kernels: still bit-identical per lane.
+// TestEvalFJBatchMixedDevices covers every kernel kind, rail-connected
+// terminals included: a batched lane is still bit-identical to the scalar
+// evaluation of its own system.
 func TestEvalFJBatchMixedDevices(t *testing.T) {
 	const K = 4
 	systems := mixedSystems(t, K)
 	b, err := circuit.NewBatch(systems)
 	if err != nil {
 		t.Fatal(err)
-	}
-	if b.Fallbacks != 3 {
-		t.Fatalf("Fallbacks = %d, want 3 (the sine source, transmission gate and summer)", b.Fallbacks)
 	}
 	bw := b.NewWorkspace()
 	n := b.N
@@ -218,6 +211,35 @@ func TestNewBatchIncongruent(t *testing.T) {
 	}
 	if _, err := circuit.NewBatch(nil); err == nil {
 		t.Fatal("empty batch accepted")
+	}
+	// Same node count, but a device's terminals, a device's type or the
+	// capacitance pattern differ.
+	small := func(edit func(r *device.Resistor, c *device.Capacitor) circuit.Device) *circuit.System {
+		ckt := circuit.New()
+		a, b := ckt.Node("a"), ckt.Node("b")
+		r := &device.Resistor{Name: "r", A: a, B: b, R: 1e3}
+		c := &device.Capacitor{Name: "c", A: a, B: circuit.Ground, C: 1e-9}
+		ckt.Add(edit(r, c), c)
+		sys, err := ckt.Assemble()
+		if err != nil {
+			t.Fatal(err)
+		}
+		return sys
+	}
+	same := func(r *device.Resistor, _ *device.Capacitor) circuit.Device { return r }
+	for name, edit := range map[string]func(r *device.Resistor, c *device.Capacitor) circuit.Device{
+		"terminals": func(r *device.Resistor, _ *device.Capacitor) circuit.Device { r.B = circuit.Ground; return r },
+		"type": func(r *device.Resistor, _ *device.Capacitor) circuit.Device {
+			return &device.Conductor{Name: "r", A: r.A, B: r.B, G: 1e-3}
+		},
+		"capacitance": func(r *device.Resistor, c *device.Capacitor) circuit.Device { c.B = r.B; return r },
+	} {
+		if _, err := circuit.NewBatch([]*circuit.System{small(same), small(edit)}); err == nil {
+			t.Errorf("batch with lanes whose %s differ accepted", name)
+		}
+	}
+	if _, err := circuit.NewBatch([]*circuit.System{small(same), small(same)}); err != nil {
+		t.Fatalf("congruent lanes rejected: %v", err)
 	}
 }
 

@@ -40,10 +40,11 @@ func (n NodeID) IsFree() bool { return n >= 0 }
 //
 // Rail contract: V and DVDt are pure functions of t — no state, no reads of
 // anything that changes — and a rail's waveform is fixed once the circuit is
-// assembled. A Workspace relies on this: it evaluates each rail's V(t) (and
-// dV/dt) once per distinct t and serves every later read at that t from
-// memory, so a Newton step that reads a rail from many devices over several
-// iterations runs its waveform once per time point.
+// assembled. Evaluation relies on this: each lane of a plan evaluates a
+// rail's V(t) (and dV/dt) once per distinct t and serves every later read at
+// that t from its time memo, so a Newton step that reads a rail from many
+// devices over several iterations runs its waveform once per time point.
+// Source waveforms are memoized the same way and carry the same contract.
 type Rail struct {
 	Name string
 	V    func(t float64) float64
@@ -57,12 +58,14 @@ type Rail struct {
 }
 
 // Device is a circuit element. StampC is called once at assembly time to
-// contribute constant capacitances; Eval is called at every (x, t) to
-// contribute KCL currents and, when ctx.WantJacobian, their derivatives.
+// contribute constant capacitances. NewKernel is called once per plan for
+// each device type present, on one device of that type: it returns the
+// kernel that evaluates every device of the type (see Peers and Kernel), or
+// nil when the type carries no resistive current.
 type Device interface {
 	Label() string
 	StampC(c *CapStamper)
-	Eval(ctx *EvalContext)
+	NewKernel(p Peers, lay *Layout) (Kernel, error)
 }
 
 // Circuit is a netlist of free nodes, rails, and devices.
@@ -192,12 +195,12 @@ const railDiffRel = 1e-3
 // railDiffAbs is the legacy absolute step used when no timescale is known.
 const railDiffAbs = 1e-9
 
-// railDVDt evaluates dV/dt of a non-free node at time t. Rails with an
+// RailDVDt evaluates dV/dt of a non-free node at time t. Rails with an
 // analytic DVDt use it directly; otherwise a central difference is taken
 // with a step relative to the rail's TimeScale when declared (falling back
 // to the legacy absolute step, which is only appropriate for rails varying
 // on roughly nanosecond scales).
-func (c *Circuit) railDVDt(n NodeID, t float64) float64 {
+func (c *Circuit) RailDVDt(n NodeID, t float64) float64 {
 	if n == Ground {
 		return 0
 	}
@@ -219,6 +222,7 @@ type CapStamper struct {
 	// railCaps[i] lists capacitances from free node i to time-varying rails;
 	// they contribute source currents C·dVrail/dt.
 	railCaps []railCap
+	err      error // the first invalid capacitance stamped
 }
 
 type railCap struct {
@@ -228,9 +232,13 @@ type railCap struct {
 }
 
 // AddCap stamps a two-terminal capacitance between nodes a and b.
+// A negative or NaN capacitance is not stamped; Assemble reports it.
 func (s *CapStamper) AddCap(a, b NodeID, cap float64) {
-	if cap < 0 {
-		panic("circuit: negative capacitance")
+	if !(cap >= 0) {
+		if s.err == nil {
+			s.err = fmt.Errorf("invalid capacitance %g", cap)
+		}
+		return
 	}
 	if a.IsFree() {
 		s.C.Addf(int(a), int(a), cap)
@@ -249,90 +257,6 @@ func (s *CapStamper) AddCap(a, b NodeID, cap float64) {
 	if b.IsFree() && !a.IsFree() && a != Ground {
 		s.railCaps = append(s.railCaps, railCap{int(b), a, cap})
 	}
-}
-
-// EvalContext carries the operating point to Device.Eval and accumulates
-// KCL currents F (out of each node) and their Jacobian J = dF/dx. The
-// Jacobian lands in exactly one of three sinks: the dense J matrix (the
-// historical path, bit-identical), the sparse SJ values (the
-// linalg.BackendSparse stamp path), or a pattern recorder (position-only,
-// used once per topology to precompute the sparsity pattern).
-type EvalContext struct {
-	ckt *Circuit
-	// railV/railD memoize rail potentials and dV/dt at T, indexed by rail;
-	// NaN marks a slot not yet evaluated at T. Only a Workspace's reusable
-	// context carries them (it clears them whenever T changes); System's
-	// per-call contexts leave them nil and evaluate every read.
-	railV, railD []float64
-	T            float64
-	X            linalg.Vec
-	F            linalg.Vec
-	J            *linalg.Mat
-	SJ           *sparse.CSC      // sparse Jacobian sink; nil on the dense path
-	rec          *patternRecorder // position recorder; nil outside pattern capture
-	WantJacobian bool
-	// GminScale scales the circuit Gmin (used by gmin continuation).
-	GminScale float64
-	// SourceScale scales all independent sources (source stepping); devices
-	// honoring it multiply their source values by it.
-	SourceScale float64
-}
-
-// V returns the voltage of any node at the context's (x, t).
-func (e *EvalContext) V(n NodeID) float64 {
-	if n.IsFree() {
-		return e.X[int(n)]
-	}
-	if n == Ground {
-		return 0
-	}
-	i := -2 - int(n)
-	if i >= len(e.railV) {
-		return e.ckt.rails[i].V(e.T)
-	}
-	v := e.railV[i]
-	if v != v { // not yet evaluated at T (a NaN rail simply re-runs)
-		v = e.ckt.rails[i].V(e.T)
-		e.railV[i] = v
-	}
-	return v
-}
-
-// railDVDt is dV/dt of rail n at the context's t, memoized like V.
-func (e *EvalContext) railDVDt(n NodeID) float64 {
-	i := -2 - int(n)
-	if i < 0 || i >= len(e.railD) {
-		return e.ckt.railDVDt(n, e.T)
-	}
-	d := e.railD[i]
-	if d != d {
-		d = e.ckt.railDVDt(n, e.T)
-		e.railD[i] = d
-	}
-	return d
-}
-
-// AddCurrent adds a current i flowing out of node n into the device.
-func (e *EvalContext) AddCurrent(n NodeID, i float64) {
-	if n.IsFree() {
-		e.F[int(n)] += i
-	}
-}
-
-// AddJac adds dI(out of n)/dV(m) to the Jacobian.
-func (e *EvalContext) AddJac(n, m NodeID, d float64) {
-	if !e.WantJacobian || !n.IsFree() || !m.IsFree() {
-		return
-	}
-	if e.rec != nil {
-		e.rec.add(int(n), int(m))
-		return
-	}
-	if e.SJ != nil {
-		e.SJ.Add(int(n), int(m), d)
-		return
-	}
-	e.J.Addf(int(n), int(m), d)
 }
 
 // System is the assembled ODE-form circuit: C·ẋ = -f(x, t), with the
@@ -354,24 +278,34 @@ type System struct {
 	railCaps []railCap
 	// cNZ holds C's nonzero entries; built once at Assemble.
 	cNZ *sparse.CSC
+	// self is the one-lane list the System's plans evaluate; dense is the
+	// one-lane plan on the row-major n×n layout, built at Assemble.
+	self  [1]*System
+	dense *plan
 
 	// Sparse-backend artifacts, computed once on first use (sync.Once keeps
 	// the System immutable-in-effect and race-free): the structural Jacobian
-	// pattern (union of device stamps, C, and the diagonal), C's values on
-	// that pattern, and a sparse factorization of C. Small circuits that
-	// never leave the dense backend never pay for any of this.
+	// pattern (union of the positions the kernels resolve, C, and the
+	// diagonal), C's values on that pattern, and the one-lane plan on it.
+	// Small circuits that never leave the dense backend never pay for any
+	// of this.
 	sparseOnce    sync.Once
 	sparsePattern *sparse.Pattern
 	sparseC       *sparse.CSC
+	sparse        *plan
 }
 
 // Assemble builds the System: stamps capacitances (adding parasitics),
-// factorizes C, and validates that every node ended up dynamic.
+// factorizes C, validates that every node ended up dynamic, and builds the
+// dense evaluation plan. An invalid device (a negative capacitance, a summer
+// whose inputs and weights differ in length) fails with an error naming it.
 func (c *Circuit) Assemble() (*System, error) {
 	n := len(c.nodeNames)
 	st := &CapStamper{ckt: c, C: linalg.NewMat(n, n)}
 	for _, d := range c.devices {
-		d.StampC(st)
+		if d.StampC(st); st.err != nil {
+			return nil, fmt.Errorf("circuit: device %q: %w", d.Label(), st.err)
+		}
 	}
 	for i := 0; i < n; i++ {
 		st.C.Addf(i, i, c.ParasiticCap)
@@ -380,14 +314,19 @@ func (c *Circuit) Assemble() (*System, error) {
 	if err != nil {
 		return nil, fmt.Errorf("circuit: capacitance matrix singular (is ParasiticCap zero?): %w", err)
 	}
-	return &System{
+	s := &System{
 		Ckt:      c,
 		N:        n,
 		C:        st.C,
 		CLU:      lu,
 		railCaps: st.railCaps,
 		cNZ:      sparse.FromDense(st.C),
-	}, nil
+	}
+	s.self[0] = s
+	if s.dense, err = newPlan(s.self[:], nil); err != nil {
+		return nil, fmt.Errorf("circuit: %w", err)
+	}
+	return s, nil
 }
 
 // CNonzeros returns C's nonzero entries as a CSC matrix (shared and
@@ -397,56 +336,23 @@ func (c *Circuit) Assemble() (*System, error) {
 // returns the dense product's bits while touching C's nonzeros alone.
 func (s *System) CNonzeros() *sparse.CSC { return s.cNZ }
 
-// evalInto runs every device plus the implicit terms against a prepared
-// context — the single evaluation core shared by System and Workspace.
-func (s *System) evalInto(ctx *EvalContext) {
-	for _, d := range s.Ckt.devices {
-		d.Eval(ctx)
-	}
-	g := s.Ckt.Gmin * ctx.GminScale
-	for i := 0; i < s.N; i++ {
-		ctx.F[i] += g * ctx.X[i]
-		if ctx.WantJacobian {
-			ctx.AddJac(NodeID(i), NodeID(i), g)
-		}
-	}
-	for _, rc := range s.railCaps {
-		ctx.F[rc.node] -= rc.cap * ctx.railDVDt(rc.rail)
-	}
-}
-
 // EvalF computes f(x, t) (KCL out-currents including Gmin and rail-cap
 // source terms) into dst. dst may be nil, in which case a new vector is
-// returned. The returned slice aliases dst when provided. Hot paths should
-// prefer Workspace.EvalF, which reuses the evaluation context.
+// returned. The returned slice aliases dst when provided. It evaluates
+// through a fresh Workspace; hot paths should keep their own.
 func (s *System) EvalF(x linalg.Vec, t float64, dst linalg.Vec) linalg.Vec {
-	if dst == nil {
-		dst = linalg.NewVec(s.N)
-	}
-	dst.Zero()
-	ctx := &EvalContext{ckt: s.Ckt, T: t, X: x, F: dst, GminScale: 1, SourceScale: 1}
-	s.evalInto(ctx)
-	return dst
+	return s.NewWorkspace().EvalF(x, t, dst)
 }
 
 // EvalFJ computes f and its Jacobian J = df/dx at (x, t).
 func (s *System) EvalFJ(x linalg.Vec, t float64, f linalg.Vec, j *linalg.Mat) {
-	f.Zero()
-	j.Zero()
-	ctx := &EvalContext{ckt: s.Ckt, T: t, X: x, F: f, J: j, WantJacobian: true, GminScale: 1, SourceScale: 1}
-	s.evalInto(ctx)
+	s.NewWorkspace().EvalFJ(x, t, f, j)
 }
 
 // EvalScaled is EvalFJ with gmin/source continuation scaling, for the DC
-// operating-point solver.
+// operating-point solver; j may be nil when only the residual is needed.
 func (s *System) EvalScaled(x linalg.Vec, t float64, f linalg.Vec, j *linalg.Mat, gminScale, srcScale float64) {
-	f.Zero()
-	wantJ := j != nil
-	if wantJ {
-		j.Zero()
-	}
-	ctx := &EvalContext{ckt: s.Ckt, T: t, X: x, F: f, J: j, WantJacobian: wantJ, GminScale: gminScale, SourceScale: srcScale}
-	s.evalInto(ctx)
+	s.NewWorkspace().EvalScaled(x, t, f, j, gminScale, srcScale)
 }
 
 // XDot computes ẋ = -C⁻¹·f(x, t), the ODE right-hand side. It allocates per

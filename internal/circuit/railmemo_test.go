@@ -35,8 +35,9 @@ func countingRailSystem(t *testing.T, vCalls, dCalls *int) *circuit.System {
 
 // TestWorkspaceRailMemo pins the rail contract's payoff: a Workspace runs a
 // rail's V and dV/dt once per distinct time, however many devices read it
-// and however many evaluations land on that time, while System evaluations
-// read every rail afresh — and both produce the same bits.
+// and however many evaluations land on that time; a System evaluation (a
+// fresh workspace) runs them once per call, and each lane of a batch keeps
+// its own memo — and all produce the same bits.
 func TestWorkspaceRailMemo(t *testing.T) {
 	var vCalls, dCalls int
 	sys := countingRailSystem(t, &vCalls, &dCalls)
@@ -64,7 +65,17 @@ func TestWorkspaceRailMemo(t *testing.T) {
 
 	fs, js := linalg.NewVec(n), linalg.NewMat(n, n)
 	sys.EvalFJ(x, t1, fs, js)
-	want(6, 4) // one V per device read, one dV/dt for the coupling capacitor
+	want(4, 4)
+	b, err := circuit.NewBatch([]*circuit.System{sys, sys})
+	if err != nil {
+		t.Fatal(err)
+	}
+	bw := b.NewWorkspace()
+	bw.EvalFBatch(append(x.Clone(), x...), t1)
+	bw.EvalFJBatch(append(x.Clone(), 0.9, 0.2), t1)
+	want(6, 6) // once per lane
+	bw.EvalBatchAt(append(x.Clone(), x...), []float64{t1, t2}, false)
+	want(7, 7) // lane 1 moved to t2
 	ws.EvalFJ(x, t1, f, j)
 	for i := range fs {
 		if math.Float64bits(f[i]) != math.Float64bits(fs[i]) {

@@ -5,55 +5,44 @@ import (
 	"repro/internal/linalg/sparse"
 )
 
-// patternRecorder collects the (row, col) positions every device stamp
-// touches. It is installed as the EvalContext's Jacobian sink for exactly
-// one probe evaluation per topology: the device models stamp their full
-// stencil unconditionally (operating-point dependence changes values, never
-// positions — the MOSFET's source/drain swap permutes within the same
-// {D,S}×{D,G,S} stencil), so a single probe captures the complete pattern.
-type patternRecorder struct {
-	rows, cols []int
-}
-
-func (r *patternRecorder) add(i, j int) {
-	r.rows = append(r.rows, i)
-	r.cols = append(r.cols, j)
-}
-
 // buildSparse computes the shared sparse artifacts: the structural pattern
-// of the circuit Jacobian df/dx UNIONED with the capacitance pattern and the
-// full diagonal, plus C's values laid out on that same pattern. One pattern
-// serves every sparse consumer — DC Newton (J + gmin diagonal), the
+// of the circuit Jacobian df/dx — the positions the dense plan's kernels
+// resolved, which include the Gmin diagonal — UNIONED with the capacitance
+// pattern, then C's values on that pattern and the one-lane plan on it. One
+// pattern serves every sparse consumer — DC Newton (J + gmin diagonal), the
 // transient iteration matrix C/h + θ·J (needs pattern(C) ∪ pattern(J)), and
 // the sensitivity systems — so value arrays combine entrywise with no
 // index translation.
 func (s *System) buildSparse() {
-	rec := &patternRecorder{}
-	// Diagonal: Gmin and the C parasitics guarantee structural presence.
-	for i := 0; i < s.N; i++ {
-		rec.add(i, i)
+	n, cp := s.N, s.cNZ.P
+	size := cp.NNZ()
+	for _, sl := range s.dense.lay.slabs {
+		size += len(sl)
 	}
-	// Capacitance pattern from the assembled dense C.
-	for i := 0; i < s.N; i++ {
-		for j := 0; j < s.N; j++ {
-			if s.C.At(i, j) != 0 {
-				rec.add(i, j)
+	rows, cols := make([]int, 0, size), make([]int, 0, size)
+	for j := 0; j < n; j++ {
+		for k := cp.ColPtr[j]; k < cp.ColPtr[j+1]; k++ {
+			rows, cols = append(rows, cp.Rows[k]), append(cols, j)
+		}
+	}
+	for _, sl := range s.dense.lay.slabs {
+		for _, v := range sl {
+			if v >= 0 { // dense slots are row·n + col
+				rows, cols = append(rows, v/n), append(cols, v%n)
 			}
 		}
 	}
-	// Device stamps: one probe evaluation with the recorder installed.
-	x := linalg.NewVec(s.N)
-	f := linalg.NewVec(s.N)
-	ctx := &EvalContext{ckt: s.Ckt, T: 0, X: x, F: f, rec: rec,
-		WantJacobian: true, GminScale: 1, SourceScale: 1}
-	s.evalInto(ctx)
-	s.sparsePattern = sparse.PatternFromEntries(s.N, rec.rows, rec.cols)
+	s.sparsePattern = sparse.PatternFromEntries(n, rows, cols)
 	// C on the union pattern (zero where C has no entry).
 	s.sparseC = sparse.NewCSC(s.sparsePattern)
-	for j := 0; j < s.N; j++ {
+	for j := 0; j < n; j++ {
 		for k := s.sparsePattern.ColPtr[j]; k < s.sparsePattern.ColPtr[j+1]; k++ {
 			s.sparseC.Val[k] = s.C.At(s.sparsePattern.Rows[k], j)
 		}
+	}
+	var err error
+	if s.sparse, err = newPlan(s.self[:], s.sparsePattern); err != nil {
+		panic(err) // the dense plan of these devices built, and the pattern holds its slots
 	}
 }
 
@@ -72,6 +61,12 @@ func (s *System) SparsePattern() *sparse.Pattern {
 func (s *System) SparseC() *sparse.CSC {
 	s.sparseOnce.Do(s.buildSparse)
 	return s.sparseC
+}
+
+// sparsePlan returns the one-lane plan on SparsePattern.
+func (s *System) sparsePlan() *plan {
+	s.sparseOnce.Do(s.buildSparse)
+	return s.sparse
 }
 
 // ResolveBackend maps a (possibly Auto) backend request to dense or sparse

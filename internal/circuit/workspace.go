@@ -1,32 +1,28 @@
 package circuit
 
 import (
-	"math"
-
 	"repro/internal/diag"
 	"repro/internal/linalg"
 	"repro/internal/linalg/sparse"
 )
 
 // Workspace holds every piece of mutable per-evaluation scratch needed to
-// run analyses against a (shared, immutable) System: the reusable
-// EvalContext handed to devices, its rail memo (each rail's V and dV/dt at
-// the last evaluated time — see Rail for the contract), plus F/J buffers
-// for the derived quantities XDot and RHSJacobian.
+// run analyses against a (shared, immutable) System: the one-lane context
+// its plans evaluate through, with the lane's time memo (rail V and dV/dt,
+// source values and rail-controlled conductances at the last evaluated time
+// — see Rail for the contract), plus F/J buffers for the derived quantities
+// XDot and RHSJacobian.
 //
 // A Workspace is NOT safe for concurrent use — that is its whole point: give
 // each worker goroutine its own Workspace via System.NewWorkspace() and any
 // number of analyses of the same circuit can run in parallel with zero
-// shared mutable state. Creating a Workspace is cheap (two small buffers),
+// shared mutable state. Creating a Workspace is cheap (one small buffer),
 // so per-analysis creation is the normal pattern.
 type Workspace struct {
 	sys *System
-	ctx EvalContext // reused across evaluations to avoid per-call allocation
-	// railMemo backs ctx.railV and ctx.railD: rail values at the time whose
-	// bits are railKey (see Rail for the purity contract this relies on).
-	railMemo []float64
-	railKey  uint64
-	// scratch for XDot / RHSJacobian
+	ctx EvalContext // the one-lane context, reused across evaluations
+	key [1]uint64   // ctx.keys: the bits of the time the memo holds
+	// scratch for XDot / RHSJacobian (jbuf allocated on first use)
 	fbuf linalg.Vec
 	jbuf *linalg.Mat
 	// Sparse-branch scratch (lazy; only sparse-backend analyses pay for it):
@@ -41,6 +37,9 @@ type Workspace struct {
 	m *diag.Metrics
 }
 
+// lane0 is the active-lane list of every one-lane evaluation (read-only).
+var lane0 = []int{0}
+
 // SetMetrics attaches a diagnostics collector; every subsequent evaluation
 // through this workspace increments CircuitEvals (and CircuitJacEvals when
 // the Jacobian is stamped). A nil m disables counting.
@@ -49,84 +48,56 @@ func (w *Workspace) SetMetrics(m *diag.Metrics) { w.m = m }
 // NewWorkspace returns a fresh, independent evaluation workspace for the
 // system. Each concurrent analysis should own exactly one.
 func (s *System) NewWorkspace() *Workspace {
-	nr := len(s.Ckt.rails)
-	buf := make([]float64, s.N+2*nr) // fbuf and the rail memo share one allocation
-	w := &Workspace{
-		sys:      s,
-		railMemo: buf[s.N:],
-		fbuf:     linalg.Vec(buf[:s.N:s.N]),
-		jbuf:     linalg.NewMat(s.N, s.N),
-	}
-	w.ctx = EvalContext{ckt: s.Ckt, railV: w.railMemo[:nr:nr], railD: w.railMemo[nr:]}
-	w.clearRails()
+	m := s.dense.lay.memo
+	buf := make([]float64, s.N+m) // fbuf and the time memo share one allocation
+	w := &Workspace{sys: s, fbuf: linalg.Vec(buf[:s.N:s.N])}
+	w.ctx = EvalContext{N: s.N, Active: lane0, memo: nanFill(buf[s.N:]), keys: w.key[:], m: m, lanes: s.self[:]}
 	return w
-}
-
-// clearRails empties the rail memo.
-func (w *Workspace) clearRails() {
-	for i := range w.railMemo {
-		w.railMemo[i] = math.NaN()
-	}
-}
-
-// railsAt points the rail memo at time t, emptying it when t differs (bit
-// for bit) from the time it holds.
-func (w *Workspace) railsAt(t float64) {
-	if k := math.Float64bits(t); k != w.railKey {
-		w.railKey = k
-		w.clearRails()
-	}
 }
 
 // System returns the shared immutable system the workspace evaluates.
 func (w *Workspace) System() *System { return w.sys }
 
-// eval prepares the reusable context and runs the evaluation core.
-func (w *Workspace) eval(x linalg.Vec, t float64, f linalg.Vec, j *linalg.Mat, wantJ bool, gminScale, srcScale float64) {
+// eval runs plan p on the workspace's lane: x at time t into the zeroed f
+// and, when wantJ, the zeroed Jacobian values jv on p's layout.
+func (w *Workspace) eval(p *plan, x linalg.Vec, t float64, f linalg.Vec, jv []float64, wantJ bool, gminScale, srcScale float64) {
 	w.m.Inc(diag.CircuitEvals)
 	if wantJ {
 		w.m.Inc(diag.CircuitJacEvals)
 	}
-	w.railsAt(t)
-	w.ctx.T = t
-	w.ctx.X = x
-	w.ctx.F = f
-	w.ctx.J = j
-	w.ctx.WantJacobian = wantJ
-	w.ctx.GminScale = gminScale
-	w.ctx.SourceScale = srcScale
-	w.sys.evalInto(&w.ctx)
+	e := &w.ctx
+	e.X, e.F, e.JV, e.NNZ, e.t = x, f, jv, len(jv), t
+	e.WantJacobian, e.GminScale, e.SourceScale = wantJ, gminScale, srcScale
+	p.eval(e)
 	// Drop slice references so the workspace does not pin caller buffers.
-	w.ctx.X, w.ctx.F, w.ctx.J = nil, nil, nil
+	e.X, e.F, e.JV = nil, nil, nil
 }
 
-// EvalF computes f(x, t) into dst (allocated when nil), exactly like
-// System.EvalF but reusing the workspace's evaluation context.
+// EvalF computes f(x, t) into dst (allocated when nil).
 func (w *Workspace) EvalF(x linalg.Vec, t float64, dst linalg.Vec) linalg.Vec {
 	if dst == nil {
 		dst = linalg.NewVec(w.sys.N)
 	}
 	dst.Zero()
-	w.eval(x, t, dst, nil, false, 1, 1)
+	w.eval(w.sys.dense, x, t, dst, nil, false, 1, 1)
 	return dst
 }
 
-// EvalFJ computes f and its Jacobian J = df/dx at (x, t).
+// EvalFJ computes f and its Jacobian J = df/dx at (x, t); J is n×n.
 func (w *Workspace) EvalFJ(x linalg.Vec, t float64, f linalg.Vec, j *linalg.Mat) {
-	f.Zero()
-	j.Zero()
-	w.eval(x, t, f, j, true, 1, 1)
+	w.EvalScaled(x, t, f, j, 1, 1)
 }
 
 // EvalScaled is EvalFJ under gmin/source continuation scaling; j may be nil
 // when only the residual is needed.
 func (w *Workspace) EvalScaled(x linalg.Vec, t float64, f linalg.Vec, j *linalg.Mat, gminScale, srcScale float64) {
 	f.Zero()
-	wantJ := j != nil
-	if wantJ {
+	var jv []float64
+	if j != nil {
 		j.Zero()
+		jv = j.Data
 	}
-	w.eval(x, t, f, j, wantJ, gminScale, srcScale)
+	w.eval(w.sys.dense, x, t, f, jv, j != nil, gminScale, srcScale)
 }
 
 // XDot computes ẋ = -C⁻¹·f(x, t) using workspace scratch for the residual.
@@ -157,50 +128,38 @@ func (w *Workspace) RHSJacobian(x linalg.Vec, t float64) *linalg.Mat {
 // column-wise substitution order of SolveMatInto matches the historical
 // per-column Solve loop exactly.
 func (w *Workspace) RHSJacobianInto(dst *linalg.Mat, x linalg.Vec, t float64) *linalg.Mat {
+	if w.jbuf == nil {
+		w.jbuf = linalg.NewMat(w.sys.N, w.sys.N)
+	}
 	w.EvalFJ(x, t, w.fbuf, w.jbuf)
 	w.sys.CLU.SolveMatInto(dst, w.jbuf)
 	dst.Scale(-1)
 	return dst
 }
 
-// evalSparse mirrors eval with the sparse Jacobian sink installed; a nil sj
-// evaluates the residual only (line-search trials).
-func (w *Workspace) evalSparse(x linalg.Vec, t float64, f linalg.Vec, sj *sparse.CSC, gminScale, srcScale float64) {
-	w.m.Inc(diag.CircuitEvals)
-	if sj != nil {
-		w.m.Inc(diag.CircuitJacEvals)
-	}
-	w.railsAt(t)
-	w.ctx.T = t
-	w.ctx.X = x
-	w.ctx.F = f
-	w.ctx.SJ = sj
-	w.ctx.WantJacobian = sj != nil
-	w.ctx.GminScale = gminScale
-	w.ctx.SourceScale = srcScale
-	w.sys.evalInto(&w.ctx)
-	w.ctx.X, w.ctx.F, w.ctx.SJ = nil, nil, nil
-}
-
-// EvalFJSparse computes f and stamps the Jacobian df/dx directly into the
-// CSC value array sj (which must live on the system's SparsePattern). This
-// is the sparse-backend analogue of EvalFJ: same devices, same arithmetic,
-// values landing in O(nnz) storage instead of an n×n matrix.
+// EvalFJSparse computes f and the Jacobian df/dx into the CSC value array
+// of sj, which must live on the system's SparsePattern. This is the
+// sparse-backend analogue of EvalFJ: same kernels, same arithmetic, values
+// landing in O(nnz) storage instead of an n×n matrix.
 func (w *Workspace) EvalFJSparse(x linalg.Vec, t float64, f linalg.Vec, sj *sparse.CSC) {
-	f.Zero()
-	sj.Zero()
-	w.evalSparse(x, t, f, sj, 1, 1)
+	w.EvalScaledSparse(x, t, f, sj, 1, 1)
 }
 
 // EvalScaledSparse is EvalFJSparse under gmin/source continuation scaling,
 // the stamp path behind the sparse DC-operating-point branch; sj may be nil
 // when only the residual is needed.
 func (w *Workspace) EvalScaledSparse(x linalg.Vec, t float64, f linalg.Vec, sj *sparse.CSC, gminScale, srcScale float64) {
-	f.Zero()
-	if sj != nil {
-		sj.Zero()
+	if sj == nil {
+		w.EvalScaled(x, t, f, nil, gminScale, srcScale)
+		return
 	}
-	w.evalSparse(x, t, f, sj, gminScale, srcScale)
+	p := w.sys.sparsePlan()
+	if sj.P != w.sys.sparsePattern {
+		panic("circuit: EvalFJSparse values are not on the system's SparsePattern")
+	}
+	f.Zero()
+	sj.Zero()
+	w.eval(p, x, t, f, sj.Val, true, gminScale, srcScale)
 }
 
 // ensureSparse lazily builds the workspace's private sparse scratch: the

@@ -2,6 +2,7 @@ package device_test
 
 import (
 	"math"
+	"strings"
 	"testing"
 	"testing/quick"
 
@@ -209,6 +210,18 @@ func TestSummerNotGateInverts(t *testing.T) {
 	want := (1.5 - wantTarget) / 1e3
 	if math.Abs(f[1]-want) > 1e-12 {
 		t.Fatalf("not-gate current = %g, want %g", f[1], want)
+	}
+}
+
+// A summer whose inputs and weights differ in length fails Assemble with
+// an error naming it, before any evaluation.
+func TestSummerLengthMismatchFailsAssemble(t *testing.T) {
+	c := circuit.New()
+	a, out := c.Node("a"), c.Node("out")
+	c.Add(&device.Summer{Name: "bad", Inputs: []circuit.NodeID{a, circuit.Ground}, Weights: []float64{1},
+		Out: out, Mid: 1.5, Swing: 1.4, Rout: 1e3})
+	if _, err := c.Assemble(); err == nil || !strings.Contains(err.Error(), `"bad"`) {
+		t.Fatalf("Assemble error = %v, want one naming the summer", err)
 	}
 }
 

@@ -54,76 +54,139 @@ func (m *MOSFET) Label() string { return m.Name }
 // load capacitors dominate in the paper's kHz-range breadboard circuits).
 func (m *MOSFET) StampC(*circuit.CapStamper) {}
 
-// ids computes the drain current and its partials for vds ≥ 0 (internally
-// guaranteed by the caller's source/drain swap). With cutoff smoothing, gm
-// takes the chain-rule factor dvov after the region branch.
-func (m *MOSFET) ids(vgs, vds float64) (id, gm, gds float64) {
-	p := m.Params
-	vov := vgs - p.VT0
-	var dvov float64
-	if d := p.SmoothVov; d > 0 {
-		// Softplus-style smoothing: vov_eff → 0 smoothly below threshold.
-		s := math.Sqrt(vov*vov + d*d)
-		dvov = 0.5 * (1 + vov/s)
-		vov = 0.5 * (vov + s)
-	} else if vov <= 0 {
-		return 0, 0, 0
-	}
-	clm := 1 + p.Lambda*vds
-	if vds < vov { // triode
-		id = p.Beta * (vov*vds - 0.5*vds*vds) * clm
-		gm = p.Beta * vds * clm
-		gds = p.Beta*(vov-vds)*clm + p.Beta*(vov*vds-0.5*vds*vds)*p.Lambda
-	} else { // saturation
-		id = 0.5 * p.Beta * vov * vov * clm
-		gm = p.Beta * vov * clm
-		gds = 0.5 * p.Beta * vov * vov * p.Lambda
-	}
-	if p.SmoothVov > 0 {
-		gm *= dvov
-	}
-	return id, gm, gds
+// mosfetKernel evaluates MOSFETs: terminals and polarity are shared by a
+// position's lanes, the parameters vary per lane.
+type mosfetKernel struct {
+	cells []mosfetCell
+	// slots[i·6 + r·3 + c]: row r ∈ {0:D, 1:S}, col c ∈ {0:D, 1:G, 2:S}. Both
+	// source/drain-swap orientations stamp within this six-position stencil.
+	slots []int
+	k     int
 }
 
-// Eval implements circuit.Device.
-func (m *MOSFET) Eval(ctx *circuit.EvalContext) {
-	mult := m.Mult
-	if mult == 0 {
-		mult = 1
-	}
-	vd, vg, vs := ctx.V(m.D), ctx.V(m.G), ctx.V(m.S)
-	sign := 1.0
-	if m.PMOS {
-		vd, vg, vs = -vd, -vg, -vs
-		sign = -1
-	}
-	// Symmetric source/drain handling: operate on the terminal pair so that
-	// the effective vds ≥ 0.
-	dNode, sNode := m.D, m.S
-	if vd < vs {
-		vd, vs = vs, vd
-		dNode, sNode = m.S, m.D
-	}
-	vgs, vds := vg-vs, vd-vs
-	id, gm, gds := m.ids(vgs, vds)
-	id *= mult
-	gm *= mult
-	gds *= mult
+type mosfetCell struct {
+	d, g, s                         term
+	pmos                            bool
+	vt0, beta, lambda, smooth, mult float64
+}
 
-	// Current flows D→S inside the device: leaves dNode, enters sNode
-	// (positive conventional current for NMOS with vds ≥ 0).
-	ctx.AddCurrent(dNode, sign*id)
-	ctx.AddCurrent(sNode, -sign*id)
+// NewKernel implements circuit.Device.
+func (*MOSFET) NewKernel(p circuit.Peers, lay *circuit.Layout) (circuit.Kernel, error) {
+	n, nk := p.Len(), lay.Lanes()
+	kn := &mosfetKernel{cells: make([]mosfetCell, n*nk), slots: lay.Slots(6 * n), k: nk}
+	for i := 0; i < n; i++ {
+		m := p.At(i, 0).(*MOSFET)
+		rows, cols := [2]circuit.NodeID{m.D, m.S}, [3]circuit.NodeID{m.D, m.G, m.S}
+		for r := range rows {
+			for c := range cols {
+				kn.slots[6*i+3*r+c] = lay.Slot(rows[r], cols[c])
+			}
+		}
+		for k := 0; k < nk; k++ {
+			pm := p.At(i, k).(*MOSFET)
+			if pm.D != m.D || pm.G != m.G || pm.S != m.S || pm.PMOS != m.PMOS {
+				return nil, laneMismatch(pm, k, "terminals or polarity")
+			}
+			mult := pm.Mult // 0 means 1
+			if mult == 0 {
+				mult = 1
+			}
+			q := pm.Params
+			kn.cells[i*nk+k] = mosfetCell{term(m.D), term(m.G), term(m.S), m.PMOS, q.VT0, q.Beta, q.Lambda, q.SmoothVov, mult}
+		}
+	}
+	return kn, nil
+}
 
-	// Jacobian in mirrored/swapped coordinates:
-	//   dId/dVd = gds, dId/dVg = gm, dId/dVs = -(gm + gds)
-	// For PMOS, terminal voltages were negated, so each partial w.r.t. a
-	// real terminal voltage gains a (-1) that cancels the sign on the
-	// current: d(sign·id)/dVreal = sign·∂id/∂vmirror·(sign) = ∂id/∂vmirror.
-	ctx.AddJac(dNode, dNode, gds)
-	ctx.AddJac(dNode, m.G, gm)
-	ctx.AddJac(dNode, sNode, -(gm + gds))
-	ctx.AddJac(sNode, dNode, -gds)
-	ctx.AddJac(sNode, m.G, -gm)
-	ctx.AddJac(sNode, sNode, gm+gds)
+// Eval evaluates the square law for vds ≥ 0 (the source/drain swap
+// guarantees it). With cutoff smoothing, gm takes the chain-rule factor
+// dvov after the region branch.
+//
+// Current flows D→S inside the device: it leaves dNode and enters sNode.
+// The Jacobian is taken in mirrored/swapped coordinates — dId/dVd = gds,
+// dId/dVg = gm, dId/dVs = −(gm + gds); for PMOS each partial with respect
+// to a real terminal voltage gains a (−1) that cancels the sign on the
+// current.
+func (kn *mosfetKernel) Eval(lo, hi int, e *circuit.EvalContext) {
+	wantJ := e.WantJacobian
+	for i := lo; i < hi; i++ {
+		sl := kn.slots[6*i : 6*i+6]
+		for _, k := range e.Active {
+			p, base := &kn.cells[i*kn.k+k], k*e.N
+			vd, vg, vs := p.d.v(e, k, base), p.g.v(e, k, base), p.s.v(e, k, base)
+			sign := 1.0
+			if p.pmos {
+				vd, vg, vs = -vd, -vg, -vs
+				sign = -1
+			}
+			dNode, sNode := p.d, p.s
+			swapped := false
+			if vd < vs {
+				vd, vs = vs, vd
+				dNode, sNode = p.s, p.d
+				swapped = true
+			}
+			vgs, vds := vg-vs, vd-vs
+
+			vov := vgs - p.vt0
+			var id, gm, gds, dvov float64
+			cut := false
+			if sm := p.smooth; sm > 0 {
+				// Softplus-style smoothing: vov_eff → 0 smoothly below threshold.
+				s := math.Sqrt(vov*vov + sm*sm)
+				if wantJ {
+					dvov = 0.5 * (1 + vov/s)
+				}
+				vov = 0.5 * (vov + s)
+			} else if vov <= 0 {
+				cut = true
+			}
+			if !cut {
+				clm := 1 + p.lambda*vds
+				if vds < vov { // triode
+					id = p.beta * (vov*vds - 0.5*vds*vds) * clm
+					if wantJ {
+						gm = p.beta * vds * clm
+						gds = p.beta*(vov-vds)*clm + p.beta*(vov*vds-0.5*vds*vds)*p.lambda
+					}
+				} else { // saturation
+					id = 0.5 * p.beta * vov * vov * clm
+					if wantJ {
+						gm = p.beta * vov * clm
+						gds = 0.5 * p.beta * vov * vov * p.lambda
+					}
+				}
+				if p.smooth > 0 {
+					gm *= dvov
+				}
+			}
+			id *= p.mult
+			dNode.add(e, base, sign*id)
+			sNode.add(e, base, -sign*id)
+			if !wantJ {
+				continue
+			}
+			gm *= p.mult
+			gds *= p.mult
+			jb := k * e.NNZ
+			if !swapped {
+				// rows (D, S) × cols (dNode=D, G, sNode=S)
+				jadd(e, jb, sl[0], gds)
+				jadd(e, jb, sl[1], gm)
+				jadd(e, jb, sl[2], -(gm + gds))
+				jadd(e, jb, sl[3], -gds)
+				jadd(e, jb, sl[4], -gm)
+				jadd(e, jb, sl[5], gm+gds)
+			} else {
+				// dNode is terminal S, sNode is terminal D: same stencil,
+				// permuted roles.
+				jadd(e, jb, sl[5], gds)
+				jadd(e, jb, sl[4], gm)
+				jadd(e, jb, sl[3], -(gm + gds))
+				jadd(e, jb, sl[2], -gds)
+				jadd(e, jb, sl[1], -gm)
+				jadd(e, jb, sl[0], gm+gds)
+			}
+		}
+	}
 }

@@ -23,16 +23,9 @@ func (r *Resistor) Label() string { return r.Name }
 // StampC implements circuit.Device (no capacitance).
 func (r *Resistor) StampC(*circuit.CapStamper) {}
 
-// Eval implements circuit.Device.
-func (r *Resistor) Eval(ctx *circuit.EvalContext) {
-	g := 1 / r.R
-	i := g * (ctx.V(r.A) - ctx.V(r.B))
-	ctx.AddCurrent(r.A, i)
-	ctx.AddCurrent(r.B, -i)
-	ctx.AddJac(r.A, r.A, g)
-	ctx.AddJac(r.A, r.B, -g)
-	ctx.AddJac(r.B, r.A, -g)
-	ctx.AddJac(r.B, r.B, g)
+// NewKernel implements circuit.Device.
+func (*Resistor) NewKernel(p circuit.Peers, lay *circuit.Layout) (circuit.Kernel, error) {
+	return newLinearKernel(p, lay)
 }
 
 // Capacitor is a linear two-terminal capacitance.
@@ -48,8 +41,11 @@ func (c *Capacitor) Label() string { return c.Name }
 // StampC implements circuit.Device.
 func (c *Capacitor) StampC(s *circuit.CapStamper) { s.AddCap(c.A, c.B, c.C) }
 
-// Eval implements circuit.Device (capacitors carry no resistive current).
-func (c *Capacitor) Eval(*circuit.EvalContext) {}
+// NewKernel implements circuit.Device: capacitors carry no resistive
+// current, so they need no kernel.
+func (*Capacitor) NewKernel(circuit.Peers, *circuit.Layout) (circuit.Kernel, error) {
+	return nil, nil
+}
 
 // Conductor is a linear conductance (occasionally handier than Resistor).
 type Conductor struct {
@@ -64,15 +60,9 @@ func (c *Conductor) Label() string { return c.Name }
 // StampC implements circuit.Device.
 func (c *Conductor) StampC(*circuit.CapStamper) {}
 
-// Eval implements circuit.Device.
-func (c *Conductor) Eval(ctx *circuit.EvalContext) {
-	i := c.G * (ctx.V(c.A) - ctx.V(c.B))
-	ctx.AddCurrent(c.A, i)
-	ctx.AddCurrent(c.B, -i)
-	ctx.AddJac(c.A, c.A, c.G)
-	ctx.AddJac(c.A, c.B, -c.G)
-	ctx.AddJac(c.B, c.A, -c.G)
-	ctx.AddJac(c.B, c.B, c.G)
+// NewKernel implements circuit.Device.
+func (*Conductor) NewKernel(p circuit.Peers, lay *circuit.Layout) (circuit.Kernel, error) {
+	return newLinearKernel(p, lay)
 }
 
 // VCCS is a voltage-controlled current source: a current Gm·(Vcp - Vcn)
@@ -91,13 +81,7 @@ func (v *VCCS) Label() string { return v.Name }
 // StampC implements circuit.Device.
 func (v *VCCS) StampC(*circuit.CapStamper) {}
 
-// Eval implements circuit.Device.
-func (v *VCCS) Eval(ctx *circuit.EvalContext) {
-	i := v.Gm * (ctx.V(v.CtrlP) - ctx.V(v.CtrlN))
-	ctx.AddCurrent(v.OutP, i)
-	ctx.AddCurrent(v.OutN, -i)
-	ctx.AddJac(v.OutP, v.CtrlP, v.Gm)
-	ctx.AddJac(v.OutP, v.CtrlN, -v.Gm)
-	ctx.AddJac(v.OutN, v.CtrlP, -v.Gm)
-	ctx.AddJac(v.OutN, v.CtrlN, v.Gm)
+// NewKernel implements circuit.Device.
+func (*VCCS) NewKernel(p circuit.Peers, lay *circuit.Layout) (circuit.Kernel, error) {
+	return newLinearKernel(p, lay)
 }

@@ -8,7 +8,9 @@ import (
 
 // CurrentSource drives a time-dependent current I(t) from node From, through
 // the source, into node To (i.e. I(t) leaves From and enters To). Honors
-// source-stepping via EvalContext.SourceScale.
+// source-stepping via EvalContext.SourceScale. I must be a pure function of
+// t, fixed once the circuit is assembled: evaluation memoizes it per time
+// point (the rail contract, see circuit.Rail).
 type CurrentSource struct {
 	Name     string
 	From, To circuit.NodeID
@@ -21,11 +23,12 @@ func (s *CurrentSource) Label() string { return s.Name }
 // StampC implements circuit.Device.
 func (s *CurrentSource) StampC(*circuit.CapStamper) {}
 
-// Eval implements circuit.Device.
-func (s *CurrentSource) Eval(ctx *circuit.EvalContext) {
-	i := s.I(ctx.T) * ctx.SourceScale
-	ctx.AddCurrent(s.From, i)
-	ctx.AddCurrent(s.To, -i)
+// At evaluates the source current at time t.
+func (s *CurrentSource) At(t float64) float64 { return s.I(t) }
+
+// NewKernel implements circuit.Device.
+func (*CurrentSource) NewKernel(p circuit.Peers, lay *circuit.Layout) (circuit.Kernel, error) {
+	return newSourceKernel(p, lay)
 }
 
 // DCCurrent builds a constant current source.
@@ -51,11 +54,14 @@ func (s *SineCurrent) Label() string { return s.Name }
 // StampC implements circuit.Device.
 func (s *SineCurrent) StampC(*circuit.CapStamper) {}
 
-// Eval implements circuit.Device.
-func (s *SineCurrent) Eval(ctx *circuit.EvalContext) {
-	i := (s.Amp*math.Cos(2*math.Pi*(s.Freq*ctx.T+s.Phase)) + s.Offset) * ctx.SourceScale
-	ctx.AddCurrent(s.From, i)
-	ctx.AddCurrent(s.To, -i)
+// At evaluates the source current at time t.
+func (s *SineCurrent) At(t float64) float64 {
+	return s.Amp*math.Cos(2*math.Pi*(s.Freq*t+s.Phase)) + s.Offset
+}
+
+// NewKernel implements circuit.Device.
+func (*SineCurrent) NewKernel(p circuit.Peers, lay *circuit.Layout) (circuit.Kernel, error) {
+	return newSourceKernel(p, lay)
 }
 
 // PWLCurrent is a piecewise-linear current source defined by (time, value)
@@ -98,11 +104,73 @@ func (s *PWLCurrent) At(t float64) float64 {
 	return s.Values[lo] + frac*(s.Values[hi]-s.Values[lo])
 }
 
-// Eval implements circuit.Device.
-func (s *PWLCurrent) Eval(ctx *circuit.EvalContext) {
-	i := s.At(ctx.T) * ctx.SourceScale
-	ctx.AddCurrent(s.From, i)
-	ctx.AddCurrent(s.To, -i)
+// NewKernel implements circuit.Device.
+func (*PWLCurrent) NewKernel(p circuit.Peers, lay *circuit.Layout) (circuit.Kernel, error) {
+	return newSourceKernel(p, lay)
+}
+
+// sourceKernel evaluates independent current sources. A source's value
+// depends on the lane's time alone, so it lives in the lane's time memo
+// and its waveform runs once per time point; source stepping scales it
+// after the memo.
+type sourceKernel struct {
+	cells []sourceCell
+	k     int
+}
+
+type sourceCell struct {
+	from, to term
+	memo     int
+	wave     waveform
+}
+
+// waveform is a source's current as a function of time.
+type waveform interface{ At(t float64) float64 }
+
+func sourceTerminals(d circuit.Device) (from, to circuit.NodeID) {
+	switch d := d.(type) {
+	case *CurrentSource:
+		return d.From, d.To
+	case *SineCurrent:
+		return d.From, d.To
+	default:
+		s := d.(*PWLCurrent)
+		return s.From, s.To
+	}
+}
+
+func newSourceKernel(p circuit.Peers, lay *circuit.Layout) (circuit.Kernel, error) {
+	n, nk := p.Len(), lay.Lanes()
+	kn := &sourceKernel{cells: make([]sourceCell, n*nk), k: nk}
+	for i := 0; i < n; i++ {
+		from, to := sourceTerminals(p.At(i, 0))
+		memo := lay.Memo(1)
+		for k := 0; k < nk; k++ {
+			d := p.At(i, k)
+			if kf, kt := sourceTerminals(d); kf != from || kt != to {
+				return nil, laneMismatch(d, k, "terminals")
+			}
+			kn.cells[i*nk+k] = sourceCell{term(from), term(to), memo, d.(waveform)}
+		}
+	}
+	return kn, nil
+}
+
+func (kn *sourceKernel) Eval(lo, hi int, e *circuit.EvalContext) {
+	for i := lo; i < hi; i++ {
+		for _, k := range e.Active {
+			c, m := &kn.cells[i*kn.k+k], e.Memo(k)
+			v := m[c.memo]
+			if v != v {
+				v = c.wave.At(e.T(k))
+				m[c.memo] = v
+			}
+			cur := v * e.SourceScale
+			base := k * e.N
+			c.from.add(e, base, cur)
+			c.to.add(e, base, -cur)
+		}
+	}
 }
 
 // PulseFunc returns a SPICE-style pulse waveform function. Times are in

@@ -4,6 +4,7 @@ import (
 	"context"
 	"math"
 	"reflect"
+	"strings"
 	"testing"
 
 	phlogon "repro"
@@ -96,6 +97,19 @@ func TestFacadeNetlistRoundTrip(t *testing.T) {
 	// Parasitic-cap node settles toward the 1.5 V divider voltage.
 	if v := res.Final()[0]; v < 1.2 || v > 1.6 {
 		t.Errorf("divider settled at %g", v)
+	}
+}
+
+// A deck with a negative capacitance is untrusted input: Assemble fails
+// with an error naming the device instead of panicking.
+func TestFacadeNetlistNegativeCapacitance(t *testing.T) {
+	ckt, err := phlogon.ParseNetlist("R1 a 0 1k\nC1 a 0 -1n\n")
+	if err != nil {
+		t.Fatal(err)
+	}
+	sys, err := ckt.Assemble()
+	if err == nil || !strings.Contains(err.Error(), `"C1"`) {
+		t.Fatalf("Assemble = %v, %v; want an error naming C1", sys, err)
 	}
 }
 
