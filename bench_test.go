@@ -130,7 +130,8 @@ func BenchmarkShootAutonomousRing(b *testing.B) {
 
 func BenchmarkEngineRingPPVCold(b *testing.B) {
 	cfg := phlogon.DefaultRingConfig()
-	ctx := context.Background()
+	m := diag.New()
+	ctx := diag.WithMetrics(context.Background(), m)
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
@@ -139,6 +140,14 @@ func BenchmarkEngineRingPPVCold(b *testing.B) {
 			b.Fatal(err)
 		}
 	}
+	// The cold extraction's work, per op: settle and shooting transients
+	// (steps), their correctors and the bordered Newton (iterations, LU
+	// factorizations), and the circuit evaluations of both stages.
+	n := float64(b.N)
+	b.ReportMetric(float64(m.Get(diag.TransientSteps))/n, "transient_steps/op")
+	b.ReportMetric(float64(m.Get(diag.NewtonIterations))/n, "newton_iters/op")
+	b.ReportMetric(float64(m.Get(diag.LUFactorizations))/n, "lu_factorizations/op")
+	b.ReportMetric(float64(m.Get(diag.CircuitEvals))/n, "circuit_evals/op")
 }
 
 func BenchmarkEngineRingPPVWarm(b *testing.B) {

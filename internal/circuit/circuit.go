@@ -187,6 +187,16 @@ func (c *Circuit) RailVoltage(n NodeID, t float64) float64 {
 	return c.rails[-2-int(n)].V(t)
 }
 
+// RailRange returns the lowest and the highest potential among ground and
+// every rail at time t.
+func (c *Circuit) RailRange(t float64) (lo, hi float64) {
+	for _, r := range c.rails {
+		v := r.V(t)
+		lo, hi = math.Min(lo, v), math.Max(hi, v)
+	}
+	return lo, hi
+}
+
 // railDiffRel is the central-difference step as a fraction of a rail's
 // declared timescale: truncation error ~ (2π·railDiffRel)²/6 ≈ 7e-6 relative
 // for a sinusoid, while keeping the step far above float64 granularity.

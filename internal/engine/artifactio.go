@@ -19,7 +19,7 @@ import (
 // container checksum but carries an unexpected schema still fails cleanly
 // into "recompute" instead of a panic.
 //
-// Each payload opens with its own schema tag ("pss2\n", "ppv2\n") so the
+// Each payload opens with its own schema tag ("pss3\n", "ppv3\n") so the
 // container format and the payload schemas can evolve independently. A PPV
 // payload stores only the PPV-specific arrays: its period, grid, and PSS
 // solution are reattached from the (separately cached) PSS artifact at
@@ -27,15 +27,16 @@ import (
 // the pss/ and ppv/ entries.
 //
 // A tag also versions the computation that filled the payload, because a
-// PPV is only valid on the orbit it was extracted from. Version 2 payloads
-// come from the one-lane batched cold path (extract.go), whose orbits start
-// up to a few 1e-11 rad from version 1's scalar ones. A version 1 payload
-// is rejected and recomputed, so a stored PPV never meets a PSS from the
-// other path.
+// PPV is only valid on the orbit it was extracted from. Version 3 payloads
+// hold orbits that start at the circuit-defined phase origin (node 0 rising
+// through mid-rail; see package pss); version 2's started wherever the
+// settle ended, and version 1's came from the scalar cold path. An older
+// payload is rejected and recomputed, so a stored PPV never meets a PSS of
+// another origin.
 
 const (
-	pssSchemaTag = "pss2\n"
-	ppvSchemaTag = "ppv2\n"
+	pssSchemaTag = "pss3\n"
+	ppvSchemaTag = "ppv3\n"
 
 	// maxDecodeElems caps every decoded length field. The largest honest
 	// artifact is a few thousand grid points of a few hundred nodes; 1<<28

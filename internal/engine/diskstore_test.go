@@ -225,7 +225,7 @@ func TestDiskSchemaReject(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	key := seed.pssKey("ring", cfg)
+	key, _ := seed.keys("ring", cfg)
 	if err := ds.Put(key, []byte("not a pss artifact")); err != nil {
 		t.Fatal(err)
 	}
@@ -389,18 +389,20 @@ func TestArtifactCodecRoundTrip(t *testing.T) {
 	if _, err := decodeSolution(enc[:len(enc)/3]); err == nil {
 		t.Error("truncated solution payload decoded without error")
 	}
-	if _, err := decodeSolution([]byte("ppv2\njunk")); err == nil {
+	if _, err := decodeSolution([]byte("ppv3\njunk")); err == nil {
 		t.Error("wrong-schema payload decoded without error")
 	}
 
-	// Version 1 payloads hold the scalar cold path's artifacts, whose orbits
-	// start at a slightly different phase origin: they are recomputed, so a
-	// stored PPV never meets a PSS from the other path.
-	if _, err := decodeSolution(append([]byte("pss1\n"), enc[len(pssSchemaTag):]...)); err == nil {
-		t.Error("version 1 solution payload decoded without error")
-	}
-	encP := encodePPV(p)
-	if _, err := decodePPV(append([]byte("ppv1\n"), encP[len(ppvSchemaTag):]...), sol); err == nil {
-		t.Error("version 1 PPV payload decoded without error")
+	// Older payloads hold orbits of another phase origin (version 2: the
+	// settle's endpoint; version 1: the scalar cold path's): they are
+	// recomputed, so a stored PPV never meets a PSS of another origin.
+	for _, v := range []string{"1", "2"} {
+		if _, err := decodeSolution(append([]byte("pss"+v+"\n"), enc[len(pssSchemaTag):]...)); err == nil {
+			t.Errorf("version %s solution payload decoded without error", v)
+		}
+		encP := encodePPV(p)
+		if _, err := decodePPV(append([]byte("ppv"+v+"\n"), encP[len(ppvSchemaTag):]...), sol); err == nil {
+			t.Errorf("version %s PPV payload decoded without error", v)
+		}
 	}
 }

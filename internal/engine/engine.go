@@ -32,6 +32,8 @@ package engine
 
 import (
 	"context"
+	"crypto/sha256"
+	"encoding/hex"
 	"errors"
 	"io/fs"
 	"sync"
@@ -49,8 +51,9 @@ import (
 
 // Oscillator is the engine's substrate abstraction: anything that can be
 // assembled into an autonomous ODE system with a limit cycle may flow
-// through the PSS/PPV cache — the paper's square-law ring, the D latch, a
-// compiler-emitted logic block, or a future non-MOSFET backend.
+// through the PSS/PPV cache — the paper's square-law ring or a future
+// non-MOSFET backend. A circuit driven by a time-dependent source has no
+// such cycle; its solve fails with pss.ErrNotAutonomous.
 //
 // OscillatorKey names the artifact: a short lowercase kind tag plus the full
 // build configuration. Both are folded into the content-addressed cache key,
@@ -67,7 +70,7 @@ type Oscillator interface {
 	// shooting solver's initial period guess.
 	EstimatedF0() float64
 	// OscillatorKey returns the cache identity: kind is a short lowercase
-	// tag ("ring", "dlatch", ...), cfg the full configuration value
+	// tag ("ring", ...), cfg the full configuration value
 	// (fingerprinted by content; see Fingerprint for the supported kinds).
 	OscillatorKey() (kind string, cfg any)
 }
@@ -190,16 +193,19 @@ type ppvArtifact struct {
 	p   *ppv.PPV
 }
 
-// pssKey/ppvKey derive the cache keys: the content hash of (oscillator
-// kind, oscillator config, the engine's PSS options). The kind tag is part
-// of the hash — never a path segment — so keys keep the two-part
-// <stage>/<hex> shape the DiskStore requires.
-func (e *Engine) pssKey(kind string, cfg any) string {
-	return "pss/" + Fingerprint(kind, cfg, e.pssOpt)
-}
-
-func (e *Engine) ppvKey(kind string, cfg any) string {
-	return "ppv/" + Fingerprint(kind, cfg, e.pssOpt)
+// keys derives both stages' cache keys from one content hash of
+// (oscillator kind, oscillator config, the engine's PSS options): the keys
+// differ only in their stage prefix. The kind tag is part of the hash —
+// never a path segment — so keys keep the two-part <stage>/<hex> shape the
+// DiskStore requires.
+func (e *Engine) keys(kind string, cfg any) (pssKey, ppvKey string) {
+	sum := fingerprint(kind, cfg, e.pssOpt)
+	var key [len("pss/") + 2*sha256.Size]byte
+	hex.Encode(key[len("pss/"):], sum[:])
+	copy(key[:], "pss/")
+	pssKey = string(key[:])
+	copy(key[:], "ppv/")
+	return pssKey, string(key[:])
 }
 
 // pssArtifactFor is the shared PSS pipeline: memoized under key, building
@@ -272,8 +278,8 @@ func (e *Engine) ppvArtifactFor(ctx context.Context, pssKey, ppvKey string, buil
 // the solution; a later identical-key request returns the cached solution
 // regardless of which instance asked.
 func (e *Engine) PSS(ctx context.Context, osc Oscillator) (*pss.Solution, error) {
-	kind, cfg := osc.OscillatorKey()
-	a, err := e.pssArtifactFor(ctx, e.pssKey(kind, cfg), func() (Oscillator, error) { return osc, nil })
+	pssKey, _ := e.keys(osc.OscillatorKey())
+	a, err := e.pssArtifactFor(ctx, pssKey, func() (Oscillator, error) { return osc, nil })
 	if err != nil {
 		return nil, err
 	}
@@ -284,8 +290,8 @@ func (e *Engine) PSS(ctx context.Context, osc Oscillator) (*pss.Solution, error)
 // for any Oscillator; the PSS stage is itself cached and shared with PSS
 // requests for the same key.
 func (e *Engine) PPV(ctx context.Context, osc Oscillator) (*pss.Solution, *ppv.PPV, error) {
-	kind, cfg := osc.OscillatorKey()
-	a, err := e.ppvArtifactFor(ctx, e.pssKey(kind, cfg), e.ppvKey(kind, cfg), func() (Oscillator, error) { return osc, nil })
+	pssKey, ppvKey := e.keys(osc.OscillatorKey())
+	a, err := e.ppvArtifactFor(ctx, pssKey, ppvKey, func() (Oscillator, error) { return osc, nil })
 	if err != nil {
 		return nil, nil, err
 	}
@@ -296,7 +302,8 @@ func (e *Engine) PPV(ctx context.Context, osc Oscillator) (*pss.Solution, *ppv.P
 // shooting, memoized like PSS (a ring built here and a *ringosc.Ring passed
 // to PSS share one artifact when their configs match).
 func (e *Engine) RingPSS(ctx context.Context, cfg ringosc.Config) (*ringosc.Ring, *pss.Solution, error) {
-	a, err := e.pssArtifactFor(ctx, e.pssKey("ring", cfg), func() (Oscillator, error) { return ringosc.Build(cfg) })
+	pssKey, _ := e.keys("ring", cfg)
+	a, err := e.pssArtifactFor(ctx, pssKey, func() (Oscillator, error) { return ringosc.Build(cfg) })
 	if err != nil {
 		return nil, nil, err
 	}
@@ -308,7 +315,8 @@ func (e *Engine) RingPSS(ctx context.Context, cfg ringosc.Config) (*ringosc.Ring
 // reuses an existing steady state and vice versa. Repeated calls with an
 // identical cfg return the same shared artifact at near-zero cost.
 func (e *Engine) RingPPV(ctx context.Context, cfg ringosc.Config) (*ringosc.Ring, *pss.Solution, *ppv.PPV, error) {
-	a, err := e.ppvArtifactFor(ctx, e.pssKey("ring", cfg), e.ppvKey("ring", cfg), func() (Oscillator, error) { return ringosc.Build(cfg) })
+	pssKey, ppvKey := e.keys("ring", cfg)
+	a, err := e.ppvArtifactFor(ctx, pssKey, ppvKey, func() (Oscillator, error) { return ringosc.Build(cfg) })
 	if err != nil {
 		return nil, nil, nil, err
 	}

@@ -158,7 +158,8 @@ func TestGenericOscillatorSharesRingArtifacts(t *testing.T) {
 	// A different oscillator kind must not collide with the ring's key even
 	// though its embedded ring config is byte-identical.
 	kind, _ := r.OscillatorKey()
-	if lk := e.pssKey(kind, cfg); lk == e.pssKey("dlatch", cfg) {
+	lk, _ := e.keys(kind, cfg)
+	if other, _ := e.keys("other", cfg); lk == other {
 		t.Fatal("oscillator kind is not part of the cache key")
 	}
 }

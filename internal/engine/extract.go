@@ -21,25 +21,25 @@ import (
 // detects convergence, and evaluates the circuit once per PPV grid point
 // instead of twice.
 //
-// The settle keeps the full StepsPerPeriod resolution. The settle endpoint
-// fixes the orbit's phase origin (the anchor), and a coarser settle moves
-// it: at 64 steps per period the xval lock-phase goldens move by more than
-// their 1e-3-cycle tolerance. Even so the origin moves a hair: the scalar
-// settle clips its last step to land on SettleCycles·T from an accumulated
-// time, the lockstep settle takes SettleCycles·StepsPerPeriod equal steps.
-// f0 and the PPV harmonics agree with the scalar solve's to about 1e-12
-// relative once that offset is removed, with the same Newton count
-// (TestColdPathMatchesScalar). The disk tier's payload schema tags mark
-// artifacts of this path, so none written by the scalar path is served.
+// Both solves start from the circuit's phase origin (node 0 rising through
+// mid-rail; see package pss), found by the same search over the last cycle
+// of the same coarse settle, so the settle is only a convergence aid: the
+// scalar and batched solves return the same f0 and raw PPV harmonics to
+// about 1e-12 relative with the same Newton count
+// (TestColdPathMatchesScalar), and extractions that settled differently
+// agree to within the shooting tolerance's effect on the converged orbit
+// (TestColdExtractionIndependentOfSettle). The disk tier's payload schema
+// tags mark artifacts of this origin, so none written before it is served.
 //
 // The scalar shooting solve stays the PSS stage's fallback, so every input
 // it solves still solves. It runs, and its result is returned, for Gear2
-// (the lockstep stepper integrates BE and Trap only) and for a lane that
-// failed for any reason other than a fixed point: the lockstep stepper has
-// no step-halving retry, so a corrector failure can end the batched solve
-// where the scalar one halves its step and converges
-// (TestColdPathFallsBackOnLaneFailure). A fixed point is returned as is,
-// since the scalar solve runs the same check on the same orbit. The PPV
+// (the lockstep stepper integrates BE and Trap only) and for a lane whose
+// integration failed: the lockstep stepper has no step-halving retry, so a
+// corrector failure can end the batched solve where the scalar one halves
+// its step and converges (TestColdPathFallsBackOnLaneFailure). An orbit the
+// solve refuses — a
+// fixed point, no phase crossing, no multiplier near 1 — is returned as is,
+// since the scalar solve runs the same checks on the same orbit. The PPV
 // stage needs no fallback: the batched adjoint fails exactly where the
 // scalar one does.
 
@@ -73,7 +73,7 @@ func ColdPSS(ctx context.Context, osc Oscillator, opt pss.Options) (*pss.Solutio
 		return nil, err
 	case errs[0] == nil:
 		return sols[0], nil
-	case errors.Is(errs[0], pss.ErrFixedPoint):
+	case errors.Is(errs[0], pss.ErrFixedPoint), errors.Is(errs[0], pss.ErrNoPhaseCrossing), errors.Is(errs[0], pss.ErrNotAutonomous):
 		return nil, errs[0]
 	}
 	return pss.ShootAutonomousCtx(ctx, sys, x0, opt)

@@ -3,10 +3,10 @@ package engine
 import (
 	"crypto/sha256"
 	"encoding/hex"
-	"fmt"
 	"reflect"
 	"sort"
 	"strconv"
+	"sync"
 )
 
 // Fingerprint content-addresses a set of Go values: it returns the SHA-256
@@ -25,121 +25,133 @@ import (
 // package that owns them). Funcs and channels render as their kind name
 // only; configurations must not smuggle behaviour through them.
 func Fingerprint(vals ...any) string {
-	h := sha256.New()
+	sum := fingerprint(vals...)
+	return hex.EncodeToString(sum[:])
+}
+
+// fingerprint renders vals into one buffer and hashes it. A configuration
+// that fits the stack buffer renders without allocating; only maps (rare in
+// configurations) allocate, to sort their entries.
+func fingerprint(vals ...any) [sha256.Size]byte {
+	var stack [1024]byte
+	b := stack[:0]
 	for _, v := range vals {
-		writeCanonical(h, reflect.ValueOf(v))
-		h.Write([]byte{0})
+		b = appendCanonical(b, reflect.ValueOf(v))
+		b = append(b, 0)
 	}
-	return hex.EncodeToString(h.Sum(nil))
+	return sha256.Sum256(b)
 }
 
-type byteWriter interface {
-	Write(p []byte) (int, error)
-}
-
-func writeString(w byteWriter, s string) { w.Write([]byte(s)) }
-
-// writeCanonical renders v deterministically. The rendering is prefix-free
-// enough for hashing purposes: every composite opens and closes with a
-// dedicated rune and every element is terminated.
-func writeCanonical(w byteWriter, v reflect.Value) {
+// appendCanonical renders v deterministically onto b. The rendering is
+// prefix-free enough for hashing purposes: every composite opens and closes
+// with a dedicated rune and every element is terminated.
+func appendCanonical(b []byte, v reflect.Value) []byte {
 	if !v.IsValid() {
-		writeString(w, "nil")
-		return
+		return append(b, "nil"...)
 	}
 	switch v.Kind() {
 	case reflect.Bool:
-		writeString(w, strconv.FormatBool(v.Bool()))
+		return strconv.AppendBool(b, v.Bool())
 	case reflect.Int, reflect.Int8, reflect.Int16, reflect.Int32, reflect.Int64:
-		writeString(w, strconv.FormatInt(v.Int(), 10))
+		return strconv.AppendInt(b, v.Int(), 10)
 	case reflect.Uint, reflect.Uint8, reflect.Uint16, reflect.Uint32, reflect.Uint64, reflect.Uintptr:
-		writeString(w, strconv.FormatUint(v.Uint(), 10))
+		return strconv.AppendUint(b, v.Uint(), 10)
 	case reflect.Float32, reflect.Float64:
 		// 'x' (hex float) is exact: distinct values never collide and equal
 		// values render identically, including negative zero and infinities.
-		writeString(w, strconv.FormatFloat(v.Float(), 'x', -1, 64))
+		return strconv.AppendFloat(b, v.Float(), 'x', -1, 64)
 	case reflect.Complex64, reflect.Complex128:
 		c := v.Complex()
-		writeString(w, strconv.FormatFloat(real(c), 'x', -1, 64))
-		writeString(w, "+i")
-		writeString(w, strconv.FormatFloat(imag(c), 'x', -1, 64))
+		b = strconv.AppendFloat(b, real(c), 'x', -1, 64)
+		b = append(b, "+i"...)
+		return strconv.AppendFloat(b, imag(c), 'x', -1, 64)
 	case reflect.String:
 		// Length-prefixed so "ab"+"c" ≠ "a"+"bc".
-		writeString(w, strconv.Itoa(v.Len()))
-		writeString(w, ":")
-		writeString(w, v.String())
+		b = strconv.AppendInt(b, int64(v.Len()), 10)
+		b = append(b, ':')
+		return append(b, v.String()...)
 	case reflect.Struct:
-		t := v.Type()
-		names := make([]string, 0, t.NumField())
-		idx := make(map[string]int, t.NumField())
-		for i := 0; i < t.NumField(); i++ {
-			f := t.Field(i)
-			if !f.IsExported() {
-				continue
-			}
-			names = append(names, f.Name)
-			idx[f.Name] = i
+		b = append(b, '{')
+		for _, f := range sortedFields(v.Type()) {
+			b = append(b, f.name...)
+			b = append(b, '=')
+			b = appendCanonical(b, v.Field(f.index))
+			b = append(b, ';')
 		}
-		sort.Strings(names)
-		writeString(w, "{")
-		for _, name := range names {
-			writeString(w, name)
-			writeString(w, "=")
-			writeCanonical(w, v.Field(idx[name]))
-			writeString(w, ";")
-		}
-		writeString(w, "}")
+		return append(b, '}')
 	case reflect.Pointer, reflect.Interface:
 		if v.IsNil() {
-			writeString(w, "nil")
-			return
+			return append(b, "nil"...)
 		}
-		writeCanonical(w, v.Elem())
+		return appendCanonical(b, v.Elem())
 	case reflect.Slice, reflect.Array:
 		if v.Kind() == reflect.Slice && v.IsNil() {
-			writeString(w, "nil")
-			return
+			return append(b, "nil"...)
 		}
-		writeString(w, "[")
+		b = append(b, '[')
 		for i := 0; i < v.Len(); i++ {
-			writeCanonical(w, v.Index(i))
-			writeString(w, ",")
+			b = appendCanonical(b, v.Index(i))
+			b = append(b, ',')
 		}
-		writeString(w, "]")
+		return append(b, ']')
 	case reflect.Map:
 		if v.IsNil() {
-			writeString(w, "nil")
-			return
+			return append(b, "nil"...)
 		}
-		keys := v.MapKeys()
-		rendered := make([]struct{ k, val string }, len(keys))
-		for i, k := range keys {
-			var kb, vb renderBuf
-			writeCanonical(&kb, k)
-			writeCanonical(&vb, v.MapIndex(k))
-			rendered[i].k = string(kb)
-			rendered[i].val = string(vb)
+		// Render the entries after b in iteration order, then write them
+		// back sorted by rendered key from a copy of that block.
+		base := len(b)
+		type span struct{ k0, k1, v1 int } // key [k0,k1), value [k1,v1) of the block
+		spans := make([]span, 0, v.Len())
+		for it := v.MapRange(); it.Next(); {
+			k0 := len(b) - base
+			b = appendCanonical(b, it.Key())
+			k1 := len(b) - base
+			b = appendCanonical(b, it.Value())
+			spans = append(spans, span{k0, k1, len(b) - base})
 		}
-		sort.Slice(rendered, func(i, j int) bool { return rendered[i].k < rendered[j].k })
-		writeString(w, "map{")
-		for _, kv := range rendered {
-			writeString(w, kv.k)
-			writeString(w, "=>")
-			writeString(w, kv.val)
-			writeString(w, ";")
+		block := append([]byte(nil), b[base:]...)
+		sort.Slice(spans, func(i, j int) bool {
+			return string(block[spans[i].k0:spans[i].k1]) < string(block[spans[j].k0:spans[j].k1])
+		})
+		b = append(b[:base], "map{"...)
+		for _, sp := range spans {
+			b = append(b, block[sp.k0:sp.k1]...)
+			b = append(b, "=>"...)
+			b = append(b, block[sp.k1:sp.v1]...)
+			b = append(b, ';')
 		}
-		writeString(w, "}")
+		return append(b, '}')
 	default:
 		// Funcs, channels, unsafe pointers: content-addressing is impossible;
 		// render the kind so the hash is at least deterministic.
-		writeString(w, fmt.Sprintf("<%s>", v.Kind()))
+		b = append(b, '<')
+		b = append(b, v.Kind().String()...)
+		return append(b, '>')
 	}
 }
 
-// renderBuf is a minimal in-memory byteWriter for map-key sorting.
-type renderBuf []byte
+// field is one exported struct field in canonical (name) order.
+type field struct {
+	name  string
+	index int
+}
 
-func (b *renderBuf) Write(p []byte) (int, error) {
-	*b = append(*b, p...)
-	return len(p), nil
+// fieldCache maps a struct type to its exported fields sorted by name, so a
+// type's fields are listed and sorted once per process, not once per value.
+var fieldCache sync.Map // reflect.Type → []field
+
+func sortedFields(t reflect.Type) []field {
+	if fs, ok := fieldCache.Load(t); ok {
+		return fs.([]field)
+	}
+	fs := make([]field, 0, t.NumField())
+	for i := 0; i < t.NumField(); i++ {
+		if f := t.Field(i); f.IsExported() {
+			fs = append(fs, field{f.Name, i})
+		}
+	}
+	sort.Slice(fs, func(i, j int) bool { return fs[i].name < fs[j].name })
+	fieldCache.Store(t, fs)
+	return fs
 }

@@ -3,8 +3,10 @@ package engine
 import (
 	"testing"
 
+	"repro/internal/linalg"
 	"repro/internal/pss"
 	"repro/internal/ringosc"
+	"repro/internal/transient"
 )
 
 // Two struct types with identical exported field names and values but a
@@ -77,5 +79,48 @@ func TestFingerprintCollections(t *testing.T) {
 	var nilSlice []float64
 	if Fingerprint(nilSlice) == Fingerprint([]float64{}) {
 		t.Fatal("nil and empty slices are distinct configurations")
+	}
+}
+
+// TestFingerprintRenderingPinned pins fingerprints computed by the previous
+// renderer (one string conversion per value, a name sort per struct), so the
+// buffer-appending renderer keeps every cache key and disk-tier file name:
+// the default ring, the 2N1P ring, a non-default pss.Options, and the
+// remaining kinds (map, nil interface, bool, sized integers, complex, nil
+// pointer).
+func TestFingerprintRenderingPinned(t *testing.T) {
+	def := pss.Options{StepsPerPeriod: 1024}
+	odd := pss.Options{
+		GuessT: 1.25e-4, StepsPerPeriod: 256, MaxIter: 12, Tol: 1e-9,
+		Method: transient.BE, SettleCycles: 10, Backend: linalg.BackendSparse,
+	}
+	for _, c := range []struct {
+		got, want string
+	}{
+		{Fingerprint("ring", ringosc.DefaultConfig(), def), "bafdc08ef0c0c1e0f834f618d2286f34532e4c915edd1d15ecb42fbc0066e780"},
+		{Fingerprint("ring", ringosc.Config2N1P(), def), "cf94aec718e036f08547a564b3e284b577e47ca8badfaa19ace596a418a124a5"},
+		{Fingerprint("ring", ringosc.DefaultConfig(), odd), "6d64d46d20a191d4d4d023b82239bf02671acd240790ae0f482d14cb172f1292"},
+		{Fingerprint(map[string]float64{"b": 0, "a": 2}, []any{nil, true, int8(-3), uint16(7), complex(1, -2), "ab"}, (*int)(nil)),
+			"ada162112f26ca9dce3b025500bff99508d9dd059ea38ff6a356ffe6138bc4b3"},
+	} {
+		if c.got != c.want {
+			t.Errorf("fingerprint %s, pinned %s", c.got, c.want)
+		}
+	}
+}
+
+// TestEngineKeysShareOneHash: both stages' keys carry the same content hash
+// behind their stage prefix, and a warm engine's key derivation allocates
+// only the two key strings and the boxed arguments.
+func TestEngineKeysShareOneHash(t *testing.T) {
+	e := New(Options{})
+	cfg := ringosc.DefaultConfig()
+	pk, vk := e.keys("ring", cfg)
+	fp := Fingerprint("ring", cfg, e.pssOpt)
+	if pk != "pss/"+fp || vk != "ppv/"+fp {
+		t.Fatalf("keys %q, %q; want the stage prefixes on %q", pk, vk, fp)
+	}
+	if n := testing.AllocsPerRun(100, func() { e.keys("ring", cfg) }); n > 5 {
+		t.Fatalf("key derivation allocates %v times, want ≤ 5", n)
 	}
 }

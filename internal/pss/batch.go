@@ -42,15 +42,11 @@ type BatchShootOptions struct {
 	Method         transient.Method
 	Backend        linalg.Backend
 	// SettleCycles integrates this many free-running cycles per lane before
-	// shooting (default 20, like the scalar path). Warm-started ensembles set
-	// a small count; a negative value skips the settle entirely.
+	// shooting (default 20, like the scalar path), at the scalar path's
+	// settle resolution, and starts each lane at its phase origin as the
+	// scalar path does. Warm-started ensembles set a small count; a negative
+	// value skips the settle and the phase search entirely.
 	SettleCycles int
-	// SettleStepsPerPeriod sets the settle integration's resolution (default:
-	// StepsPerPeriod). The settle only conditions the shooting iteration's
-	// initial state and period estimate — every lane still converges to the
-	// StepsPerPeriod discretization at Tol — so warm-started ensembles can
-	// settle on a coarser grid at no accuracy cost.
-	SettleStepsPerPeriod int
 }
 
 // ShootAutonomousBatch finds the limit cycle of every lane of b, starting
@@ -110,22 +106,59 @@ func ShootAutonomousBatch(ctx context.Context, b *circuit.Batch, x0 []float64, o
 		return lanes[:w]
 	}
 
-	// Settle onto the limit cycles and refine the per-lane period guesses
-	// from each lane's recurrence.
+	// Per-lane phase levels, and scalar workspaces for the border column ẋ(T).
+	level := make([]float64, K)
+	wss := make([]*circuit.Workspace, K)
+	fT := linalg.NewVec(n)
+	for _, k := range active {
+		level[k] = phaseLevel(b.Systems[k])
+		wss[k] = b.Systems[k].NewWorkspace()
+		wss[k].SetMetrics(dm)
+	}
+
+	// Settle onto the limit cycles exactly as the scalar settle does (see
+	// settle), lane by lane in lockstep, recording node 0 throughout and the
+	// full state only in the search run.
 	if opt.SettleCycles > 0 {
 		sp := diag.SpanFrom(ctx, "pss.settle")
-		sspp := opt.SettleStepsPerPeriod
-		if sspp <= 0 {
-			sspp = spp
-		}
+		sspp := settleSteps(spp)
 		for _, k := range active {
 			h[k] = T[k] / float64(sspp)
 		}
+		var t0 []float64
+		ts1, v1 := make([][]float64, K), make([][]float64, K)
+		if c := opt.SettleCycles - 1; c > 0 {
+			res, rerr := tsc.Run(ctx, x, transient.BatchOptions{
+				Method: transient.Trap,
+				Steps:  c * sspp,
+				H:      h, Backend: opt.Backend,
+				Record: true, RecordNode: 0,
+				Active: active,
+			})
+			if rerr != nil {
+				sp.End()
+				return nil, nil, fmt.Errorf("pss: batched settle failed: %w", rerr)
+			}
+			t0 = make([]float64, K)
+			for _, k := range active {
+				if res.Err[k] != nil {
+					fail(k, fmt.Errorf("pss: settle transient failed: %w", res.Err[k]))
+					continue
+				}
+				copy(x[k*n:(k+1)*n], res.LaneX(k))
+				ts1[k], v1[k] = res.T[k], res.NodeV[k]
+				t0[k] = ts1[k][len(ts1[k])-1]
+				if Tref, err := estimatePeriodFromSeries(ts1[k], v1[k], opt.GuessT[k]); err == nil {
+					h[k] = Tref / float64(sspp)
+				}
+			}
+			active = prune(active)
+		}
 		res, rerr := tsc.Run(ctx, x, transient.BatchOptions{
 			Method: transient.Trap,
-			Steps:  opt.SettleCycles * sspp,
-			H:      h, Backend: opt.Backend,
-			Record: true, RecordNode: 0,
+			Steps:  searchSteps(sspp),
+			H:      h, T0: t0, Backend: opt.Backend,
+			Record: true, RecordNode: 0, RecordStates: true,
 			Active: active,
 		})
 		sp.End()
@@ -137,31 +170,17 @@ func ShootAutonomousBatch(ctx context.Context, b *circuit.Batch, x0 []float64, o
 				fail(k, fmt.Errorf("pss: settle transient failed: %w", res.Err[k]))
 				continue
 			}
-			copy(x[k*n:(k+1)*n], res.LaneX(k))
-			if Tref, err := estimatePeriodFromSeries(res.T[k], res.NodeV[k], T[k]); err == nil {
-				T[k] = Tref
+			T[k] = settlePeriod(ts1[k], v1[k], res.T[k], res.NodeV[k], opt.GuessT[k])
+			if perr := phaseStart(x[k*n:(k+1)*n], res.States[k], level[k], opt.Tol); perr != nil {
+				fail(k, perr)
 			}
 		}
 		active = prune(active)
 	}
 
-	// Per-lane phase anchors (largest |ẋ| component at the settle endpoint)
-	// and scalar workspaces for the border column ẋ(T).
-	wss := make([]*circuit.Workspace, K)
-	anchor := make([]int, K)
-	anchorVal := make([]float64, K)
-	fT := linalg.NewVec(n)
-	for _, k := range active {
-		wss[k] = b.Systems[k].NewWorkspace()
-		wss[k].SetMetrics(dm)
-		xd := wss[k].XDot(linalg.Vec(x[k*n:(k+1)*n]), 0)
-		anchor[k] = xd.MaxAbsIndex()
-		anchorVal[k] = x[k*n+anchor[k]]
-	}
-
 	// Bordered Newton, per lane over batched monodromy transients:
 	//   [ M − I   ẋ(T) ] [Δx]   [ −r ]
-	//   [ e_aᵀ      0  ] [ΔT] = [  0 ]
+	//   [ e_0ᵀ      0  ] [ΔT] = [  0 ]
 	//
 	// Every Newton run records states: the run that *detects* a lane's
 	// convergence integrates one full period from the converged (x, T) with
@@ -212,7 +231,11 @@ func ShootAutonomousBatch(ctx context.Context, b *circuit.Batch, x0 []float64, o
 				}
 				mult, merr := linalg.Eigenvalues(run.Sens[k])
 				if merr != nil {
-					mult = nil // multipliers are advisory; don't fail the PSS
+					mult = nil // uncomputable multipliers are advisory; don't fail the PSS
+				}
+				if terr := checkTrivialMultiplier(mult, spp); terr != nil {
+					fail(k, terr)
+					continue
 				}
 				sols[k] = &Solution{
 					T0: T[k], F0: 1 / T[k],
@@ -240,11 +263,11 @@ func ShootAutonomousBatch(ctx context.Context, b *circuit.Batch, x0 []float64, o
 			for i := 0; i < n; i++ {
 				big.Set(i, n, fT[i])
 			}
-			big.Set(n, anchor[k], 1)
+			big.Set(n, 0, 1)
 			for i := 0; i < n; i++ {
 				rhs[i] = -r[i]
 			}
-			rhs[n] = anchorVal[k] - xk[anchor[k]]
+			rhs[n] = level[k] - xk[0]
 			ferr := lu.FactorizeInto(big)
 			dm.Inc(diag.LUFactorizations)
 			if lu.ReusedBuffers() {

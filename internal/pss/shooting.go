@@ -3,13 +3,14 @@
 // shooting method solves the bordered system
 //
 //	x(T; x0) − x0 = 0      (n equations)
-//	x0[a] − anchor = 0     (phase condition)
+//	x0[0] − L = 0          (phase condition)
 //
-// for (x0, T) by Newton iteration, with the monodromy matrix ∂x(T)/∂x0
-// supplied by the transient integrator's sensitivity propagation. The
-// monodromy's Floquet multipliers certify orbital stability (one multiplier
-// pinned at 1, the rest inside the unit circle) and feed directly into the
-// PPV extraction of package ppv.
+// for (x0, T) by Newton iteration, where L is the phase level (mid-rail; see
+// phase.go) and the start sits on node 0's rising edge through it. The
+// monodromy matrix ∂x(T)/∂x0 comes from the transient integrator's
+// sensitivity propagation; its Floquet multipliers certify orbital stability
+// (one multiplier pinned at 1, the rest inside the unit circle) and feed
+// directly into the PPV extraction of package ppv.
 //
 // A frequency-domain (harmonic balance) refinement of the same orbit is
 // provided in hb.go; the PPV-HB extraction path builds on it.
@@ -38,7 +39,11 @@ type Options struct {
 	Tol            float64 // ∞-norm tolerance on the periodicity residual, volts (default 1e-7)
 	Method         transient.Method
 	// SettleCycles integrates this many free-running cycles before shooting
-	// starts, to land near the limit cycle (default 20).
+	// starts, to land near the limit cycle (default 20), at
+	// min(StepsPerPeriod, 64) steps per period. The last of them is searched
+	// for node 0's rising crossing of the phase level, where shooting starts.
+	// A negative value skips the settle and the search: x0 must then already
+	// sit near that crossing, as a previous Solution's X0 does.
 	SettleCycles int
 	// Backend selects the linear-algebra backend for the inner transient
 	// integrations (corrector + monodromy propagation), where a shooting
@@ -141,37 +146,26 @@ func ShootAutonomousCtx(ctx context.Context, sys *circuit.System, x0 linalg.Vec,
 	// where a cold shooting solve used to spend most of its allocations.
 	tsc := transient.NewScratch(sys)
 
-	// Settle onto the limit cycle and refine the period guess from the
-	// trajectory's recurrence before shooting.
+	// Settle onto the limit cycle, refine the period guess from the
+	// trajectory's recurrence, and start at the phase origin.
 	T := opt.GuessT
 	x := x0.Clone()
+	level := phaseLevel(sys)
 	if opt.SettleCycles > 0 {
 		sp := diag.SpanFrom(ctx, "pss.settle")
-		res, err := tsc.Run(ctx, x, 0, float64(opt.SettleCycles)*T, transient.Options{
-			Method: transient.Trap, Step: T / float64(opt.StepsPerPeriod),
-			Backend: opt.Backend,
-		})
+		var err error
+		T, err = settle(ctx, tsc, x, T, level, opt)
 		sp.End()
 		if err != nil {
-			return nil, fmt.Errorf("pss: settle transient failed: %w", err)
-		}
-		x = res.Final().Clone() // Final aliases the run's arena; x is mutated below
-		if Tref, err := estimatePeriodFromRecurrence(res, T); err == nil {
-			T = Tref
+			return nil, err
 		}
 	}
-
-	// Phase anchor: the component with the largest |ẋ| moves fastest through
-	// its anchor value, making the bordered system well conditioned.
 	ws := sys.NewWorkspace()
 	ws.SetMetrics(dm)
-	xd := ws.XDot(x, 0)
-	anchor := xd.MaxAbsIndex()
-	anchorVal := x[anchor]
 
 	// Bordered Newton system, rebuilt in pinned buffers each iteration:
 	//   [ M − I   ẋ(T) ] [Δx]   [ −r ]
-	//   [ e_aᵀ      0  ] [ΔT] = [  0 ]
+	//   [ e_0ᵀ      0  ] [ΔT] = [  0 ]
 	// Every entry written below is rewritten each iteration; the untouched
 	// remainder of the border row stays zero from allocation.
 	big := linalg.NewMat(n+1, n+1)
@@ -182,7 +176,6 @@ func ShootAutonomousCtx(ctx context.Context, sys *circuit.System, x0 linalg.Vec,
 	var lu linalg.LU
 
 	var lastRes float64
-	var mono *linalg.Mat
 	for iter := 0; iter < opt.MaxIter; iter++ {
 		run, err := tsc.Run(ctx, x, 0, T, transient.Options{
 			Method:      opt.Method,
@@ -194,11 +187,11 @@ func ShootAutonomousCtx(ctx context.Context, sys *circuit.System, x0 linalg.Vec,
 			return nil, fmt.Errorf("pss: shooting transient failed: %w", err)
 		}
 		xT := run.Final()
-		mono = run.Sens
+		mono := run.Sens
 		r.Sub(xT, x)
 		lastRes = r.NormInf()
 		if lastRes <= opt.Tol {
-			return buildSolution(ctx, tsc, sys, x, T, anchor, opt, mono, iter)
+			return buildSolution(ctx, tsc, sys, x, T, true, opt, iter)
 		}
 		dm.Inc(diag.NewtonIterations)
 		for i := 0; i < n; i++ {
@@ -211,11 +204,11 @@ func ShootAutonomousCtx(ctx context.Context, sys *circuit.System, x0 linalg.Vec,
 		for i := 0; i < n; i++ {
 			big.Set(i, n, fT[i])
 		}
-		big.Set(n, anchor, 1)
+		big.Set(n, 0, 1)
 		for i := 0; i < n; i++ {
 			rhs[i] = -r[i]
 		}
-		rhs[n] = anchorVal - x[anchor]
+		rhs[n] = level - x[0]
 		err = lu.FactorizeInto(big)
 		dm.Inc(diag.LUFactorizations)
 		if lu.ReusedBuffers() {
@@ -285,7 +278,7 @@ func ShootDrivenCtx(ctx context.Context, sys *circuit.System, x0 linalg.Vec, T f
 		r.Sub(xT, x)
 		lastRes = r.NormInf()
 		if lastRes <= opt.Tol {
-			return buildSolution(ctx, tsc, sys, x, T, -1, opt, run.Sens, iter)
+			return buildSolution(ctx, tsc, sys, x, T, false, opt, iter)
 		}
 		dm.Inc(diag.NewtonIterations)
 		jac.CopyFrom(run.Sens)
@@ -310,10 +303,11 @@ func ShootDrivenCtx(ctx context.Context, sys *circuit.System, x0 linalg.Vec, T f
 }
 
 // buildSolution integrates one final period on the converged orbit, records
-// the uniform grid, and computes Floquet multipliers. The grid run goes
-// through the caller's transient scratch; the returned Solution retains only
-// per-run storage (run.X's arena and run.Sens belong to that run alone).
-func buildSolution(ctx context.Context, tsc *transient.Scratch, sys *circuit.System, x0 linalg.Vec, T float64, anchor int, opt Options, mono *linalg.Mat, iters int) (*Solution, error) {
+// the uniform grid, and computes Floquet multipliers; an autonomous orbit
+// must move and keep a multiplier near 1. The grid run goes through the
+// caller's transient scratch; the returned Solution retains only per-run
+// storage (run.X's arena and run.Sens belong to that run alone).
+func buildSolution(ctx context.Context, tsc *transient.Scratch, sys *circuit.System, x0 linalg.Vec, T float64, autonomous bool, opt Options, iters int) (*Solution, error) {
 	defer diag.SpanFrom(ctx, "pss.grid").End()
 	k := opt.StepsPerPeriod
 	run, err := tsc.Run(ctx, x0, 0, T, transient.Options{
@@ -328,7 +322,7 @@ func buildSolution(ctx context.Context, tsc *transient.Scratch, sys *circuit.Sys
 	if len(run.X) != k+1 {
 		return nil, fmt.Errorf("pss: expected %d grid points, got %d", k+1, len(run.X))
 	}
-	if anchor >= 0 {
+	if autonomous {
 		if err := checkOrbitSwing(run.X, opt.Tol); err != nil {
 			return nil, err
 		}
@@ -339,7 +333,12 @@ func buildSolution(ctx context.Context, tsc *transient.Scratch, sys *circuit.Sys
 	}
 	mult, err := linalg.Eigenvalues(run.Sens)
 	if err != nil {
-		mult = nil // multipliers are advisory; don't fail the PSS
+		mult = nil // uncomputable multipliers are advisory; don't fail the PSS
+	}
+	if autonomous {
+		if err := checkTrivialMultiplier(mult, k); err != nil {
+			return nil, err
+		}
 	}
 	resid := linalg.NewVec(sys.N)
 	resid.Sub(run.Final(), x0)
@@ -384,16 +383,60 @@ func checkOrbitSwing(states []linalg.Vec, tol float64) error {
 	return nil
 }
 
-// estimatePeriodFromRecurrence refines a period guess by measuring spacing
-// of rising crossings of node 0 through its midpoint over the trailing half
-// of a settle run.
-func estimatePeriodFromRecurrence(res *transient.Result, guess float64) (float64, error) {
-	return estimatePeriodFromSeries(res.T, res.Node(0), guess)
+// settle runs the scalar solve's settle from x (overwritten with the start
+// state) and returns the refined period: SettleCycles−1 free-running cycles at
+// the settle resolution, then the recorded search run, stepped at the period
+// the first cycles' recurrence estimates, that phaseStart scans for the phase
+// origin. The period refines from node 0's recurrence over the whole settle.
+func settle(ctx context.Context, tsc *transient.Scratch, x linalg.Vec, T, level float64, opt Options) (float64, error) {
+	sspp := settleSteps(opt.StepsPerPeriod)
+	guess, h := T, T/float64(sspp)
+	var ts, v []float64
+	if c := opt.SettleCycles - 1; c > 0 {
+		res, err := tsc.Run(ctx, x, 0, float64(c)*T, transient.Options{
+			Method: transient.Trap, Step: h, Backend: opt.Backend,
+		})
+		if err != nil {
+			return 0, fmt.Errorf("pss: settle transient failed: %w", err)
+		}
+		x.CopyFrom(res.Final())
+		ts, v = res.T, res.Node(0)
+		if Tref, err := estimatePeriodFromSeries(ts, v, guess); err == nil {
+			h = Tref / float64(sspp)
+		}
+	}
+	t := 0.0
+	if len(ts) > 0 {
+		t = ts[len(ts)-1]
+	}
+	res, err := tsc.Run(ctx, x, t, t+float64(searchSteps(sspp))*h, transient.Options{
+		Method: transient.Trap, Step: h, Backend: opt.Backend,
+	})
+	if err != nil {
+		return 0, fmt.Errorf("pss: settle transient failed: %w", err)
+	}
+	return settlePeriod(ts, v, res.T, res.Node(0), guess), phaseStart(x, res.X, level, opt.Tol)
 }
 
-// estimatePeriodFromSeries is the slice-level core of the recurrence
-// estimator, shared by the scalar path and the batched settle (which records
-// per-lane node waveforms rather than transient.Results).
+// settlePeriod refines the period guess from node 0's recurrence over a whole
+// settle: the first cycles' series (ts1, v1; empty when there were none)
+// followed by the search run's, whose first point repeats their last.
+func settlePeriod(ts1, v1, ts2, v2 []float64, guess float64) float64 {
+	if len(ts1) > 0 {
+		ts2, v2 = ts2[1:], v2[1:]
+	}
+	ts := append(ts1[:len(ts1):len(ts1)], ts2...)
+	v := append(v1[:len(v1):len(v1)], v2...)
+	if T, err := estimatePeriodFromSeries(ts, v, guess); err == nil {
+		return T
+	}
+	return guess
+}
+
+// estimatePeriodFromSeries refines a period guess by measuring the spacing of
+// rising crossings of node 0 (samples v at times ts) through its midpoint over
+// the trailing half of a settle run. The scalar settle reads the series from
+// its transient.Result, the batched one from its per-lane node recording.
 func estimatePeriodFromSeries(ts, v []float64, guess float64) (float64, error) {
 	if len(v) == 0 || len(ts) != len(v) {
 		return 0, errors.New("pss: no recurrence found")
@@ -425,20 +468,16 @@ func estimatePeriodFromSeries(ts, v []float64, guess float64) (float64, error) {
 	return T, nil
 }
 
-// StabilityReport classifies the orbit from the Floquet multipliers: the
-// autonomous multiplier nearest 1 is identified, and the largest remaining
-// magnitude is returned (orbitally stable iff < 1).
+// StabilityReport classifies an autonomous orbit from its Floquet
+// multipliers: the multiplier nearest 1 is taken as the trivial one, and the
+// largest remaining magnitude is returned. The orbit is orbitally stable iff
+// that magnitude is < 1 and the trivial multiplier lies within the
+// discretization's bound of 1 (an orbit without one is not autonomous).
 func (s *Solution) StabilityReport() (trivial complex128, largestOther float64, stable bool) {
 	if len(s.Multipliers) == 0 {
 		return 0, math.NaN(), false
 	}
-	best := 0
-	bd := math.Inf(1)
-	for i, m := range s.Multipliers {
-		if d := cmplx.Abs(m - 1); d < bd {
-			bd, best = d, i
-		}
-	}
+	best, bd := nearestToOne(s.Multipliers)
 	trivial = s.Multipliers[best]
 	largestOther = 0
 	for i, m := range s.Multipliers {
@@ -449,5 +488,5 @@ func (s *Solution) StabilityReport() (trivial complex128, largestOther float64, 
 			largestOther = a
 		}
 	}
-	return trivial, largestOther, largestOther < 1
+	return trivial, largestOther, largestOther < 1 && bd <= trivialMultiplierBound(s.K())
 }

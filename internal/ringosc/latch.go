@@ -143,19 +143,6 @@ func (l *Latch) OutputIndex() int { return int(l.Ring[0]) }
 // (the SYNC and D sources perturb but do not set the frequency).
 func (l *Latch) EstimatedF0() float64 { return estimatedF0(l.Cfg.Ring) }
 
-// System returns the assembled ODE system (the engine.Oscillator contract).
-func (l *Latch) System() *circuit.System { return l.Sys }
-
-// InitialState returns the kick-start state (the engine.Oscillator
-// contract; identical to KickStart).
-func (l *Latch) InitialState() []float64 { return l.KickStart() }
-
-// OscillatorKey identifies the latch for content-addressed caching. Note
-// that LatchConfig.EN is a func and fingerprints by kind only: two latches
-// differing solely in their enable waveform share a cache key. Engine-cached
-// latch analyses should use level-static enables (EN == nil).
-func (l *Latch) OscillatorKey() (kind string, cfg any) { return "dlatch", l.Cfg }
-
 // ReferenceWaveform returns the V_REF of eq. (8): a Vdd-swing cosine at F1
 // with the given phase offset in cycles (Δφ_peak + Δφᵢ).
 func (l *Latch) ReferenceWaveform(phase float64) func(t float64) float64 {

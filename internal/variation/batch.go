@@ -46,14 +46,6 @@ const DefaultBatchLanes = 8
 // cold solves in the package tests).
 const batchSettleCycles = 3
 
-// batchSettleSPP is the settle integration's resolution. The settle only
-// conditions the shooting iteration's starting point — shooting re-converges
-// every corner to the full StepsPerPeriod discretization at its tolerance —
-// so a coarse settle grid costs nothing in accuracy (corner F0 moves by
-// ~1e-8 relative, far inside the shooting tolerance) and saves most of the
-// settle's integration work.
-const batchSettleSPP = 64
-
 // nominalOrbit is the shared warm-start source for a batch of corners.
 type nominalOrbit struct {
 	ring *ringosc.Ring
@@ -62,10 +54,9 @@ type nominalOrbit struct {
 
 // resolveNominal solves (or memoizes, with an engine) the nominal PSS orbit.
 // Without an engine the nominal is solved through the batched shooting path
-// as a one-lane batch: the coarse settle grid and merged grid pass halve the
-// cold-start cost, and the orbit is only a warm-start seed for the corner
-// lanes, so the (sub-tolerance) difference from the scalar solve is
-// irrelevant. Structural failures fall back to the scalar solve.
+// as a one-lane batch, whose merged grid pass saves the scalar solve's
+// re-run of the converged period; the orbit is only a warm-start seed for
+// the corner lanes. Structural failures fall back to the scalar solve.
 func resolveNominal(ctx context.Context, eng *engine.Engine, nominal ringosc.Config) (nominalOrbit, error) {
 	if eng != nil {
 		r, sol, err := eng.RingPSS(ctx, nominal)
@@ -81,7 +72,6 @@ func resolveNominal(ctx context.Context, eng *engine.Engine, nominal ringosc.Con
 	if b, berr := circuit.NewBatch([]*circuit.System{r.Sys}); berr == nil {
 		sols, laneErrs, serr := pss.ShootAutonomousBatch(ctx, b, r.KickStart(), pss.BatchShootOptions{
 			GuessT: []float64{1 / r.EstimatedF0()}, StepsPerPeriod: 512,
-			SettleStepsPerPeriod: batchSettleSPP, // cold-start default SettleCycles
 		})
 		if serr == nil && laneErrs[0] == nil {
 			return nominalOrbit{ring: r, sol: sols[0]}, nil
@@ -130,8 +120,7 @@ func batchEvalCorners(ctx context.Context, eng *engine.Engine, nom nominalOrbit,
 			guess[k] = nom.sol.T0 * nomF0 / r.EstimatedF0()
 		}
 		sols, laneErrs, err = pss.ShootAutonomousBatch(ctx, b, x0, pss.BatchShootOptions{
-			GuessT: guess, StepsPerPeriod: 512,
-			SettleCycles: batchSettleCycles, SettleStepsPerPeriod: batchSettleSPP,
+			GuessT: guess, StepsPerPeriod: 512, SettleCycles: batchSettleCycles,
 		})
 		if err != nil {
 			return nil, err // misuse or cancellation, not a per-lane failure

@@ -133,17 +133,19 @@ func BuildDLatch(cfg DLatchConfig) (*DLatch, error) { return ringosc.BuildLatch(
 
 // Oscillator is the substrate abstraction of the analysis pipeline:
 // anything that assembles into an autonomous ODE system with a limit cycle.
-// *Ring, *DLatch, and the phase-logic compiler's emitted blocks implement
-// it, and every PSS/PPV entry point — FindPSSCtx, ExtractPPVCtx, and the
-// Engine's memoized PSS/PPV — accepts any implementation. See
+// *Ring implements it, and every PSS/PPV entry point — FindPSSCtx,
+// ExtractPPVCtx, and the Engine's memoized PSS/PPV — accepts any
+// implementation. A driven circuit such as the D latch (its SYNC and D
+// sources set the time axis) is not one: autonomous shooting refuses an
+// orbit without a Floquet multiplier near 1 with pss.ErrNotAutonomous. See
 // engine.Oscillator for the method contract.
 type Oscillator = engine.Oscillator
 
 // FindPSSCtx computes an oscillator's periodic steady state by shooting.
 // The context carries cancellation and diagnostics (see package diag via
 // the cmd-line tools' -diag flag). Any Oscillator may be passed: the
-// paper's ring, a D latch, or a custom substrate. The solve is the one a
-// default Engine runs on a miss, so both return identical artifacts.
+// paper's ring or a custom substrate. The solve is the one a default Engine
+// runs on a miss, so both return identical artifacts.
 func FindPSSCtx(ctx context.Context, osc Oscillator) (*PSS, error) {
 	return engine.ColdPSS(ctx, osc, pss.Options{StepsPerPeriod: 1024})
 }

@@ -9,7 +9,6 @@ import (
 
 	phlogon "repro"
 	"repro/internal/phlogic"
-	"repro/internal/ringosc"
 	"repro/internal/transient"
 )
 
@@ -52,11 +51,11 @@ func TestFacadeMatchesEngine(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	latch, err := phlogon.BuildDLatch(ringosc.DefaultLatchConfig(9596))
+	ring2n1p, err := phlogon.BuildRing(phlogon.Ring2N1PConfig())
 	if err != nil {
 		t.Fatal(err)
 	}
-	for _, osc := range []phlogon.Oscillator{ring, latch} {
+	for name, osc := range map[string]phlogon.Oscillator{"ring": ring, "ring2n1p": ring2n1p} {
 		sol, err := phlogon.FindPSSCtx(ctx, osc)
 		if err != nil {
 			t.Fatal(err)
@@ -69,12 +68,11 @@ func TestFacadeMatchesEngine(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		kind, _ := osc.OscillatorKey()
 		if !reflect.DeepEqual(sol, esol) {
-			t.Errorf("%s: FindPSSCtx differs from Engine.PSS", kind)
+			t.Errorf("%s: FindPSSCtx differs from Engine.PSS", name)
 		}
 		if !reflect.DeepEqual(p, ep) {
-			t.Errorf("%s: ExtractPPVCtx differs from Engine.PPV", kind)
+			t.Errorf("%s: ExtractPPVCtx differs from Engine.PPV", name)
 		}
 	}
 }
