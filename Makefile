@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: check fmt vet build perfbench-check test test-short race xval xval-update bench bench-baseline bench-compare bench-overhead bench-alloc bench-engine bench-sparse bench-batch bench-noise bench-serve lint-deprecated
+.PHONY: check fmt vet build perfbench-check test test-short race xval xval-update bench bench-baseline bench-compare bench-overhead bench-alloc bench-engine bench-sparse bench-batch bench-noise bench-serve lint-deprecated loc
 
 # The tier-1+ gate (see ROADMAP.md): formatting, vet, build, the pinned
 # benchmark's vet and tests, the full test suite under the race detector,
@@ -22,6 +22,15 @@ lint-deprecated:
 	if [ -n "$$out" ]; then \
 		echo "deprecated pre-context API used inside the module:"; echo "$$out"; exit 1; \
 	fi
+
+# Code size, the count ROADMAP.md's line targets use: tracked non-test Go
+# lines outside perfbench/ (the pinned benchmark, a module of its own), per
+# package directory and in total, then the tracked test lines in total.
+loc:
+	@git ls-files '*.go' ':!:*_test.go' ':!:perfbench/*' | xargs wc -l | grep -v ' total$$' \
+		| awk '{ d = $$2; sub(/\/[^\/]*$$/, "", d); if (d == $$2) d = "."; n[d] += $$1 } END { for (d in n) printf "%7d %s\n", n[d], d }' | sort -k2
+	@git ls-files '*.go' ':!:*_test.go' ':!:perfbench/*' | xargs cat | wc -l | awk '{ printf "%7d total non-test\n", $$1 }'
+	@git ls-files '*_test.go' ':!:perfbench/*' | xargs cat | wc -l | awk '{ printf "%7d total test\n", $$1 }'
 
 fmt:
 	@out=$$(gofmt -l .); \

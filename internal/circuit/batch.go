@@ -166,14 +166,6 @@ func (w *BatchWorkspace) LaneF(k int) []float64 {
 	return w.F[k*w.b.N : (k+1)*w.b.N]
 }
 
-// LaneJ returns lane k's Jacobian from the last EvalFJBatch as a CSC view
-// on the shared pattern. The view aliases w.JV; it is valid until the next
-// evaluation.
-func (w *BatchWorkspace) LaneJ(k int) *sparse.CSC {
-	nnz := w.b.pat.NNZ()
-	return &sparse.CSC{P: w.b.pat, Val: w.JV[k*nnz : (k+1)*nnz]}
-}
-
 // LaneJDense gathers lane k's Jacobian into the dense dst (N×N).
 func (w *BatchWorkspace) LaneJDense(dst *linalg.Mat, k int) *linalg.Mat {
 	p := w.b.pat
@@ -192,18 +184,12 @@ func (w *BatchWorkspace) LaneJDense(dst *linalg.Mat, k int) *linalg.Mat {
 // x is lane-major K·N, results land in w.F and w.JV. Per lane this is
 // bit-identical to Workspace.EvalFJ of the same corner.
 func (w *BatchWorkspace) EvalFJBatch(x []float64, t float64) {
-	w.evalBatch(x, t, true, 1, 1)
+	w.evalBatch(x, t, true)
 }
 
 // EvalFBatch evaluates the residual only (w.JV untouched).
 func (w *BatchWorkspace) EvalFBatch(x []float64, t float64) {
-	w.evalBatch(x, t, false, 1, 1)
-}
-
-// EvalScaledBatch is EvalFJBatch under gmin/source continuation scaling;
-// wantJ=false skips the Jacobian.
-func (w *BatchWorkspace) EvalScaledBatch(x []float64, t float64, wantJ bool, gminScale, srcScale float64) {
-	w.evalBatch(x, t, wantJ, gminScale, srcScale)
+	w.evalBatch(x, t, false)
 }
 
 // EvalBatchAt is the per-lane-time evaluation: lane k is evaluated at tl[k]
@@ -213,11 +199,11 @@ func (w *BatchWorkspace) EvalBatchAt(x []float64, tl []float64, wantJ bool) {
 		panic("circuit: EvalBatchAt lane-time length mismatch")
 	}
 	w.ctx.tl = tl
-	w.evalBatch(x, 0, wantJ, 1, 1)
+	w.evalBatch(x, 0, wantJ)
 	w.ctx.tl = nil
 }
 
-func (w *BatchWorkspace) evalBatch(x []float64, t float64, wantJ bool, gminScale, srcScale float64) {
+func (w *BatchWorkspace) evalBatch(x []float64, t float64, wantJ bool) {
 	b := w.b
 	if len(x) != b.K*b.N {
 		panic("circuit: EvalFJBatch state length mismatch")
@@ -239,7 +225,7 @@ func (w *BatchWorkspace) evalBatch(x []float64, t float64, wantJ bool, gminScale
 	if wantJ {
 		e.JV = w.JV
 	}
-	e.WantJacobian, e.GminScale, e.SourceScale = wantJ, gminScale, srcScale
+	e.WantJacobian, e.GminScale, e.SourceScale = wantJ, 1, 1
 	b.plan.eval(e)
 	e.X, e.F, e.JV = nil, nil, nil
 }

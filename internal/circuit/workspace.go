@@ -25,12 +25,6 @@ type Workspace struct {
 	// scratch for XDot / RHSJacobian (jbuf allocated on first use)
 	fbuf linalg.Vec
 	jbuf *linalg.Mat
-	// Sparse-branch scratch (lazy; only sparse-backend analyses pay for it):
-	// a private Jacobian value array on the shared pattern, a private sparse
-	// factorization of C, and a gather/solve column buffer.
-	sjbuf *sparse.CSC
-	sclu  *sparse.LU
-	scol  linalg.Vec
 	// m counts circuit evaluations when diagnostics are enabled (nil
 	// otherwise — the nil-safe methods make the disabled path a pointer
 	// test).
@@ -160,48 +154,4 @@ func (w *Workspace) EvalScaledSparse(x linalg.Vec, t float64, f linalg.Vec, sj *
 	f.Zero()
 	sj.Zero()
 	w.eval(p, x, t, f, sj.Val, true, gminScale, srcScale)
-}
-
-// ensureSparse lazily builds the workspace's private sparse scratch: the
-// Jacobian value array on the shared pattern, a pinned factorization of C,
-// and the gather column. Only sparse-backend analyses call this.
-func (w *Workspace) ensureSparse() error {
-	if w.sjbuf != nil {
-		return nil
-	}
-	w.sjbuf = sparse.NewCSC(w.sys.SparsePattern())
-	w.scol = linalg.NewVec(w.sys.N)
-	w.sclu = &sparse.LU{}
-	return w.sclu.FactorizeInto(w.sys.SparseC())
-}
-
-// RHSJacobianSparseInto computes A(t) = −C⁻¹·J(x, t) into the dense dst via
-// the sparse stamp path: J is stamped into O(nnz) storage and each of its
-// sparse columns is solved against the workspace's pinned sparse
-// factorization of C — O(n·|C factors|) instead of the dense O(n³)-flavored
-// SolveMat. dst must be n×n. The result agrees with RHSJacobianInto to
-// factorization roundoff (the elimination order differs, so it is not
-// bit-identical — use the dense path where bit-stability is contractual).
-func (w *Workspace) RHSJacobianSparseInto(dst *linalg.Mat, x linalg.Vec, t float64) (*linalg.Mat, error) {
-	n := w.sys.N
-	if dst.Rows != n || dst.Cols != n {
-		panic("circuit: RHSJacobianSparseInto dimension mismatch")
-	}
-	if err := w.ensureSparse(); err != nil {
-		return nil, err
-	}
-	w.EvalFJSparse(x, t, w.fbuf, w.sjbuf)
-	p := w.sjbuf.P
-	for j := 0; j < n; j++ {
-		col := w.scol
-		col.Zero()
-		for k := p.ColPtr[j]; k < p.ColPtr[j+1]; k++ {
-			col[p.Rows[k]] = -w.sjbuf.Val[k]
-		}
-		w.sclu.SolveInto(col, col)
-		for i := 0; i < n; i++ {
-			dst.Set(i, j, col[i])
-		}
-	}
-	return dst, nil
 }

@@ -117,10 +117,10 @@ func oracleCircuits() map[string]func(k int) (*circuit.System, error) {
 // bits of the reference stamps (RefEval, which reads every rail and source
 // afresh). It checks one lane on the dense layout (Workspace.EvalScaled),
 // one lane on the sparse layout (EvalScaledSparse) and a batch of lanes with
-// different parameters at a shared time (EvalScaledBatch) and at per-lane
-// times (EvalBatchAt); f-only and f+J evaluations; unit and non-unit
-// GminScale and SourceScale. Times repeat, so the time memos serve hits as
-// well as misses.
+// different parameters at a shared time (EvalFJBatch, EvalFBatch) and at
+// per-lane times (EvalBatchAt); f-only and f+J evaluations; unit and
+// non-unit GminScale and SourceScale on the single lanes, unit ones on the
+// batch. Times repeat, so the time memos serve hits as well as misses.
 func TestStampsBitIdenticalToReference(t *testing.T) {
 	for name, mk := range oracleCircuits() {
 		t.Run(name, func(t *testing.T) {
@@ -178,17 +178,20 @@ func TestStampsBitIdenticalToReference(t *testing.T) {
 				}
 				sameBits(t, trial, "sparse f", f, fr)
 
-				if trial%2 == 0 {
-					bw.EvalScaledBatch(x, tt, wantJ, gs, ss)
-				} else {
+				gs, ss = 1, 1
+				switch {
+				case trial%2 == 1:
 					for k := range tl {
 						tl[k] = tt
 						if r.Intn(2) == 0 {
 							tl[k] = 8 / 9.6e3 * r.Float64()
 						}
 					}
-					gs, ss = 1, 1
 					bw.EvalBatchAt(x, tl, wantJ)
+				case wantJ:
+					bw.EvalFJBatch(x, tt)
+				default:
+					bw.EvalFBatch(x, tt)
 				}
 				for k := range lanes {
 					at := tt

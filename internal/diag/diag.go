@@ -73,9 +73,14 @@ const (
 	// refactorized into retained buffers (FactorizeInto on a warm scratch)
 	// instead of allocating fresh factor/pivot storage.
 	LUFactorizationsReused
-	// ScratchBytesPinned accumulates the bytes of long-lived numeric scratch
-	// (Newton/LU/sensitivity buffers) pinned by solver and transient
-	// scratches, counted once when each scratch first runs under metrics.
+	// ScratchBytesPinned accumulates the bytes of numeric storage that
+	// solver and transient scratches keep from one run to the next: 8 per
+	// float64 of their vectors, matrices and value arrays, and of the
+	// factors of each factorization they keep (n² for a dense LU, nnz +
+	// fill-in for a sparse one). A buffer counts when it is allocated, a
+	// factorization when it is first factored, and a scratch reports each
+	// byte once. Index and pivot arrays, circuit evaluation workspaces and
+	// the results a run returns are not counted.
 	ScratchBytesPinned
 	// SparseFactorizations counts sparse LU factorizations that ran the
 	// symbolic analysis (first factorization per topology/pattern).

@@ -5,6 +5,7 @@ import (
 	"math"
 	"testing"
 
+	"repro/internal/diag"
 	"repro/internal/linalg"
 	"repro/internal/linalg/sparse"
 	"repro/internal/ringosc"
@@ -85,5 +86,44 @@ func TestSolveSparseWithScratchReuse(t *testing.T) {
 		if x2[i] != got1[i] {
 			t.Fatalf("warm re-solve not bit-identical at node %d", i)
 		}
+	}
+}
+
+// TestScratchBytesPinnedFromBuffers pins ScratchBytesPinned to the buffers
+// a solve allocates, 8 bytes per float64: five n-vectors, the Jacobian (n²
+// dense, nnz sparse) and its factors (n², or nnz + fill-in), reported once
+// however often the scratch solves.
+func TestScratchBytesPinnedFromBuffers(t *testing.T) {
+	arr, err := ringosc.BuildArray(2)
+	if err != nil {
+		t.Fatal(err)
+	}
+	ws, pat := arr.Sys.NewWorkspace(), arr.Sys.SparsePattern()
+	n, nnz := int64(arr.Sys.N), int64(pat.NNZ())
+	x0 := linalg.NewVec(arr.Sys.N)
+	m := diag.New()
+	ctx := diag.WithMetrics(context.Background(), m)
+	dense := func(x linalg.Vec, f linalg.Vec, j *linalg.Mat) { ws.EvalScaled(x, 0, f, j, 1, 1) }
+	sc := solver.NewScratch(arr.Sys.N)
+	for run := 0; run < 2; run++ {
+		if _, _, err := solver.SolveWith(ctx, dense, x0, solver.Options{}, sc); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if got, want := m.Get(diag.ScratchBytesPinned), 8*(5*n+2*n*n); got != want {
+		t.Errorf("dense: %d bytes pinned, want %d", got, want)
+	}
+
+	m = diag.New()
+	ctx = diag.WithMetrics(context.Background(), m)
+	sparseFn := func(x linalg.Vec, f linalg.Vec, sj *sparse.CSC) { ws.EvalScaledSparse(x, 0, f, sj, 1, 1) }
+	sc = solver.NewSparseScratch(pat)
+	for run := 0; run < 2; run++ {
+		if _, _, err := solver.SolveSparseWith(ctx, sparseFn, pat, x0, solver.Options{}, sc); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if got, want := m.Get(diag.ScratchBytesPinned), 8*(5*n+2*nnz+m.Get(diag.SparseFillIns)); got != want {
+		t.Errorf("sparse: %d bytes pinned, want %d", got, want)
 	}
 }

@@ -128,7 +128,7 @@ func (s *Scratch) ensure(n int) {
 		return
 	}
 	s.j = linalg.NewMat(n, n)
-	s.pinned += int64(8 * (n*n + 2*n*n)) // Jacobian + LU factors (once factorized)
+	s.pinned += int64(8 * n * n)
 }
 
 // ensureSparse (re)binds the sparse-backend buffers to the pattern; a warm
@@ -224,6 +224,8 @@ func (d *denseSys) factorize(m *diag.Metrics) error {
 	m.Inc(diag.LUFactorizations)
 	if d.sc.lu.ReusedBuffers() {
 		m.Inc(diag.LUFactorizationsReused)
+	} else {
+		d.sc.pinned += int64(8 * len(d.sc.j.Data))
 	}
 	return err
 }
@@ -245,6 +247,7 @@ func (s *sparseSys) factorize(m *diag.Metrics) error {
 	} else {
 		m.Inc(diag.SparseFactorizations)
 		m.Add(diag.SparseFillIns, int64(s.sc.slu.FillIn()))
+		s.sc.pinned += int64(8 * (len(s.sc.sj.Val) + s.sc.slu.FillIn()))
 	}
 	return err
 }
@@ -257,7 +260,7 @@ func solveCore(ctx context.Context, sys newtonSys, x0 linalg.Vec, opt Options, s
 	m := diag.FromContext(ctx)
 	opt = opt.withDefaults()
 	m.Inc(diag.NewtonSolves)
-	sc.countPinned(m)
+	defer sc.countPinned(m)
 	x, f := sc.x, sc.f
 	xTry, fTry, dx := sc.xTry, sc.fTry, sc.dx
 	copy(x, x0) // x0 may alias sc.x (continuation chains); copy is then a no-op

@@ -8,7 +8,6 @@ import (
 	"repro/internal/circuit"
 	"repro/internal/diag"
 	"repro/internal/linalg"
-	"repro/internal/linalg/sparse"
 )
 
 // This file implements lockstep batched transient integration over a
@@ -16,8 +15,8 @@ import (
 // fixed θ-method steps, each with its own per-lane step size h[k] (and
 // therefore its own physical time axis), with every circuit evaluation
 // fanned across the batch in one EvalBatchAt call. The per-lane linear
-// algebra (corrector factorization, sensitivity propagation) mirrors the
-// scalar stepper/sparseStepper algorithms exactly, so a batched lane is
+// algebra (corrector factorization, sensitivity propagation) runs on the
+// scalar run's matrix type with its algorithms, so a batched lane is
 // numerically equivalent to the scalar path — equivalent, not bit-identical:
 // the batched corrector reuses the accepted-point Jacobian evaluation as the
 // next step's J0/f0 (a bitwise-identical value the scalar path recomputes),
@@ -89,7 +88,7 @@ func (r *BatchResult) LaneX(k int) linalg.Vec {
 
 // BatchScratch pins every reusable buffer a batched integration needs: the
 // batch evaluation workspace, the lane-major state/residual arrays, the
-// per-lane LU factorizations (dense or sparse, symbolic analysis retained
+// per-lane factorizations (dense or sparse, symbolic analysis retained
 // across steps and runs), and the accepted-point Jacobian cache that lets
 // consecutive sensitivity steps share one evaluation. NOT safe for
 // concurrent use — one BatchScratch per goroutine.
@@ -111,113 +110,66 @@ type BatchScratch struct {
 	jcache, fcache []float64
 	haveCache      []bool
 
-	// Per-lane dense solve scratch.
+	// Solve scratch the lanes share: they correct one at a time.
 	resid, dxv linalg.Vec
-	jac        *linalg.Mat
-	lus        []linalg.LU
-	// Per-lane correctors for the run's backend: lane k's C and its C
-	// scaled for opt.H[k] (lazy; rebuilt when the backend changes).
-	cors      []corrector
-	corSparse bool
-	// Dense sensitivity scratch (lazy).
-	lhs, rhs, prop, prod *linalg.Mat
-	slus                 []linalg.LU
-
-	// Per-lane sparse solve scratch (lazy).
-	sjac       *sparse.CSC
-	plus       []sparse.LU
-	slhs, srhs *sparse.CSC
-	stmp       *linalg.Mat
-	pslus      []sparse.LU
+	// Lane k's corrector: its C, and C scaled for its step, on the batch
+	// pattern.
+	cors []corrector
+	// Per-lane matrices on backend be (made on first use, remade when the
+	// backend changes): lane k's iteration matrix mats[k] and sensitivity
+	// matrix mats[K+k], which share one value array and factor each on
+	// their own.
+	be   linalg.Backend
+	mats []matrix
+	// Sensitivity scratch (lazy): the propagator's right-hand matrix and
+	// an n×n product, shared by the lanes.
+	rhs matrix
+	tmp *linalg.Mat
 
 	// Lane bookkeeping: the live lanes, the lanes still iterating and those
 	// of them refactoring or taking a chord iteration next, and the lanes
 	// whose accepted-point evaluation is not cached.
 	live, iterLanes, factorLanes, chordLanes, needEval []int
 
-	counted bool
+	pin pins
 }
 
 // NewBatchScratch returns a scratch for batched integration over b.
 func NewBatchScratch(b *circuit.Batch) *BatchScratch {
 	k, n, nnz := b.K, b.N, b.Pattern().NNZ()
+	v := make([]float64, 6*k*n+2*k+2*k*nnz+2*n)
+	cut := func(size int) []float64 {
+		s := v[:size:size]
+		v = v[size:]
+		return s
+	}
 	sc := &BatchScratch{
 		b: b, bw: b.NewWorkspace(),
 		K: k, N: n, nnz: nnz,
-		x: make([]float64, k*n), x1: make([]float64, k*n),
-		prev: make([]float64, k*n), prev2: make([]float64, k*n), f0: make([]float64, k*n),
-		tl: make([]float64, k), tl1: make([]float64, k),
+		x: cut(k * n), x1: cut(k * n), prev: cut(k * n), prev2: cut(k * n), f0: cut(k * n),
+		tl: cut(k), tl1: cut(k),
 		pol:    make([]newtonPolicy, k),
-		jcache: make([]float64, k*nnz), fcache: make([]float64, k*n),
+		jcache: cut(k * nnz), fcache: cut(k * n),
 		haveCache: make([]bool, k),
-		resid:     linalg.NewVec(n), dxv: linalg.NewVec(n),
-		jac:  linalg.NewMat(n, n),
-		lus:  make([]linalg.LU, k),
+		resid:     cut(n), dxv: cut(n),
 		live: make([]int, 0, k), iterLanes: make([]int, 0, k),
 		factorLanes: make([]int, 0, k), chordLanes: make([]int, 0, k),
 		needEval: make([]int, 0, k),
+		cors:     make([]corrector, k),
 	}
+	for i, s := range b.Systems {
+		sc.cors[i] = newCorrector(s, b.CVals(i), cut(nnz), sc.dxv, false)
+	}
+	sc.pin.add(6*k*n + 2*k + 2*k*nnz + 2*n)
 	return sc
 }
 
-// ensureDenseSens lazily allocates the dense sensitivity scratch.
-func (sc *BatchScratch) ensureDenseSens() {
-	if sc.lhs != nil {
-		return
+// ensureLanes makes the per-lane matrices for backend be.
+func (sc *BatchScratch) ensureLanes(be linalg.Backend) {
+	if sc.mats == nil || sc.be != be {
+		sc.mats, _ = newMatrices(be, sc.N, sc.b.Pattern(), 2*sc.K, 0, &sc.pin)
+		sc.be, sc.rhs, sc.tmp = be, nil, nil
 	}
-	n := sc.N
-	sc.lhs = linalg.NewMat(n, n)
-	sc.rhs = linalg.NewMat(n, n)
-	sc.prop = linalg.NewMat(n, n)
-	sc.prod = linalg.NewMat(n, n)
-	sc.slus = make([]linalg.LU, sc.K)
-}
-
-// ensureCorrectors binds one corrector per lane to the backend's layout of
-// that lane's C: the dense matrix, or its values on the shared pattern. The
-// lanes correct one at a time, so they share the update buffer as their
-// residual scratch.
-func (sc *BatchScratch) ensureCorrectors(useSparse bool) {
-	if sc.cors != nil && sc.corSparse == useSparse {
-		return
-	}
-	size := sc.N * sc.N
-	if useSparse {
-		size = sc.nnz
-	}
-	buf := make([]float64, sc.K*size)
-	if sc.cors == nil {
-		sc.cors = make([]corrector, sc.K)
-	}
-	for k, s := range sc.b.Systems {
-		c := s.C.Data
-		if useSparse {
-			c = sc.b.CVals(k)
-		}
-		sc.cors[k] = newCorrector(s, c, buf[k*size:(k+1)*size], sc.dxv, false)
-	}
-	sc.corSparse = useSparse
-}
-
-// ensureSparse lazily allocates the sparse corrector scratch.
-func (sc *BatchScratch) ensureSparse() {
-	if sc.sjac != nil {
-		return
-	}
-	sc.sjac = sparse.NewCSC(sc.b.Pattern())
-	sc.plus = make([]sparse.LU, sc.K)
-}
-
-// ensureSparseSens lazily allocates the sparse sensitivity scratch.
-func (sc *BatchScratch) ensureSparseSens() {
-	if sc.slhs != nil {
-		return
-	}
-	pat := sc.b.Pattern()
-	sc.slhs = sparse.NewCSC(pat)
-	sc.srhs = sparse.NewCSC(pat)
-	sc.stmp = linalg.NewMat(sc.N, sc.N)
-	sc.pslus = make([]sparse.LU, sc.K)
 }
 
 // RunBatch integrates all lanes of b from the lane-major state x0 through a
@@ -259,24 +211,15 @@ func (sc *BatchScratch) Run(ctx context.Context, x0 []float64, opt BatchOptions)
 	}
 	vtol := updateTol(opt.NewtonTol)
 	th := opt.Method.theta()
-	useSparse := sc.b.Systems[0].ResolveBackend(opt.Backend) == linalg.BackendSparse
-	sc.ensureCorrectors(useSparse)
-	if useSparse {
-		sc.ensureSparse()
-		if opt.Sensitivity {
-			sc.ensureSparseSens()
-		}
-	} else if opt.Sensitivity {
-		sc.ensureDenseSens()
+	sc.ensureLanes(sc.b.Systems[0].ResolveBackend(opt.Backend))
+	if opt.Sensitivity && sc.rhs == nil {
+		sc.rhs, sc.tmp = sc.mats[0].propScratch()
 	}
 
 	defer diag.SpanFrom(ctx, "transient.batch").End()
 	dm := diag.FromContext(ctx)
+	defer sc.pin.report(dm)
 	sc.bw.SetMetrics(dm)
-	if !sc.counted && dm != nil {
-		dm.Add(diag.ScratchBytesPinned, int64(8*(7*K*n+2*K+2*K*nnz+2*n+n*n+K*len(sc.cors[0].scaled))+16*K))
-		sc.counted = true
-	}
 
 	res := &BatchResult{K: K, N: n, Err: make([]error, K)}
 	copy(sc.x, x0)
@@ -415,7 +358,7 @@ func (sc *BatchScratch) Run(ctx context.Context, x0 []float64, opt BatchOptions)
 			}
 			w := 0
 			for _, k := range sc.iterLanes {
-				done, err := sc.correctLane(k, th, opt.H[k], vtol, useSparse, dm)
+				done, err := sc.correctLane(k, th, opt.H[k], vtol, dm)
 				res.NewtonIters++
 				dm.Inc(diag.NewtonIterations)
 				if err != nil {
@@ -454,13 +397,7 @@ func (sc *BatchScratch) Run(ctx context.Context, x0 []float64, opt BatchOptions)
 			sc.bw.EvalBatchAt(sc.x1, sc.tl1, true)
 			w := 0
 			for _, k := range sc.live {
-				var err error
-				if useSparse {
-					err = sc.sensLaneSparse(k, th, opt.H[k], res.Sens[k], dm)
-				} else {
-					err = sc.sensLaneDense(k, th, opt.H[k], res.Sens[k], dm)
-				}
-				if err != nil {
+				if err := sc.sensLane(k, th, opt.H[k], res.Sens[k], dm); err != nil {
 					fail(k, fmt.Errorf("transient: lane %d sensitivity failed at step %d: %w", k, s, err))
 					continue
 				}
@@ -526,99 +463,37 @@ func (sc *BatchScratch) allocRecords(res *BatchResult, opt BatchOptions) (stateB
 // assembling and factoring the iteration matrix when the policy refactors,
 // solving with the step's factorization otherwise — and updates the lane's
 // x1 block in place. Returns done=true when the convergence test passes.
-func (sc *BatchScratch) correctLane(k int, th, h, vtol float64, useSparse bool, dm *diag.Metrics) (bool, error) {
+func (sc *BatchScratch) correctLane(k int, th, h, vtol float64, dm *diag.Metrics) (bool, error) {
 	n := sc.N
 	base := k * n
-	jb := k * sc.nnz
 	x1 := linalg.Vec(sc.x1[base : base+n])
 	cor := &sc.cors[k]
 	cor.thetaResidual(sc.resid, x1, sc.x[base:base+n], sc.bw.F[base:base+n], sc.f0[base:base+n], th, h)
 	pol := &sc.pol[k]
 	fresh := pol.refactor()
+	a := sc.mats[k]
 	if fresh {
-		ch := cor.scaledC(h)
-		jv := sc.bw.JV[jb : jb+sc.nnz]
-		var err error
-		if useSparse {
-			copy(sc.sjac.Val, jv)
-			addScaled(sc.sjac.Val, ch, th)
-			err = sparseFactor(dm, &sc.plus[k], sc.sjac)
-		} else {
-			copy(sc.jac.Data, ch)
-			sc.addPattern(sc.jac, th, jv)
-			err = denseFactor(dm, &sc.lus[k], sc.jac)
-		}
-		if err != nil {
+		a.combine(cor.scaledC(h), sc.bw.JV[k*sc.nnz:(k+1)*sc.nnz], th)
+		if err := a.factor(dm); err != nil {
 			return false, fmt.Errorf("singular iteration matrix: %w", err)
 		}
 	}
-	var dx linalg.Vec
-	if useSparse {
-		dx = sc.plus[k].SolveInto(sc.dxv, sc.resid)
-	} else {
-		dx = sc.lus[k].SolveInto(sc.dxv, sc.resid)
-	}
+	dx := a.solve(sc.dxv, sc.resid)
 	dm.Inc(diag.LUSolves)
 	return pol.apply(x1, dx, vtol, fresh)
 }
 
-// addPattern adds w·v to the dense dst at the shared pattern's positions,
-// v holding one lane's values on the pattern.
-func (sc *BatchScratch) addPattern(dst *linalg.Mat, w float64, v []float64) {
-	pat := sc.b.Pattern()
-	n := sc.N
-	for j := 0; j < n; j++ {
-		for p := pat.ColPtr[j]; p < pat.ColPtr[j+1]; p++ {
-			dst.Data[pat.Rows[p]*n+j] += w * v[p]
-		}
-	}
-}
-
-// sensLaneDense propagates lane k's monodromy through the accepted step:
+// sensLane propagates lane k's monodromy through the accepted step:
 //
 //	S ← (C/h + θ·J1)⁻¹ · (C/h − (1−θ)·J0) · S
 //
 // with J1 read from the workspace's accepted-point evaluation and J0 from
 // the cache (the previous step's accepted-point evaluation).
-func (sc *BatchScratch) sensLaneDense(k int, th, h float64, sens *linalg.Mat, dm *diag.Metrics) error {
-	n := sc.N
-	jb := k * sc.nnz
-	pat := sc.b.Pattern()
-	ch := sc.cors[k].scaledC(h)
-	copy(sc.lhs.Data, ch)
-	copy(sc.rhs.Data, ch)
-	for j := 0; j < n; j++ {
-		for p := pat.ColPtr[j]; p < pat.ColPtr[j+1]; p++ {
-			di := pat.Rows[p]*n + j
-			sc.lhs.Data[di] += th * sc.bw.JV[jb+p]
-			sc.rhs.Data[di] -= (1 - th) * sc.jcache[jb+p]
-		}
-	}
-	if err := denseFactor(dm, &sc.slus[k], sc.lhs); err != nil {
-		return fmt.Errorf("singular sensitivity matrix: %w", err)
-	}
-	dm.Add(diag.LUSolves, int64(n))
-	prop := sc.slus[k].SolveMatInto(sc.prop, sc.rhs)
-	next := prop.MulInto(sc.prod, sens)
-	sens.CopyFrom(next)
-	return nil
-}
-
-// sensLaneSparse is sensLaneDense on the sparse backend: the lhs/rhs value
-// arrays combine entrywise on the shared pattern and the n columns back-solve
-// against the lane's retained symbolic factorization.
-func (sc *BatchScratch) sensLaneSparse(k int, th, h float64, sens *linalg.Mat, dm *diag.Metrics) error {
+func (sc *BatchScratch) sensLane(k int, th, h float64, sens *linalg.Mat, dm *diag.Metrics) error {
 	jb := k * sc.nnz
 	ch := sc.cors[k].scaledC(h)
-	for i := range sc.slhs.Val {
-		sc.slhs.Val[i] = ch[i] + th*sc.bw.JV[jb+i]
-		sc.srhs.Val[i] = ch[i] - (1-th)*sc.jcache[jb+i]
-	}
-	if err := sparseFactor(dm, &sc.pslus[k], sc.slhs); err != nil {
-		return fmt.Errorf("singular sensitivity matrix: %w", err)
-	}
-	dm.Add(diag.LUSolves, int64(sc.N))
-	sc.srhs.MulMatInto(sc.stmp, sens)
-	sc.pslus[k].SolveMatInto(sens, sc.stmp)
-	return nil
+	lhs := sc.mats[sc.K+k]
+	lhs.combine(ch, sc.bw.JV[jb:jb+sc.nnz], th)
+	sc.rhs.combine(ch, sc.jcache[jb:jb+sc.nnz], -(1 - th))
+	return propagateTheta(dm, lhs, sc.rhs, sens, sc.tmp)
 }

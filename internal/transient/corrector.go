@@ -11,14 +11,16 @@ import (
 	"repro/internal/solver"
 )
 
-// This file holds the Newton-iteration pieces every transient corrector
-// shares — the dense and sparse θ and Gear2 steppers and the batched lanes:
-// the θ predictor, the method-scaled capacitance cache, the residual's
-// capacitive term over C's nonzeros, the clamped update, and the Newton
-// policy (convergence test, refactor or chord). The capacitance cache and
-// the residual perform the floating-point operations of the n²-dense
-// assembly they replaced (kept as the test oracle), in the same order, less
-// additions of exact zeros, so their results are bit for bit the same.
+// This file holds the Newton corrector: the pieces the scalar run and the
+// batched lanes share — the θ predictor, the method-scaled capacitance
+// cache, the residual's capacitive term over C's nonzeros, the clamped
+// update, and the Newton policy (convergence test, refactor or chord) —
+// and the scalar run's θ and BDF2 steps with their sensitivity
+// propagation, written once over the backend's matrix type (matrix.go).
+// The capacitance cache and the residual perform the floating-point
+// operations of the n²-dense assembly they replaced (kept as the test
+// oracle), in the same order, less additions of exact zeros, so their
+// results are bit for bit the same.
 
 // errNoConverge is the corrector's iteration-cap failure.
 var errNoConverge = fmt.Errorf("transient: Newton corrector did not converge: %w", solver.ErrNoConvergence)
@@ -280,13 +282,155 @@ func newtonLoop(m *diag.Metrics, x1 linalg.Vec, maxNewton int, vtol float64, sol
 	return nil, maxNewton, errNoConverge
 }
 
-// denseFactor runs FactorizeInto with the dense counter discipline: every
-// call counts a factorization, and one that kept its buffers a reuse.
-func denseFactor(m *diag.Metrics, lu *linalg.LU, a *linalg.Mat) error {
-	err := lu.FactorizeInto(a)
-	m.Inc(diag.LUFactorizations)
-	if lu.ReusedBuffers() {
-		m.Inc(diag.LUFactorizationsReused)
+// stepper is one Newton corrector of the scalar run on one backend: the
+// θ-method's (BE, Trap), or BDF2's when its corrector scales C for Gear2.
+// Its matrices carry every difference between the backends. All circuit
+// evaluations go through a workspace of its own and every buffer is pinned
+// in it, so steppers on one shared System never contend and a steady-state
+// step allocates nothing.
+type stepper struct {
+	ws  *circuit.Workspace
+	opt Options
+	m   *diag.Metrics // nil when diagnostics are off
+	cor corrector
+	// f0, f1, resid, dx and the iterate x1, which a step's return value
+	// aliases.
+	f0, f1, resid, dx, x1 linalg.Vec
+	// a holds J, then the iteration matrix, and factors it; s shares its
+	// values and factors the sensitivity system at each accepted point.
+	a, s matrix
+	// Sensitivity scratch (lazy): the θ propagator's right-hand matrix r
+	// and n×n products (tmp, and tmp2 for BDF2).
+	r         matrix
+	tmp, tmp2 *linalg.Mat
+	pin       *pins
+}
+
+// newStepper returns sys's θ corrector, or its BDF2 one when gear is set,
+// on backend be, counting its buffers on p.
+func newStepper(sys *circuit.System, be linalg.Backend, gear bool, p *pins) *stepper {
+	n := sys.N
+	var pat *sparse.Pattern
+	c := sys.C.Data
+	if be == linalg.BackendSparse {
+		pat, c = sys.SparsePattern(), sys.SparseC().Val
 	}
-	return err
+	ms, scaled := newMatrices(be, n, pat, 2, len(c), p)
+	v := make([]float64, 5*n)
+	p.add(len(v))
+	s := &stepper{
+		ws: sys.NewWorkspace(),
+		f0: v[:n:n], f1: v[n : 2*n : 2*n], resid: v[2*n : 3*n : 3*n], dx: v[3*n : 4*n : 4*n], x1: v[4*n:],
+		a: ms[0], s: ms[1], pin: p,
+	}
+	s.cor = newCorrector(sys, c, scaled, s.dx, gear)
+	return s
+}
+
+// bind points the stepper at this run's options and metrics.
+func (s *stepper) bind(opt Options, m *diag.Metrics) {
+	s.opt = opt
+	s.m = m
+	s.ws.SetMetrics(m)
+}
+
+// theta solves C(x1−x0)/h + θ f(x1,t1) + (1−θ) f(x0,t0) = 0 for x1 from
+// the predictor. The step runs from (x0, t0) to the time t1 with the
+// formula's step size h; on a fixed-step grid t1 − t0 and h differ by
+// rounding, and the circuit is evaluated at the grid's own times, so a time
+// point's rail values are computed once. The returned vector aliases the
+// stepper's iterate; callers copy it before the next step.
+func (s *stepper) theta(x0, pred linalg.Vec, t0, t1, h float64) (linalg.Vec, int, error) {
+	th := s.opt.Method.theta()
+	s.ws.EvalF(x0, t0, s.f0)
+	s.x1.CopyFrom(pred)
+	return s.correct(t1, h, th, func() { s.cor.thetaResidual(s.resid, s.x1, x0, s.f1, s.f0, th, h) })
+}
+
+// gear solves C·(3x1 − 4x0 + xm1)/(2h) + f(x1,t1) = 0 for x1 from the line
+// through xm1 and x0, its two predecessors h apart.
+func (s *stepper) gear(xm1, x0 linalg.Vec, t1, h float64) (linalg.Vec, int, error) {
+	for i := range s.x1 {
+		s.x1[i] = 2*x0[i] - xm1[i]
+	}
+	return s.correct(t1, h, 1, func() { s.cor.gearResidual(s.resid, s.x1, x0, xm1, s.f1, h) })
+}
+
+// correct runs the Newton iterations on x1: each evaluates f1 at (x1, t1),
+// J as well when it refactors, and resid; a refactoring iteration turns J
+// into the iteration matrix scaledC + w·J and factors it.
+func (s *stepper) correct(t1, h, w float64, resid func()) (linalg.Vec, int, error) {
+	return newtonLoop(s.m, s.x1, s.opt.MaxNewton, updateTol(s.opt.NewtonTol), func(refactor bool) (linalg.Vec, error) {
+		if refactor {
+			s.a.eval(s.ws, s.x1, t1, s.f1)
+		} else {
+			s.ws.EvalF(s.x1, t1, s.f1)
+		}
+		resid()
+		if refactor {
+			addScaled(s.a.vals(), s.cor.scaledC(h), w)
+			if err := s.a.factor(s.m); err != nil {
+				return nil, fmt.Errorf("transient: singular iteration matrix: %w", err)
+			}
+		}
+		return s.a.solve(s.dx, s.resid), nil
+	})
+}
+
+// thetaSens propagates the monodromy factor through the accepted θ step,
+// updating sens in place:
+//
+//	S ← (C/h + θ·J1)⁻¹ · (C/h − (1−θ)·J0) · S
+func (s *stepper) thetaSens(x0, x1 linalg.Vec, t0, t1, h float64, sens *linalg.Mat) error {
+	th := s.opt.Method.theta()
+	if s.r == nil {
+		s.r, s.tmp = s.a.propScratch()
+	}
+	ch := s.cor.scaledC(h)
+	s.r.eval(s.ws, x0, t0, s.f0)
+	addScaled(s.r.vals(), ch, -(1 - th))
+	s.s.eval(s.ws, x1, t1, s.f1)
+	addScaled(s.s.vals(), ch, th)
+	if err := propagateTheta(s.m, s.s, s.r, sens, s.tmp); err != nil {
+		return fmt.Errorf("transient: %w", err)
+	}
+	return nil
+}
+
+// propagateTheta factors the θ sensitivity system lhs = C/h + θ·J1 and
+// sets sens to lhs⁻¹·rhs·sens, rhs holding C/h − (1−θ)·J0.
+func propagateTheta(m *diag.Metrics, lhs, rhs matrix, sens, tmp *linalg.Mat) error {
+	if err := lhs.factor(m); err != nil {
+		return fmt.Errorf("singular sensitivity matrix: %w", err)
+	}
+	m.Add(diag.LUSolves, int64(sens.Rows))
+	lhs.propagate(rhs, sens, tmp)
+	return nil
+}
+
+// gearSens propagates the monodromy through the accepted BDF2 step to
+// (x1, t1), writing
+//
+//	(3C/(2h) + J1)⁻¹ · C·(4·S_n − S_{n−1})/(2h)
+//
+// into dst. C·(…) is the product over C's nonzeros, which adds the terms of
+// the dense row product in its order, less C's exact zeros.
+func (s *stepper) gearSens(x1 linalg.Vec, t1, h float64, dst, sN, sNm1 *linalg.Mat) error {
+	n := len(x1)
+	if s.tmp2 == nil {
+		s.tmp, s.tmp2 = linalg.NewMat(n, n), linalg.NewMat(n, n)
+		s.pin.add(2 * n * n)
+	}
+	s.s.eval(s.ws, x1, t1, s.f1)
+	addScaled(s.s.vals(), s.cor.scaledC(h), 1)
+	if err := s.s.factor(s.m); err != nil {
+		return fmt.Errorf("transient: singular sensitivity matrix: %w", err)
+	}
+	for i := range s.tmp.Data {
+		s.tmp.Data[i] = (4*sN.Data[i] - sNm1.Data[i]) / (2 * h)
+	}
+	s.cor.cs.MulMatInto(s.tmp2, s.tmp)
+	s.s.solveMat(dst, s.tmp2)
+	s.m.Add(diag.LUSolves, int64(n))
+	return nil
 }

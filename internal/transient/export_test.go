@@ -11,31 +11,20 @@ import (
 type StepFunc func(a, b linalg.Vec, t, h float64) (linalg.Vec, int, error)
 
 // ThetaStepper returns the step from t to t+h of a fresh Scratch's θ
-// stepper on opt's backend (opt's defaults must already be filled in).
+// corrector on opt's backend (opt's defaults must already be filled in).
 func ThetaStepper(sys *circuit.System, opt Options) StepFunc {
-	st := NewScratch(sys).thetaStepper(opt, nil)
+	st := NewScratch(sys).stepper(opt, false, nil)
 	return func(x0, pred linalg.Vec, t, h float64) (linalg.Vec, int, error) {
-		return st.step(x0, pred, t, t+h, h)
+		return st.theta(x0, pred, t, t+h, h)
 	}
 }
 
-// GearStepper returns the step of a fresh dense Gear2 stepper.
+// GearStepper returns the step from t to t+h of a fresh Scratch's BDF2
+// corrector on opt's backend.
 func GearStepper(sys *circuit.System, opt Options) StepFunc {
-	g := newGearStepper(sys)
-	g.bind(opt, nil)
-	return gearStep(g)
-}
-
-// SparseGearStepper returns the step of a fresh sparse Gear2 stepper.
-func SparseGearStepper(sys *circuit.System, opt Options) StepFunc {
-	g := newSparseGearStepper(sys)
-	g.bind(opt, nil)
-	return gearStep(g)
-}
-
-func gearStep(g gearOneStepper) StepFunc {
+	g := NewScratch(sys).stepper(opt, true, nil)
 	return func(xm1, x0 linalg.Vec, t, h float64) (linalg.Vec, int, error) {
-		return g.step(xm1, x0, t+h, h)
+		return g.gear(xm1, x0, t+h, h)
 	}
 }
 

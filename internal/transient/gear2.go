@@ -4,7 +4,6 @@ import (
 	"context"
 	"fmt"
 
-	"repro/internal/circuit"
 	"repro/internal/diag"
 	"repro/internal/linalg"
 )
@@ -30,8 +29,7 @@ func (sc *Scratch) runGear2(ctx context.Context, x0 linalg.Vec, t0, t1 float64, 
 	if opt.MaxNewton == 0 {
 		opt.MaxNewton = 40
 	}
-	sys := sc.sys
-	n := sys.N
+	n := sc.sys.N
 	h := opt.Step
 	res := &Result{}
 	arena := &vecArena{n: n} // owned by res; never reused across runs
@@ -55,27 +53,12 @@ func (sc *Scratch) runGear2(ctx context.Context, x0 linalg.Vec, t0, t1 float64, 
 	// coefficients assume equal steps.
 	beOpt := opt
 	beOpt.Method = BE
-	st := sc.thetaStepper(beOpt, dm)
-	sc.countPinned(dm)
+	defer sc.pin.report(dm)
+	st := sc.stepper(beOpt, false, dm)
 	grid := newStepGrid(t0, t1, h)
-	var g gearOneStepper
+	var g *stepper
 	if grid.n > 1 {
-		if sc.sys.ResolveBackend(opt.Backend) == linalg.BackendSparse {
-			if sc.sg == nil {
-				sc.sg = newSparseGearStepper(sys)
-				sc.pinned += int64(8 * (4*n + 2*sys.SparsePattern().NNZ()))
-			}
-			sc.sg.bind(opt, dm)
-			g = sc.sg
-		} else {
-			if sc.g == nil {
-				sc.g = newGearStepper(sys)
-				sc.pinned += int64(8 * (3*n + 3*n*n + n*n)) // vectors; Jacobian, scaled C and workspace J; LU factors
-			}
-			sc.g.bind(opt, dm)
-			g = sc.g
-		}
-		sc.countPinned(dm)
+		g = sc.stepper(opt, true, dm)
 	}
 	xPrev := sc.prev
 	sinceRecord := 0
@@ -88,7 +71,7 @@ func (sc *Scratch) runGear2(ctx context.Context, x0 linalg.Vec, t0, t1 float64, 
 		var iters int
 		var err error
 		if k == 0 || hh != h {
-			x1, iters, err = st.step(x, x, t, tNext, hh)
+			x1, iters, err = st.theta(x, x, t, tNext, hh)
 			res.NewtonIters += iters
 			if err != nil {
 				if k == 0 {
@@ -98,22 +81,20 @@ func (sc *Scratch) runGear2(ctx context.Context, x0 linalg.Vec, t0, t1 float64, 
 			}
 			if opt.Sensitivity {
 				sensPrev.CopyFrom(sens)
-				if err := st.stepSensitivity(x, x1, t, tNext, hh, sens); err != nil {
+				if err := st.thetaSens(x, x1, t, tNext, hh, sens); err != nil {
 					return res, err
 				}
 			}
 		} else {
-			x1, iters, err = g.step(xPrev, x, tNext, hh)
+			x1, iters, err = g.gear(xPrev, x, tNext, hh)
 			res.NewtonIters += iters
 			if err != nil {
 				return res, fmt.Errorf("transient: Gear2 corrector failed at t=%.6g: %w", t, err)
 			}
 			if opt.Sensitivity {
-				if err := g.sensFactors(x1, tNext, hh); err != nil {
+				if err := g.gearSens(x1, tNext, hh, sensNext, sens, sensPrev); err != nil {
 					return res, err
 				}
-				// S_{n+1} = M⁻¹·(4/(2h)·C·S_n − 1/(2h)·C·S_{n−1})
-				g.combineSens(sensNext, sens, sensPrev, hh)
 				sens, sensPrev, sensNext = sensNext, sens, sensPrev
 			}
 		}
@@ -130,111 +111,4 @@ func (sc *Scratch) runGear2(ctx context.Context, x0 linalg.Vec, t0, t1 float64, 
 	}
 	res.Sens = sens
 	return res, nil
-}
-
-// gearOneStepper is the BDF2 corrector contract runGear2 integrates through
-// — implemented by gearStepper (dense) and sparseGearStepper.
-type gearOneStepper interface {
-	step(xm1, x0 linalg.Vec, t1, h float64) (linalg.Vec, int, error)
-	sensFactors(x1 linalg.Vec, t1, h float64) error
-	combineSens(dst, sN, sNm1 *linalg.Mat, h float64)
-}
-
-// gearStepper solves one BDF2 step with Newton. Like stepper, all Newton/LU
-// and sensitivity-combination buffers are pinned so the steady-state step is
-// allocation-free.
-type gearStepper struct {
-	sys   *circuit.System
-	ws    *circuit.Workspace
-	opt   Options
-	m     *diag.Metrics // nil when diagnostics are off
-	cor   corrector     // 3C/(2h) cache and sparse-C residual
-	f1    linalg.Vec
-	jac   *linalg.Mat // df/dx, then the iteration matrix assembled in place
-	resid linalg.Vec
-	dx    linalg.Vec
-	x1    linalg.Vec // the corrector iterate; step's return value aliases it
-	lu    linalg.LU
-	// Sensitivity combination scratch (lazy).
-	tmp1, tmp2 *linalg.Mat
-	slu        linalg.LU
-}
-
-func newGearStepper(sys *circuit.System) *gearStepper {
-	n := sys.N
-	jac, scaled := pairedMat(n)
-	dx := linalg.NewVec(n)
-	return &gearStepper{
-		sys:   sys,
-		ws:    sys.NewWorkspace(),
-		cor:   newCorrector(sys, sys.C.Data, scaled, dx, true),
-		f1:    linalg.NewVec(n),
-		jac:   jac,
-		resid: linalg.NewVec(n),
-		dx:    dx,
-		x1:    linalg.NewVec(n),
-	}
-}
-
-// bind points the stepper at this run's options and metrics.
-func (g *gearStepper) bind(opt Options, m *diag.Metrics) {
-	g.opt = opt
-	g.m = m
-	g.ws.SetMetrics(m)
-}
-
-// iterationMatrix evaluates f and J at (x1, t1) and assembles
-// 3C/(2h) + J into g.jac.
-func (g *gearStepper) iterationMatrix(x1 linalg.Vec, t1, h float64) {
-	g.ws.EvalFJ(x1, t1, g.f1, g.jac)
-	addScaled(g.jac.Data, g.cor.scaledC(h), 1)
-}
-
-func (g *gearStepper) step(xm1, x0 linalg.Vec, t1, h float64) (linalg.Vec, int, error) {
-	// Predictor: linear extrapolation.
-	x1 := g.x1
-	for i := range x1 {
-		x1[i] = 2*x0[i] - xm1[i]
-	}
-	return newtonLoop(g.m, x1, g.opt.MaxNewton, updateTol(g.opt.NewtonTol), func(refactor bool) (linalg.Vec, error) {
-		if refactor {
-			g.iterationMatrix(x1, t1, h)
-		} else {
-			g.ws.EvalF(x1, t1, g.f1)
-		}
-		g.cor.gearResidual(g.resid, x1, x0, xm1, g.f1, h)
-		if refactor {
-			if err := denseFactor(g.m, &g.lu, g.jac); err != nil {
-				return nil, fmt.Errorf("transient: singular Gear2 matrix: %w", err)
-			}
-		}
-		return g.lu.SolveInto(g.dx, g.resid), nil
-	})
-}
-
-// sensFactors factorizes the iteration matrix at the accepted point into the
-// pinned sensitivity LU.
-func (g *gearStepper) sensFactors(x1 linalg.Vec, t1, h float64) error {
-	g.iterationMatrix(x1, t1, h)
-	if err := denseFactor(g.m, &g.slu, g.jac); err != nil {
-		return fmt.Errorf("transient: singular sensitivity matrix: %w", err)
-	}
-	return nil
-}
-
-// combineSens propagates the monodromy through one BDF2 step, writing
-// M⁻¹·C·(4·S_n − S_{n−1})/(2h) into dst using the pinned combination
-// scratch. Bitwise identical to the historical allocate-per-step version.
-func (g *gearStepper) combineSens(dst, sN, sNm1 *linalg.Mat, h float64) {
-	n := g.sys.N
-	if g.tmp1 == nil {
-		g.tmp1 = linalg.NewMat(n, n)
-		g.tmp2 = linalg.NewMat(n, n)
-	}
-	for i := range g.tmp1.Data {
-		g.tmp1.Data[i] = (4*sN.Data[i] - sNm1.Data[i]) / (2 * h)
-	}
-	g.sys.C.MulInto(g.tmp2, g.tmp1)
-	g.slu.SolveMatInto(dst, g.tmp2)
-	g.m.Add(diag.LUSolves, int64(n))
 }

@@ -380,7 +380,7 @@ func TestGearStepBitIdenticalToReference(t *testing.T) {
 	for _, start := range oracleStarts(t, sys, x0, h) {
 		for _, bk := range oracleBackends {
 			opt := transient.Options{Method: transient.Gear2, Step: h, NewtonTol: 1e-9, MaxNewton: 40, Backend: bk}
-			step := gearStepper(sys, opt)
+			step := transient.GearStepper(sys, opt)
 			ref := newRef(sys, bk, true)
 			xm1, x := start.x0.Clone(), start.x0.Clone()
 			for k := 0; k < 2000; k++ {
@@ -401,14 +401,6 @@ func TestGearStepBitIdenticalToReference(t *testing.T) {
 	}
 }
 
-// gearStepper returns opt's backend's Gear2 step.
-func gearStepper(sys *circuit.System, opt transient.Options) transient.StepFunc {
-	if opt.Backend == linalg.BackendSparse {
-		return transient.SparseGearStepper(sys, opt)
-	}
-	return transient.GearStepper(sys, opt)
-}
-
 // TestPolicyMatchesFullNewton holds the Newton policy to full Newton (a
 // refactor every iteration, the correctors before the policy): over each
 // oracle's 2,000 adder steps from both starts — Trap and BE on both
@@ -425,7 +417,7 @@ func TestPolicyMatchesFullNewton(t *testing.T) {
 				full := newRef(sys, bk, false)
 				var step transient.StepFunc
 				if m == transient.Gear2 {
-					step = gearStepper(sys, opt)
+					step = transient.GearStepper(sys, opt)
 				} else {
 					step = transient.ThetaStepper(sys, opt)
 				}
@@ -505,15 +497,15 @@ func TestAdderNewtonWork(t *testing.T) {
 }
 
 // refSensStep propagates a monodromy factor through one accepted θ step
-// from (x0, t) to (x1, t+h) the way the batched lanes did before the shared
-// corrector: C/h recomputed, J0/J1 added at the Jacobian pattern's
-// positions, and on the dense backend the propagator solved column by
-// column. It returns the new monodromy.
-func refSensStep(sys *circuit.System, pat *sparse.Pattern, bk linalg.Backend, x0, x1 linalg.Vec, t, h, th float64, sens *linalg.Mat) *linalg.Mat {
+// of size h from (x0, t0) to (x1, t1) the way the batched lanes did before
+// the shared corrector: C/h recomputed, J0/J1 added at the Jacobian
+// pattern's positions, and on the dense backend the propagator solved
+// column by column. It returns the new monodromy.
+func refSensStep(sys *circuit.System, pat *sparse.Pattern, bk linalg.Backend, x0, x1 linalg.Vec, t0, t1, h, th float64, sens *linalg.Mat) *linalg.Mat {
 	n := sys.N
 	f, j0, j1 := linalg.NewVec(n), linalg.NewMat(n, n), linalg.NewMat(n, n)
-	sys.EvalFJ(x0, t, f, j0)
-	sys.EvalFJ(x1, t+h, f, j1)
+	sys.EvalFJ(x0, t0, f, j0)
+	sys.EvalFJ(x1, t1, f, j1)
 	if bk == linalg.BackendSparse {
 		cv := sys.SparseC().Val
 		lhs, rhs, jv0, jv1 := sparse.NewCSC(pat), sparse.NewCSC(pat), sparse.NewCSC(pat), sparse.NewCSC(pat)
@@ -553,6 +545,90 @@ func refSensStep(sys *circuit.System, pat *sparse.Pattern, bk linalg.Backend, x0
 		prop.SetCol(j, lu.Solve(rhs.Col(j)))
 	}
 	return prop.Mul(sens)
+}
+
+// refGearSensStep propagates the monodromy through one accepted BDF2 step
+// of size h to (x1, t1): 3C/(2h) + J1 factored (entrywise on the pattern on
+// the sparse backend), then C·(4Sₙ − Sₙ₋₁)/(2h), formed as the dense row
+// product, solved column by column. It returns Sₙ₊₁.
+func refGearSensStep(sys *circuit.System, bk linalg.Backend, x1 linalg.Vec, t1, h float64, sN, sNm1 *linalg.Mat) *linalg.Mat {
+	n := sys.N
+	f, j1, comb := linalg.NewVec(n), linalg.NewMat(n, n), linalg.NewMat(n, n)
+	sys.EvalFJ(x1, t1, f, j1)
+	for i := range comb.Data {
+		comb.Data[i] = (4*sN.Data[i] - sNm1.Data[i]) / (2 * h)
+	}
+	rhs := sys.C.Mul(comb)
+	if bk == linalg.BackendSparse {
+		pat, cv := sys.SparsePattern(), sys.SparseC().Val
+		lhs, jv := sparse.NewCSC(pat), sparse.NewCSC(pat)
+		gatherPattern(jv, j1)
+		for i := range lhs.Val {
+			lhs.Val[i] = 3*cv[i]/(2*h) + jv.Val[i]
+		}
+		var lu sparse.LU
+		if err := lu.FactorizeInto(lhs); err != nil {
+			panic(err)
+		}
+		next := linalg.NewMat(n, n)
+		for j := 0; j < n; j++ {
+			next.SetCol(j, lu.SolveInto(linalg.NewVec(n), rhs.Col(j)))
+		}
+		return next
+	}
+	lhs := linalg.NewMat(n, n)
+	for i := range lhs.Data {
+		lhs.Data[i] = 3*sys.C.Data[i]/(2*h) + j1.Data[i]
+	}
+	var lu linalg.LU
+	if err := lu.FactorizeInto(lhs); err != nil {
+		panic(err)
+	}
+	next := linalg.NewMat(n, n)
+	for j := 0; j < n; j++ {
+		next.SetCol(j, lu.Solve(rhs.Col(j)))
+	}
+	return next
+}
+
+// TestScalarSensBitIdenticalToReference runs Scratch.Run with
+// sensitivities as fixed-step BE, Trap and Gear2 over 300 adder steps on
+// each backend and replays the recorded steps through the reference
+// propagation: refSensStep for θ steps and Gear2's BE bootstrap,
+// refGearSensStep for BDF2 steps. Result.Sens — the monodromy shooting and
+// every PPV build on — must match the replay bit for bit.
+func TestScalarSensBitIdenticalToReference(t *testing.T) {
+	const steps = 300
+	sys, x0, h := oracleAdder(t)
+	pat := sys.SparsePattern()
+	for _, bk := range oracleBackends {
+		for _, m := range []transient.Method{transient.BE, transient.Trap, transient.Gear2} {
+			res, err := transient.NewScratch(sys).Run(context.Background(), x0, 0, steps*h,
+				transient.Options{Method: m, Step: h, Sensitivity: true, Backend: bk})
+			if err != nil {
+				t.Fatalf("%v %v: %v", bk, m, err)
+			}
+			if res.Steps != steps || res.Rejected != 0 || len(res.X) != steps+1 {
+				t.Fatalf("%v %v: %d steps, %d rejections, %d points; want %d, 0, %d", bk, m, res.Steps, res.Rejected, len(res.X), steps, steps+1)
+			}
+			sens, prev := linalg.Eye(sys.N), (*linalg.Mat)(nil)
+			for k := 0; k < steps; k++ {
+				x, x1, t0, t1 := res.X[k], res.X[k+1], res.T[k], res.T[k+1]
+				if m == transient.Gear2 && k > 0 {
+					sens, prev = refGearSensStep(sys, bk, x1, t1, h, sens, prev), sens
+					continue
+				}
+				th := 1.0
+				if m == transient.Trap {
+					th = 0.5
+				}
+				sens, prev = refSensStep(sys, pat, bk, x, x1, t0, t1, h, th, sens), sens
+			}
+			if i := firstBitDiff(res.Sens.Data, sens.Data); i >= 0 {
+				t.Fatalf("%v %v: monodromy entry %d is %x, reference %x", bk, m, i, res.Sens.Data[i], sens.Data[i])
+			}
+		}
+	}
 }
 
 // TestBatchLaneBitIdenticalToReference runs a four-corner ring batch with
@@ -601,7 +677,7 @@ func TestBatchLaneBitIdenticalToReference(t *testing.T) {
 						t.Fatalf("%v %v lane %d step %d: reference %v", bk, m, k, s, err)
 					}
 					requireSameBits(t, s, res.States[k][s+1], want)
-					sens = refSensStep(sys, b.Pattern(), bk, x, want, tt, h[k], th, sens)
+					sens = refSensStep(sys, b.Pattern(), bk, x, want, tt, tt+h[k], h[k], th, sens)
 					prev2.CopyFrom(prev)
 					prev.CopyFrom(x)
 					x.CopyFrom(want)

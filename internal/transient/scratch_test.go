@@ -5,6 +5,8 @@ import (
 	"sync"
 	"testing"
 
+	"repro/internal/circuit"
+	"repro/internal/diag"
 	"repro/internal/linalg"
 	"repro/internal/transient"
 )
@@ -148,5 +150,66 @@ func TestPerWorkerScratchesAreIndependent(t *testing.T) {
 				t.Fatalf("worker %d: sensitivity differs at flat index %d", i, j)
 			}
 		}
+	}
+}
+
+// TestScratchBytesPinnedFromBuffers pins ScratchBytesPinned to the buffers
+// a run allocates, 8 bytes per float64: the run's four vectors; each
+// corrector's five vectors, its value slab (the matrix values its iteration
+// and sensitivity systems share, and C scaled for the step), the factors of
+// each factorization it keeps (n² dense, nnz + fill-in sparse) and its
+// sensitivity scratch (the θ propagator's right-hand matrix and an n×n
+// product, or BDF2's two n×n products); and a batch's lane-major state,
+// its lanes' iteration and sensitivity factorizations and scaled C, and its
+// shared sensitivity scratch. A scratch reports each byte once, so a second
+// run through it adds nothing.
+func TestScratchBytesPinnedFromBuffers(t *testing.T) {
+	arr, x0 := buildCoupled(t)
+	sys, T := arr.Sys, 1/arr.EstimatedF0()
+	n, nnz := int64(sys.N), int64(sys.SparsePattern().NNZ())
+	for _, c := range []struct {
+		opt  transient.Options
+		want func(fill int64) int64 // fill: the fill-in the run's symbolic analyses reported in all
+	}{
+		{transient.Options{Method: transient.Trap, Backend: linalg.BackendDense},
+			func(int64) int64 { return 4*n + 5*n + 2*n*n + 2*n*n + 2*n*n }},
+		{transient.Options{Method: transient.BE, Backend: linalg.BackendSparse},
+			func(fill int64) int64 { return 4*n + 5*n + 2*nnz + 2*nnz + fill + nnz + n*n }},
+		{transient.Options{Method: transient.Gear2, Backend: linalg.BackendDense},
+			func(int64) int64 { return 4*n + 2*(5*n+2*n*n+2*n*n) + 2*n*n + 2*n*n }},
+	} {
+		c.opt.Step, c.opt.Sensitivity = T/256, true
+		m := diag.New()
+		ctx := diag.WithMetrics(context.Background(), m)
+		sc := transient.NewScratch(sys)
+		for run := 0; run < 2; run++ {
+			if _, err := sc.Run(ctx, x0, 0, T/8, c.opt); err != nil {
+				t.Fatal(err)
+			}
+		}
+		if got, want := m.Get(diag.ScratchBytesPinned), 8*c.want(m.Get(diag.SparseFillIns)); got != want {
+			t.Errorf("%v %v: %d bytes pinned, want %d", c.opt.Backend, c.opt.Method, got, want)
+		}
+	}
+
+	const K = 4
+	b, err := circuit.NewBatch(cornerRings(t, K))
+	if err != nil {
+		t.Fatal(err)
+	}
+	n, nnz = int64(b.N), int64(b.Pattern().NNZ())
+	h := []float64{2e-7, 2.1e-7, 2.2e-7, 2.3e-7}
+	m := diag.New()
+	sc := transient.NewBatchScratch(b)
+	for run := 0; run < 2; run++ {
+		if _, err := sc.Run(diag.WithMetrics(context.Background(), m), kickedStart(K, b.N),
+			transient.BatchOptions{Method: transient.Trap, Steps: 20, H: h, Sensitivity: true}); err != nil {
+			t.Fatal(err)
+		}
+	}
+	state := 6*K*n + 2*K + 2*K*nnz + 2*n // x, x1, prev, prev2, f0, fcache; tl, tl1; jcache, scaled C; resid, dxv
+	lanes := n*n + 2*K*n*n               // shared values; iteration and sensitivity factorizations
+	if got, want := m.Get(diag.ScratchBytesPinned), 8*(state+lanes+2*n*n); got != want {
+		t.Errorf("batch: %d bytes pinned, want %d", got, want)
 	}
 }

@@ -169,39 +169,37 @@ func (a *vecArena) clone(x linalg.Vec) linalg.Vec {
 // and sensitivity matrices are freshly allocated per run — so a Result
 // outlives any reuse of the Scratch that produced it.
 type Scratch struct {
-	sys              *circuit.System
-	st               *stepper
-	g                *gearStepper       // lazy: Gear2 runs only
-	sst              *sparseStepper     // lazy: sparse-backend runs only
-	sg               *sparseGearStepper // lazy: sparse Gear2 runs only
-	x, pred          linalg.Vec
-	prev, prev2      linalg.Vec // the accepted points before x, for the predictor
-	pinned, reported int64
+	sys *circuit.System
+	// steppers holds the θ and BDF2 correctors by backend — [dense, sparse]
+	// × [θ, BDF2] — each made on first use.
+	steppers             [2][2]*stepper
+	x, pred, prev, prev2 linalg.Vec // prev, prev2: the accepted points before x, for the predictor
+	pin                  pins
 }
 
 // NewScratch returns a Scratch for integrating sys.
 func NewScratch(sys *circuit.System) *Scratch {
 	n := sys.N
-	sc := &Scratch{
-		sys:   sys,
-		st:    newStepper(sys),
-		x:     linalg.NewVec(n),
-		pred:  linalg.NewVec(n),
-		prev:  linalg.NewVec(n),
-		prev2: linalg.NewVec(n),
-	}
-	sc.pinned = int64(8 * (4*n + 4*n + 3*n*n + n*n)) // run+stepper vectors; Jacobian, scaled C and workspace J; LU
+	v := make([]float64, 4*n)
+	sc := &Scratch{sys: sys, x: v[:n:n], pred: v[n : 2*n : 2*n], prev: v[2*n : 3*n : 3*n], prev2: v[3*n:]}
+	sc.pin.add(len(v))
 	return sc
 }
 
-// countPinned reports not-yet-counted pinned bytes on m (once per scratch,
-// plus deltas when lazy sensitivity/Gear2 buffers appear).
-func (sc *Scratch) countPinned(m *diag.Metrics) {
-	if m == nil || sc.pinned == sc.reported {
-		return
+// stepper returns the θ corrector, or the BDF2 one when gear is set, on
+// opt's backend, bound to opt and m.
+func (sc *Scratch) stepper(opt Options, gear bool, m *diag.Metrics) *stepper {
+	be := sc.sys.ResolveBackend(opt.Backend)
+	i := 0
+	if gear {
+		i = 1
 	}
-	m.Add(diag.ScratchBytesPinned, sc.pinned-sc.reported)
-	sc.reported = sc.pinned
+	st := &sc.steppers[be-linalg.BackendDense][i]
+	if *st == nil {
+		*st = newStepper(sc.sys, be, gear, &sc.pin)
+	}
+	(*st).bind(opt, m)
+	return *st
 }
 
 // Run integrates the circuit ODE C·ẋ = −f(x,t) from x0 over [t0, t1].
@@ -251,11 +249,10 @@ func (sc *Scratch) Run(ctx context.Context, x0 linalg.Vec, t0, t1 float64, opt O
 		opt.MaxStep = opt.Step * 100
 	}
 
-	sys := sc.sys
-	n := sys.N
+	n := sc.sys.N
 	dm := diag.FromContext(ctx)
-	st := sc.thetaStepper(opt, dm)
-	sc.countPinned(dm)
+	defer sc.pin.report(dm)
+	st := sc.stepper(opt, false, dm)
 	res := &Result{}
 	arena := &vecArena{n: n} // owned by res; never reused across runs
 	x := sc.x
@@ -300,7 +297,7 @@ func (sc *Scratch) Run(ctx context.Context, x0 linalg.Vec, t0, t1 float64, opt O
 			hTaken, tNext = g.size(k), g.at(k+1)
 		}
 		predict(pred, x, prev, prev2, hTaken, h1, h2)
-		xNew, iters, err := st.step(x, pred, t, tNext, hTaken)
+		xNew, iters, err := st.theta(x, pred, t, tNext, hTaken)
 		res.NewtonIters += iters
 		if err != nil {
 			// Newton failure: retry with a smaller step; a fixed-step run
@@ -352,12 +349,8 @@ func (sc *Scratch) Run(ctx context.Context, x0 linalg.Vec, t0, t1 float64, opt O
 		}
 
 		if opt.Sensitivity {
-			if err := st.stepSensitivity(x, xNew, t, tNext, hTaken, sens); err != nil {
+			if err := st.thetaSens(x, xNew, t, tNext, hTaken, sens); err != nil {
 				return res, err
-			}
-			if b := st.sensBytesOnce(); b > 0 {
-				sc.pinned += b
-				sc.countPinned(dm)
 			}
 		}
 
@@ -386,19 +379,6 @@ func (sc *Scratch) Run(ctx context.Context, x0 linalg.Vec, t0, t1 float64, opt O
 	}
 	res.Sens = sens
 	return res, nil
-}
-
-// oneStepper is the θ-method corrector contract Scratch.Run integrates
-// through — implemented by the dense stepper and by sparseStepper. A step
-// runs from (x0, t0) to the time t1 with the formula's step size h; on a
-// fixed-step grid t1 − t0 and h differ by rounding, and the circuit is
-// evaluated at the grid's own times, so a time point's rail values are
-// computed once. sensBytesOnce reports lazily-pinned sensitivity scratch
-// exactly once for the pinned-bytes accounting.
-type oneStepper interface {
-	step(x0, pred linalg.Vec, t0, t1, h float64) (linalg.Vec, int, error)
-	stepSensitivity(x0, x1 linalg.Vec, t0, t1, h float64, sens *linalg.Mat) error
-	sensBytesOnce() int64
 }
 
 // stepGrid is a fixed-step run's time grid: the points base + k·h for
@@ -439,156 +419,4 @@ func (g stepGrid) size(k int) float64 {
 		return g.t1 - g.at(k)
 	}
 	return g.h
-}
-
-// thetaStepper resolves the run's backend and returns the bound θ-stepper,
-// lazily creating the sparse one (the dense stepper is always provisioned by
-// NewScratch).
-func (sc *Scratch) thetaStepper(opt Options, dm *diag.Metrics) oneStepper {
-	if sc.sys.ResolveBackend(opt.Backend) == linalg.BackendSparse {
-		if sc.sst == nil {
-			sc.sst = newSparseStepper(sc.sys)
-			n, nnz := sc.sys.N, sc.sys.SparsePattern().NNZ()
-			sc.pinned += int64(8 * (5*n + 2*nnz))
-		}
-		sc.sst.bind(opt, dm)
-		return sc.sst
-	}
-	sc.st.bind(opt, dm)
-	return sc.st
-}
-
-// stepper solves one implicit θ-step with Newton. All circuit evaluations go
-// through a per-stepper circuit.Workspace, and the Newton/LU/sensitivity
-// buffers are pinned here, so steppers on one shared System never contend
-// and the steady-state step is allocation-free.
-type stepper struct {
-	sys   *circuit.System
-	ws    *circuit.Workspace
-	opt   Options
-	m     *diag.Metrics // nil when diagnostics are off
-	cor   corrector     // C/h cache and sparse-C residual
-	f0    linalg.Vec
-	f1    linalg.Vec
-	jac   *linalg.Mat // df/dx, then the iteration matrix assembled in place
-	resid linalg.Vec
-	dx    linalg.Vec
-	x1    linalg.Vec // the corrector iterate; step's return value aliases it
-	lu    linalg.LU
-	// Sensitivity propagation scratch (lazy: sensitivity runs only). sj0/sj1
-	// double as the propagator and product buffers once lhs/rhs are built.
-	sj0, sj1, slhs, srhs *linalg.Mat
-	slu                  linalg.LU
-	sensCounted          bool // sens buffers folded into pinned-bytes accounting
-}
-
-// pairedMat returns an n×n matrix whose storage is the front half of a
-// 2n² allocation, and the back half as a pinned n² slice (a corrector's
-// scaled C rides along with the Jacobian it is added to).
-func pairedMat(n int) (*linalg.Mat, []float64) {
-	buf := make([]float64, 2*n*n)
-	return &linalg.Mat{Rows: n, Cols: n, Data: buf[: n*n : n*n]}, buf[n*n:]
-}
-
-func newStepper(sys *circuit.System) *stepper {
-	n := sys.N
-	jac, scaled := pairedMat(n)
-	dx := linalg.NewVec(n)
-	return &stepper{
-		sys:   sys,
-		ws:    sys.NewWorkspace(),
-		cor:   newCorrector(sys, sys.C.Data, scaled, dx, false),
-		f0:    linalg.NewVec(n),
-		f1:    linalg.NewVec(n),
-		jac:   jac,
-		resid: linalg.NewVec(n),
-		dx:    dx,
-		x1:    linalg.NewVec(n),
-	}
-}
-
-// bind points the stepper at this run's options and metrics.
-func (s *stepper) bind(opt Options, m *diag.Metrics) {
-	s.opt = opt
-	s.m = m
-	s.ws.SetMetrics(m)
-}
-
-// sensBytesOnce reports the lazily-allocated sensitivity bytes the first
-// time it is called after ensureSens ran (4 mats + sens LU factors).
-func (s *stepper) sensBytesOnce() int64 {
-	if s.sensCounted || s.sj0 == nil {
-		return 0
-	}
-	s.sensCounted = true
-	n := s.sys.N
-	return int64(8 * 5 * n * n)
-}
-
-// ensureSens lazily allocates the four pinned sensitivity matrices.
-func (s *stepper) ensureSens() {
-	if s.sj0 != nil {
-		return
-	}
-	n := s.sys.N
-	s.sj0 = linalg.NewMat(n, n)
-	s.sj1 = linalg.NewMat(n, n)
-	s.slhs = linalg.NewMat(n, n)
-	s.srhs = linalg.NewMat(n, n)
-}
-
-// step solves C(x1−x0)/h + θ f(x1,t1) + (1−θ) f(x0,t0) = 0 for x1,
-// starting from the predictor. The returned vector aliases the stepper's
-// iterate buffer; callers copy it before the next step.
-func (s *stepper) step(x0, pred linalg.Vec, t0, t1, h float64) (linalg.Vec, int, error) {
-	th := s.opt.Method.theta()
-	s.ws.EvalF(x0, t0, s.f0)
-	x1 := s.x1
-	x1.CopyFrom(pred)
-	return newtonLoop(s.m, x1, s.opt.MaxNewton, updateTol(s.opt.NewtonTol), func(refactor bool) (linalg.Vec, error) {
-		if refactor {
-			s.ws.EvalFJ(x1, t1, s.f1, s.jac)
-		} else {
-			s.ws.EvalF(x1, t1, s.f1)
-		}
-		s.cor.thetaResidual(s.resid, x1, x0, s.f1, s.f0, th, h)
-		if refactor {
-			addScaled(s.jac.Data, s.cor.scaledC(h), th) // C/h + θ J1
-			if err := denseFactor(s.m, &s.lu, s.jac); err != nil {
-				return nil, fmt.Errorf("transient: singular iteration matrix: %w", err)
-			}
-		}
-		return s.lu.SolveInto(s.dx, s.resid), nil
-	})
-}
-
-// stepSensitivity propagates the monodromy factor for the accepted step,
-// updating sens in place:
-//
-//	S ← (C/h + θ·J1)⁻¹ · (C/h − (1−θ)·J0) · S
-//
-// All intermediates live in four pinned n×n matrices and one pinned LU; the
-// arithmetic matches the historical allocate-per-step version bit for bit.
-func (s *stepper) stepSensitivity(x0, x1 linalg.Vec, t0, t1, h float64, sens *linalg.Mat) error {
-	n := s.sys.N
-	th := s.opt.Method.theta()
-	s.ensureSens()
-	j0, j1 := s.sj0, s.sj1
-	s.ws.EvalFJ(x0, t0, s.f0, j0)
-	s.ws.EvalFJ(x1, t1, s.f1, j1)
-	ch := s.cor.scaledC(h)
-	lhs, rhs := s.slhs, s.srhs
-	for i := range ch {
-		lhs.Data[i] = ch[i] + th*j1.Data[i]
-		rhs.Data[i] = ch[i] - (1-th)*j0.Data[i]
-	}
-	if err := denseFactor(s.m, &s.slu, lhs); err != nil {
-		return fmt.Errorf("transient: singular sensitivity matrix: %w", err)
-	}
-	s.m.Add(diag.LUSolves, int64(n))
-	// j0 and j1 are consumed; reuse them as the propagator and the product.
-	prop := s.slu.SolveMatInto(j0, rhs)
-	next := prop.MulInto(j1, sens)
-	sens.CopyFrom(next)
-	return nil
 }
