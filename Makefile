@@ -136,9 +136,11 @@ bench-engine:
 
 # Batched-ensemble gate: the scalar and batched Monte-Carlo benchmarks (the
 # same 16 seeded corners through both pipelines) against their pinned
-# baselines, plus the headline claim — the batched path must stay at least
-# 5x faster than the scalar one. The ratio is taken within one run, so
-# machine speed cancels out of it; both checks read the same run's output.
+# baselines — each leg's Newton iterations, LU factorizations, circuit
+# evaluations and transient steps per op exactly — plus the headline claim
+# — the batched path must stay at least 5x faster than the scalar one. The
+# ratio is taken within one run, so machine speed cancels out of it; both
+# checks read the same run's output.
 bench-batch:
 	$(GO) test -run '^$$' -bench '^BenchmarkVariationMC(Scalar|Batched)$$' -benchtime 1x -count 2 -benchmem . > bench-batch.tmp
 	$(GO) run ./cmd/phlogon-benchdiff compare -baseline BENCH_baseline.json \

@@ -602,26 +602,44 @@ const benchMCSamples = 16
 func BenchmarkVariationMCScalar(b *testing.B) {
 	cfg := ringosc.DefaultConfig()
 	params := variation.StandardParams()
+	m := diag.New()
+	ctx := diag.WithMetrics(context.Background(), m)
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, err := variation.MonteCarloCtx(context.Background(), cfg, params, benchMCSamples, 1, 1); err != nil {
+		if _, err := variation.MonteCarloCtx(ctx, cfg, params, benchMCSamples, 1, 1); err != nil {
 			b.Fatal(err)
 		}
 	}
+	reportMCWork(b, m)
 }
 
 func BenchmarkVariationMCBatched(b *testing.B) {
 	cfg := ringosc.DefaultConfig()
 	params := variation.StandardParams()
+	m := diag.New()
+	ctx := diag.WithMetrics(context.Background(), m)
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, _, err := variation.MonteCarloBatchEng(context.Background(), nil, cfg, params, benchMCSamples,
+		if _, _, err := variation.MonteCarloBatchEng(ctx, nil, cfg, params, benchMCSamples,
 			variation.PseudoSampler{Seed: 1}, benchMCSamples, 1); err != nil {
 			b.Fatal(err)
 		}
 	}
+	reportMCWork(b, m)
+}
+
+// reportMCWork reports a Monte-Carlo benchmark's work per op — Newton
+// iterations, LU factorizations, circuit evaluations and transient steps —
+// which `make bench-batch` gates exactly, so a change to either leg's work
+// shows as a count, not only as a time.
+func reportMCWork(b *testing.B, m *diag.Metrics) {
+	n := float64(b.N)
+	b.ReportMetric(float64(m.Get(diag.NewtonIterations))/n, "newton_iters/op")
+	b.ReportMetric(float64(m.Get(diag.LUFactorizations))/n, "lu_factorizations/op")
+	b.ReportMetric(float64(m.Get(diag.CircuitEvals))/n, "circuit_evals/op")
+	b.ReportMetric(float64(m.Get(diag.TransientSteps))/n, "transient_steps/op")
 }
 
 // --- Batched stochastic ensembles: a 64-member BER study of a six-injection

@@ -40,8 +40,7 @@ func TestErrNoConvergenceFromShooting(t *testing.T) {
 }
 
 // dampedRC is a one-node RC (time constant 1 ms) posing as an oscillator:
-// no limit cycle, only an equilibrium at 0 V that the default twenty settle
-// cycles decay onto.
+// no limit cycle, only an equilibrium at 0 V that the settle decays toward.
 type dampedRC struct{ sys *phlogon.System }
 
 func (o dampedRC) System() *phlogon.System { return o.sys }

@@ -70,14 +70,17 @@ func NewBatch(systems []*System) (*Batch, error) {
 			return nil, fmt.Errorf("circuit: batch: %w", err)
 		}
 	}
-	// Gather each lane's C onto the shared pattern (C's pattern is the same
-	// in every lane; values differ per corner).
+	// Each lane's C on the shared pattern (C's pattern is the same in every
+	// lane; values differ per corner). Lane 0's pattern is the shared one,
+	// so its system's SparseC already holds its values there; the other
+	// lanes' are gathered.
 	b.cVals = make([][]float64, b.K)
-	for k, s := range systems {
+	b.cVals[0] = s0.SparseC().Val
+	for k := 1; k < b.K; k++ {
 		cv := make([]float64, pat.NNZ())
 		for j := 0; j < b.N; j++ {
 			for p := pat.ColPtr[j]; p < pat.ColPtr[j+1]; p++ {
-				cv[p] = s.C.At(pat.Rows[p], j)
+				cv[p] = systems[k].C.At(pat.Rows[p], j)
 			}
 		}
 		b.cVals[k] = cv

@@ -193,6 +193,31 @@ func TestBatchActiveMask(t *testing.T) {
 	}
 }
 
+// TestBatchCValsOnPattern: every lane's C values sit on the shared pattern
+// at its own C's entries, and lane 0's are its system's SparseC values
+// themselves, not a second copy.
+func TestBatchCValsOnPattern(t *testing.T) {
+	systems := cornerSystems(t, 3)
+	b, err := circuit.NewBatch(systems)
+	if err != nil {
+		t.Fatal(err)
+	}
+	pat := b.Pattern()
+	for k, s := range systems {
+		cv := b.CVals(k)
+		for j := 0; j < b.N; j++ {
+			for p := pat.ColPtr[j]; p < pat.ColPtr[j+1]; p++ {
+				if got, want := cv[p], s.C.At(pat.Rows[p], j); math.Float64bits(got) != math.Float64bits(want) {
+					t.Fatalf("lane %d C(%d,%d) = %g on the pattern, want %g", k, pat.Rows[p], j, got, want)
+				}
+			}
+		}
+	}
+	if cv, sc := b.CVals(0), systems[0].SparseC().Val; &cv[0] != &sc[0] {
+		t.Error("lane 0's C values are a copy of its SparseC values")
+	}
+}
+
 // TestNewBatchIncongruent rejects topology mismatches.
 func TestNewBatchIncongruent(t *testing.T) {
 	cfgA := ringosc.DefaultConfig()

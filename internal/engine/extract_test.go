@@ -86,6 +86,42 @@ func TestColdPathMatchesScalar(t *testing.T) {
 	}
 }
 
+// TestColdPSSConvergesOnRingGrid: the cold solve converges on every ring of
+// 3/5/9 stages × Vdd 1.2/2/3/5 V × 1N1P/2N1P, and the analytic estimate
+// every cold solve starts from reads within [0.85, 1.2] of the solved f0 on
+// each (0.867–1.172 measured). The settle and its phase search are sized in
+// periods of that estimate: when it read 2.0–4.4× f0, the search window
+// spanned a quarter to half a real cycle, and the three 1.2 V 2N1P rings
+// failed with ErrNoPhaseCrossing although they oscillate.
+func TestColdPSSConvergesOnRingGrid(t *testing.T) {
+	if testing.Short() {
+		t.Skip("cold PSS solves skipped in -short")
+	}
+	const lo, hi = 0.85, 1.2
+	ctx := context.Background()
+	for _, stages := range []int{3, 5, 9} {
+		for _, vdd := range []float64{1.2, 2, 3, 5} {
+			for _, mult := range []float64{1, 2} {
+				cfg := ringosc.DefaultConfig()
+				cfg.Stages, cfg.Vdd, cfg.NMOSMult = stages, vdd, mult
+				r, err := ringosc.Build(cfg)
+				if err != nil {
+					t.Fatal(err)
+				}
+				name := fmt.Sprintf("%d stages, %g V, %gN1P", stages, vdd, mult)
+				sol, err := ColdPSS(ctx, r, pss.Options{StepsPerPeriod: 1024})
+				if err != nil {
+					t.Errorf("%s: %v", name, err)
+					continue
+				}
+				if q := r.EstimatedF0() / sol.F0; !(q >= lo && q <= hi) {
+					t.Errorf("%s: EstimatedF0 %.4g Hz is %.3f× the solved f0 %.4g Hz, want within [%g, %g]", name, r.EstimatedF0(), q, sol.F0, lo, hi)
+				}
+			}
+		}
+	}
+}
+
 // TestColdPathGear2FallsBack: the lockstep stepper integrates BE and Trap
 // only, so a Gear2 engine shoots through the scalar solve and returns its
 // exact result.
@@ -155,10 +191,9 @@ func TestColdPathFallsBackOnLaneFailure(t *testing.T) {
 }
 
 // rcOscillator is a damped one-node RC (time constant 1 ms) posing as an
-// oscillator: it has no limit cycle, only an equilibrium at 0 V. Guessed at
-// its time constant and settled for the default twenty cycles it decays
-// below the periodicity tolerance, so only the fixed-point check stops the
-// shooting solve from reporting f0 = 1/GuessT.
+// oscillator: it has no limit cycle, only an equilibrium at 0 V, which it
+// relaxes toward monotonically over the settle. Only the fixed-point check
+// stops the shooting solve from reporting f0 = 1/GuessT.
 type rcOscillator struct{ sys *circuit.System }
 
 func newRCOscillator(t *testing.T) rcOscillator {

@@ -28,7 +28,7 @@ import (
 // The intended use is Monte-Carlo/corner ensembles warm-started from a
 // nominal solution: seed every lane with the nominal orbit's X0, scale the
 // per-lane period guesses by the corners' estimated frequency ratios, and a
-// few settle cycles replace the scalar path's cold twenty.
+// few settle cycles replace a cold start's seven.
 
 // BatchShootOptions tunes a batched autonomous shooting solve.
 type BatchShootOptions struct {
@@ -42,7 +42,7 @@ type BatchShootOptions struct {
 	Method         transient.Method
 	Backend        linalg.Backend
 	// SettleCycles integrates this many free-running cycles per lane before
-	// shooting (default 20, like the scalar path), at the scalar path's
+	// shooting (default 7, like the scalar path), at the scalar path's
 	// settle resolution, and starts each lane at its phase origin as the
 	// scalar path does. Warm-started ensembles set a small count; a negative
 	// value skips the settle and the phase search entirely.
@@ -77,7 +77,7 @@ func ShootAutonomousBatch(ctx context.Context, b *circuit.Batch, x0 []float64, o
 		opt.Tol = 1e-7
 	}
 	if opt.SettleCycles == 0 {
-		opt.SettleCycles = 20
+		opt.SettleCycles = defaultSettleCycles
 	}
 	spp := opt.StepsPerPeriod
 	defer diag.SpanFrom(ctx, "pss.shoot.batch").End()

@@ -93,12 +93,11 @@ func dampedRC(t *testing.T) *circuit.System {
 	return sys
 }
 
-// TestShootAutonomousRejectsFixedPoint: with the default twenty settle
-// cycles the damped RC decays to ~e⁻²⁰ V, so x(T) − x(0) is under the
-// periodicity tolerance at the first iterate and any period guess
-// "converges". Both the scalar and the batched solve must refuse the
-// motionless orbit with ErrFixedPoint, which wraps ErrNoConvergence, instead
-// of reporting f0 = 1/GuessT.
+// TestShootAutonomousRejectsFixedPoint: the damped RC has no orbit to
+// converge to, and with its time constant as the period guess any guess
+// would "converge" once it had decayed. Both the scalar and the batched
+// solve must refuse it with ErrFixedPoint, which wraps ErrNoConvergence,
+// instead of reporting f0 = 1/GuessT.
 func TestShootAutonomousRejectsFixedPoint(t *testing.T) {
 	sys := dampedRC(t)
 	fixedPoint := func(err error) bool {
@@ -119,6 +118,23 @@ func TestShootAutonomousRejectsFixedPoint(t *testing.T) {
 	}
 	if sols[0] != nil || !fixedPoint(errs[0]) {
 		t.Fatalf("batched: err = %v, want ErrFixedPoint and no solution", errs[0])
+	}
+}
+
+// TestFixedPointIndependentOfSettle: whether the damped RC oscillates does
+// not depend on how long it settled. After one or two cycles it still falls
+// by tenths of a volt over the searched window, after forty it has decayed
+// below the periodicity tolerance; both solves refuse it with ErrFixedPoint
+// every time, not with ErrNoPhaseCrossing, because no node moves both ways.
+func TestFixedPointIndependentOfSettle(t *testing.T) {
+	sys := dampedRC(t)
+	for _, settle := range []int{1, 2, 3, 5, 7, 8, 12, 20, 40} {
+		_, _, serr, berr := shootBoth(t, sys, linalg.Vec{1}, pss.Options{GuessT: 1e-3, SettleCycles: settle})
+		for name, err := range map[string]error{"scalar": serr, "batched": berr} {
+			if !errors.Is(err, pss.ErrFixedPoint) || !errors.Is(err, solver.ErrNoConvergence) {
+				t.Errorf("settle %d, %s: err = %v, want ErrFixedPoint", settle, name, err)
+			}
+		}
 	}
 }
 

@@ -25,6 +25,15 @@ import (
 // or lockstep integrator) therefore converge to the same orbit point, and the
 // grid, f0 and every PPV harmonic follow from that point alone.
 
+// defaultSettleCycles is the settle length both solves default to, in
+// periods of the guess. With ringosc.EstimatedF0's guess within 0.87–1.17
+// of the true f0 these are real cycles, and seven is the fewest that cost
+// no shooting iteration against a twenty-cycle settle on any ring of
+// 3/5/9 stages × Vdd 1.2/2/3/5 V × 1N1P/2N1P, at 256, 512 or 1,024 steps
+// per period, scalar or batched (five and six each cost one or two on
+// some ring at some step count; four fails a ring at 256).
+const defaultSettleCycles = 7
+
 // settleStepsPerPeriod is the settle's resolution: a settle integrates at
 // min(StepsPerPeriod, settleStepsPerPeriod) steps per period. The settle only
 // conditions the shooting iteration's start state and period estimate, and
@@ -56,8 +65,10 @@ var ErrNoPhaseCrossing = fmt.Errorf("pss: node 0 never rises through the phase l
 // phaseStart writes into dst the state at node 0's first rising crossing of
 // level in the recorded trajectory states, interpolated linearly between the
 // two points that bracket it, with node 0 set to level exactly. A trajectory
-// without such a crossing fails with ErrFixedPoint when it does not move (see
-// checkOrbitSwing) and with ErrNoPhaseCrossing otherwise.
+// without such a crossing fails with ErrFixedPoint when it does not
+// oscillate — no node moves both ways, as at an equilibrium or on the way to
+// one, however short the settle (see checkOrbitSwing) — and with
+// ErrNoPhaseCrossing otherwise.
 func phaseStart(dst linalg.Vec, states []linalg.Vec, level, tol float64) error {
 	for i := 1; i < len(states); i++ {
 		a, b := states[i-1], states[i]

@@ -38,8 +38,8 @@ type Options struct {
 	MaxIter        int     // Newton iterations (default 30)
 	Tol            float64 // ∞-norm tolerance on the periodicity residual, volts (default 1e-7)
 	Method         transient.Method
-	// SettleCycles integrates this many free-running cycles before shooting
-	// starts, to land near the limit cycle (default 20), at
+	// SettleCycles integrates this many free-running cycles of GuessT
+	// before shooting starts, to land near the limit cycle (default 7), at
 	// min(StepsPerPeriod, 64) steps per period. The last of them is searched
 	// for node 0's rising crossing of the phase level, where shooting starts.
 	// A negative value skips the settle and the search: x0 must then already
@@ -134,7 +134,7 @@ func ShootAutonomousCtx(ctx context.Context, sys *circuit.System, x0 linalg.Vec,
 		opt.Tol = 1e-7
 	}
 	if opt.SettleCycles == 0 {
-		opt.SettleCycles = 20
+		opt.SettleCycles = defaultSettleCycles
 	}
 	n := sys.N
 	defer diag.SpanFrom(ctx, "pss.shoot").End()
@@ -352,33 +352,40 @@ func buildSolution(ctx context.Context, tsc *transient.Scratch, sys *circuit.Sys
 	}, nil
 }
 
-// fixedPointSwing is the multiple of the periodicity tolerance below which
-// a converged autonomous orbit counts as a fixed point.
+// fixedPointSwing is the multiple of the periodicity tolerance a node must
+// swing both ways for a trajectory to count as an oscillation.
 const fixedPointSwing = 100
 
-// ErrFixedPoint reports an autonomous shooting solve that converged onto an
-// equilibrium instead of a limit cycle. It wraps solver.ErrNoConvergence.
+// ErrFixedPoint reports an autonomous shooting solve on a circuit that does
+// not oscillate: its settle, or the orbit it converged, sits at or relaxes
+// toward an equilibrium instead of a limit cycle. It wraps
+// solver.ErrNoConvergence.
 var ErrFixedPoint = fmt.Errorf("pss: converged orbit is a fixed point: %w", solver.ErrNoConvergence)
 
-// checkOrbitSwing rejects a converged autonomous orbit that does not move.
-// An equilibrium satisfies x(T) = x(0) for every T, so a shooting solve
-// that settles onto one passes the periodicity test with whatever period it
-// was handed and would report a frequency it never measured. The orbit is
-// refused when its largest node peak-to-peak swing over the grid is within
-// fixedPointSwing·tol. Shared by the scalar and batched solves; it
-// allocates nothing when the orbit passes.
+// checkOrbitSwing rejects a trajectory that does not oscillate: one on
+// which no node both rises and falls by more than fixedPointSwing·tol. An
+// equilibrium satisfies x(T) = x(0) for every T, so a shooting solve that
+// settles onto one passes the periodicity test with whatever period it was
+// handed and would report a frequency it never measured; and a settle still
+// relaxing toward one moves each node one way only, however far, so a
+// short settle classifies as a long one does. On a converged orbit each
+// node rises and falls by its peak-to-peak swing. Shared by the scalar and
+// batched solves and the phase search; it allocates nothing when the
+// trajectory passes.
 func checkOrbitSwing(states []linalg.Vec, tol float64) error {
 	swing := 0.0
 	for j := range states[0] {
 		lo, hi := states[0][j], states[0][j]
+		rise, fall := 0.0, 0.0
 		for _, x := range states[1:] {
-			lo = math.Min(lo, x[j])
-			hi = math.Max(hi, x[j])
+			v := x[j]
+			rise, fall = math.Max(rise, v-lo), math.Max(fall, hi-v)
+			lo, hi = math.Min(lo, v), math.Max(hi, v)
 		}
-		swing = math.Max(swing, hi-lo)
+		swing = math.Max(swing, math.Min(rise, fall))
 	}
 	if limit := fixedPointSwing * tol; !(swing > limit) {
-		return fmt.Errorf("%w (largest node swing %.3g V, limit %.3g V)", ErrFixedPoint, swing, limit)
+		return fmt.Errorf("%w (largest swing a node makes both ways %.3g V, limit %.3g V)", ErrFixedPoint, swing, limit)
 	}
 	return nil
 }

@@ -102,21 +102,32 @@ func (r *Ring) KickStart() linalg.Vec {
 // paper injects SYNC into and observes.
 func (r *Ring) OutputIndex() int { return int(r.Nodes[0]) }
 
-// EstimatedF0 returns a first-order analytic estimate of the free-running
-// frequency (used only to size simulation windows; the true f0 comes from
-// PSS analysis).
+// EstimatedF0 returns an analytic estimate of the free-running frequency,
+// within 0.87–1.17 of the solved f0 on every ring of 3/5/9 stages ×
+// Vdd 1.2/2/3/5 V × 1N1P/2N1P. It sizes simulation windows in cycles (a
+// cold solve's settle and phase search among them); the true f0 comes from
+// PSS analysis.
 func (r *Ring) EstimatedF0() float64 { return estimatedF0(r.Cfg) }
 
+// estimateKappa scales the summed stage delays to the ring's period. It
+// is fitted once over the rings EstimatedF0 documents: their solved
+// periods span 1.39–1.88 times the summed delays, and 1.6 splits that
+// range.
+const estimateKappa = 1.6
+
+// estimatedF0 sums each stage's fall and rise delay: the stage output swings
+// Vdd/2 discharging its load C through the NMOS pull-down, at I_N, and
+// charging it through the PMOS pull-up, at I_P, each the saturation current
+// at |Vgs| = Vdd. Every stage falls and rises once per period, so
+//
+//	T ≈ κ·N·C·(Vdd/2)·(1/I_N + 1/I_P).
 func estimatedF0(cfg Config) float64 {
-	// Average charging current ≈ half the saturation current at Vgs = Vdd.
 	vovN := cfg.Vdd - cfg.NMOS.VT0
-	idN := 0.5 * cfg.NMOS.Beta * cfg.NMOSMult * vovN * vovN
+	iN := 0.5 * cfg.NMOS.Beta * cfg.NMOSMult * vovN * vovN
 	vovP := cfg.Vdd - cfg.PMOS.VT0
-	idP := 0.5 * cfg.PMOS.Beta * vovP * vovP
-	id := 0.5 * (idN + idP)
-	// Stage delay ≈ C·(Vdd/2)/id; period ≈ 2·N·delay.
-	td := cfg.CLoad * (cfg.Vdd / 2) / id
-	return 1 / (2 * float64(cfg.Stages) * td)
+	iP := 0.5 * cfg.PMOS.Beta * vovP * vovP
+	period := estimateKappa * float64(cfg.Stages) * cfg.CLoad * (cfg.Vdd / 2) * (1/iN + 1/iP)
+	return 1 / period
 }
 
 // System returns the assembled ODE system (the engine.Oscillator contract).

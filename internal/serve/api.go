@@ -180,9 +180,16 @@ func (r *SweepRequest) injections() []gae.Injection {
 }
 
 // TransientRequest asks for a SPICE-level transient of a ring from its
-// kick-start state. Durations are in free-running cycles of the ring's
-// analytic frequency estimate, so one spec is meaningful across ring
-// variants.
+// kick-start state. Durations are in periods of the ring's analytic
+// frequency estimate (ringosc's EstimatedF0, within 0.87–1.17 of the true
+// f0), so one spec is meaningful across ring variants. The estimate used
+// to read about 2.2× the true f0, so a request now spans about 2.2× the
+// simulated time it did.
+//
+// A request may take at most maxTransientSteps steps, Cycles ×
+// StepsPerCycle, and record at most maxTransientPoints points,
+// ⌈steps/Record⌉ + 1; a larger one is refused with a 400 before anything
+// is integrated. An adaptive run's steps are counted at its initial step.
 type TransientRequest struct {
 	Ring RingSpec `json:"ring"`
 	// Cycles is the integration span (default 3, capped at maxCycles).
@@ -205,6 +212,12 @@ type TransientRequest struct {
 const (
 	maxCycles        = 10000
 	maxStepsPerCycle = 8192
+	// A run's Newton work grows with its steps and its response with its
+	// recorded points, so both are capped: a million steps of a small ring
+	// integrate in seconds, well inside the request deadline, and 65,536
+	// points keep a buffered body to a few MB.
+	maxTransientSteps  = 1 << 20
+	maxTransientPoints = 1 << 16
 )
 
 // TransientResponse is a buffered (non-streaming) transient result.

@@ -162,6 +162,13 @@ func (req *TransientRequest) transientOptions() (cycles float64, stepsPerCycle i
 		return 0, 0, opt, badRequestf("record %d: want ≥ 0", req.Record)
 	}
 	opt.Record = req.Record
+	steps := math.Ceil(cycles * float64(stepsPerCycle))
+	if steps > maxTransientSteps {
+		return 0, 0, opt, badRequestf("cycles × steps_per_cycle = %.0f steps: want ≤ %d", steps, maxTransientSteps)
+	}
+	if points := math.Ceil(steps/float64(max(req.Record, 1))) + 1; points > maxTransientPoints {
+		return 0, 0, opt, badRequestf("%.0f recorded points: want ≤ %d (raise record)", points, maxTransientPoints)
+	}
 	return cycles, stepsPerCycle, opt, nil
 }
 

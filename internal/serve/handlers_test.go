@@ -7,6 +7,7 @@ import (
 	"net/http"
 	"strings"
 	"testing"
+	"time"
 
 	"repro/internal/engine"
 	"repro/internal/serve"
@@ -304,6 +305,28 @@ func TestTransientEndpoints(t *testing.T) {
 	for i := range rows {
 		if rows[i].T != buf.T[i] {
 			t.Fatalf("sample %d: stream t=%g buffered t=%g", i, rows[i].T, buf.T[i])
+		}
+	}
+}
+
+// TestTransientSizeCaps: a transient whose steps or recorded points pass
+// the documented caps is refused with a 400 before it integrates. Each
+// request is within the per-field bounds on cycles, steps_per_cycle and
+// record; without the caps the first runs 81.9 M steps and the second
+// records 102,401 points. A short deadline keeps an admitted run from
+// passing for a refusal.
+func TestTransientSizeCaps(t *testing.T) {
+	_, c := newTestServer(t, serve.Options{})
+	for name, req := range map[string]serve.TransientRequest{
+		"steps":  {Cycles: 10000, StepsPerCycle: 8192, Record: 8192},
+		"points": {Cycles: 100, StepsPerCycle: 1024},
+	} {
+		ctx, cancel := context.WithTimeout(context.Background(), 2*time.Second)
+		_, err := c.Transient(ctx, req)
+		cancel()
+		var ae *serve.APIError
+		if !errors.As(err, &ae) || ae.Status != http.StatusBadRequest || ae.Code != serve.CodeBadRequest {
+			t.Errorf("%s: err = %v, want a 400 %s", name, err, serve.CodeBadRequest)
 		}
 	}
 }

@@ -16,11 +16,12 @@ import (
 // therefore its own physical time axis), with every circuit evaluation
 // fanned across the batch in one EvalBatchAt call. The per-lane linear
 // algebra (corrector factorization, sensitivity propagation) runs on the
-// scalar run's matrix type with its algorithms, so a batched lane is
-// numerically equivalent to the scalar path — equivalent, not bit-identical:
-// the batched corrector reuses the accepted-point Jacobian evaluation as the
-// next step's J0/f0 (a bitwise-identical value the scalar path recomputes),
-// but Newton stops on per-lane schedules driven by batch-evaluated iterates.
+// scalar run's matrix type with its algorithms and its Newton policy — in
+// sensitivity runs the accepted point's evaluation serves the next step as
+// f0 and J0, and its factored sensitivity system as the first iteration
+// matrix — so a batched lane is numerically equivalent to the scalar path:
+// equivalent, not bit-identical, since Newton stops on per-lane schedules
+// driven by batch-evaluated iterates.
 //
 // Lockstep has one behavioral difference from the scalar Run loop: there is
 // no step-halving retry on corrector failure (halving one lane's h would
@@ -87,8 +88,8 @@ func (r *BatchResult) LaneX(k int) linalg.Vec {
 }
 
 // BatchScratch pins every reusable buffer a batched integration needs: the
-// batch evaluation workspace, the lane-major state/residual arrays, the
-// per-lane factorizations (dense or sparse, symbolic analysis retained
+// batch evaluation workspace, the lane-major state/residual arrays, one
+// factorization per lane (dense or sparse, symbolic analysis retained
 // across steps and runs), and the accepted-point Jacobian cache that lets
 // consecutive sensitivity steps share one evaluation. NOT safe for
 // concurrent use — one BatchScratch per goroutine.
@@ -116,9 +117,10 @@ type BatchScratch struct {
 	// pattern.
 	cors []corrector
 	// Per-lane matrices on backend be (made on first use, remade when the
-	// backend changes): lane k's iteration matrix mats[k] and sensitivity
-	// matrix mats[K+k], which share one value array and factor each on
-	// their own.
+	// backend changes): lane k's mats[k] factors its iteration matrices and,
+	// in sensitivity runs, its sensitivity system, which the next step's
+	// Newton starts from. The lanes' matrices share one value array and
+	// factor each on their own.
 	be   linalg.Backend
 	mats []matrix
 	// Sensitivity scratch (lazy): the propagator's right-hand matrix and
@@ -167,7 +169,7 @@ func NewBatchScratch(b *circuit.Batch) *BatchScratch {
 // ensureLanes makes the per-lane matrices for backend be.
 func (sc *BatchScratch) ensureLanes(be linalg.Backend) {
 	if sc.mats == nil || sc.be != be {
-		sc.mats, _ = newMatrices(be, sc.N, sc.b.Pattern(), 2*sc.K, 0, &sc.pin)
+		sc.mats, _ = newMatrices(be, sc.N, sc.b.Pattern(), sc.K, 0, &sc.pin)
 		sc.be, sc.rhs, sc.tmp = be, nil, nil
 	}
 }
@@ -213,7 +215,7 @@ func (sc *BatchScratch) Run(ctx context.Context, x0 []float64, opt BatchOptions)
 	th := opt.Method.theta()
 	sc.ensureLanes(sc.b.Systems[0].ResolveBackend(opt.Backend))
 	if opt.Sensitivity && sc.rhs == nil {
-		sc.rhs, sc.tmp = sc.mats[0].propScratch()
+		sc.rhs, sc.tmp = sc.mats[0].sibling(), sc.pin.mat(n)
 	}
 
 	defer diag.SpanFrom(ctx, "transient.batch").End()
@@ -319,7 +321,9 @@ func (sc *BatchScratch) Run(ctx context.Context, x0 []float64, opt BatchOptions)
 			}
 		}
 
-		// Predictor: the scalar run's, on the lane's equal steps.
+		// Predictor: the scalar run's, on the lane's equal steps. After a
+		// sensitivity step, Newton starts from the lane's carried
+		// factorization (see newtonLoop).
 		for _, k := range sc.live {
 			h, h1, h2 := opt.H[k], 0.0, 0.0
 			if s > 0 {
@@ -330,7 +334,7 @@ func (sc *BatchScratch) Run(ctx context.Context, x0 []float64, opt BatchOptions)
 			}
 			lane := k * n
 			predict(sc.x1[lane:lane+n], sc.x[lane:lane+n], sc.prev[lane:lane+n], sc.prev2[lane:lane+n], h, h1, h2)
-			sc.pol[k] = newtonPolicy{}
+			sc.pol[k] = newtonPolicy{chord: opt.Sensitivity && s > 0}
 		}
 
 		// Masked Newton under the shared policy (see newtonLoop): the lanes
@@ -392,7 +396,9 @@ func (sc *BatchScratch) Run(ctx context.Context, x0 []float64, opt BatchOptions)
 
 		if opt.Sensitivity {
 			// One evaluation at the accepted states serves as this step's J1
-			// and is cached as the next step's J0/f0 (same point, same time).
+			// and is cached as the next step's J0/f0 (same point, same time);
+			// the factored sensitivity system is the next step's first
+			// iteration matrix.
 			sc.bw.SetActive(sc.live)
 			sc.bw.EvalBatchAt(sc.x1, sc.tl1, true)
 			w := 0
@@ -461,8 +467,9 @@ func (sc *BatchScratch) allocRecords(res *BatchResult, opt BatchOptions) (stateB
 // correctLane solves one lane's Newton correction from the batch
 // workspace's current (x1, t+h) evaluation under the lane's Newton policy —
 // assembling and factoring the iteration matrix when the policy refactors,
-// solving with the step's factorization otherwise — and updates the lane's
-// x1 block in place. Returns done=true when the convergence test passes.
+// solving with the lane's current factorization otherwise — and updates the
+// lane's x1 block in place. Returns done=true when the convergence test
+// passes.
 func (sc *BatchScratch) correctLane(k int, th, h, vtol float64, dm *diag.Metrics) (bool, error) {
 	n := sc.N
 	base := k * n
@@ -488,11 +495,12 @@ func (sc *BatchScratch) correctLane(k int, th, h, vtol float64, dm *diag.Metrics
 //	S ← (C/h + θ·J1)⁻¹ · (C/h − (1−θ)·J0) · S
 //
 // with J1 read from the workspace's accepted-point evaluation and J0 from
-// the cache (the previous step's accepted-point evaluation).
+// the cache (the previous step's accepted-point evaluation). The factored
+// left-hand matrix stays in the lane's matrix for the next step.
 func (sc *BatchScratch) sensLane(k int, th, h float64, sens *linalg.Mat, dm *diag.Metrics) error {
 	jb := k * sc.nnz
 	ch := sc.cors[k].scaledC(h)
-	lhs := sc.mats[sc.K+k]
+	lhs := sc.mats[k]
 	lhs.combine(ch, sc.bw.JV[jb:jb+sc.nnz], th)
 	sc.rhs.combine(ch, sc.jcache[jb:jb+sc.nnz], -(1 - th))
 	return propagateTheta(dm, lhs, sc.rhs, sens, sc.tmp)

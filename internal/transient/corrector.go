@@ -113,13 +113,14 @@ func (co *corrector) scaledC(h float64) []float64 {
 	return co.scaled
 }
 
-// addScaled turns the Jacobian values j into the iteration matrix
-// scaled + w·j in place — w = θ for the θ-method, 1 for Gear2 (an exact
-// multiply). scaled is the matching layout from scaledC.
-func addScaled(j, scaled []float64, w float64) {
-	scaled = scaled[:len(j)]
+// addScaled sets dst to the iteration-matrix combination scaled + w·j
+// entrywise — w = θ for the θ-method's iteration and sensitivity matrices,
+// −(1−θ) for its propagator's right-hand matrix, 1 for Gear2 (an exact
+// multiply). scaled is the matching layout from scaledC; dst may be j.
+func addScaled(dst, scaled, j []float64, w float64) {
+	scaled, j = scaled[:len(dst)], j[:len(dst)]
 	for i, v := range j {
-		j[i] = scaled[i] + w*v
+		dst[i] = scaled[i] + w*v
 	}
 }
 
@@ -197,14 +198,14 @@ func newtonUpdate(x1, dx []float64) (dm, xm float64, err error) {
 	return dm, xm, nil
 }
 
-// The chord rule's two constants. A freshly factored iteration whose update
-// is at most chordGate·(1+|x|∞) is close enough to the solution that the
-// Jacobian barely changes over the rest of the step, so its factorization
-// may serve the step's later iterations. Without that gate, a chord started
-// from a far-off predictor can stall: the coarse-stepped ring shooting
-// solves stop converging under a contraction test alone. A chord update
-// larger than chordContraction times the previous update means the stale
-// matrix no longer contracts fast enough, so the next iteration refactors.
+// The chord rule's two constants. A factorization whose first update in a
+// step is at most chordGate·(1+|x|∞) is close enough to the solution that
+// the Jacobian barely changes over the rest of the step, so it may serve
+// the step's later iterations. Without that gate, a chord started from a
+// far-off predictor can stall: the coarse-stepped ring shooting solves stop
+// converging under a contraction test alone. A chord update larger than
+// chordContraction times the previous update means the stale matrix no
+// longer contracts fast enough, so the next iteration refactors.
 const (
 	chordGate        = 1e-3
 	chordContraction = 0.3
@@ -212,23 +213,26 @@ const (
 
 // newtonPolicy is one corrector step's iteration state under the Newton
 // policy every corrector shares (see newtonLoop). Its zero value starts a
-// step: the first iteration refactors.
+// step that refactors first; newtonPolicy{chord: true} starts one on a
+// factorization carried from the previous step's accepted point.
 type newtonPolicy struct {
-	chord bool    // the step's factorization serves the next iteration
-	last  float64 // the previous iteration's update size
+	chord bool    // the current factorization serves the next iteration
+	last  float64 // the previous iteration's update size; 0 before the step's first
 }
 
 // refactor reports whether the next iteration must evaluate J and factor
 // the iteration matrix; otherwise it evaluates f only and solves with the
-// step's factorization.
+// current factorization.
 func (p *newtonPolicy) refactor() bool { return !p.chord }
 
 // apply applies the iteration's update dx to x1 (newtonUpdate) and reports
 // convergence on the update size in volts, SPICE-style:
 // |dx|∞ ≤ vtol·(1+|x1|∞). Judging the raw residual instead would accept the
 // raw predictor, since its C·Δx/h scale shrinks with h. fresh says the
-// iteration factored its matrix; on an unconverged iteration apply decides
-// whether the next one may reuse that factorization.
+// iteration factored its matrix. On an unconverged iteration apply decides
+// whether the next one may reuse the factorization: a fresh one, and a
+// carried one on the step's first iteration, must pass the gate; a chord
+// iteration after that must contract.
 func (p *newtonPolicy) apply(x1, dx []float64, vtol float64, fresh bool) (bool, error) {
 	dm, xm, err := newtonUpdate(x1, dx)
 	if err != nil {
@@ -238,7 +242,7 @@ func (p *newtonPolicy) apply(x1, dx []float64, vtol float64, fresh bool) (bool, 
 	if dm <= vtol*s {
 		return true, nil
 	}
-	if fresh {
+	if fresh || p.last == 0 {
 		p.chord = dm <= chordGate*s
 	} else if dm > chordContraction*p.last {
 		p.chord = false
@@ -248,21 +252,23 @@ func (p *newtonPolicy) apply(x1, dx []float64, vtol float64, fresh bool) (bool, 
 }
 
 // newtonLoop runs up to maxNewton corrector iterations on the iterate x1
-// under the one Newton policy of every transient corrector. The step's first
+// under the one Newton policy of every transient corrector. A step's first
 // iteration evaluates f and J at the predictor and factors the iteration
-// matrix. Once a freshly factored iteration's update is at most
-// chordGate·(1+|x1|∞), later iterations evaluate f only and solve with that
-// factorization (chord iterations), until a chord update exceeds
-// chordContraction times the previous update, which makes the next
-// iteration refactor. No factorization outlives its step.
+// matrix — or, when carried is set, evaluates f only and solves with the
+// factorization the previous step's sensitivity propagation left, the
+// iteration matrix at the accepted point the step starts from. Once a
+// factorization's first update is at most chordGate·(1+|x1|∞), later
+// iterations evaluate f only and solve with it (chord iterations), until a
+// chord update exceeds chordContraction times the previous update, which
+// makes the next iteration refactor.
 //
 // solve performs one iteration's evaluation, assembly, factorization (when
 // refactor is set) and solve, returning the Newton update; newtonLoop
 // counts the solve and the iteration, applies the update, and stops on
 // convergence. It returns x1 and the iterations taken, or the failure with
 // the iterations it spent.
-func newtonLoop(m *diag.Metrics, x1 linalg.Vec, maxNewton int, vtol float64, solve func(refactor bool) (linalg.Vec, error)) (linalg.Vec, int, error) {
-	var p newtonPolicy
+func newtonLoop(m *diag.Metrics, x1 linalg.Vec, maxNewton int, vtol float64, carried bool, solve func(refactor bool) (linalg.Vec, error)) (linalg.Vec, int, error) {
+	p := newtonPolicy{chord: carried}
 	for iter := 0; iter < maxNewton; iter++ {
 		fresh := p.refactor()
 		dx, err := solve(fresh)
@@ -288,6 +294,12 @@ func newtonLoop(m *diag.Metrics, x1 linalg.Vec, maxNewton int, vtol float64, sol
 // evaluations go through a workspace of its own and every buffer is pinned
 // in it, so steppers on one shared System never contend and a steady-state
 // step allocates nothing.
+//
+// In a sensitivity run each accepted step is factored once: the
+// sensitivity system at the accepted point — C/h + θ·J for the θ-method,
+// 3C/(2h) + J for BDF2 — is the next step's iteration matrix at its start,
+// so its factorization is carried into that step's Newton iterations, and
+// a θ step's f and J there serve the next step as f0 and J0.
 type stepper struct {
 	ws  *circuit.Workspace
 	opt Options
@@ -296,14 +308,21 @@ type stepper struct {
 	// f0, f1, resid, dx and the iterate x1, which a step's return value
 	// aliases.
 	f0, f1, resid, dx, x1 linalg.Vec
-	// a holds J, then the iteration matrix, and factors it; s shares its
-	// values and factors the sensitivity system at each accepted point.
-	a, s matrix
-	// Sensitivity scratch (lazy): the θ propagator's right-hand matrix r
-	// and n×n products (tmp, and tmp2 for BDF2).
-	r         matrix
+	// a holds J, then the iteration matrix, and factors it; a sensitivity
+	// step factors its system in a too.
+	a matrix
+	// Sensitivity scratch (lazy): for the θ-method j, the Jacobian at the
+	// accepted point, and the propagator's right-hand matrix r; n×n
+	// products tmp, and tmp2 for BDF2.
+	j, r      matrix
 	tmp, tmp2 *linalg.Mat
-	pin       *pins
+	// What the last sensitivity step left at its accepted point, time tAt:
+	// a's factorization of the iteration matrix for step size carryH (0
+	// when a holds none) and, after a θ step, f and J there in f0 and j
+	// (haveJ).
+	tAt, carryH float64
+	haveJ       bool
+	pin         *pins
 }
 
 // newStepper returns sys's θ corrector, or its BDF2 one when gear is set,
@@ -315,24 +334,30 @@ func newStepper(sys *circuit.System, be linalg.Backend, gear bool, p *pins) *ste
 	if be == linalg.BackendSparse {
 		pat, c = sys.SparsePattern(), sys.SparseC().Val
 	}
-	ms, scaled := newMatrices(be, n, pat, 2, len(c), p)
+	ms, scaled := newMatrices(be, n, pat, 1, len(c), p)
 	v := make([]float64, 5*n)
 	p.add(len(v))
 	s := &stepper{
 		ws: sys.NewWorkspace(),
 		f0: v[:n:n], f1: v[n : 2*n : 2*n], resid: v[2*n : 3*n : 3*n], dx: v[3*n : 4*n : 4*n], x1: v[4*n:],
-		a: ms[0], s: ms[1], pin: p,
+		a: ms[0], pin: p,
 	}
 	s.cor = newCorrector(sys, c, scaled, s.dx, gear)
 	return s
 }
 
-// bind points the stepper at this run's options and metrics.
+// bind points the stepper at this run's options and metrics, with nothing
+// carried from an earlier run.
 func (s *stepper) bind(opt Options, m *diag.Metrics) {
 	s.opt = opt
 	s.m = m
 	s.ws.SetMetrics(m)
+	s.carryH, s.haveJ = 0, false
 }
+
+// carried reports whether a step of size h from time t0 starts from the
+// factorization the last sensitivity step left.
+func (s *stepper) carried(t0, h float64) bool { return s.carryH == h && s.tAt == t0 }
 
 // theta solves C(x1−x0)/h + θ f(x1,t1) + (1−θ) f(x0,t0) = 0 for x1 from
 // the predictor. The step runs from (x0, t0) to the time t1 with the
@@ -342,25 +367,28 @@ func (s *stepper) bind(opt Options, m *diag.Metrics) {
 // stepper's iterate; callers copy it before the next step.
 func (s *stepper) theta(x0, pred linalg.Vec, t0, t1, h float64) (linalg.Vec, int, error) {
 	th := s.opt.Method.theta()
-	s.ws.EvalF(x0, t0, s.f0)
+	if !s.haveJ || s.tAt != t0 {
+		s.ws.EvalF(x0, t0, s.f0)
+	}
 	s.x1.CopyFrom(pred)
-	return s.correct(t1, h, th, func() { s.cor.thetaResidual(s.resid, s.x1, x0, s.f1, s.f0, th, h) })
+	return s.correct(t1, h, th, s.carried(t0, h), func() { s.cor.thetaResidual(s.resid, s.x1, x0, s.f1, s.f0, th, h) })
 }
 
 // gear solves C·(3x1 − 4x0 + xm1)/(2h) + f(x1,t1) = 0 for x1 from the line
-// through xm1 and x0, its two predecessors h apart.
-func (s *stepper) gear(xm1, x0 linalg.Vec, t1, h float64) (linalg.Vec, int, error) {
+// through xm1 and x0, its two predecessors h apart, stepping from t0 to t1.
+func (s *stepper) gear(xm1, x0 linalg.Vec, t0, t1, h float64) (linalg.Vec, int, error) {
 	for i := range s.x1 {
 		s.x1[i] = 2*x0[i] - xm1[i]
 	}
-	return s.correct(t1, h, 1, func() { s.cor.gearResidual(s.resid, s.x1, x0, xm1, s.f1, h) })
+	return s.correct(t1, h, 1, s.carried(t0, h), func() { s.cor.gearResidual(s.resid, s.x1, x0, xm1, s.f1, h) })
 }
 
-// correct runs the Newton iterations on x1: each evaluates f1 at (x1, t1),
-// J as well when it refactors, and resid; a refactoring iteration turns J
-// into the iteration matrix scaledC + w·J and factors it.
-func (s *stepper) correct(t1, h, w float64, resid func()) (linalg.Vec, int, error) {
-	return newtonLoop(s.m, s.x1, s.opt.MaxNewton, updateTol(s.opt.NewtonTol), func(refactor bool) (linalg.Vec, error) {
+// correct runs the Newton iterations on x1, from the carried factorization
+// when carried is set: each evaluates f1 at (x1, t1), J as well when it
+// refactors, and resid; a refactoring iteration turns J into the iteration
+// matrix scaledC + w·J and factors it, which ends the carry.
+func (s *stepper) correct(t1, h, w float64, carried bool, resid func()) (linalg.Vec, int, error) {
+	return newtonLoop(s.m, s.x1, s.opt.MaxNewton, updateTol(s.opt.NewtonTol), carried, func(refactor bool) (linalg.Vec, error) {
 		if refactor {
 			s.a.eval(s.ws, s.x1, t1, s.f1)
 		} else {
@@ -368,7 +396,8 @@ func (s *stepper) correct(t1, h, w float64, resid func()) (linalg.Vec, int, erro
 		}
 		resid()
 		if refactor {
-			addScaled(s.a.vals(), s.cor.scaledC(h), w)
+			s.carryH = 0
+			addScaled(s.a.vals(), s.cor.scaledC(h), s.a.vals(), w)
 			if err := s.a.factor(s.m); err != nil {
 				return nil, fmt.Errorf("transient: singular iteration matrix: %w", err)
 			}
@@ -381,19 +410,28 @@ func (s *stepper) correct(t1, h, w float64, resid func()) (linalg.Vec, int, erro
 // updating sens in place:
 //
 //	S ← (C/h + θ·J1)⁻¹ · (C/h − (1−θ)·J0) · S
+//
+// J0 is the one the previous sensitivity step kept, or evaluated at
+// (x0, t0) on a run's first step. The evaluation at (x1, t1) is kept as the
+// next step's f0 and J0, and the factored C/h + θ·J1 as its carried
+// iteration matrix.
 func (s *stepper) thetaSens(x0, x1 linalg.Vec, t0, t1, h float64, sens *linalg.Mat) error {
 	th := s.opt.Method.theta()
 	if s.r == nil {
-		s.r, s.tmp = s.a.propScratch()
+		s.j, s.r, s.tmp = s.a.sibling(), s.a.sibling(), s.pin.mat(len(x1))
 	}
 	ch := s.cor.scaledC(h)
-	s.r.eval(s.ws, x0, t0, s.f0)
-	addScaled(s.r.vals(), ch, -(1 - th))
-	s.s.eval(s.ws, x1, t1, s.f1)
-	addScaled(s.s.vals(), ch, th)
-	if err := propagateTheta(s.m, s.s, s.r, sens, s.tmp); err != nil {
+	if !s.haveJ || s.tAt != t0 {
+		s.j.eval(s.ws, x0, t0, s.f0)
+	}
+	addScaled(s.r.vals(), ch, s.j.vals(), -(1 - th))
+	s.j.eval(s.ws, x1, t1, s.f0)
+	addScaled(s.a.vals(), ch, s.j.vals(), th)
+	s.tAt, s.carryH, s.haveJ = t1, 0, true
+	if err := propagateTheta(s.m, s.a, s.r, sens, s.tmp); err != nil {
 		return fmt.Errorf("transient: %w", err)
 	}
+	s.carryH = h
 	return nil
 }
 
@@ -413,24 +451,26 @@ func propagateTheta(m *diag.Metrics, lhs, rhs matrix, sens, tmp *linalg.Mat) err
 //
 //	(3C/(2h) + J1)⁻¹ · C·(4·S_n − S_{n−1})/(2h)
 //
-// into dst. C·(…) is the product over C's nonzeros, which adds the terms of
-// the dense row product in its order, less C's exact zeros.
+// into dst, and keeps the factored 3C/(2h) + J1 as the next step's carried
+// iteration matrix. C·(…) is the product over C's nonzeros, which adds the
+// terms of the dense row product in its order, less C's exact zeros.
 func (s *stepper) gearSens(x1 linalg.Vec, t1, h float64, dst, sN, sNm1 *linalg.Mat) error {
 	n := len(x1)
 	if s.tmp2 == nil {
-		s.tmp, s.tmp2 = linalg.NewMat(n, n), linalg.NewMat(n, n)
-		s.pin.add(2 * n * n)
+		s.tmp, s.tmp2 = s.pin.mat(n), s.pin.mat(n)
 	}
-	s.s.eval(s.ws, x1, t1, s.f1)
-	addScaled(s.s.vals(), s.cor.scaledC(h), 1)
-	if err := s.s.factor(s.m); err != nil {
+	s.a.eval(s.ws, x1, t1, s.f1)
+	addScaled(s.a.vals(), s.cor.scaledC(h), s.a.vals(), 1)
+	s.tAt, s.carryH = t1, 0
+	if err := s.a.factor(s.m); err != nil {
 		return fmt.Errorf("transient: singular sensitivity matrix: %w", err)
 	}
+	s.carryH = h
 	for i := range s.tmp.Data {
 		s.tmp.Data[i] = (4*sN.Data[i] - sNm1.Data[i]) / (2 * h)
 	}
 	s.cor.cs.MulMatInto(s.tmp2, s.tmp)
-	s.s.solveMat(dst, s.tmp2)
+	s.a.solveMat(dst, s.tmp2)
 	s.m.Add(diag.LUSolves, int64(n))
 	return nil
 }

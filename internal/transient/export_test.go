@@ -24,7 +24,7 @@ func ThetaStepper(sys *circuit.System, opt Options) StepFunc {
 func GearStepper(sys *circuit.System, opt Options) StepFunc {
 	g := NewScratch(sys).stepper(opt, true, nil)
 	return func(xm1, x0 linalg.Vec, t, h float64) (linalg.Vec, int, error) {
-		return g.gear(xm1, x0, t+h, h)
+		return g.gear(xm1, x0, t, t+h, h)
 	}
 }
 

@@ -86,7 +86,7 @@ func (sc *Scratch) runGear2(ctx context.Context, x0 linalg.Vec, t0, t1 float64, 
 				}
 			}
 		} else {
-			x1, iters, err = g.gear(xPrev, x, tNext, hh)
+			x1, iters, err = g.gear(xPrev, x, t, tNext, hh)
 			res.NewtonIters += iters
 			if err != nil {
 				return res, fmt.Errorf("transient: Gear2 corrector failed at t=%.6g: %w", t, err)

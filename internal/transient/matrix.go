@@ -18,7 +18,8 @@ import (
 // its own. Its values take the backend's layout — dense row-major n², or
 // one value per entry of a sparsity pattern — which is also the layout of
 // the C values the corrector scales (corrector.scaledC), so the two combine
-// entrywise. Matrices made together share one value array (newMatrices).
+// entrywise (addScaled). Matrices made together share one value array
+// (newMatrices); a sibling has values of its own.
 type matrix interface {
 	// vals returns the values.
 	vals() []float64
@@ -35,12 +36,12 @@ type matrix interface {
 	// solveMat solves A·X = B into dst, which must not alias b.
 	solveMat(dst, b *linalg.Mat)
 	// propagate sets sens to A⁻¹·R·sens, where A is this matrix's
-	// factorization and R the values of r, and tmp is n×n scratch: both
-	// from propScratch.
+	// factorization, R the values of r (a sibling, whose values it may
+	// overwrite) and tmp n×n scratch.
 	propagate(r matrix, sens, tmp *linalg.Mat)
-	// propScratch returns propagate's scratch: a matrix of the same backend
-	// with values of its own, and an n×n product.
-	propScratch() (r matrix, tmp *linalg.Mat)
+	// sibling returns a matrix of the same backend and layout with values
+	// of its own, counted as pinned.
+	sibling() matrix
 }
 
 // newMatrices returns count n×n matrices of backend be that share one
@@ -129,10 +130,10 @@ func (d *denseMatrix) propagate(r matrix, sens, tmp *linalg.Mat) {
 	sens.CopyFrom(rv)
 }
 
-func (d *denseMatrix) propScratch() (matrix, *linalg.Mat) {
+func (d *denseMatrix) sibling() matrix {
 	n := d.a.Rows
-	d.pin.add(2 * n * n)
-	return &denseMatrix{a: linalg.Mat{Rows: n, Cols: n, Data: make([]float64, n*n)}, pat: d.pat, pin: d.pin}, linalg.NewMat(n, n)
+	d.pin.add(n * n)
+	return &denseMatrix{a: linalg.Mat{Rows: n, Cols: n, Data: make([]float64, n*n)}, pat: d.pat, pin: d.pin}
 }
 
 // sparseMatrix is a matrix on the sparse backend: values on the pattern and
@@ -184,10 +185,9 @@ func (s *sparseMatrix) propagate(r matrix, sens, tmp *linalg.Mat) {
 	s.lu.SolveMatInto(sens, tmp)
 }
 
-func (s *sparseMatrix) propScratch() (matrix, *linalg.Mat) {
-	n := s.a.P.N
-	s.pin.add(len(s.a.Val) + n*n)
-	return &sparseMatrix{a: sparse.CSC{P: s.a.P, Val: make([]float64, len(s.a.Val))}, pin: s.pin}, linalg.NewMat(n, n)
+func (s *sparseMatrix) sibling() matrix {
+	s.pin.add(len(s.a.Val))
+	return &sparseMatrix{a: sparse.CSC{P: s.a.P, Val: make([]float64, len(s.a.Val))}, pin: s.pin}
 }
 
 // pins counts the bytes a scratch pins (see diag.ScratchBytesPinned) where
@@ -197,6 +197,12 @@ type pins struct{ pinned, reported int64 }
 
 // add counts n more float64 values as pinned.
 func (p *pins) add(n int) { p.pinned += 8 * int64(n) }
+
+// mat returns a zeroed n×n matrix, counted as pinned.
+func (p *pins) mat(n int) *linalg.Mat {
+	p.add(n * n)
+	return linalg.NewMat(n, n)
+}
 
 // report adds the bytes pinned since the last report to m.
 func (p *pins) report(m *diag.Metrics) {

@@ -21,7 +21,9 @@ import (
 // afresh. With chord set it takes the Newton policy's refactor/chord
 // decisions (refPolicy) and is the bit-identity oracle for the dense θ and
 // Gear2 steppers; without, it is full Newton — a refactor every iteration —
-// the accuracy oracle the policy is held to.
+// the accuracy oracle the policy is held to. A step handed a carried
+// factorization (the previous step's sensitivity system, from refSensStep or
+// refGearSensStep) starts on it as the policy does.
 type refCorrector struct {
 	sys                   *circuit.System
 	chord                 bool
@@ -41,16 +43,22 @@ func newRefCorrector(sys *circuit.System, chord bool) *refCorrector {
 var errRefNoConverge = errors.New("reference corrector did not converge")
 
 // refPolicy is the Newton policy written out for the references: a step's
-// first iteration refactors; once a refactoring iteration's update is at
-// most 1e-3·(1+|x|∞), later iterations reuse the step's factorization until
-// one's update exceeds 0.3 times the previous update. With on unset every
+// first iteration refactors, or solves with a carried factorization; once
+// a refactoring iteration's update, or the carried first one's, is at most
+// 1e-3·(1+|x|∞), later iterations reuse the factorization until one's
+// update exceeds 0.3 times the previous update. With on unset every
 // iteration refactors.
 type refPolicy struct {
-	on, chord bool
-	last      float64
+	on, chord, started bool
+	last               float64
 }
 
 func (p *refPolicy) refactor() bool { return !p.on || !p.chord }
+
+// refSolver is a factorization a reference step solves with.
+type refSolver interface {
+	SolveInto(dst, b linalg.Vec) linalg.Vec
+}
 
 // update is the inline clamp/update/test every reference step shares,
 // followed by the policy's decision for the next iteration.
@@ -65,28 +73,29 @@ func (p *refPolicy) update(x1, dx linalg.Vec, vtol float64, fresh bool) bool {
 	if dm <= vtol*scale {
 		return true
 	}
-	if fresh {
+	if fresh || !p.started {
 		p.chord = dm <= 1e-3*scale
 	} else if dm > 0.3*p.last {
 		p.chord = false
 	}
-	p.last = dm
+	p.started, p.last = true, dm
 	return false
 }
 
-func (s *refCorrector) theta(x0, pred linalg.Vec, t, h, th float64, opt transient.Options) (linalg.Vec, int, error) {
+func (s *refCorrector) theta(x0, pred linalg.Vec, t, t1, h, th float64, opt transient.Options, carried refSolver) (linalg.Vec, int, error) {
 	n, c := s.sys.N, s.sys.C
 	s.sys.EvalF(x0, t, s.f0)
 	x1 := s.x1
 	x1.CopyFrom(pred)
 	vtol := math.Min(opt.NewtonTol, 1e-6)
-	p := refPolicy{on: s.chord}
+	p := refPolicy{on: s.chord, chord: carried != nil}
+	lu := carried
 	for iter := 0; iter < opt.MaxNewton; iter++ {
 		fresh := p.refactor()
 		if fresh {
-			s.sys.EvalFJ(x1, t+h, s.f1, s.sysJ)
+			s.sys.EvalFJ(x1, t1, s.f1, s.sysJ)
 		} else {
-			s.sys.EvalF(x1, t+h, s.f1)
+			s.sys.EvalF(x1, t1, s.f1)
 		}
 		for i := 0; i < n; i++ {
 			acc := 0.0
@@ -103,28 +112,30 @@ func (s *refCorrector) theta(x0, pred linalg.Vec, t, h, th float64, opt transien
 			if err := s.lu.FactorizeInto(s.jac); err != nil {
 				return nil, iter, err
 			}
+			lu = &s.lu
 		}
-		if p.update(x1, s.lu.SolveInto(s.dx, s.resid), vtol, fresh) {
+		if p.update(x1, lu.SolveInto(s.dx, s.resid), vtol, fresh) {
 			return x1, iter + 1, nil
 		}
 	}
 	return nil, opt.MaxNewton, errRefNoConverge
 }
 
-func (s *refCorrector) gear(xm1, x0 linalg.Vec, t, h float64, opt transient.Options) (linalg.Vec, int, error) {
+func (s *refCorrector) gear(xm1, x0 linalg.Vec, t1, h float64, opt transient.Options, carried refSolver) (linalg.Vec, int, error) {
 	n, c := s.sys.N, s.sys.C
 	x1 := s.x1
 	for i := range x1 {
 		x1[i] = 2*x0[i] - xm1[i]
 	}
 	vtol := math.Min(opt.NewtonTol, 1e-6)
-	p := refPolicy{on: s.chord}
+	p := refPolicy{on: s.chord, chord: carried != nil}
+	lu := carried
 	for iter := 0; iter < opt.MaxNewton; iter++ {
 		fresh := p.refactor()
 		if fresh {
-			s.sys.EvalFJ(x1, t+h, s.f1, s.sysJ)
+			s.sys.EvalFJ(x1, t1, s.f1, s.sysJ)
 		} else {
-			s.sys.EvalF(x1, t+h, s.f1)
+			s.sys.EvalF(x1, t1, s.f1)
 		}
 		for i := 0; i < n; i++ {
 			acc := 0.0
@@ -141,8 +152,9 @@ func (s *refCorrector) gear(xm1, x0 linalg.Vec, t, h float64, opt transient.Opti
 			if err := s.lu.FactorizeInto(s.jac); err != nil {
 				return nil, iter, err
 			}
+			lu = &s.lu
 		}
-		if p.update(x1, s.lu.SolveInto(s.dx, s.resid), vtol, fresh) {
+		if p.update(x1, lu.SolveInto(s.dx, s.resid), vtol, fresh) {
 			return x1, iter + 1, nil
 		}
 	}
@@ -184,19 +196,20 @@ func gatherPattern(dst *sparse.CSC, m *linalg.Mat) {
 	}
 }
 
-func (s *refSparseCorrector) theta(x0, pred linalg.Vec, t, h, th float64, opt transient.Options) (linalg.Vec, int, error) {
+func (s *refSparseCorrector) theta(x0, pred linalg.Vec, t, t1, h, th float64, opt transient.Options, carried refSolver) (linalg.Vec, int, error) {
 	s.sys.EvalF(x0, t, s.f0)
 	x1 := s.x1
 	x1.CopyFrom(pred)
 	vtol := math.Min(opt.NewtonTol, 1e-6)
-	p := refPolicy{on: s.chord}
+	p := refPolicy{on: s.chord, chord: carried != nil}
+	lu := carried
 	for iter := 0; iter < opt.MaxNewton; iter++ {
 		fresh := p.refactor()
 		if fresh {
-			s.sys.EvalFJ(x1, t+h, s.f1, s.jd)
+			s.sys.EvalFJ(x1, t1, s.f1, s.jd)
 			gatherPattern(s.sysJ, s.jd)
 		} else {
-			s.sys.EvalF(x1, t+h, s.f1)
+			s.sys.EvalF(x1, t1, s.f1)
 		}
 		for i := range s.dx {
 			s.dx[i] = x1[i] - x0[i]
@@ -212,28 +225,30 @@ func (s *refSparseCorrector) theta(x0, pred linalg.Vec, t, h, th float64, opt tr
 			if err := s.lu.FactorizeInto(s.jac); err != nil {
 				return nil, iter, err
 			}
+			lu = &s.lu
 		}
-		if p.update(x1, s.lu.SolveInto(s.dx, s.resid), vtol, fresh) {
+		if p.update(x1, lu.SolveInto(s.dx, s.resid), vtol, fresh) {
 			return x1, iter + 1, nil
 		}
 	}
 	return nil, opt.MaxNewton, errRefNoConverge
 }
 
-func (s *refSparseCorrector) gear(xm1, x0 linalg.Vec, t, h float64, opt transient.Options) (linalg.Vec, int, error) {
+func (s *refSparseCorrector) gear(xm1, x0 linalg.Vec, t1, h float64, opt transient.Options, carried refSolver) (linalg.Vec, int, error) {
 	x1 := s.x1
 	for i := range x1 {
 		x1[i] = 2*x0[i] - xm1[i]
 	}
 	vtol := math.Min(opt.NewtonTol, 1e-6)
-	p := refPolicy{on: s.chord}
+	p := refPolicy{on: s.chord, chord: carried != nil}
+	lu := carried
 	for iter := 0; iter < opt.MaxNewton; iter++ {
 		fresh := p.refactor()
 		if fresh {
-			s.sys.EvalFJ(x1, t+h, s.f1, s.jd)
+			s.sys.EvalFJ(x1, t1, s.f1, s.jd)
 			gatherPattern(s.sysJ, s.jd)
 		} else {
-			s.sys.EvalF(x1, t+h, s.f1)
+			s.sys.EvalF(x1, t1, s.f1)
 		}
 		for i := range s.dx {
 			s.dx[i] = 3*x1[i] - 4*x0[i] + xm1[i]
@@ -249,18 +264,21 @@ func (s *refSparseCorrector) gear(xm1, x0 linalg.Vec, t, h float64, opt transien
 			if err := s.lu.FactorizeInto(s.jac); err != nil {
 				return nil, iter, err
 			}
+			lu = &s.lu
 		}
-		if p.update(x1, s.lu.SolveInto(s.dx, s.resid), vtol, fresh) {
+		if p.update(x1, lu.SolveInto(s.dx, s.resid), vtol, fresh) {
 			return x1, iter + 1, nil
 		}
 	}
 	return nil, opt.MaxNewton, errRefNoConverge
 }
 
-// refStepper is a reference corrector of either backend.
+// refStepper is a reference corrector of either backend. A θ step runs
+// from (x0, t) to t1 with formula step h, a BDF2 step to t1; carried is
+// nil or the factorization the step starts on.
 type refStepper interface {
-	theta(x0, pred linalg.Vec, t, h, th float64, opt transient.Options) (linalg.Vec, int, error)
-	gear(xm1, x0 linalg.Vec, t, h float64, opt transient.Options) (linalg.Vec, int, error)
+	theta(x0, pred linalg.Vec, t, t1, h, th float64, opt transient.Options, carried refSolver) (linalg.Vec, int, error)
+	gear(xm1, x0 linalg.Vec, t1, h float64, opt transient.Options, carried refSolver) (linalg.Vec, int, error)
 }
 
 // newRef returns the reference corrector for backend bk: with chord set the
@@ -355,7 +373,7 @@ func TestThetaStepBitIdenticalToReference(t *testing.T) {
 				for k := 0; k < 2000; k++ {
 					tt := start.t0 + float64(k)*h
 					fixedPredict(pred, x, prev, prev2, k, h)
-					want, itWant, errWant := ref.theta(x, pred, tt, h, th, opt)
+					want, itWant, errWant := ref.theta(x, pred, tt, tt+h, h, th, opt, nil)
 					got, it, err := step(x, pred, tt, h)
 					if err != nil || errWant != nil {
 						t.Fatalf("%s %v %v step %d: err %v, reference %v", start.name, bk, m, k, err, errWant)
@@ -385,7 +403,7 @@ func TestGearStepBitIdenticalToReference(t *testing.T) {
 			xm1, x := start.x0.Clone(), start.x0.Clone()
 			for k := 0; k < 2000; k++ {
 				tt := start.t0 + float64(k)*h
-				want, itWant, errWant := ref.gear(xm1, x, tt, h, opt)
+				want, itWant, errWant := ref.gear(xm1, x, tt+h, h, opt, nil)
 				got, it, err := step(xm1, x, tt, h)
 				if err != nil || errWant != nil {
 					t.Fatalf("%s %v step %d: err %v, reference %v", start.name, bk, k, err, errWant)
@@ -429,7 +447,7 @@ func TestPolicyMatchesFullNewton(t *testing.T) {
 					var it, itWant int
 					var err, errWant error
 					if m == transient.Gear2 {
-						want, itWant, errWant = full.gear(prev, x, tt, h, opt)
+						want, itWant, errWant = full.gear(prev, x, tt+h, h, opt, nil)
 						got, it, err = step(prev, x, tt, h)
 					} else {
 						th := 0.5
@@ -437,7 +455,7 @@ func TestPolicyMatchesFullNewton(t *testing.T) {
 							th = 1
 						}
 						fixedPredict(pred, x, prev, prev2, k, h)
-						want, itWant, errWant = full.theta(x, pred, tt, h, th, opt)
+						want, itWant, errWant = full.theta(x, pred, tt, tt+h, h, th, opt, nil)
 						got, it, err = step(x, pred, tt, h)
 					}
 					if err != nil || errWant != nil {
@@ -500,8 +518,9 @@ func TestAdderNewtonWork(t *testing.T) {
 // of size h from (x0, t0) to (x1, t1) the way the batched lanes did before
 // the shared corrector: C/h recomputed, J0/J1 added at the Jacobian
 // pattern's positions, and on the dense backend the propagator solved
-// column by column. It returns the new monodromy.
-func refSensStep(sys *circuit.System, pat *sparse.Pattern, bk linalg.Backend, x0, x1 linalg.Vec, t0, t1, h, th float64, sens *linalg.Mat) *linalg.Mat {
+// column by column. It returns the new monodromy and the factored
+// C/h + θ·J1, the next step's carried iteration matrix.
+func refSensStep(sys *circuit.System, pat *sparse.Pattern, bk linalg.Backend, x0, x1 linalg.Vec, t0, t1, h, th float64, sens *linalg.Mat) (*linalg.Mat, refSolver) {
 	n := sys.N
 	f, j0, j1 := linalg.NewVec(n), linalg.NewMat(n, n), linalg.NewMat(n, n)
 	sys.EvalFJ(x0, t0, f, j0)
@@ -521,7 +540,7 @@ func refSensStep(sys *circuit.System, pat *sparse.Pattern, bk linalg.Backend, x0
 		}
 		next, tmp := linalg.NewMat(n, n), linalg.NewMat(n, n)
 		rhs.MulMatInto(tmp, sens)
-		return lu.SolveMatInto(next, tmp)
+		return lu.SolveMatInto(next, tmp), &lu
 	}
 	c := sys.C
 	lhs, rhs := linalg.NewMat(n, n), linalg.NewMat(n, n)
@@ -544,14 +563,15 @@ func refSensStep(sys *circuit.System, pat *sparse.Pattern, bk linalg.Backend, x0
 	for j := 0; j < n; j++ {
 		prop.SetCol(j, lu.Solve(rhs.Col(j)))
 	}
-	return prop.Mul(sens)
+	return prop.Mul(sens), &lu
 }
 
 // refGearSensStep propagates the monodromy through one accepted BDF2 step
 // of size h to (x1, t1): 3C/(2h) + J1 factored (entrywise on the pattern on
 // the sparse backend), then C·(4Sₙ − Sₙ₋₁)/(2h), formed as the dense row
-// product, solved column by column. It returns Sₙ₊₁.
-func refGearSensStep(sys *circuit.System, bk linalg.Backend, x1 linalg.Vec, t1, h float64, sN, sNm1 *linalg.Mat) *linalg.Mat {
+// product, solved column by column. It returns Sₙ₊₁ and the factored
+// 3C/(2h) + J1, the next step's carried iteration matrix.
+func refGearSensStep(sys *circuit.System, bk linalg.Backend, x1 linalg.Vec, t1, h float64, sN, sNm1 *linalg.Mat) (*linalg.Mat, refSolver) {
 	n := sys.N
 	f, j1, comb := linalg.NewVec(n), linalg.NewMat(n, n), linalg.NewMat(n, n)
 	sys.EvalFJ(x1, t1, f, j1)
@@ -574,7 +594,7 @@ func refGearSensStep(sys *circuit.System, bk linalg.Backend, x1 linalg.Vec, t1, 
 		for j := 0; j < n; j++ {
 			next.SetCol(j, lu.SolveInto(linalg.NewVec(n), rhs.Col(j)))
 		}
-		return next
+		return next, &lu
 	}
 	lhs := linalg.NewMat(n, n)
 	for i := range lhs.Data {
@@ -588,14 +608,17 @@ func refGearSensStep(sys *circuit.System, bk linalg.Backend, x1 linalg.Vec, t1, 
 	for j := 0; j < n; j++ {
 		next.SetCol(j, lu.Solve(rhs.Col(j)))
 	}
-	return next
+	return next, &lu
 }
 
 // TestScalarSensBitIdenticalToReference runs Scratch.Run with
 // sensitivities as fixed-step BE, Trap and Gear2 over 300 adder steps on
-// each backend and replays the recorded steps through the reference
-// propagation: refSensStep for θ steps and Gear2's BE bootstrap,
-// refGearSensStep for BDF2 steps. Result.Sens — the monodromy shooting and
+// each backend and replays every step: the reference corrector, taking the
+// policy's decisions, from the run's predictor and the factorization the
+// previous step's reference propagation left (Gear2's BE bootstrap and its
+// first BDF2 step start without one), then the reference propagation —
+// refSensStep for θ steps and the bootstrap, refGearSensStep for BDF2
+// steps. Every recorded state and Result.Sens — the monodromy shooting and
 // every PPV build on — must match the replay bit for bit.
 func TestScalarSensBitIdenticalToReference(t *testing.T) {
 	const steps = 300
@@ -611,18 +634,48 @@ func TestScalarSensBitIdenticalToReference(t *testing.T) {
 			if res.Steps != steps || res.Rejected != 0 || len(res.X) != steps+1 {
 				t.Fatalf("%v %v: %d steps, %d rejections, %d points; want %d, 0, %d", bk, m, res.Steps, res.Rejected, len(res.X), steps, steps+1)
 			}
+			opt := transient.Options{Method: m, NewtonTol: 1e-9, MaxNewton: 40}
+			ref := newRef(sys, bk, true)
 			sens, prev := linalg.Eye(sys.N), (*linalg.Mat)(nil)
+			var carry refSolver
+			x, xp, xpp, pred := x0.Clone(), x0.Clone(), x0.Clone(), linalg.NewVec(sys.N)
 			for k := 0; k < steps; k++ {
-				x, x1, t0, t1 := res.X[k], res.X[k+1], res.T[k], res.T[k+1]
+				t0, t1 := res.T[k], res.T[k+1]
+				var want linalg.Vec
 				if m == transient.Gear2 && k > 0 {
-					sens, prev = refGearSensStep(sys, bk, x1, t1, h, sens, prev), sens
-					continue
+					want, _, err = ref.gear(xp, x, t1, h, opt, carry)
+				} else {
+					th := 1.0
+					if m == transient.Trap {
+						th = 0.5
+					}
+					if m == transient.Gear2 {
+						pred.CopyFrom(x)
+					} else {
+						fixedPredict(pred, x, xp, xpp, k, h)
+					}
+					want, _, err = ref.theta(x, pred, t0, t1, h, th, opt, carry)
 				}
-				th := 1.0
-				if m == transient.Trap {
-					th = 0.5
+				if err != nil {
+					t.Fatalf("%v %v step %d: reference %v", bk, m, k, err)
 				}
-				sens, prev = refSensStep(sys, pat, bk, x, x1, t0, t1, h, th, sens), sens
+				requireSameBits(t, k, res.X[k+1], want)
+				if m == transient.Gear2 && k > 0 {
+					sens, prev, carry = refGear(sys, bk, want, t1, h, sens, prev)
+				} else {
+					th := 1.0
+					if m == transient.Trap {
+						th = 0.5
+					}
+					next, lu := refSensStep(sys, pat, bk, x, want, t0, t1, h, th, sens)
+					sens, prev = next, sens
+					if m != transient.Gear2 {
+						carry = lu
+					}
+				}
+				xpp.CopyFrom(xp)
+				xp.CopyFrom(x)
+				x.CopyFrom(want)
 			}
 			if i := firstBitDiff(res.Sens.Data, sens.Data); i >= 0 {
 				t.Fatalf("%v %v: monodromy entry %d is %x, reference %x", bk, m, i, res.Sens.Data[i], sens.Data[i])
@@ -631,11 +684,19 @@ func TestScalarSensBitIdenticalToReference(t *testing.T) {
 	}
 }
 
+// refGear is refGearSensStep with the monodromy history shifted: it
+// returns Sₙ₊₁, Sₙ and the carried factorization.
+func refGear(sys *circuit.System, bk linalg.Backend, x1 linalg.Vec, t1, h float64, sN, sNm1 *linalg.Mat) (*linalg.Mat, *linalg.Mat, refSolver) {
+	next, lu := refGearSensStep(sys, bk, x1, t1, h, sN, sNm1)
+	return next, sN, lu
+}
+
 // TestBatchLaneBitIdenticalToReference runs a four-corner ring batch with
 // sensitivities through 200 lockstep steps on each backend and replays
 // every lane with the shared predictor, the reference corrector taking the
-// policy's decisions, and the reference sensitivity assembly: every
-// recorded state and each lane's final monodromy match bit for bit.
+// policy's decisions from the previous step's carried factorization, and
+// the reference sensitivity assembly: every recorded state and each lane's
+// final monodromy match bit for bit.
 func TestBatchLaneBitIdenticalToReference(t *testing.T) {
 	const K, steps = 4, 200
 	systems := cornerRings(t, K)
@@ -669,15 +730,16 @@ func TestBatchLaneBitIdenticalToReference(t *testing.T) {
 				ref := newRef(sys, bk, true)
 				x := linalg.Vec(x0[k*n : (k+1)*n]).Clone()
 				prev, prev2, pred, sens := x.Clone(), x.Clone(), linalg.NewVec(n), linalg.Eye(n)
+				var carry refSolver
 				tt := 0.0
 				for s := 0; s < steps; s++ {
 					fixedPredict(pred, x, prev, prev2, s, h[k])
-					want, _, err := ref.theta(x, pred, tt, h[k], th, opt)
+					want, _, err := ref.theta(x, pred, tt, tt+h[k], h[k], th, opt, carry)
 					if err != nil {
 						t.Fatalf("%v %v lane %d step %d: reference %v", bk, m, k, s, err)
 					}
 					requireSameBits(t, s, res.States[k][s+1], want)
-					sens = refSensStep(sys, b.Pattern(), bk, x, want, tt, tt+h[k], h[k], th, sens)
+					sens, carry = refSensStep(sys, b.Pattern(), bk, x, want, tt, tt+h[k], h[k], th, sens)
 					prev2.CopyFrom(prev)
 					prev.CopyFrom(x)
 					x.CopyFrom(want)

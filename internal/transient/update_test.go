@@ -69,33 +69,53 @@ func TestPredictExtrapolatesQuadratics(t *testing.T) {
 // which iterations the policy refactors: a fresh update above the gate
 // refactors again; one within it lets the next iteration reuse the
 // factorization; a chord update that contracts by less than 0.3× makes the
-// next iteration refactor, one that contracts faster keeps the chord.
+// next iteration refactor, one that contracts faster keeps the chord. A
+// step started on a carried factorization takes its first iteration as a
+// chord and holds that update to the gate like a fresh one's.
 func TestNewtonLoopChordDecisions(t *testing.T) {
-	steps := []struct {
+	type iteration struct {
 		refactor bool    // what the policy must ask for
 		dx       float64 // the update the iteration returns
-	}{
-		{true, 5e-3},   // fresh, above 1e-3·(1+|x|∞): refactor again
-		{true, 4e-4},   // fresh, within the gate: chord next
-		{false, 2e-4},  // chord, contracted by only 0.5×: refactor next
-		{true, 1e-5},   // fresh, within the gate: chord next
-		{false, 2e-6},  // chord, contracted 0.2×: keep the chord
-		{false, 1e-12}, // converged
 	}
-	x1 := linalg.Vec{0}
-	k := 0
-	_, iters, err := newtonLoop(nil, x1, 40, 1e-9, func(refactor bool) (linalg.Vec, error) {
-		if k >= len(steps) {
-			t.Fatalf("iteration %d past the script", k)
+	for _, c := range []struct {
+		name    string
+		carried bool
+		script  []iteration
+	}{
+		{"fresh", false, []iteration{
+			{true, 5e-3},   // fresh, above 1e-3·(1+|x|∞): refactor again
+			{true, 4e-4},   // fresh, within the gate: chord next
+			{false, 2e-4},  // chord, contracted by only 0.5×: refactor next
+			{true, 1e-5},   // fresh, within the gate: chord next
+			{false, 2e-6},  // chord, contracted 0.2×: keep the chord
+			{false, 1e-12}, // converged
+		}},
+		{"carried within the gate", true, []iteration{
+			{false, 4e-4},  // carried, within the gate: keep the chord
+			{false, 1e-4},  // chord, contracted 0.25×: keep the chord
+			{false, 1e-12}, // converged
+		}},
+		{"carried above the gate", true, []iteration{
+			{false, 5e-3},  // carried, above the gate: refactor next
+			{true, 4e-4},   // fresh, within the gate: chord next
+			{false, 1e-12}, // converged
+		}},
+	} {
+		x1 := linalg.Vec{0}
+		k := 0
+		_, iters, err := newtonLoop(nil, x1, 40, 1e-9, c.carried, func(refactor bool) (linalg.Vec, error) {
+			if k >= len(c.script) {
+				t.Fatalf("%s: iteration %d past the script", c.name, k)
+			}
+			if refactor != c.script[k].refactor {
+				t.Fatalf("%s: iteration %d: refactor = %v, want %v", c.name, k, refactor, c.script[k].refactor)
+			}
+			dx := linalg.Vec{c.script[k].dx}
+			k++
+			return dx, nil
+		})
+		if err != nil || iters != len(c.script) {
+			t.Fatalf("%s: %d iterations, err %v; want %d and nil", c.name, iters, err, len(c.script))
 		}
-		if refactor != steps[k].refactor {
-			t.Fatalf("iteration %d: refactor = %v, want %v", k, refactor, steps[k].refactor)
-		}
-		dx := linalg.Vec{steps[k].dx}
-		k++
-		return dx, nil
-	})
-	if err != nil || iters != len(steps) {
-		t.Fatalf("%d iterations, err %v; want %d and nil", iters, err, len(steps))
 	}
 }

@@ -15,11 +15,11 @@ import (
 )
 
 // This file implements the batched Monte-Carlo path: instead of solving each
-// sampled corner's PSS from a cold start (settle ~20 cycles, shoot from a
+// sampled corner's PSS from a cold start (a 7-cycle settle, shoot from a
 // kicked state), corners are evaluated K lanes at a time through
 // pss.ShootAutonomousBatch over a circuit.Batch, warm-started from one
 // nominal orbit — the nominal X0 replicated into every lane and per-lane
-// period guesses scaled by the relaxation-estimate frequency ratio. Process
+// period guesses scaled by the analytic estimate's frequency ratio. Process
 // spreads of a few percent leave the corner orbits close to nominal, so a
 // short settle (batchSettleCycles) suffices and the whole batch shares every
 // structure-of-arrays device evaluation. The per-corner PPV/GAE stages stay
@@ -40,7 +40,7 @@ type CornerResult struct {
 // the lockstep Newton.
 const DefaultBatchLanes = 8
 
-// batchSettleCycles is the warm-start settle length. Cold starts need ~20
+// batchSettleCycles is the warm-start settle length. Cold starts settle 7
 // cycles to fall onto the limit cycle from a kicked state; starting on the
 // nominal orbit a few cycles reach the corner's own cycle (validated against
 // cold solves in the package tests).
