@@ -571,19 +571,23 @@ func BenchmarkSparseVsDenseShoot(b *testing.B) {
 				// One bordered-Newton outer iteration per op: coupled
 				// identical rings carry near-unit Floquet multipliers, so
 				// convergence is not the point here — the cost of one outer
-				// iteration (monodromy propagation + bordered solve) is.
+				// iteration (monodromy propagation + bordered solve) is,
+				// with its work counts, which bench-sparse gates exactly.
 				opt := pss.Options{
 					GuessT: T, StepsPerPeriod: 8, MaxIter: 1,
 					SettleCycles: -1, Backend: bk,
 				}
+				m := diag.New()
+				ctx := diag.WithMetrics(context.Background(), m)
 				b.ReportAllocs()
 				b.ResetTimer()
 				for i := 0; i < b.N; i++ {
-					_, err := pss.ShootAutonomous(arr.Sys, x0, opt)
+					_, err := pss.ShootAutonomousCtx(ctx, arr.Sys, x0, opt)
 					if err != nil && !errors.Is(err, solver.ErrNoConvergence) {
 						b.Fatal(err)
 					}
 				}
+				reportWork(b, m)
 			})
 		}
 	}
@@ -611,7 +615,7 @@ func BenchmarkVariationMCScalar(b *testing.B) {
 			b.Fatal(err)
 		}
 	}
-	reportMCWork(b, m)
+	reportWork(b, m)
 }
 
 func BenchmarkVariationMCBatched(b *testing.B) {
@@ -627,17 +631,19 @@ func BenchmarkVariationMCBatched(b *testing.B) {
 			b.Fatal(err)
 		}
 	}
-	reportMCWork(b, m)
+	reportWork(b, m)
 }
 
-// reportMCWork reports a Monte-Carlo benchmark's work per op — Newton
-// iterations, LU factorizations, circuit evaluations and transient steps —
-// which `make bench-batch` gates exactly, so a change to either leg's work
-// shows as a count, not only as a time.
-func reportMCWork(b *testing.B, m *diag.Metrics) {
+// reportWork reports a shooting or Monte-Carlo benchmark's work per op —
+// Newton iterations, LU factorizations (dense, sparse and sparse
+// refactors), circuit evaluations and transient steps — which `make
+// bench-batch` and `make bench-sparse` gate exactly, so a change to a
+// benchmark's work shows as a count, not only as a time.
+func reportWork(b *testing.B, m *diag.Metrics) {
 	n := float64(b.N)
+	lu := m.Get(diag.LUFactorizations) + m.Get(diag.SparseFactorizations) + m.Get(diag.SparseRefactors)
 	b.ReportMetric(float64(m.Get(diag.NewtonIterations))/n, "newton_iters/op")
-	b.ReportMetric(float64(m.Get(diag.LUFactorizations))/n, "lu_factorizations/op")
+	b.ReportMetric(float64(lu)/n, "lu_factorizations/op")
 	b.ReportMetric(float64(m.Get(diag.CircuitEvals))/n, "circuit_evals/op")
 	b.ReportMetric(float64(m.Get(diag.TransientSteps))/n, "transient_steps/op")
 }

@@ -7,7 +7,7 @@
 // Usage:
 //
 //	phlogon-ppv -deck ring.cir -f0 9.6k [-node n1] [-hb] [-harms 8]
-//	            [-kick n1=2.7,n2=0.3,n3=1.5] [-csv ppv.csv] [-workers n]
+//	            [-kick n1=2.7,n2=0.3,n3=1.5] [-csv ppv.csv]
 //	            [-metrics|-metrics-json] [-cpuprofile f] [-memprofile f]
 package main
 
@@ -35,7 +35,6 @@ func main() {
 	harms := flag.Int("harms", 8, "harmonics to print")
 	kick := flag.String("kick", "", "initial state node=V,... (default: staggered kick)")
 	csvOut := flag.String("csv", "", "write the PPV waveforms as CSV")
-	workers := flag.Int("workers", 0, "adjoint-extraction worker pool size (0 = NumCPU)")
 	df = diag.AddFlags(flag.CommandLine)
 	flag.Parse()
 
@@ -98,7 +97,7 @@ func main() {
 	fmt.Printf("Floquet: trivial multiplier %.6g%+.3gi, largest other |µ| = %.4g (orbitally stable: %v)\n",
 		real(trivial), imag(trivial), largest, stable)
 
-	p, err := ppv.FromSolutionCtx(ctx, sys, sol, *workers)
+	p, err := ppv.FromSolutionCtx(ctx, sys, sol)
 	if err != nil {
 		fatal(err)
 	}

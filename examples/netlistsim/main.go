@@ -53,7 +53,7 @@ func main() {
 	}
 	fmt.Printf("PSS: f0 = %.6g Hz, periodicity residual %.2g V\n", sol.F0, sol.Residual)
 
-	p, err := ppv.FromSolutionCtx(ctx, sys, sol, 1)
+	p, err := ppv.FromSolutionCtx(ctx, sys, sol)
 	if err != nil {
 		log.Fatal(err)
 	}

@@ -366,18 +366,12 @@ func (s *System) EvalScaled(x linalg.Vec, t float64, f linalg.Vec, j *linalg.Mat
 }
 
 // XDot computes ẋ = -C⁻¹·f(x, t), the ODE right-hand side. It allocates per
-// call and is safe for concurrent use; hot loops should use Workspace.XDot.
+// call and is safe for concurrent use; hot loops should use
+// Workspace.XDotInto.
 func (s *System) XDot(x linalg.Vec, t float64) linalg.Vec {
 	f := s.EvalF(x, t, nil)
 	f.Scale(-1)
 	return s.CLU.Solve(f)
-}
-
-// RHSJacobian computes A(t) = d(ẋ)/dx = -C⁻¹·J(x, t), used by monodromy and
-// adjoint (PPV) integration. It allocates per call and is safe for
-// concurrent use; hot loops should use Workspace.RHSJacobian.
-func (s *System) RHSJacobian(x linalg.Vec, t float64) *linalg.Mat {
-	return s.NewWorkspace().RHSJacobian(x, t)
 }
 
 // InjectionGain returns the vector mapping a current injected *into* free

@@ -22,9 +22,8 @@ type Workspace struct {
 	sys *System
 	ctx EvalContext // the one-lane context, reused across evaluations
 	key [1]uint64   // ctx.keys: the bits of the time the memo holds
-	// scratch for XDot / RHSJacobian (jbuf allocated on first use)
+	// scratch for XDotInto's residual
 	fbuf linalg.Vec
-	jbuf *linalg.Mat
 	// m counts circuit evaluations when diagnostics are enabled (nil
 	// otherwise — the nil-safe methods make the disabled path a pointer
 	// test).
@@ -94,41 +93,15 @@ func (w *Workspace) EvalScaled(x linalg.Vec, t float64, f linalg.Vec, j *linalg.
 	w.eval(w.sys.dense, x, t, f, jv, j != nil, gminScale, srcScale)
 }
 
-// XDot computes ẋ = -C⁻¹·f(x, t) using workspace scratch for the residual.
-// The returned vector is freshly allocated (callers retain XDot results).
-func (w *Workspace) XDot(x linalg.Vec, t float64) linalg.Vec {
-	return w.XDotInto(linalg.NewVec(w.sys.N), x, t)
-}
-
-// XDotInto is XDot writing into dst (which must not alias x): hot loops pass
-// a pinned destination and the evaluation touches only workspace scratch.
-// Safe concurrently across workspaces — the shared System.CLU factorization
-// is read-only under SolveInto.
+// XDotInto computes ẋ = -C⁻¹·f(x, t) into dst (which must not alias x),
+// using workspace scratch for the residual: hot loops pass a pinned
+// destination and the evaluation touches only workspace scratch. Safe
+// concurrently across workspaces — the shared System.CLU factorization is
+// read-only under SolveInto.
 func (w *Workspace) XDotInto(dst linalg.Vec, x linalg.Vec, t float64) linalg.Vec {
 	f := w.EvalF(x, t, w.fbuf)
 	f.Scale(-1)
 	return w.sys.CLU.SolveInto(dst, f)
-}
-
-// RHSJacobian computes A(t) = d(ẋ)/dx = -C⁻¹·J(x, t) using workspace
-// scratch for the evaluation; the returned matrix is freshly allocated.
-func (w *Workspace) RHSJacobian(x linalg.Vec, t float64) *linalg.Mat {
-	n := w.sys.N
-	return w.RHSJacobianInto(linalg.NewMat(n, n), x, t)
-}
-
-// RHSJacobianInto is RHSJacobian writing into dst (n×n, not aliasing the
-// workspace's Jacobian buffer). Bitwise identical to RHSJacobian: the
-// column-wise substitution order of SolveMatInto matches the historical
-// per-column Solve loop exactly.
-func (w *Workspace) RHSJacobianInto(dst *linalg.Mat, x linalg.Vec, t float64) *linalg.Mat {
-	if w.jbuf == nil {
-		w.jbuf = linalg.NewMat(w.sys.N, w.sys.N)
-	}
-	w.EvalFJ(x, t, w.fbuf, w.jbuf)
-	w.sys.CLU.SolveMatInto(dst, w.jbuf)
-	dst.Scale(-1)
-	return dst
 }
 
 // EvalFJSparse computes f and the Jacobian df/dx into the CSC value array

@@ -37,12 +37,10 @@ func coldCases(t *testing.T) map[string]Oscillator {
 	return out
 }
 
-// TestColdPathMatchesScalar pins the engine's one-lane batched extraction
-// to the scalar pss.ShootAutonomousCtx → ppv.FromSolution pair it replaced:
-// the same Newton count, f0 within 1e-12 relative, and every node's raw PPV
-// harmonics 1–3 within 1e-12 of the node's largest of them. Both solves
-// start from the phase origin their shared search found on the same coarse
-// settle, so no origin offset is removed before comparing.
+// TestColdPathMatchesScalar pins the engine's extraction to the
+// single-circuit pss.ShootAutonomousCtx → ppv.FromSolutionCtx pair from the
+// oscillator's initial state and estimated period at 1,024 steps per
+// period: the same Newton count, f0 and raw PPV harmonics, bit for bit.
 func TestColdPathMatchesScalar(t *testing.T) {
 	if testing.Short() {
 		t.Skip("cold PSS solves skipped in -short")
@@ -60,25 +58,17 @@ func TestColdPathMatchesScalar(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			refP, err := ppv.FromSolution(osc.System(), ref)
+			refP, err := ppv.FromSolutionCtx(ctx, osc.System(), ref)
 			if err != nil {
 				t.Fatal(err)
 			}
-			if sol.Iterations != ref.Iterations {
-				t.Fatalf("iterations %d, scalar %d", sol.Iterations, ref.Iterations)
-			}
-			if e := math.Abs(sol.F0-ref.F0) / ref.F0; e > 1e-12 {
-				t.Fatalf("f0 %.15g Hz, scalar %.15g Hz (rel %.2g)", sol.F0, ref.F0, e)
+			if sol.Iterations != ref.Iterations || sol.F0 != ref.F0 {
+				t.Fatalf("f0 %.17g Hz after %d iterations, direct solve %.17g Hz after %d", sol.F0, sol.Iterations, ref.F0, ref.Iterations)
 			}
 			for node := range refP.NodeSeries {
-				scale := 0.0
-				for m := 1; m <= 3; m++ {
-					scale = math.Max(scale, cmplx.Abs(refP.Harmonic(node, m)))
-				}
-				for m := 1; m <= 3; m++ {
-					got, want := p.Harmonic(node, m), refP.Harmonic(node, m)
-					if e := cmplx.Abs(got-want) / scale; e > 1e-12 {
-						t.Errorf("node %d harmonic %d: %v, scalar %v (rel %.2g)", node, m, got, want, e)
+				for m := 0; m <= ppv.MaxHarmonics; m++ {
+					if got, want := p.Harmonic(node, m), refP.Harmonic(node, m); got != want {
+						t.Fatalf("node %d harmonic %d: %v, direct extraction %v", node, m, got, want)
 					}
 				}
 			}
@@ -122,71 +112,46 @@ func TestColdPSSConvergesOnRingGrid(t *testing.T) {
 	}
 }
 
-// TestColdPathGear2FallsBack: the lockstep stepper integrates BE and Trap
-// only, so a Gear2 engine shoots through the scalar solve and returns its
-// exact result.
-func TestColdPathGear2FallsBack(t *testing.T) {
+// TestColdPathGear2: a Gear2 engine shoots on Gear2 lanes (a BE first
+// step, then BDF2) and returns the f0 and Newton count the scalar Gear2
+// solve returned before every solve ran on the lanes: 9581.2264511266803 Hz
+// in 2 iterations at 512 steps per period.
+func TestColdPathGear2(t *testing.T) {
 	if testing.Short() {
 		t.Skip("cold PSS solves skipped in -short")
 	}
-	ctx := context.Background()
+	const wantF0 = 9581.2264511266803
 	opt := pss.Options{StepsPerPeriod: 512, Method: transient.Gear2}
-	r, sol, err := New(Options{PSS: opt}).RingPSS(ctx, ringosc.DefaultConfig())
+	_, sol, err := New(Options{PSS: opt}).RingPSS(context.Background(), ringosc.DefaultConfig())
 	if err != nil {
 		t.Fatal(err)
 	}
-	opt.GuessT = 1 / r.EstimatedF0()
-	ref, err := pss.ShootAutonomousCtx(ctx, r.Sys, r.InitialState(), opt)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if sol.F0 != ref.F0 || sol.Iterations != ref.Iterations {
-		t.Fatalf("Gear2 engine f0 %.15g Hz (%d iterations), scalar %.15g Hz (%d)", sol.F0, sol.Iterations, ref.F0, ref.Iterations)
+	if e := math.Abs(sol.F0-wantF0) / wantF0; e > 1e-12 || sol.Iterations != 2 {
+		t.Fatalf("Gear2 engine f0 %.17g Hz (rel %.2g) after %d iterations, want %.17g Hz after 2", sol.F0, e, sol.Iterations, wantF0)
 	}
 }
 
-// TestColdPathFallsBackOnLaneFailure: the lockstep stepper has no
-// step-halving retry. On the paper's ring at 1.2 V, shot with backward Euler
-// at six steps per period, the batched corrector fails in a shooting period,
-// while the scalar solve halves the failing step and converges. The engine
-// must return the scalar solve's exact result. (The input comes from a scan
-// of stages × Vdd × steps per period × BE/Trap for cases where only the
-// scalar solve converges.)
-func TestColdPathFallsBackOnLaneFailure(t *testing.T) {
-	ctx := context.Background()
+// TestColdPathHalvesFailingStep: on the paper's ring at 1.2 V, shot with
+// backward Euler at six steps per period, the lane's corrector fails at
+// full steps in a shooting period. The lane retakes those steps in halves
+// and converges, through the engine, to within 1e-7 of the 845.89847882654499
+// Hz the scalar solve, which halved its step for the rest of each run,
+// returned. (The input comes from a scan of stages × Vdd × steps per period
+// × BE/Trap for cases where only a solve that halves converges.)
+func TestColdPathHalvesFailingStep(t *testing.T) {
+	const wantF0 = 845.89847882654499
 	cfg := ringosc.DefaultConfig()
 	cfg.Vdd = 1.2
-	opt := pss.Options{StepsPerPeriod: 6, Method: transient.BE}
-	r, sol, err := New(Options{PSS: opt}).RingPSS(ctx, cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	opt.GuessT = 1 / r.EstimatedF0()
-
-	b, err := circuit.NewBatch([]*circuit.System{r.Sys})
-	if err != nil {
-		t.Fatal(err)
-	}
-	_, errs, err := pss.ShootAutonomousBatch(ctx, b, r.InitialState(), pss.BatchShootOptions{
-		GuessT: []float64{opt.GuessT}, StepsPerPeriod: opt.StepsPerPeriod, Method: opt.Method,
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !errors.Is(errs[0], solver.ErrNoConvergence) || errors.Is(errs[0], pss.ErrFixedPoint) {
-		t.Fatalf("batched lane err = %v, want a corrector failure", errs[0])
-	}
-
 	dm := diag.New()
-	ref, err := pss.ShootAutonomousCtx(diag.WithMetrics(ctx, dm), r.Sys, r.InitialState(), opt)
+	_, sol, err := New(Options{PSS: pss.Options{StepsPerPeriod: 6, Method: transient.BE}}).RingPSS(diag.WithMetrics(context.Background(), dm), cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if dm.Get(diag.TransientRejections) == 0 {
-		t.Fatal("the scalar solve converged without halving a step")
+		t.Fatal("the solve converged without halving a step")
 	}
-	if sol.F0 != ref.F0 || sol.Iterations != ref.Iterations {
-		t.Fatalf("engine f0 %.15g Hz (%d iterations), scalar %.15g Hz (%d)", sol.F0, sol.Iterations, ref.F0, ref.Iterations)
+	if e := math.Abs(sol.F0-wantF0) / wantF0; e > 1e-7 {
+		t.Fatalf("f0 %.17g Hz, %.2g from %.17g Hz", sol.F0, e, wantF0)
 	}
 }
 
@@ -220,9 +185,8 @@ func (o rcOscillator) OscillatorKey() (string, any) {
 }
 
 // TestColdPathRejectsFixedPointUncached: the damped RC fails both stages
-// with ErrFixedPoint, straight from the batched solve (one Newton solve per
-// request, no scalar rerun), and a failed solve is never cached — the
-// second request is another miss.
+// with ErrFixedPoint (one Newton solve per request), and a failed solve is
+// never cached — the second request is another miss.
 func TestColdPathRejectsFixedPointUncached(t *testing.T) {
 	dm := diag.New()
 	ctx := diag.WithMetrics(context.Background(), dm)
@@ -245,7 +209,7 @@ func TestColdPathRejectsFixedPointUncached(t *testing.T) {
 }
 
 // TestColdPPVNilSolution: the batched extractor skips nil lanes, so without
-// its guard ColdPPV would return a nil PPV and no error.
+// a guard ColdPPV would return a nil PPV and no error.
 func TestColdPPVNilSolution(t *testing.T) {
 	if p, err := ColdPPV(context.Background(), newRCOscillator(t), nil); p != nil || err == nil {
 		t.Fatalf("ColdPPV(nil) = (%v, %v), want an error", p, err)
@@ -255,8 +219,7 @@ func TestColdPPVNilSolution(t *testing.T) {
 // TestColdExtractionIndependentOfSettle: the phase origin is a property of
 // the circuit (node 0 rising through mid-rail), so cold extractions that
 // settled differently — 20, 27 or 40 cycles, the estimated period guess or
-// 5 % longer, the kick start or a perturbed one, the batched or the scalar
-// solve — return the same f0 and the same raw PPV harmonics 1–3 on every
+// 5 % longer, the kick start or a perturbed one — return the same f0 and the same raw PPV harmonics 1–3 on every
 // node, compared without aligning origins. What is left is the shooting
 // tolerance's (1e-7 V) effect on the converged orbit: against the first
 // extraction, f0 moves by at most 4.9e-9 relative and a harmonic by 2.1e-8
@@ -278,39 +241,37 @@ func TestColdExtractionIndependentOfSettle(t *testing.T) {
 			for _, settle := range []int{20, 27, 40} {
 				for _, guess := range []float64{1, 1.05} {
 					for _, perturb := range []bool{false, true} {
-						for _, batched := range []bool{true, false} {
-							x0 := osc.InitialState()
-							if perturb {
-								for i := range x0 {
-									x0[i] += 0.1 * float64(i%3-1)
-								}
+						x0 := osc.InitialState()
+						if perturb {
+							for i := range x0 {
+								x0[i] += 0.1 * float64(i%3-1)
 							}
-							opt := pss.Options{GuessT: guess / osc.EstimatedF0(), StepsPerPeriod: 1024, SettleCycles: settle}
-							sol, err := shootColdOnce(ctx, sys, x0, opt, batched)
-							if err != nil {
-								t.Fatal(err)
+						}
+						opt := pss.Options{GuessT: guess / osc.EstimatedF0(), StepsPerPeriod: 1024, SettleCycles: settle}
+						sol, err := pss.ShootAutonomousCtx(ctx, sys, x0, opt)
+						if err != nil {
+							t.Fatal(err)
+						}
+						p, err := ppv.FromSolution(sys, sol)
+						if err != nil {
+							t.Fatal(err)
+						}
+						if ref == nil {
+							refF0, ref = sol.F0, p
+							continue
+						}
+						what := fmt.Sprintf("settle %d, guess ×%g, perturbed %v", settle, guess, perturb)
+						if e := math.Abs(sol.F0-refF0) / refF0; e > f0Bound {
+							t.Errorf("%s: f0 %.15g Hz, reference %.15g Hz (rel %.2g)", what, sol.F0, refF0, e)
+						}
+						for node := range ref.NodeSeries {
+							scale := 0.0
+							for m := 1; m <= 3; m++ {
+								scale = math.Max(scale, cmplx.Abs(ref.Harmonic(node, m)))
 							}
-							p, err := ppv.FromSolution(sys, sol)
-							if err != nil {
-								t.Fatal(err)
-							}
-							if ref == nil {
-								refF0, ref = sol.F0, p
-								continue
-							}
-							what := fmt.Sprintf("settle %d, guess ×%g, perturbed %v, batched %v", settle, guess, perturb, batched)
-							if e := math.Abs(sol.F0-refF0) / refF0; e > f0Bound {
-								t.Errorf("%s: f0 %.15g Hz, reference %.15g Hz (rel %.2g)", what, sol.F0, refF0, e)
-							}
-							for node := range ref.NodeSeries {
-								scale := 0.0
-								for m := 1; m <= 3; m++ {
-									scale = math.Max(scale, cmplx.Abs(ref.Harmonic(node, m)))
-								}
-								for m := 1; m <= 3; m++ {
-									if e := cmplx.Abs(p.Harmonic(node, m)-ref.Harmonic(node, m)) / scale; e > harmBound {
-										t.Errorf("%s: node %d harmonic %d off by %.2g of the node's largest", what, node, m, e)
-									}
+							for m := 1; m <= 3; m++ {
+								if e := cmplx.Abs(p.Harmonic(node, m)-ref.Harmonic(node, m)) / scale; e > harmBound {
+									t.Errorf("%s: node %d harmonic %d off by %.2g of the node's largest", what, node, m, e)
 								}
 							}
 						}
@@ -319,23 +280,4 @@ func TestColdExtractionIndependentOfSettle(t *testing.T) {
 			}
 		})
 	}
-}
-
-// shootColdOnce runs one cold autonomous solve through the one-lane batch or
-// the scalar path.
-func shootColdOnce(ctx context.Context, sys *circuit.System, x0 []float64, opt pss.Options, batched bool) (*pss.Solution, error) {
-	if !batched {
-		return pss.ShootAutonomousCtx(ctx, sys, x0, opt)
-	}
-	b, err := circuit.NewBatch([]*circuit.System{sys})
-	if err != nil {
-		return nil, err
-	}
-	sols, errs, err := pss.ShootAutonomousBatch(ctx, b, x0, pss.BatchShootOptions{
-		GuessT: []float64{opt.GuessT}, StepsPerPeriod: opt.StepsPerPeriod, SettleCycles: opt.SettleCycles,
-	})
-	if err != nil {
-		return nil, err
-	}
-	return sols[0], errs[0]
 }

@@ -63,7 +63,7 @@ func TestSolveIntoMatchesSolve(t *testing.T) {
 		got := lu.SolveInto(NewVec(n), b)
 		bitIdentical(t, "SolveInto", got, want)
 
-		wantT := lu.SolveT(b)
+		wantT := lu.SolveTBuf(NewVec(n), b, NewVec(n))
 		gotT := lu.SolveTInto(NewVec(n), b)
 		bitIdentical(t, "SolveTInto", gotT, wantT)
 	}

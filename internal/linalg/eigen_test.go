@@ -148,7 +148,7 @@ func TestLeftNullVector(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	res := a.MulVecT(w)
+	res := a.MulVecTInto(NewVec(a.Cols), w)
 	if res.NormInf() > 1e-8 {
 		t.Errorf("wᵀA = %v, want ~0", res)
 	}

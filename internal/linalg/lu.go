@@ -159,14 +159,6 @@ func (f *LU) SolveInto(dst, b Vec) Vec {
 	return dst
 }
 
-// SolveT solves Aᵀ·x = b and returns x (used for adjoint systems).
-func (f *LU) SolveT(b Vec) Vec {
-	if len(b) != f.n {
-		panic("linalg: LU.SolveT dimension mismatch")
-	}
-	return f.SolveTBuf(NewVec(f.n), b, NewVec(f.n))
-}
-
 // SolveTInto solves Aᵀ·x = b into dst and returns dst. dst must not alias b.
 // It uses a lazily pinned intermediate inside the LU, so after the first call
 // the steady state is allocation-free — and therefore one LU's -Into methods

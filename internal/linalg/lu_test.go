@@ -76,7 +76,7 @@ func TestLUSolveTransposeProperty(t *testing.T) {
 		if err != nil {
 			return false
 		}
-		x := fac.SolveT(b)
+		x := fac.SolveTInto(NewVec(n), b)
 		res := a.T().MulVec(x)
 		res.Sub(res, b)
 		return res.NormInf() < 1e-9*(1+b.NormInf())

@@ -140,11 +140,6 @@ func (m *Mat) MulVec(v Vec) Vec {
 	return out
 }
 
-// MulVecT returns mᵀ·v without forming the transpose.
-func (m *Mat) MulVecT(v Vec) Vec {
-	return m.MulVecTInto(NewVec(m.Cols), v)
-}
-
 // MulVecTInto computes dst = mᵀ·v without allocating and returns dst. dst
 // must not alias v.
 func (m *Mat) MulVecTInto(dst, v Vec) Vec {

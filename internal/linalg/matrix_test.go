@@ -88,11 +88,11 @@ func TestMulVecTMatchesExplicitTranspose(t *testing.T) {
 	for i := range v {
 		v[i] = r.NormFloat64()
 	}
-	got := a.MulVecT(v)
+	got := a.MulVecTInto(NewVec(6), v)
 	want := a.T().MulVec(v)
 	got.Sub(got, want)
 	if got.NormInf() > 1e-14 {
-		t.Errorf("MulVecT mismatch: %g", got.NormInf())
+		t.Errorf("MulVecTInto mismatch: %g", got.NormInf())
 	}
 }
 

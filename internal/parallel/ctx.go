@@ -33,8 +33,8 @@ func ForWorkerCtx(ctx context.Context, n, workers int, fn func(ctx context.Conte
 	return err
 }
 
-// MapWorkerCtx is MapWorker with the same per-worker diagnostics contract as
-// ForWorkerCtx.
+// MapWorkerCtx is Map with the owning worker's index and context passed to
+// fn, under the same per-worker diagnostics contract as ForWorkerCtx.
 func MapWorkerCtx[T any](ctx context.Context, n, workers int, fn func(ctx context.Context, worker, i int) (T, error)) ([]T, error) {
 	out := make([]T, n)
 	err := ForWorkerCtx(ctx, n, workers, func(wctx context.Context, w, i int) error {

@@ -110,17 +110,3 @@ func Map[T any](ctx context.Context, n, workers int, fn func(i int) (T, error)) 
 	})
 	return out, err
 }
-
-// MapWorker is Map with the owning worker's index passed to fn.
-func MapWorker[T any](ctx context.Context, n, workers int, fn func(worker, i int) (T, error)) ([]T, error) {
-	out := make([]T, n)
-	err := ForWorker(ctx, n, workers, func(w, i int) error {
-		v, err := fn(w, i)
-		if err != nil {
-			return err
-		}
-		out[i] = v
-		return nil
-	})
-	return out, err
-}

@@ -143,7 +143,7 @@ func TestCanceledBeforeStartRunsNothing(t *testing.T) {
 
 func TestMapWorkerStridedOwnership(t *testing.T) {
 	const n, w = 40, 4
-	owners, err := parallel.MapWorker(context.Background(), n, w, func(worker, i int) (int, error) {
+	owners, err := parallel.MapWorkerCtx(context.Background(), n, w, func(_ context.Context, worker, i int) (int, error) {
 		return worker, nil
 	})
 	if err != nil {

@@ -16,16 +16,18 @@ import (
 // a batched shooting solve in one shared backward sweep over the grid. At
 // each grid index a single EvalBatchAt computes every lane's residual and
 // Jacobian together; the residual feeds the normalization's ẋₛ and the
-// Jacobian the adjoint recursion's A(t), so the batch does one device
-// evaluation per grid point where the scalar path does two per corner (one
-// for RHSJacobian, one for XDot). The adjoint recursion and pointwise
-// normalization are interleaved into the same backward pass, so only the
-// current and next grid Jacobians are ever held per lane.
+// Jacobian the adjoint recursion's A(t), so a lane costs one device
+// evaluation per grid point, not one for RHSJacobian and one for XDot. The
+// adjoint recursion and pointwise normalization are interleaved into the
+// same backward pass, so only the current and next grid Jacobians are ever
+// held per lane.
 //
 // sols[k] == nil lanes are skipped (ppvs[k] = nil, errs[k] = nil); per-lane
 // extraction failures land in errs[k]. A non-nil err reports structural
-// misuse only. Per lane the result is bit-identical to FromSolution of the
-// same Solution: the batch evaluator stamps the same device arithmetic in
+// misuse only. Lanes are independent, so a lane's PPV is bit for bit the
+// one-lane FromSolution of its Solution, and bit for bit the adjoint
+// written per corner with RHSJacobian and XDot (the package tests keep it
+// as the oracle): the batch evaluator stamps the same device arithmetic in
 // the same order, and the recursion and normalization use the same floating
 // point expressions.
 func FromSolutionsBatch(ctx context.Context, b *circuit.Batch, sols []*pss.Solution) (ppvs []*PPV, errs []error, err error) {

@@ -5,15 +5,17 @@ import (
 	"testing"
 
 	"repro/internal/circuit"
+	"repro/internal/fourier"
 	"repro/internal/ppv"
 	"repro/internal/pss"
 	"repro/internal/ringosc"
 )
 
 // TestFromSolutionsBatchBitIdentical pins the batched PPV extractor to the
-// scalar one: on the same converged per-lane Solutions, every lane's PPV must
-// be bit-for-bit the scalar FromSolution result — same grid samples, same
-// Fourier coefficients, same normalization spread. Nil lanes pass through.
+// adjoint written per corner (refAdjoint): on the same converged per-lane
+// Solutions, every lane's PPV must be bit for bit the oracle's — same grid
+// samples, same Fourier coefficients of them, same normalization spread.
+// Nil lanes pass through.
 func TestFromSolutionsBatchBitIdentical(t *testing.T) {
 	scales := []float64{0.94, 1.0, 1.07}
 	K := len(scales)
@@ -68,28 +70,33 @@ func TestFromSolutionsBatchBitIdentical(t *testing.T) {
 		if gerrs[k] != nil {
 			t.Fatalf("lane %d: %v", k, gerrs[k])
 		}
-		want, werr := ppv.FromSolution(systems[k], sols[k])
+		want, normErr, werr := refAdjoint(systems[k], sols[k])
 		if werr != nil {
 			t.Fatal(werr)
 		}
 		p := got[k]
-		if p.T0 != want.T0 || p.F0 != want.F0 || p.NormError != want.NormError {
+		if p.T0 != sols[k].T0 || p.F0 != sols[k].F0 || p.NormError != normErr {
 			t.Fatalf("lane %d header: got (T0=%v F0=%v normErr=%v), want (T0=%v F0=%v normErr=%v)",
-				k, p.T0, p.F0, p.NormError, want.T0, want.F0, want.NormError)
+				k, p.T0, p.F0, p.NormError, sols[k].T0, sols[k].F0, normErr)
 		}
-		if len(p.VI) != len(want.VI) {
-			t.Fatalf("lane %d: %d VI samples, want %d", k, len(p.VI), len(want.VI))
+		if len(p.VI) != len(want) {
+			t.Fatalf("lane %d: %d VI samples, want %d", k, len(p.VI), len(want))
 		}
 		for i := range p.VI {
 			for j := range p.VI[i] {
-				if p.VI[i][j] != want.VI[i][j] {
-					t.Fatalf("lane %d VI[%d][%d] = %v, want %v (bit-exact)", k, i, j, p.VI[i][j], want.VI[i][j])
+				if p.VI[i][j] != want[i][j] {
+					t.Fatalf("lane %d VI[%d][%d] = %v, want %v (bit-exact)", k, i, j, p.VI[i][j], want[i][j])
 				}
 			}
 		}
 		for node := range p.NodeSeries {
+			samples := make([]float64, len(want)-1)
+			for i := range samples {
+				samples[i] = want[i][node]
+			}
+			ws := fourier.NewSeriesFromSamples(samples, ppv.MaxHarmonics)
 			for m := 0; m <= ppv.MaxHarmonics; m++ {
-				if p.NodeSeries[node].Coefficient(m) != want.NodeSeries[node].Coefficient(m) {
+				if p.NodeSeries[node].Coefficient(m) != ws.Coefficient(m) {
 					t.Fatalf("lane %d node %d harmonic %d differs", k, node, m)
 				}
 			}

@@ -25,14 +25,11 @@ package ppv
 import (
 	"context"
 	"errors"
-	"fmt"
-	"math"
 
 	"repro/internal/circuit"
 	"repro/internal/diag"
 	"repro/internal/fourier"
 	"repro/internal/linalg"
-	"repro/internal/parallel"
 	"repro/internal/pss"
 )
 
@@ -60,118 +57,26 @@ const MaxHarmonics = 32
 // FromSolution extracts the PPV from a converged autonomous PSS by the
 // time-domain adjoint method.
 func FromSolution(sys *circuit.System, sol *pss.Solution) (*PPV, error) {
-	return FromSolutionCtx(context.Background(), sys, sol, 1)
+	return FromSolutionCtx(context.Background(), sys, sol)
 }
 
-// FromSolutionCtx is FromSolution with cancellation and a bounded worker
-// pool: the embarrassingly parallel grid stages (RHS Jacobians, pointwise
-// normalization) fan out over up to workers goroutines, each owning a private
-// circuit.Workspace. The backward adjoint recursion is inherently sequential
-// and stays serial. Results are bit-identical at any worker count.
-func FromSolutionCtx(ctx context.Context, sys *circuit.System, sol *pss.Solution, workers int) (*PPV, error) {
-	n := sys.N
-	k := sol.K()
-	if k < 8 {
-		return nil, errors.New("ppv: PSS grid too coarse")
+// FromSolutionCtx is FromSolution with cancellation. The circuit is
+// extracted as a one-lane batch (FromSolutionsBatch), so a single circuit's
+// PPV is bit for bit its lane's in any batch.
+func FromSolutionCtx(ctx context.Context, sys *circuit.System, sol *pss.Solution) (*PPV, error) {
+	if sol == nil {
+		return nil, errors.New("ppv: no PSS solution to extract from")
 	}
-	h := sol.T0 / float64(k)
-
+	b, err := circuit.NewBatch([]*circuit.System{sys})
+	if err != nil {
+		return nil, err
+	}
 	defer diag.SpanFrom(ctx, "ppv.adjoint").End()
-	dm := diag.FromContext(ctx)
-	// Per-worker metrics children keep the parallel grid stages free of
-	// cross-worker contention; they are merged back before returning. (A nil
-	// dm forks nil children, so the disabled path stays free.)
-	nw := parallel.Workers(workers)
-	children := dm.Fork(nw)
-	defer dm.Merge(children...)
-	wss := make([]*circuit.Workspace, nw)
-	for i := range wss {
-		wss[i] = sys.NewWorkspace()
-		wss[i].SetMetrics(children[i])
-	}
-
-	// 1. Left eigenvector of the monodromy for the eigenvalue at 1:
-	//    Mᵀ w = w.
-	_, w, err := linalg.InverseIteration(sol.Monodromy.T(), 1.0, 300, 1e-12)
-	if err != nil {
-		return nil, fmt.Errorf("ppv: monodromy left eigenvector: %w", err)
-	}
-
-	// 2. RHS Jacobians A(t_k) on the grid.
-	as, err := parallel.MapWorker(ctx, k+1, nw, func(wk, i int) (*linalg.Mat, error) {
-		return wss[wk].RHSJacobian(sol.States[i], sol.Grid[i]), nil
-	})
+	ps, errs, err := FromSolutionsBatch(ctx, b, []*pss.Solution{sol})
 	if err != nil {
 		return nil, err
 	}
-
-	// 3. Backward propagation of the adjoint with the discrete adjoint of
-	//    the trapezoidal variational step:
-	//      y_{i+1} = (I − h/2·A_{i+1})⁻¹ (I + h/2·A_i) y_i
-	//    implies
-	//      w_i = (I + h/2·A_i)ᵀ (I − h/2·A_{i+1})⁻ᵀ w_{i+1}.
-	// The recursion reuses one iteration matrix, LU and intermediate vector
-	// across all k steps (the factorization-heavy inner loop would otherwise
-	// allocate a fresh matrix and pivot set per grid point).
-	ws := make([]linalg.Vec, k+1)
-	ws[k] = w.Clone()
-	lhs := linalg.NewMat(n, n)
-	tmp := linalg.NewVec(n)
-	var lu linalg.LU
-	for i := k - 1; i >= 0; i-- {
-		lhs.Zero()
-		for d := 0; d < n; d++ {
-			lhs.Set(d, d, 1)
-		}
-		lhs.AddScaled(-h/2, as[i+1])
-		ferr := lu.FactorizeInto(lhs)
-		dm.Inc(diag.LUFactorizations)
-		if lu.ReusedBuffers() {
-			dm.Inc(diag.LUFactorizationsReused)
-		}
-		if ferr != nil {
-			return nil, fmt.Errorf("ppv: adjoint step %d singular: %w", i, ferr)
-		}
-		lu.SolveTInto(tmp, ws[i+1])
-		dm.Inc(diag.LUSolves)
-		// w_i = (I + h/2 A_i)ᵀ tmp
-		wi := as[i].MulVecT(tmp)
-		wi.Scale(h / 2)
-		wi.Add(wi, tmp)
-		ws[i] = wi
-	}
-
-	// 4. Normalize pointwise: v(t)·ẋₛ(t) = 1. The product is a flow
-	//    invariant, so its spread measures numerical error. Each grid point is
-	//    independent; the min/max spread is reduced serially afterwards so the
-	//    result cannot depend on scheduling.
-	cs := make([]float64, k+1)
-	vi, err := parallel.MapWorker(ctx, k+1, nw, func(wk, i int) (linalg.Vec, error) {
-		xd := wss[wk].XDot(sol.States[i], sol.Grid[i])
-		c := ws[i].Dot(xd)
-		if c == 0 {
-			return nil, fmt.Errorf("ppv: degenerate normalization at grid %d", i)
-		}
-		cs[i] = c
-		v := ws[i].Clone()
-		v.Scale(1 / c)
-		children[wk].Inc(diag.LUSolves)
-		// Current-injection form: VI = C⁻ᵀ v.
-		return sys.CLU.SolveT(v), nil
-	})
-	if err != nil {
-		return nil, err
-	}
-	minC, maxC := math.Inf(1), math.Inf(-1)
-	for _, c := range cs {
-		minC, maxC = math.Min(minC, c), math.Max(maxC, c)
-	}
-	normErr := 0.0
-	if maxC != 0 {
-		normErr = (maxC - minC) / math.Max(math.Abs(maxC), math.Abs(minC))
-	}
-
-	return finish(sol, vi, normErr), nil
+	return ps[0], errs[0]
 }
 
 // finish assembles the PPV container and node Fourier series.

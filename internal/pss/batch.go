@@ -13,22 +13,24 @@ import (
 	"repro/internal/transient"
 )
 
-// This file implements batched autonomous shooting: K parameter corners of
-// one topology converge to their limit cycles together, with every settle
-// run and shooting iteration integrated as one lockstep transient.RunBatch
-// (the inner transients are where a shooting solve spends essentially all of
-// its time, so batching them batches the solve). Newton runs record their
-// trajectories, so the run that detects a lane's convergence doubles as that
-// lane's grid pass — one fewer sensitivity period per corner than the scalar
-// solve-then-regrid sequence, with bit-identical grid data. The
-// bordered Newton updates stay per-lane and dense — each lane has its own
-// period iterate T[k] and its own monodromy — and lanes drop out of the
-// batch as they converge or fail, so one slow corner never blocks the rest.
+// This file implements autonomous shooting, written once for K parameter
+// corners of one topology: they converge to their limit cycles together,
+// with every settle run and shooting iteration integrated as one lockstep
+// transient.RunBatch (the inner transients are where a shooting solve spends
+// essentially all of its time, so batching them batches the solve). A single
+// circuit is a one-lane batch (ShootAutonomousCtx), and lanes are
+// independent, so a corner converges to the same bits alone or among others.
+// Newton runs record their trajectories, so the run that detects a lane's
+// convergence doubles as that lane's grid pass: no sensitivity period is
+// re-run after convergence. The bordered Newton updates stay per-lane and
+// dense — each lane has its own period iterate T[k] and its own monodromy —
+// and lanes drop out of the batch as they converge or fail, so one slow
+// corner never blocks the rest.
 //
-// The intended use is Monte-Carlo/corner ensembles warm-started from a
-// nominal solution: seed every lane with the nominal orbit's X0, scale the
-// per-lane period guesses by the corners' estimated frequency ratios, and a
-// few settle cycles replace a cold start's seven.
+// Monte-Carlo/corner ensembles warm-start from a nominal solution: seed
+// every lane with the nominal orbit's X0, scale the per-lane period guesses
+// by the corners' estimated frequency ratios, and a few settle cycles
+// replace a cold start's seven.
 
 // BatchShootOptions tunes a batched autonomous shooting solve.
 type BatchShootOptions struct {
@@ -41,11 +43,10 @@ type BatchShootOptions struct {
 	Tol            float64
 	Method         transient.Method
 	Backend        linalg.Backend
-	// SettleCycles integrates this many free-running cycles per lane before
-	// shooting (default 7, like the scalar path), at the scalar path's
-	// settle resolution, and starts each lane at its phase origin as the
-	// scalar path does. Warm-started ensembles set a small count; a negative
-	// value skips the settle and the phase search entirely.
+	// SettleCycles means what it means in Options (default 7): each lane
+	// settles this many free-running cycles and starts at its phase origin.
+	// Warm-started ensembles set a small count; a negative value skips the
+	// settle and the phase search entirely.
 	SettleCycles int
 }
 
@@ -60,12 +61,12 @@ func ShootAutonomousBatch(ctx context.Context, b *circuit.Batch, x0 []float64, o
 		return nil, nil, fmt.Errorf("pss: BatchShootOptions.GuessT has %d lanes, batch has %d", len(opt.GuessT), K)
 	}
 	for k, g := range opt.GuessT {
-		if g <= 0 {
-			return nil, nil, fmt.Errorf("pss: BatchShootOptions.GuessT[%d] = %g must be positive", k, g)
+		if !(g > 0) || math.IsInf(g, 1) {
+			return nil, nil, fmt.Errorf("pss: period guess %d is %g; it must be positive and finite", k, g)
 		}
 	}
 	if len(x0) != K*n {
-		return nil, nil, fmt.Errorf("pss: batched x0 has length %d, want %d", len(x0), K*n)
+		return nil, nil, fmt.Errorf("pss: start state has length %d, want %d", len(x0), K*n)
 	}
 	if opt.StepsPerPeriod == 0 {
 		opt.StepsPerPeriod = 512
@@ -106,7 +107,7 @@ func ShootAutonomousBatch(ctx context.Context, b *circuit.Batch, x0 []float64, o
 		return lanes[:w]
 	}
 
-	// Per-lane phase levels, and scalar workspaces for the border column ẋ(T).
+	// Per-lane phase levels, and per-lane workspaces for the border column ẋ(T).
 	level := make([]float64, K)
 	wss := make([]*circuit.Workspace, K)
 	fT := linalg.NewVec(n)
@@ -116,9 +117,12 @@ func ShootAutonomousBatch(ctx context.Context, b *circuit.Batch, x0 []float64, o
 		wss[k].SetMetrics(dm)
 	}
 
-	// Settle onto the limit cycles exactly as the scalar settle does (see
-	// settle), lane by lane in lockstep, recording node 0 throughout and the
-	// full state only in the search run.
+	// Settle onto the limit cycles at the settle resolution (see settleSteps):
+	// SettleCycles−1 free-running Trap cycles, then the search run, stepped
+	// at the period the first cycles' recurrence estimates, that phaseStart
+	// scans for the phase origin. Node 0 is recorded throughout, for the
+	// period refined from its recurrence over the whole settle, and the full
+	// state only in the search run.
 	if opt.SettleCycles > 0 {
 		sp := diag.SpanFrom(ctx, "pss.settle")
 		sspp := settleSteps(spp)
@@ -184,8 +188,7 @@ func ShootAutonomousBatch(ctx context.Context, b *circuit.Batch, x0 []float64, o
 	//
 	// Every Newton run records states: the run that *detects* a lane's
 	// convergence integrates one full period from the converged (x, T) with
-	// sensitivities — exactly the grid pass the scalar path re-runs after
-	// convergence — so its trajectory, monodromy and residual are the
+	// sensitivities, so its trajectory, monodromy and residual are the
 	// Solution's grid data and no separate grid pass is needed.
 	big := linalg.NewMat(n+1, n+1)
 	rhs := linalg.NewVec(n + 1)

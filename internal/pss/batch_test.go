@@ -2,10 +2,13 @@ package pss_test
 
 import (
 	"context"
+	"fmt"
 	"math"
 	"testing"
 
 	"repro/internal/circuit"
+	"repro/internal/diag"
+	"repro/internal/ppv"
 	"repro/internal/pss"
 	"repro/internal/ringosc"
 	"repro/internal/transient"
@@ -36,66 +39,143 @@ func cornerRingBatch(t testing.TB, k int) ([]*ringosc.Ring, *circuit.Batch) {
 	return rings, b
 }
 
-// TestShootAutonomousBatchMatchesScalar converges K corners batched (cold
-// start, like the scalar path) and per-lane scalar, and compares periods,
-// orbits, and Floquet multipliers. Both converge the same periodicity
-// residual to Tol, so the solutions must agree far below a percent.
+// TestShootAutonomousBatchMatchesScalar: lanes are independent, so lane k
+// of a K-lane ShootAutonomousBatch plus FromSolutionsBatch equals the
+// single-circuit ShootAutonomous plus ppv.FromSolution of its own corner
+// (a one-lane batch) bit for bit: f0, Newton count, every grid state, the
+// monodromy and every PPV sample.
 func TestShootAutonomousBatchMatchesScalar(t *testing.T) {
 	if testing.Short() {
 		t.Skip("PSS convergence test")
 	}
-	const K = 3
-	const spp = 256
-	rings, b := cornerRingBatch(t, K)
-	n := b.N
-	x0 := make([]float64, K*n)
+	var rings []*ringosc.Ring
+	for _, s := range []float64{0.94, 1.0, 1.07} {
+		cfg := ringosc.DefaultConfig()
+		cfg.CLoad *= s
+		rings = append(rings, buildRing(t, cfg))
+	}
+	requireLanesMatchSolo(t, rings, pss.Options{StepsPerPeriod: 256}, true)
+}
+
+// TestBatchHalvingLaneLeavesNeighbourBitIdentical: at six backward-Euler
+// steps per period the 1.2 V ring's corrector fails until its steps are
+// halved, while the 1.5 V ring's converges at every step. Side by side,
+// each lane still equals its own one-lane solve bit for bit. (Six points
+// per period are too few for a PPV.)
+func TestBatchHalvingLaneLeavesNeighbourBitIdentical(t *testing.T) {
+	var rings []*ringosc.Ring
+	for _, vdd := range []float64{1.2, 1.5} {
+		cfg := ringosc.DefaultConfig()
+		cfg.Vdd = vdd
+		rings = append(rings, buildRing(t, cfg))
+	}
+	opt := pss.Options{StepsPerPeriod: 6, Method: transient.BE}
+	for k, want := range []bool{true, false} {
+		m := diag.New()
+		opt.GuessT = 1 / rings[k].EstimatedF0()
+		if _, err := pss.ShootAutonomousCtx(diag.WithMetrics(context.Background(), m), rings[k].Sys, rings[k].KickStart(), opt); err != nil {
+			t.Fatalf("lane %d alone: %v", k, err)
+		}
+		if halved := m.Get(diag.TransientRejections) > 0; halved != want {
+			t.Fatalf("lane %d alone halved a step: %v, want %v", k, halved, want)
+		}
+	}
+	opt.GuessT = 0
+	requireLanesMatchSolo(t, rings, opt, false)
+}
+
+// requireLanesMatchSolo shoots rings cold as one batch and each alone, from
+// their kick starts and estimated periods, with adjoint extracts every PPV
+// both ways, and requires the lanes to match their solo solves bit for bit.
+func requireLanesMatchSolo(t *testing.T, rings []*ringosc.Ring, opt pss.Options, adjoint bool) {
+	t.Helper()
+	ctx := context.Background()
+	K := len(rings)
+	systems := make([]*circuit.System, K)
+	var x0 []float64
 	guess := make([]float64, K)
 	for k, r := range rings {
-		copy(x0[k*n:(k+1)*n], r.KickStart())
+		systems[k] = r.Sys
+		x0 = append(x0, r.KickStart()...)
 		guess[k] = 1 / r.EstimatedF0()
 	}
-	opt := pss.BatchShootOptions{GuessT: guess, StepsPerPeriod: spp, SettleCycles: 10}
-	sols, errs, err := pss.ShootAutonomousBatch(context.Background(), b, x0, opt)
+	b, err := circuit.NewBatch(systems)
 	if err != nil {
 		t.Fatal(err)
 	}
-	for k, r := range rings {
-		if errs[k] != nil {
-			t.Fatalf("lane %d: %v", k, errs[k])
-		}
-		scalar, serr := pss.ShootAutonomous(r.Sys, r.KickStart(), pss.Options{
-			GuessT: guess[k], StepsPerPeriod: spp, SettleCycles: 10,
-		})
-		if serr != nil {
-			t.Fatalf("scalar lane %d: %v", k, serr)
-		}
-		bs := sols[k]
-		if rel := math.Abs(bs.F0-scalar.F0) / scalar.F0; rel > 1e-5 {
-			t.Errorf("lane %d F0: batch %g vs scalar %g (rel %g)", k, bs.F0, scalar.F0, rel)
-		}
-		if bs.Residual > 1e-6 {
-			t.Errorf("lane %d residual %g too large", k, bs.Residual)
-		}
-		if len(bs.Grid) != spp+1 || len(bs.States) != spp+1 {
-			t.Fatalf("lane %d grid has %d/%d points, want %d", k, len(bs.Grid), len(bs.States), spp+1)
-		}
-		// The orbits may differ in phase (different anchors are legal), so
-		// compare phase-free scalars: the node-0 waveform's min and max.
-		bmin, bmax := orbitRange(bs, 0)
-		smin, smax := orbitRange(scalar, 0)
-		if math.Abs(bmin-smin) > 1e-3 || math.Abs(bmax-smax) > 1e-3 {
-			t.Errorf("lane %d orbit range [%g,%g] vs scalar [%g,%g]", k, bmin, bmax, smin, smax)
-		}
-		// Floquet: the trivial multiplier pins near 1 on both paths.
-		_, _, bstable := bs.StabilityReport()
-		_, _, sstable := scalar.StabilityReport()
-		if bstable != sstable {
-			t.Errorf("lane %d stability disagrees: batch %v vs scalar %v", k, bstable, sstable)
+	sols, errs, err := pss.ShootAutonomousBatch(ctx, b, x0, pss.BatchShootOptions{
+		GuessT: guess, StepsPerPeriod: opt.StepsPerPeriod, Method: opt.Method,
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	var ppvs []*ppv.PPV
+	perrs := make([]error, K)
+	if adjoint {
+		if ppvs, perrs, err = ppv.FromSolutionsBatch(ctx, b, sols); err != nil {
+			t.Fatal(err)
 		}
 	}
-	// Distinct corners must produce distinct frequencies.
+	for k, r := range rings {
+		if errs[k] != nil || perrs[k] != nil {
+			t.Fatalf("lane %d: %v, %v", k, errs[k], perrs[k])
+		}
+		opt.GuessT = guess[k]
+		solo, err := pss.ShootAutonomous(r.Sys, r.KickStart(), opt)
+		if err != nil {
+			t.Fatalf("lane %d alone: %v", k, err)
+		}
+		requireSameSolution(t, fmt.Sprintf("lane %d", k), sols[k], solo)
+		if adjoint {
+			soloP, err := ppv.FromSolution(r.Sys, solo)
+			if err != nil {
+				t.Fatalf("lane %d alone: %v", k, err)
+			}
+			requireSamePPV(t, fmt.Sprintf("lane %d", k), ppvs[k], soloP)
+		}
+	}
 	if sols[0].F0 == sols[K-1].F0 {
 		t.Error("corner lanes returned identical F0; lanes are not independent")
+	}
+}
+
+// requireSameSolution requires got to be want bit for bit: period, Newton
+// count, start, every grid state and the monodromy.
+func requireSameSolution(t *testing.T, what string, got, want *pss.Solution) {
+	t.Helper()
+	if got.F0 != want.F0 || got.T0 != want.T0 || got.Iterations != want.Iterations || got.Residual != want.Residual {
+		t.Fatalf("%s: f0 %.17g Hz after %d iterations (residual %g), want %.17g Hz after %d (residual %g)",
+			what, got.F0, got.Iterations, got.Residual, want.F0, want.Iterations, want.Residual)
+	}
+	if len(got.States) != len(want.States) {
+		t.Fatalf("%s: %d grid states, want %d", what, len(got.States), len(want.States))
+	}
+	for i, x := range want.States {
+		for j, v := range x {
+			if math.Float64bits(got.States[i][j]) != math.Float64bits(v) {
+				t.Fatalf("%s: state %d node %d is %v, want %v", what, i, j, got.States[i][j], v)
+			}
+		}
+	}
+	for i, v := range want.Monodromy.Data {
+		if math.Float64bits(got.Monodromy.Data[i]) != math.Float64bits(v) {
+			t.Fatalf("%s: monodromy entry %d is %v, want %v", what, i, got.Monodromy.Data[i], v)
+		}
+	}
+}
+
+// requireSamePPV requires every PPV sample of got to be want's bit for bit.
+func requireSamePPV(t *testing.T, what string, got, want *ppv.PPV) {
+	t.Helper()
+	if len(got.VI) != len(want.VI) || got.NormError != want.NormError {
+		t.Fatalf("%s: %d PPV samples (spread %g), want %d (spread %g)", what, len(got.VI), got.NormError, len(want.VI), want.NormError)
+	}
+	for i, v := range want.VI {
+		for j, x := range v {
+			if math.Float64bits(got.VI[i][j]) != math.Float64bits(x) {
+				t.Fatalf("%s: PPV sample %d node %d is %v, want %v", what, i, j, got.VI[i][j], x)
+			}
+		}
 	}
 }
 
@@ -121,7 +201,7 @@ func TestShootAutonomousBatchWarmStart(t *testing.T) {
 	rings, b := cornerRingBatch(t, K)
 	n := b.N
 
-	// Nominal solve (scalar, cold).
+	// Nominal solve (cold).
 	nomCfg := ringosc.DefaultConfig()
 	nom, err := ringosc.Build(nomCfg)
 	if err != nil {

@@ -3,11 +3,12 @@ package pss_test
 import (
 	"context"
 	"errors"
-	"strings"
+	"math"
 	"testing"
 
 	"repro/internal/circuit"
 	"repro/internal/device"
+	"repro/internal/diag"
 	"repro/internal/linalg"
 	"repro/internal/pss"
 	"repro/internal/ringosc"
@@ -21,35 +22,40 @@ func TestShootAutonomousRequiresGuess(t *testing.T) {
 	}
 }
 
-func TestShootDrivenOnAutonomousFindsOrbitPoint(t *testing.T) {
-	// On an autonomous oscillator every orbit point is a fixed point of the
-	// exact-period map, so driven shooting (given the true period) may land
-	// on an arbitrary phase — but whatever it returns must genuinely be a
-	// periodic point, and the degenerate phase direction must show up as a
-	// unit Floquet multiplier.
+// TestShootAutonomousRejectsMalformedInput: a NaN or ±Inf period guess and
+// a start state of the wrong length are refused before integrating, by the
+// single-circuit and the batched solve alike. A NaN or +Inf guess used to
+// fail only after a settle and a shooting run, with ErrFixedPoint or a
+// singular iteration matrix, and a short start state panicked.
+func TestShootAutonomousRejectsMalformedInput(t *testing.T) {
 	r := buildRing(t, ringosc.DefaultConfig())
-	sol, err := pss.ShootAutonomous(r.Sys, r.KickStart(), pss.Options{
-		GuessT: 1 / r.EstimatedF0(),
-	})
+	b, err := circuit.NewBatch([]*circuit.System{r.Sys})
 	if err != nil {
 		t.Fatal(err)
 	}
-	x0 := sol.X0.Clone()
-	x0[0] += 0.3
-	drv, err := pss.ShootDriven(r.Sys, x0, sol.T0, pss.Options{MaxIter: 20})
-	if err != nil {
-		// Equally acceptable: the near-singular (M − I) may be refused.
-		if !strings.Contains(err.Error(), "singular") && !strings.Contains(err.Error(), "converge") {
-			t.Fatalf("unexpected error: %v", err)
+	guess := 1 / r.EstimatedF0()
+	for _, c := range []struct {
+		name  string
+		x0    linalg.Vec
+		guess float64
+	}{
+		{"NaN guess", r.KickStart(), math.NaN()},
+		{"+Inf guess", r.KickStart(), math.Inf(1)},
+		{"-Inf guess", r.KickStart(), math.Inf(-1)},
+		{"short start", r.KickStart()[:2], guess},
+		{"long start", append(r.KickStart(), 0), guess},
+	} {
+		m := diag.New()
+		ctx := diag.WithMetrics(context.Background(), m)
+		if sol, err := pss.ShootAutonomousCtx(ctx, r.Sys, c.x0, pss.Options{GuessT: c.guess}); err == nil || sol != nil {
+			t.Errorf("%s: (%v, %v), want an error and no solution", c.name, sol, err)
 		}
-		return
-	}
-	if drv.Residual > 1e-6 {
-		t.Fatalf("returned a non-periodic point: residual %g", drv.Residual)
-	}
-	trivial, _, _ := drv.StabilityReport()
-	if real(trivial) < 0.98 || real(trivial) > 1.02 {
-		t.Fatalf("expected a unit multiplier betraying autonomy, got %v", trivial)
+		if sols, errs, err := pss.ShootAutonomousBatch(ctx, b, c.x0, pss.BatchShootOptions{GuessT: []float64{c.guess}}); err == nil || sols != nil || errs != nil {
+			t.Errorf("batched %s: err = %v, want a structural error", c.name, err)
+		}
+		if steps := m.Get(diag.TransientSteps); steps != 0 {
+			t.Errorf("%s: %d transient steps before refusing", c.name, steps)
+		}
 	}
 }
 
@@ -95,45 +101,30 @@ func dampedRC(t *testing.T) *circuit.System {
 
 // TestShootAutonomousRejectsFixedPoint: the damped RC has no orbit to
 // converge to, and with its time constant as the period guess any guess
-// would "converge" once it had decayed. Both the scalar and the batched
-// solve must refuse it with ErrFixedPoint, which wraps ErrNoConvergence,
+// would "converge" once it had decayed. The solve must refuse it with
+// ErrFixedPoint, which wraps ErrNoConvergence, and return no solution
 // instead of reporting f0 = 1/GuessT.
 func TestShootAutonomousRejectsFixedPoint(t *testing.T) {
 	sys := dampedRC(t)
 	fixedPoint := func(err error) bool {
 		return errors.Is(err, pss.ErrFixedPoint) && errors.Is(err, solver.ErrNoConvergence)
 	}
-	if _, err := pss.ShootAutonomous(sys, linalg.Vec{1}, pss.Options{GuessT: 1e-3}); !fixedPoint(err) {
-		t.Fatalf("scalar: err = %v, want ErrFixedPoint", err)
-	}
-	b, err := circuit.NewBatch([]*circuit.System{sys})
-	if err != nil {
-		t.Fatal(err)
-	}
-	sols, errs, err := pss.ShootAutonomousBatch(context.Background(), b, []float64{1}, pss.BatchShootOptions{
-		GuessT: []float64{1e-3},
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if sols[0] != nil || !fixedPoint(errs[0]) {
-		t.Fatalf("batched: err = %v, want ErrFixedPoint and no solution", errs[0])
+	if sol, err := pss.ShootAutonomous(sys, linalg.Vec{1}, pss.Options{GuessT: 1e-3}); sol != nil || !fixedPoint(err) {
+		t.Fatalf("err = %v, want ErrFixedPoint and no solution", err)
 	}
 }
 
 // TestFixedPointIndependentOfSettle: whether the damped RC oscillates does
 // not depend on how long it settled. After one or two cycles it still falls
 // by tenths of a volt over the searched window, after forty it has decayed
-// below the periodicity tolerance; both solves refuse it with ErrFixedPoint
+// below the periodicity tolerance; the solve refuses it with ErrFixedPoint
 // every time, not with ErrNoPhaseCrossing, because no node moves both ways.
 func TestFixedPointIndependentOfSettle(t *testing.T) {
 	sys := dampedRC(t)
 	for _, settle := range []int{1, 2, 3, 5, 7, 8, 12, 20, 40} {
-		_, _, serr, berr := shootBoth(t, sys, linalg.Vec{1}, pss.Options{GuessT: 1e-3, SettleCycles: settle})
-		for name, err := range map[string]error{"scalar": serr, "batched": berr} {
-			if !errors.Is(err, pss.ErrFixedPoint) || !errors.Is(err, solver.ErrNoConvergence) {
-				t.Errorf("settle %d, %s: err = %v, want ErrFixedPoint", settle, name, err)
-			}
+		_, err := pss.ShootAutonomous(sys, linalg.Vec{1}, pss.Options{GuessT: 1e-3, SettleCycles: settle})
+		if !errors.Is(err, pss.ErrFixedPoint) || !errors.Is(err, solver.ErrNoConvergence) {
+			t.Errorf("settle %d: err = %v, want ErrFixedPoint", settle, err)
 		}
 	}
 }

@@ -10,9 +10,9 @@ import (
 	"repro/internal/solver"
 )
 
-// This file holds what the scalar and batched autonomous solves share about
-// where an orbit starts and whether it is one: the phase condition, the
-// settle's resolution, and the check that the converged orbit is autonomous.
+// This file holds what the autonomous solve needs to know about where an
+// orbit starts and whether it is one: the phase condition, the settle's
+// resolution, and the check that the converged orbit is autonomous.
 //
 // The phase origin is a property of the circuit, not of the settle. Node 0
 // (n1 on every ring and deck) is pinned at the phase level — the midpoint of
@@ -21,11 +21,11 @@ import (
 // lands the start near the limit cycle: its last cycle is recorded and
 // searched for node 0's first rising crossing of the level, and the bordered
 // Newton then keeps node 0 at the level while it converges the period. Two
-// solves that settled differently (length, period guess, start state, scalar
-// or lockstep integrator) therefore converge to the same orbit point, and the
-// grid, f0 and every PPV harmonic follow from that point alone.
+// solves that settled differently (length, period guess, start state)
+// therefore converge to the same orbit point, and the grid, f0 and every PPV
+// harmonic follow from that point alone.
 
-// defaultSettleCycles is the settle length both solves default to, in
+// defaultSettleCycles is the settle length a solve defaults to, in
 // periods of the guess. With ringosc.EstimatedF0's guess within 0.87–1.17
 // of the true f0 these are real cycles, and seven is the fewest that cost
 // no shooting iteration against a twenty-cycle settle on any ring of

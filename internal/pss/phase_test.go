@@ -1,11 +1,9 @@
 package pss_test
 
 import (
-	"context"
 	"errors"
 	"testing"
 
-	"repro/internal/circuit"
 	"repro/internal/linalg"
 	"repro/internal/netlist"
 	"repro/internal/pss"
@@ -13,39 +11,19 @@ import (
 	"repro/internal/solver"
 )
 
-// shootBoth runs the scalar and the one-lane batched autonomous solve on
-// sys from x0 and returns both results.
-func shootBoth(t *testing.T, sys *circuit.System, x0 linalg.Vec, opt pss.Options) (scalar, batched *pss.Solution, serr, berr error) {
-	t.Helper()
-	scalar, serr = pss.ShootAutonomousCtx(context.Background(), sys, x0, opt)
-	b, err := circuit.NewBatch([]*circuit.System{sys})
-	if err != nil {
-		t.Fatal(err)
-	}
-	sols, errs, err := pss.ShootAutonomousBatch(context.Background(), b, x0, pss.BatchShootOptions{
-		GuessT: []float64{opt.GuessT}, StepsPerPeriod: opt.StepsPerPeriod, SettleCycles: opt.SettleCycles,
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	return scalar, sols[0], serr, errs[0]
-}
-
-// TestPhaseOriginIsMidRailRisingEdge: both solves start the orbit where
+// TestPhaseOriginIsMidRailRisingEdge: the solve starts the orbit where
 // node 0 rises through Vdd/2.
 func TestPhaseOriginIsMidRailRisingEdge(t *testing.T) {
 	r := buildRing(t, ringosc.DefaultConfig())
-	s, b, serr, berr := shootBoth(t, r.Sys, r.KickStart(), pss.Options{GuessT: 1 / r.EstimatedF0(), StepsPerPeriod: 256})
-	if serr != nil || berr != nil {
-		t.Fatalf("scalar: %v, batched: %v", serr, berr)
+	sol, err := pss.ShootAutonomous(r.Sys, r.KickStart(), pss.Options{GuessT: 1 / r.EstimatedF0(), StepsPerPeriod: 256})
+	if err != nil {
+		t.Fatal(err)
 	}
-	for name, sol := range map[string]*pss.Solution{"scalar": s, "batched": b} {
-		if v := sol.X0[0]; v != r.Cfg.Vdd/2 {
-			t.Errorf("%s: node 0 starts at %.17g V, want Vdd/2", name, v)
-		}
-		if sol.States[1][0] <= sol.States[0][0] {
-			t.Errorf("%s: node 0 falls at the origin (%g → %g V)", name, sol.States[0][0], sol.States[1][0])
-		}
+	if v := sol.X0[0]; v != r.Cfg.Vdd/2 {
+		t.Errorf("node 0 starts at %.17g V, want Vdd/2", v)
+	}
+	if sol.States[1][0] <= sol.States[0][0] {
+		t.Errorf("node 0 falls at the origin (%g → %g V)", sol.States[0][0], sol.States[1][0])
 	}
 }
 
@@ -69,8 +47,8 @@ C3  n3 0 4.7n
 
 // TestShootAutonomousNoPhaseCrossing: an orbit whose node 0 moves too
 // little to be a fixed point's but never rises through the phase level
-// cannot be anchored; both solves fail with ErrNoPhaseCrossing, which wraps
-// ErrNoConvergence, and do not mistake it for a fixed point.
+// cannot be anchored; the solve fails with ErrNoPhaseCrossing, which wraps
+// ErrNoConvergence, and does not mistake it for a fixed point.
 func TestShootAutonomousNoPhaseCrossing(t *testing.T) {
 	ckt, err := netlist.Parse(biasedRingDeck)
 	if err != nil {
@@ -84,17 +62,15 @@ func TestShootAutonomousNoPhaseCrossing(t *testing.T) {
 		t.Fatalf("nb is node %d, want node 0", ckt.NodeIndex("nb"))
 	}
 	x0 := linalg.Vec{3, 2.7, 0.3, 1.5}
-	_, _, serr, berr := shootBoth(t, sys, x0, pss.Options{GuessT: 1 / 9.6e3, StepsPerPeriod: 256})
-	for name, err := range map[string]error{"scalar": serr, "batched": berr} {
-		if !errors.Is(err, pss.ErrNoPhaseCrossing) || !errors.Is(err, solver.ErrNoConvergence) || errors.Is(err, pss.ErrFixedPoint) {
-			t.Errorf("%s: err = %v, want ErrNoPhaseCrossing", name, err)
-		}
+	_, err = pss.ShootAutonomous(sys, x0, pss.Options{GuessT: 1 / 9.6e3, StepsPerPeriod: 256})
+	if !errors.Is(err, pss.ErrNoPhaseCrossing) || !errors.Is(err, solver.ErrNoConvergence) || errors.Is(err, pss.ErrFixedPoint) {
+		t.Errorf("err = %v, want ErrNoPhaseCrossing", err)
 	}
 }
 
 // TestShootAutonomousRejectsDrivenLatch: the D latch carries its SYNC and D
 // sources, so it has no autonomous limit cycle and its monodromy no
-// multiplier near 1 (the nearest sits ~0.5 away). Both solves refuse it
+// multiplier near 1 (the nearest sits ~0.5 away). The solve refuses it
 // with ErrNotAutonomous, which wraps ErrNoConvergence, instead of reporting
 // a period the settle made up.
 func TestShootAutonomousRejectsDrivenLatch(t *testing.T) {
@@ -105,17 +81,15 @@ func TestShootAutonomousRejectsDrivenLatch(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	_, _, serr, berr := shootBoth(t, l.Sys, l.KickStart(), pss.Options{GuessT: 1 / l.EstimatedF0(), StepsPerPeriod: 1024})
-	for name, err := range map[string]error{"scalar": serr, "batched": berr} {
-		if !errors.Is(err, pss.ErrNotAutonomous) || !errors.Is(err, solver.ErrNoConvergence) {
-			t.Errorf("%s: err = %v, want ErrNotAutonomous", name, err)
-		}
+	_, err = pss.ShootAutonomous(l.Sys, l.KickStart(), pss.Options{GuessT: 1 / l.EstimatedF0(), StepsPerPeriod: 1024})
+	if !errors.Is(err, pss.ErrNotAutonomous) || !errors.Is(err, solver.ErrNoConvergence) {
+		t.Errorf("err = %v, want ErrNotAutonomous", err)
 	}
 }
 
 // TestStabilityReportNeedsTrivialMultiplier: the Floquet multipliers an
 // autonomous solve returned for the D latch at 1,024 steps per period
-// (before the solves refused it) have none near 1, so StabilityReport must
+// (before the solve refused it) have none near 1, so StabilityReport must
 // not call the orbit stable, while the ring's orbit stays stable.
 func TestStabilityReportNeedsTrivialMultiplier(t *testing.T) {
 	grid := make([]float64, 1025)

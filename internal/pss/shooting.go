@@ -119,237 +119,28 @@ func ShootAutonomous(sys *circuit.System, x0 linalg.Vec, opt Options) (*Solution
 }
 
 // ShootAutonomousCtx is ShootAutonomous with cancellation: the settle and
-// shooting transients check ctx between integration steps.
+// shooting transients check ctx between integration steps. The circuit is
+// shot as a one-lane batch (ShootAutonomousBatch), so a single circuit's
+// solve is bit for bit its lane's in any batch.
 func ShootAutonomousCtx(ctx context.Context, sys *circuit.System, x0 linalg.Vec, opt Options) (*Solution, error) {
-	if opt.GuessT <= 0 {
-		return nil, errors.New("pss: Options.GuessT must be a positive period guess")
+	b, err := circuit.NewBatch([]*circuit.System{sys})
+	if err != nil {
+		return nil, err
 	}
-	if opt.StepsPerPeriod == 0 {
-		opt.StepsPerPeriod = 512
-	}
-	if opt.MaxIter == 0 {
-		opt.MaxIter = 30
-	}
-	if opt.Tol == 0 {
-		opt.Tol = 1e-7
-	}
-	if opt.SettleCycles == 0 {
-		opt.SettleCycles = defaultSettleCycles
-	}
-	n := sys.N
 	defer diag.SpanFrom(ctx, "pss.shoot").End()
-	dm := diag.FromContext(ctx)
-	dm.Inc(diag.NewtonSolves)
-
-	// One transient scratch serves the settle run, every shooting iteration,
-	// and the final grid pass — the monodromy propagation inside each run is
-	// where a cold shooting solve used to spend most of its allocations.
-	tsc := transient.NewScratch(sys)
-
-	// Settle onto the limit cycle, refine the period guess from the
-	// trajectory's recurrence, and start at the phase origin.
-	T := opt.GuessT
-	x := x0.Clone()
-	level := phaseLevel(sys)
-	if opt.SettleCycles > 0 {
-		sp := diag.SpanFrom(ctx, "pss.settle")
-		var err error
-		T, err = settle(ctx, tsc, x, T, level, opt)
-		sp.End()
-		if err != nil {
-			return nil, err
-		}
-	}
-	ws := sys.NewWorkspace()
-	ws.SetMetrics(dm)
-
-	// Bordered Newton system, rebuilt in pinned buffers each iteration:
-	//   [ M − I   ẋ(T) ] [Δx]   [ −r ]
-	//   [ e_0ᵀ      0  ] [ΔT] = [  0 ]
-	// Every entry written below is rewritten each iteration; the untouched
-	// remainder of the border row stays zero from allocation.
-	big := linalg.NewMat(n+1, n+1)
-	rhs := linalg.NewVec(n + 1)
-	dz := linalg.NewVec(n + 1)
-	r := linalg.NewVec(n)
-	fT := linalg.NewVec(n)
-	var lu linalg.LU
-
-	var lastRes float64
-	for iter := 0; iter < opt.MaxIter; iter++ {
-		run, err := tsc.Run(ctx, x, 0, T, transient.Options{
-			Method:      opt.Method,
-			Step:        T / float64(opt.StepsPerPeriod),
-			Sensitivity: true,
-			Backend:     opt.Backend,
-		})
-		if err != nil {
-			return nil, fmt.Errorf("pss: shooting transient failed: %w", err)
-		}
-		xT := run.Final()
-		mono := run.Sens
-		r.Sub(xT, x)
-		lastRes = r.NormInf()
-		if lastRes <= opt.Tol {
-			return buildSolution(ctx, tsc, sys, x, T, true, opt, iter)
-		}
-		dm.Inc(diag.NewtonIterations)
-		for i := 0; i < n; i++ {
-			for j := 0; j < n; j++ {
-				big.Set(i, j, mono.At(i, j))
-			}
-			big.Addf(i, i, -1)
-		}
-		ws.XDotInto(fT, xT, T)
-		for i := 0; i < n; i++ {
-			big.Set(i, n, fT[i])
-		}
-		big.Set(n, 0, 1)
-		for i := 0; i < n; i++ {
-			rhs[i] = -r[i]
-		}
-		rhs[n] = level - x[0]
-		err = lu.FactorizeInto(big)
-		dm.Inc(diag.LUFactorizations)
-		if lu.ReusedBuffers() {
-			dm.Inc(diag.LUFactorizationsReused)
-		}
-		if err != nil {
-			return nil, fmt.Errorf("pss: singular bordered Jacobian: %w", err)
-		}
-		lu.SolveInto(dz, rhs)
-		dm.Inc(diag.LUSolves)
-		// Damping: limit the period update to ±20% per iteration.
-		if dT := dz[n]; math.Abs(dT) > 0.2*T {
-			dz.Scale(0.2 * T / math.Abs(dT))
-		}
-		for i := 0; i < n; i++ {
-			x[i] += dz[i]
-		}
-		T += dz[n]
-		if T <= 0 {
-			return nil, errors.New("pss: period iterate became non-positive")
-		}
-	}
-	return nil, fmt.Errorf("pss: shooting did not converge (residual %.3g V after %d iterations): %w", lastRes, opt.MaxIter, solver.ErrNoConvergence)
-}
-
-// ShootDriven finds the periodic steady state of a circuit driven at a known
-// period T (no phase condition; the source defines time zero).
-//
-// Like ShootAutonomous, it is safe to call concurrently on a shared System.
-func ShootDriven(sys *circuit.System, x0 linalg.Vec, T float64, opt Options) (*Solution, error) {
-	return ShootDrivenCtx(context.Background(), sys, x0, T, opt)
-}
-
-// ShootDrivenCtx is ShootDriven with cancellation.
-func ShootDrivenCtx(ctx context.Context, sys *circuit.System, x0 linalg.Vec, T float64, opt Options) (*Solution, error) {
-	if opt.StepsPerPeriod == 0 {
-		opt.StepsPerPeriod = 512
-	}
-	if opt.MaxIter == 0 {
-		opt.MaxIter = 30
-	}
-	if opt.Tol == 0 {
-		opt.Tol = 1e-7
-	}
-	n := sys.N
-	defer diag.SpanFrom(ctx, "pss.shoot").End()
-	dm := diag.FromContext(ctx)
-	dm.Inc(diag.NewtonSolves)
-	tsc := transient.NewScratch(sys)
-	x := x0.Clone()
-	r := linalg.NewVec(n)
-	dx := linalg.NewVec(n)
-	jac := linalg.NewMat(n, n)
-	var lu linalg.LU
-	var lastRes float64
-	for iter := 0; iter < opt.MaxIter; iter++ {
-		run, err := tsc.Run(ctx, x, 0, T, transient.Options{
-			Method:      opt.Method,
-			Step:        T / float64(opt.StepsPerPeriod),
-			Sensitivity: true,
-			Backend:     opt.Backend,
-		})
-		if err != nil {
-			return nil, fmt.Errorf("pss: driven shooting transient failed: %w", err)
-		}
-		xT := run.Final()
-		r.Sub(xT, x)
-		lastRes = r.NormInf()
-		if lastRes <= opt.Tol {
-			return buildSolution(ctx, tsc, sys, x, T, false, opt, iter)
-		}
-		dm.Inc(diag.NewtonIterations)
-		jac.CopyFrom(run.Sens)
-		for i := 0; i < n; i++ {
-			jac.Addf(i, i, -1)
-		}
-		err = lu.FactorizeInto(jac)
-		dm.Inc(diag.LUFactorizations)
-		if lu.ReusedBuffers() {
-			dm.Inc(diag.LUFactorizationsReused)
-		}
-		if err != nil {
-			return nil, fmt.Errorf("pss: singular shooting Jacobian (is the circuit autonomous?): %w", err)
-		}
-		lu.SolveInto(dx, r)
-		dm.Inc(diag.LUSolves)
-		for i := 0; i < n; i++ {
-			x[i] -= dx[i]
-		}
-	}
-	return nil, fmt.Errorf("pss: driven shooting did not converge (residual %.3g V): %w", lastRes, solver.ErrNoConvergence)
-}
-
-// buildSolution integrates one final period on the converged orbit, records
-// the uniform grid, and computes Floquet multipliers; an autonomous orbit
-// must move and keep a multiplier near 1. The grid run goes through the
-// caller's transient scratch; the returned Solution retains only per-run
-// storage (run.X's arena and run.Sens belong to that run alone).
-func buildSolution(ctx context.Context, tsc *transient.Scratch, sys *circuit.System, x0 linalg.Vec, T float64, autonomous bool, opt Options, iters int) (*Solution, error) {
-	defer diag.SpanFrom(ctx, "pss.grid").End()
-	k := opt.StepsPerPeriod
-	run, err := tsc.Run(ctx, x0, 0, T, transient.Options{
-		Method:      opt.Method,
-		Step:        T / float64(k),
-		Sensitivity: true,
-		Backend:     opt.Backend,
+	sols, errs, err := ShootAutonomousBatch(ctx, b, x0, BatchShootOptions{
+		GuessT:         []float64{opt.GuessT},
+		StepsPerPeriod: opt.StepsPerPeriod,
+		MaxIter:        opt.MaxIter,
+		Tol:            opt.Tol,
+		Method:         opt.Method,
+		Backend:        opt.Backend,
+		SettleCycles:   opt.SettleCycles,
 	})
 	if err != nil {
 		return nil, err
 	}
-	if len(run.X) != k+1 {
-		return nil, fmt.Errorf("pss: expected %d grid points, got %d", k+1, len(run.X))
-	}
-	if autonomous {
-		if err := checkOrbitSwing(run.X, opt.Tol); err != nil {
-			return nil, err
-		}
-	}
-	grid := make([]float64, k+1)
-	for i := range grid {
-		grid[i] = T * float64(i) / float64(k)
-	}
-	mult, err := linalg.Eigenvalues(run.Sens)
-	if err != nil {
-		mult = nil // uncomputable multipliers are advisory; don't fail the PSS
-	}
-	if autonomous {
-		if err := checkTrivialMultiplier(mult, k); err != nil {
-			return nil, err
-		}
-	}
-	resid := linalg.NewVec(sys.N)
-	resid.Sub(run.Final(), x0)
-	return &Solution{
-		T0: T, F0: 1 / T, X0: x0.Clone(),
-		Grid: grid, States: run.X,
-		Monodromy:   run.Sens,
-		Multipliers: mult,
-		Residual:    resid.NormInf(),
-		Iterations:  iters,
-	}, nil
+	return sols[0], errs[0]
 }
 
 // fixedPointSwing is the multiple of the periodicity tolerance a node must
@@ -369,8 +160,8 @@ var ErrFixedPoint = fmt.Errorf("pss: converged orbit is a fixed point: %w", solv
 // handed and would report a frequency it never measured; and a settle still
 // relaxing toward one moves each node one way only, however far, so a
 // short settle classifies as a long one does. On a converged orbit each
-// node rises and falls by its peak-to-peak swing. Shared by the scalar and
-// batched solves and the phase search; it allocates nothing when the
+// node rises and falls by its peak-to-peak swing. Shared by the converged
+// orbit's check and the phase search; it allocates nothing when the
 // trajectory passes.
 func checkOrbitSwing(states []linalg.Vec, tol float64) error {
 	swing := 0.0
@@ -390,41 +181,6 @@ func checkOrbitSwing(states []linalg.Vec, tol float64) error {
 	return nil
 }
 
-// settle runs the scalar solve's settle from x (overwritten with the start
-// state) and returns the refined period: SettleCycles−1 free-running cycles at
-// the settle resolution, then the recorded search run, stepped at the period
-// the first cycles' recurrence estimates, that phaseStart scans for the phase
-// origin. The period refines from node 0's recurrence over the whole settle.
-func settle(ctx context.Context, tsc *transient.Scratch, x linalg.Vec, T, level float64, opt Options) (float64, error) {
-	sspp := settleSteps(opt.StepsPerPeriod)
-	guess, h := T, T/float64(sspp)
-	var ts, v []float64
-	if c := opt.SettleCycles - 1; c > 0 {
-		res, err := tsc.Run(ctx, x, 0, float64(c)*T, transient.Options{
-			Method: transient.Trap, Step: h, Backend: opt.Backend,
-		})
-		if err != nil {
-			return 0, fmt.Errorf("pss: settle transient failed: %w", err)
-		}
-		x.CopyFrom(res.Final())
-		ts, v = res.T, res.Node(0)
-		if Tref, err := estimatePeriodFromSeries(ts, v, guess); err == nil {
-			h = Tref / float64(sspp)
-		}
-	}
-	t := 0.0
-	if len(ts) > 0 {
-		t = ts[len(ts)-1]
-	}
-	res, err := tsc.Run(ctx, x, t, t+float64(searchSteps(sspp))*h, transient.Options{
-		Method: transient.Trap, Step: h, Backend: opt.Backend,
-	})
-	if err != nil {
-		return 0, fmt.Errorf("pss: settle transient failed: %w", err)
-	}
-	return settlePeriod(ts, v, res.T, res.Node(0), guess), phaseStart(x, res.X, level, opt.Tol)
-}
-
 // settlePeriod refines the period guess from node 0's recurrence over a whole
 // settle: the first cycles' series (ts1, v1; empty when there were none)
 // followed by the search run's, whose first point repeats their last.
@@ -442,8 +198,7 @@ func settlePeriod(ts1, v1, ts2, v2 []float64, guess float64) float64 {
 
 // estimatePeriodFromSeries refines a period guess by measuring the spacing of
 // rising crossings of node 0 (samples v at times ts) through its midpoint over
-// the trailing half of a settle run. The scalar settle reads the series from
-// its transient.Result, the batched one from its per-lane node recording.
+// the trailing half of a settle run, read from the lane's node recording.
 func estimatePeriodFromSeries(ts, v []float64, guess float64) (float64, error) {
 	if len(v) == 0 || len(ts) != len(v) {
 		return 0, errors.New("pss: no recurrence found")

@@ -5,9 +5,6 @@ import (
 	"math/cmplx"
 	"testing"
 
-	"repro/internal/circuit"
-	"repro/internal/device"
-	"repro/internal/linalg"
 	"repro/internal/pss"
 	"repro/internal/ringosc"
 )
@@ -118,45 +115,6 @@ func TestStateAtWrapsPeriod(t *testing.T) {
 	for i := range a {
 		if math.Abs(a[i]-b[i]) > 1e-12 || math.Abs(a[i]-c[i]) > 1e-12 {
 			t.Fatal("StateAt must be T0-periodic")
-		}
-	}
-}
-
-func TestShootDrivenRC(t *testing.T) {
-	// Driven linear RC has a unique PSS; shooting must match the analytic
-	// phasor solution.
-	c := circuit.New()
-	c.ParasiticCap = 0
-	n1 := c.Node("n1")
-	f := 1e3
-	c.Add(
-		&device.Resistor{Name: "r", A: n1, B: circuit.Ground, R: 1e3},
-		&device.Capacitor{Name: "c", A: n1, B: circuit.Ground, C: 1e-7},
-		&device.SineCurrent{Name: "i", From: circuit.Ground, To: n1, Amp: 1e-3, Freq: f},
-	)
-	sys, err := c.Assemble()
-	if err != nil {
-		t.Fatal(err)
-	}
-	sol, err := pss.ShootDriven(sys, linalg.Vec{0}, 1/f, pss.Options{StepsPerPeriod: 1024})
-	if err != nil {
-		t.Fatal(err)
-	}
-	w := 2 * math.Pi * f
-	wantAmp := 1e-3 / math.Hypot(1e-3, w*1e-7)
-	min, max := math.Inf(1), math.Inf(-1)
-	for _, x := range sol.States {
-		min = math.Min(min, x[0])
-		max = math.Max(max, x[0])
-	}
-	amp := (max - min) / 2
-	if math.Abs(amp-wantAmp) > 2e-3*wantAmp {
-		t.Errorf("driven PSS amplitude %g, want %g", amp, wantAmp)
-	}
-	// Driven stability: all multipliers inside the unit circle.
-	for _, m := range sol.Multipliers {
-		if cmplx.Abs(m) >= 1 {
-			t.Errorf("driven multiplier %v outside unit circle", m)
 		}
 	}
 }

@@ -2,7 +2,6 @@ package transient_test
 
 import (
 	"context"
-	"errors"
 	"math"
 	"testing"
 
@@ -43,11 +42,12 @@ func kickedStart(k, n int) []float64 {
 	return x
 }
 
-// TestRunBatchMatchesScalar pins the batched θ-stepper to the scalar path:
-// every lane integrated in lockstep (per-lane step sizes) must agree with a
-// scalar transient.Run of the same corner to tight tolerance, including the
-// propagated monodromy. Step sizes and counts are chosen so the scalar
-// accumulated time hits t1 exactly (no clamped final step).
+// TestRunBatchMatchesScalar pins the batched stepper to the scalar path:
+// every lane integrated in lockstep (per-lane step sizes) — BE, Trap, and
+// Gear2 against runGear2 — must agree with a scalar transient.Run of the
+// same corner to tight tolerance, including the propagated monodromy. Step
+// sizes and counts are chosen so the scalar accumulated time hits t1
+// exactly (no clamped final step).
 func TestRunBatchMatchesScalar(t *testing.T) {
 	const K = 4
 	const steps = 96
@@ -63,7 +63,7 @@ func TestRunBatchMatchesScalar(t *testing.T) {
 		// (8+k)·2⁻³³ s: per-lane steps whose partial sums are exact in FP.
 		h[k] = float64(8+k) * math.Ldexp(1, -33)
 	}
-	for _, method := range []transient.Method{transient.BE, transient.Trap} {
+	for _, method := range []transient.Method{transient.BE, transient.Trap, transient.Gear2} {
 		res, err := transient.RunBatch(context.Background(), b, x0, transient.BatchOptions{
 			Method: method, Steps: steps, H: h, Sensitivity: true,
 		})
@@ -163,17 +163,17 @@ func TestRunBatchOptionValidation(t *testing.T) {
 	}
 	x0 := make([]float64, 2*b.N)
 	ctx := context.Background()
-	if _, err := transient.RunBatch(ctx, b, x0, transient.BatchOptions{Method: transient.Gear2, Steps: 1, H: []float64{1e-9, 1e-9}}); !errors.Is(err, transient.ErrUnsupported) {
-		t.Fatalf("Gear2 batch: got %v, want ErrUnsupported", err)
-	}
 	if _, err := transient.RunBatch(ctx, b, x0, transient.BatchOptions{Steps: 0, H: []float64{1e-9, 1e-9}}); err == nil {
 		t.Fatal("zero Steps accepted")
 	}
 	if _, err := transient.RunBatch(ctx, b, x0, transient.BatchOptions{Steps: 1, H: []float64{1e-9}}); err == nil {
 		t.Fatal("short H accepted")
 	}
-	if _, err := transient.RunBatch(ctx, b, x0, transient.BatchOptions{Steps: 1, H: []float64{1e-9, -1}}); err == nil {
-		t.Fatal("negative H accepted")
+	for _, h := range []float64{-1, 0, math.NaN(), math.Inf(1), math.Inf(-1)} {
+		res, err := transient.RunBatch(ctx, b, x0, transient.BatchOptions{Steps: 1, H: []float64{1e-9, h}})
+		if err == nil || res != nil {
+			t.Fatalf("H[1] = %g accepted: (%v, %v)", h, res, err)
+		}
 	}
 	if _, err := transient.RunBatch(ctx, b, x0[:3], transient.BatchOptions{Steps: 1, H: []float64{1e-9, 1e-9}}); err == nil {
 		t.Fatal("short x0 accepted")

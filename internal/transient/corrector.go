@@ -95,6 +95,14 @@ func newCorrector(sys *circuit.System, c, scaled, d []float64, gear bool) correc
 	return corrector{cs: sys.CNonzeros(), d: d, c: c, scaled: scaled, gear: gear}
 }
 
+// setGear switches the scaling between the θ-method's and Gear2's, as a
+// Gear2 lane does after its BE first step.
+func (co *corrector) setGear(gear bool) {
+	if co.gear != gear {
+		co.gear, co.h = gear, 0
+	}
+}
+
 // scaledC returns C scaled for step h: c/h for the θ-method, 3·c/(2h) for
 // Gear2.
 func (co *corrector) scaledC(h float64) []float64 {

@@ -104,3 +104,25 @@ func TestBatchLaneRejectsNonFiniteIterate(t *testing.T) {
 		t.Fatalf("final lane states %v are not finite", res.X)
 	}
 }
+
+// TestRunRejectsMalformedInput: a NaN or ±Inf step and a start state of the
+// wrong length are refused before integrating, by every method. A NaN or
+// +Inf step used to return a one-point trajectory and no error, and a short
+// start state panicked.
+func TestRunRejectsMalformedInput(t *testing.T) {
+	sys := nanAfterSystem(t, false)
+	for _, m := range []transient.Method{transient.BE, transient.Trap, transient.Gear2} {
+		for _, step := range []float64{math.NaN(), math.Inf(1), math.Inf(-1), 0} {
+			res, err := transient.Run(sys, linalg.Vec{0}, 0, 1e-3, transient.Options{Method: m, Step: step})
+			if err == nil || res != nil {
+				t.Errorf("%v step %g: (%v, %v), want an error and no result", m, step, res, err)
+			}
+		}
+		for _, x0 := range []linalg.Vec{{}, {0, 0}} {
+			res, err := transient.Run(sys, x0, 0, 1e-3, transient.Options{Method: m, Step: 1e-5})
+			if err == nil || res != nil {
+				t.Errorf("%v x0 of length %d: (%v, %v), want an error and no result", m, len(x0), res, err)
+			}
+		}
+	}
+}

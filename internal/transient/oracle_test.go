@@ -696,7 +696,10 @@ func refGear(sys *circuit.System, bk linalg.Backend, x1 linalg.Vec, t1, h float6
 // every lane with the shared predictor, the reference corrector taking the
 // policy's decisions from the previous step's carried factorization, and
 // the reference sensitivity assembly: every recorded state and each lane's
-// final monodromy match bit for bit.
+// final monodromy match bit for bit. A Gear2 lane replays runGear2's
+// sequence: a BE first step from the lane's state, then BDF2 steps from the
+// line through the two states before, the first of them without a carried
+// factorization.
 func TestBatchLaneBitIdenticalToReference(t *testing.T) {
 	const K, steps = 4, 200
 	systems := cornerRings(t, K)
@@ -711,9 +714,9 @@ func TestBatchLaneBitIdenticalToReference(t *testing.T) {
 		h[k] = (1 + 0.1*float64(k)) * 2e-7 // a few hundred steps per period
 	}
 	for _, bk := range oracleBackends {
-		for _, m := range []transient.Method{transient.BE, transient.Trap} {
+		for _, m := range []transient.Method{transient.BE, transient.Trap, transient.Gear2} {
 			th := 0.5
-			if m == transient.BE {
+			if m != transient.Trap {
 				th = 1
 			}
 			res, err := transient.RunBatch(context.Background(), b, x0, transient.BatchOptions{
@@ -730,16 +733,35 @@ func TestBatchLaneBitIdenticalToReference(t *testing.T) {
 				ref := newRef(sys, bk, true)
 				x := linalg.Vec(x0[k*n : (k+1)*n]).Clone()
 				prev, prev2, pred, sens := x.Clone(), x.Clone(), linalg.NewVec(n), linalg.Eye(n)
+				var sensPrev *linalg.Mat
 				var carry refSolver
 				tt := 0.0
 				for s := 0; s < steps; s++ {
-					fixedPredict(pred, x, prev, prev2, s, h[k])
-					want, _, err := ref.theta(x, pred, tt, tt+h[k], h[k], th, opt, carry)
+					var want linalg.Vec
+					if m == transient.Gear2 && s > 0 {
+						want, _, err = ref.gear(prev, x, tt+h[k], h[k], opt, carry)
+					} else {
+						if m == transient.Gear2 {
+							pred.CopyFrom(x)
+						} else {
+							fixedPredict(pred, x, prev, prev2, s, h[k])
+						}
+						want, _, err = ref.theta(x, pred, tt, tt+h[k], h[k], th, opt, carry)
+					}
 					if err != nil {
 						t.Fatalf("%v %v lane %d step %d: reference %v", bk, m, k, s, err)
 					}
 					requireSameBits(t, s, res.States[k][s+1], want)
-					sens, carry = refSensStep(sys, b.Pattern(), bk, x, want, tt, tt+h[k], h[k], th, sens)
+					switch {
+					case m == transient.Gear2 && s > 0:
+						sens, sensPrev, carry = refGear(sys, bk, want, tt+h[k], h[k], sens, sensPrev)
+					case m == transient.Gear2:
+						// The BE step's factorization is not BDF2's iteration matrix.
+						sensPrev = sens
+						sens, _ = refSensStep(sys, b.Pattern(), bk, x, want, tt, tt+h[k], h[k], th, sens)
+					default:
+						sens, carry = refSensStep(sys, b.Pattern(), bk, x, want, tt, tt+h[k], h[k], th, sens)
+					}
 					prev2.CopyFrom(prev)
 					prev.CopyFrom(x)
 					x.CopyFrom(want)

@@ -160,9 +160,9 @@ func TestPerWorkerScratchesAreIndependent(t *testing.T) {
 // step), the factors of that one factorization (n² dense, nnz + fill-in
 // sparse) and its sensitivity scratch (the θ-method's Jacobian at the
 // accepted point, its propagator's right-hand matrix and an n×n product, or
-// BDF2's two n×n products); and a batch's lane-major state, its lanes'
-// shared values, one factorization per lane and scaled C, and its shared
-// sensitivity scratch. A scratch reports each byte once, so a second run
+// BDF2's two n×n products); and a batch's lane-major state, the state of a
+// step retaken in halves, its lanes' shared values, one factorization per
+// lane and scaled C, and its shared sensitivity scratch. A scratch reports each byte once, so a second run
 // through it adds nothing.
 func TestScratchBytesPinnedFromBuffers(t *testing.T) {
 	arr, x0 := buildCoupled(t)
@@ -208,7 +208,7 @@ func TestScratchBytesPinnedFromBuffers(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	state := 6*K*n + 2*K + 2*K*nnz + 2*n // x, x1, prev, prev2, f0, fcache; tl, tl1; jcache, scaled C; resid, dxv
+	state := 6*K*n + 2*K + 2*K*nnz + 5*n // x, x1, prev, prev2, f0, fcache; tl, tl1; jcache, scaled C; resid, dxv, and the halving's sx, sp, spp
 	lanes := n*n + K*n*n                 // shared values; one factorization per lane
 	if got, want := m.Get(diag.ScratchBytesPinned), 8*(state+lanes+2*n*n); got != want {
 		t.Errorf("batch: %d bytes pinned, want %d", got, want)

@@ -220,8 +220,11 @@ func RunCtx(ctx context.Context, sys *circuit.System, x0 linalg.Vec, t0, t1 floa
 
 // Run is RunCtx executing inside sc's reusable buffers.
 func (sc *Scratch) Run(ctx context.Context, x0 linalg.Vec, t0, t1 float64, opt Options) (*Result, error) {
-	if opt.Step <= 0 {
-		return nil, errors.New("transient: Options.Step must be positive")
+	if !(opt.Step > 0) || math.IsInf(opt.Step, 1) {
+		return nil, fmt.Errorf("transient: Options.Step = %g must be positive and finite", opt.Step)
+	}
+	if len(x0) != sc.sys.N {
+		return nil, fmt.Errorf("transient: x0 has length %d, want %d", len(x0), sc.sys.N)
 	}
 	if opt.Method == Gear2 {
 		if opt.Adaptive {

@@ -22,8 +22,8 @@ import (
 // period guesses scaled by the analytic estimate's frequency ratio. Process
 // spreads of a few percent leave the corner orbits close to nominal, so a
 // short settle (batchSettleCycles) suffices and the whole batch shares every
-// structure-of-arrays device evaluation. The per-corner PPV/GAE stages stay
-// scalar: they are a small fraction of the pipeline cost.
+// structure-of-arrays device evaluation, through the batched PPV extraction
+// too; the corners' GAE locking bands fan out in one call.
 
 // CornerResult carries the full per-corner model chain for analyses that
 // need more than scalar metrics — e.g. the noise BER/yield study, which
@@ -52,34 +52,19 @@ type nominalOrbit struct {
 	sol  *pss.Solution
 }
 
-// resolveNominal solves (or memoizes, with an engine) the nominal PSS orbit.
-// Without an engine the nominal is solved through the batched shooting path
-// as a one-lane batch, whose merged grid pass saves the scalar solve's
-// re-run of the converged period; the orbit is only a warm-start seed for
-// the corner lanes. Structural failures fall back to the scalar solve.
+// resolveNominal solves (or memoizes, with an engine) the nominal PSS orbit,
+// the warm-start seed for the corner lanes.
 func resolveNominal(ctx context.Context, eng *engine.Engine, nominal ringosc.Config) (nominalOrbit, error) {
+	var r *ringosc.Ring
+	var sol *pss.Solution
+	var err error
 	if eng != nil {
-		r, sol, err := eng.RingPSS(ctx, nominal)
-		if err != nil {
-			return nominalOrbit{}, fmt.Errorf("variation: nominal PSS: %w", err)
-		}
-		return nominalOrbit{ring: r, sol: sol}, nil
-	}
-	r, err := ringosc.Build(nominal)
-	if err != nil {
-		return nominalOrbit{}, err
-	}
-	if b, berr := circuit.NewBatch([]*circuit.System{r.Sys}); berr == nil {
-		sols, laneErrs, serr := pss.ShootAutonomousBatch(ctx, b, r.KickStart(), pss.BatchShootOptions{
-			GuessT: []float64{1 / r.EstimatedF0()}, StepsPerPeriod: 512,
+		r, sol, err = eng.RingPSS(ctx, nominal)
+	} else if r, err = ringosc.Build(nominal); err == nil {
+		sol, err = pss.ShootAutonomousCtx(ctx, r.Sys, r.KickStart(), pss.Options{
+			GuessT: 1 / r.EstimatedF0(), StepsPerPeriod: 512,
 		})
-		if serr == nil && laneErrs[0] == nil {
-			return nominalOrbit{ring: r, sol: sols[0]}, nil
-		}
 	}
-	sol, err := pss.ShootAutonomousCtx(ctx, r.Sys, r.KickStart(), pss.Options{
-		GuessT: 1 / r.EstimatedF0(), StepsPerPeriod: 512,
-	})
 	if err != nil {
 		return nominalOrbit{}, fmt.Errorf("variation: nominal PSS: %w", err)
 	}
@@ -89,8 +74,8 @@ func resolveNominal(ctx context.Context, eng *engine.Engine, nominal ringosc.Con
 // batchEvalCorners evaluates one batch of corner configs through the
 // warm-started batched shooting path. Lanes the batched Newton cannot crack
 // — and structural failures like a batch that will not assemble — fall back
-// to the scalar pipeline, so the batched path is exactly as robust as
-// calling EvaluateEng per corner.
+// to a cold solve of the corner alone (EvaluateEng), so the batched path is
+// exactly as robust as calling EvaluateEng per corner.
 func batchEvalCorners(ctx context.Context, eng *engine.Engine, nom nominalOrbit, cfgs []ringosc.Config) ([]CornerResult, error) {
 	K := len(cfgs)
 	out := make([]CornerResult, K)
@@ -127,7 +112,7 @@ func batchEvalCorners(ctx context.Context, eng *engine.Engine, nom nominalOrbit,
 		}
 	} else {
 		// The corners do not share a batchable topology (e.g. heterogeneous
-		// configs): every lane goes through the scalar fallback below.
+		// configs): every lane goes through the per-corner fallback below.
 		for k := range laneErrs {
 			laneErrs[k] = err
 		}
@@ -189,7 +174,7 @@ func batchEvalCorners(ctx context.Context, eng *engine.Engine, nom nominalOrbit,
 // warm-started pipeline, seeded from the nominal configuration's orbit. All
 // cfgs must share the nominal topology (same ring structure, different
 // parameters) to batch; corners that cannot batch or converge fall back to
-// the scalar pipeline transparently. A nil engine computes the nominal
+// a cold solve of the corner alone. A nil engine computes the nominal
 // directly.
 func EvaluateBatchEng(ctx context.Context, eng *engine.Engine, nominal ringosc.Config, cfgs []ringosc.Config) ([]CornerResult, error) {
 	nom, err := resolveNominal(ctx, eng, nominal)
