@@ -100,8 +100,14 @@ bench-overhead:
 # EffPhaseMacroFSM pins the scratch-pinned phase-macromodel integrator
 # (Result arrays only — 13 allocs/op, down from 9,652). AdderEvalFJ and
 # AdderIterationLU pin the SPICE-level Newton iteration's two unit costs
-# (circuit evaluation, dense LU factor+solve) at 0 allocs/op; each op is
-# 1,000 calls, so a single-op run times milliseconds, not one cold call.
+# (circuit evaluation, and factor+solve on the backend Auto resolves for
+# the adder, sparse LU) at 0 allocs/op; each op is 1,000 calls, so a
+# single-op run times milliseconds, not one cold call. Every benchmark here
+# runs one untimed warm-up op first, so the pinned allocation and work
+# counts do not depend on which benchmarks ran before it, and the gate runs
+# at -cpu 1: on more Ps a goroutine that moves between them misses
+# sync.Pool caches (fmt's printers), and the Fig rows read a few allocs more
+# or less from run to run.
 # EngineRingPPVCold pins the engine's cold PSS→PPV extraction, which runs
 # as a one-lane batch (~590 allocs/op, down from ~8,000 on the scalar path).
 # AdderEvalF (the chord iteration's f-only evaluation at its step's time)
@@ -110,20 +116,23 @@ bench-overhead:
 # reports (EffSpiceTransientFSM's newton_iters/op, lu_factorizations/op,
 # jac_evals/op and circuit_evals/op) are gated exactly: any change fails.
 bench-alloc:
-	$(GO) test -run '^$$' -bench '^Benchmark(EffSpiceTransientFSM|EffPhaseMacroFSM|Fig19FlipFlop|Fig20AdderStates|ShootAutonomousRing|AdderEvalFJ|AdderEvalF|AdderEvalFJBatch|AdderIterationLU|EngineRingPPVCold)$$' -benchtime 1x -count 2 -benchmem . \
+	$(GO) test -run '^$$' -bench '^Benchmark(EffSpiceTransientFSM|EffPhaseMacroFSM|Fig19FlipFlop|Fig20AdderStates|ShootAutonomousRing|AdderEvalFJ|AdderEvalF|AdderEvalFJBatch|AdderIterationLU|EngineRingPPVCold)$$' -benchtime 1x -count 2 -cpu 1 -benchmem . \
 		| $(GO) run ./cmd/phlogon-benchdiff compare -baseline BENCH_baseline.json \
 			-only '^Benchmark(EffSpiceTransientFSM|EffPhaseMacroFSM|Fig19FlipFlop|Fig20AdderStates|ShootAutonomousRing|AdderEvalFJ|AdderEvalF|AdderEvalFJBatch|AdderIterationLU|EngineRingPPVCold)$$' \
 			-tol 1.0 -alloc-tol 0.05 -bytes-tol 0.25
 
 # Sparse-backend scaling gate: the coupled-array benchmarks (transient and
-# shooting at 16/64/256 rings, dense vs sparse) against their pinned
+# shooting at 16/64/256 rings, dense vs sparse) and the dense-against-sparse
+# crossover of one iteration-matrix factor+solve (IterationLU, the
+# measurement behind BackendAuto's density rule) against their pinned
 # baselines. Absolute times are machine-bound, so the timing tolerance is
-# wide; the allocation columns are deterministic and gate for real. Re-pin
-# with `make bench-baseline` after intentional backend changes.
+# wide and time is informational; the allocation columns are deterministic
+# (one warm-up op per benchmark, -cpu 1 as in bench-alloc) and gate for
+# real. Re-pin with `make bench-baseline` after intentional backend changes.
 bench-sparse:
-	$(GO) test -run '^$$' -bench '^BenchmarkSparseVsDense' -benchtime 1x . \
+	$(GO) test -run '^$$' -bench '^Benchmark(SparseVsDense|IterationLU)' -benchtime 1x -cpu 1 . \
 		| $(GO) run ./cmd/phlogon-benchdiff compare -baseline BENCH_baseline.json \
-			-only '^BenchmarkSparseVsDense' -tol 1.0 -alloc-tol 0.05 -bytes-tol 0.25
+			-only '^Benchmark(SparseVsDense|IterationLU)' -tol 1.0 -alloc-tol 0.05 -bytes-tol 0.25
 
 # Engine memoization gate: the cold build→PSS→PPV pipeline and the warm
 # cache hit against their pinned baselines. The warm path is the one that

@@ -63,7 +63,7 @@ func NewBatch(systems []*System) (*Batch, error) {
 		}
 	}
 	pat := s0.SparsePattern()
-	b := &Batch{K: len(systems), N: s0.N, Systems: systems, pat: pat, plan: s0.sparse}
+	b := &Batch{K: len(systems), N: s0.N, Systems: systems, pat: pat, plan: s0.sparsePlan()}
 	if b.K > 1 {
 		var err error
 		if b.plan, err = newPlan(systems, pat); err != nil {

@@ -293,14 +293,15 @@ type System struct {
 	self  [1]*System
 	dense *plan
 
-	// Sparse-backend artifacts, computed once on first use (sync.Once keeps
-	// the System immutable-in-effect and race-free): the structural Jacobian
-	// pattern (union of the positions the kernels resolve, C, and the
-	// diagonal), C's values on that pattern, and the one-lane plan on it.
-	// Small circuits that never leave the dense backend never pay for any
-	// of this.
-	sparseOnce    sync.Once
+	// Sparse-backend artifacts, each computed once on first use (sync.Once
+	// keeps the System immutable-in-effect and race-free): the structural
+	// Jacobian pattern (union of the positions the kernels resolve, C, and
+	// the diagonal), which the Auto backend reads its density from; then,
+	// for a system that runs sparse, C's values on that pattern and the
+	// one-lane plan on it.
+	patternOnce   sync.Once
 	sparsePattern *sparse.Pattern
+	sparseOnce    sync.Once
 	sparseC       *sparse.CSC
 	sparse        *plan
 }

@@ -5,15 +5,15 @@ import (
 	"repro/internal/linalg/sparse"
 )
 
-// buildSparse computes the shared sparse artifacts: the structural pattern
-// of the circuit Jacobian df/dx — the positions the dense plan's kernels
-// resolved, which include the Gmin diagonal — UNIONED with the capacitance
-// pattern, then C's values on that pattern and the one-lane plan on it. One
-// pattern serves every sparse consumer — DC Newton (J + gmin diagonal), the
+// buildPattern computes the structural pattern of the circuit Jacobian
+// df/dx — the positions the dense plan's kernels resolved, which include
+// the Gmin diagonal — UNIONED with the capacitance pattern. One pattern
+// serves every sparse consumer — DC Newton (J + gmin diagonal), the
 // transient iteration matrix C/h + θ·J (needs pattern(C) ∪ pattern(J)), and
 // the sensitivity systems — so value arrays combine entrywise with no
-// index translation.
-func (s *System) buildSparse() {
+// index translation, and every sparse LU on it shares one symbolic
+// analysis.
+func (s *System) buildPattern() {
 	n, cp := s.N, s.cNZ.P
 	size := cp.NNZ()
 	for _, sl := range s.dense.lay.slabs {
@@ -33,15 +33,20 @@ func (s *System) buildSparse() {
 		}
 	}
 	s.sparsePattern = sparse.PatternFromEntries(n, rows, cols)
-	// C on the union pattern (zero where C has no entry).
-	s.sparseC = sparse.NewCSC(s.sparsePattern)
+}
+
+// buildSparse computes C's values on SparsePattern and the one-lane plan
+// on it.
+func (s *System) buildSparse() {
+	pat, n := s.SparsePattern(), s.N
+	s.sparseC = sparse.NewCSC(pat) // zero where C has no entry
 	for j := 0; j < n; j++ {
-		for k := s.sparsePattern.ColPtr[j]; k < s.sparsePattern.ColPtr[j+1]; k++ {
-			s.sparseC.Val[k] = s.C.At(s.sparsePattern.Rows[k], j)
+		for k := pat.ColPtr[j]; k < pat.ColPtr[j+1]; k++ {
+			s.sparseC.Val[k] = s.C.At(pat.Rows[k], j)
 		}
 	}
 	var err error
-	if s.sparse, err = newPlan(s.self[:], s.sparsePattern); err != nil {
+	if s.sparse, err = newPlan(s.self[:], pat); err != nil {
 		panic(err) // the dense plan of these devices built, and the pattern holds its slots
 	}
 }
@@ -51,7 +56,7 @@ func (s *System) buildSparse() {
 // System and shared read-only by every sparse workspace, stepper and solver
 // scratch.
 func (s *System) SparsePattern() *sparse.Pattern {
-	s.sparseOnce.Do(s.buildSparse)
+	s.patternOnce.Do(s.buildPattern)
 	return s.sparsePattern
 }
 
@@ -70,14 +75,12 @@ func (s *System) sparsePlan() *plan {
 }
 
 // ResolveBackend maps a (possibly Auto) backend request to dense or sparse
-// for this system. Auto never computes the sparsity pattern below the node
-// threshold, keeping small-circuit paths untouched.
+// for this system, Auto by the density of SparsePattern (see
+// linalg.Backend.Resolve). A system that resolves dense computes the
+// pattern only, not the sparse C or plan.
 func (s *System) ResolveBackend(b linalg.Backend) linalg.Backend {
 	if b != linalg.BackendAuto {
 		return b
-	}
-	if s.N < linalg.SparseNodeThreshold {
-		return linalg.BackendDense
 	}
 	return b.Resolve(s.N, s.SparsePattern().NNZ())
 }

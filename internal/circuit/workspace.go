@@ -121,7 +121,7 @@ func (w *Workspace) EvalScaledSparse(x linalg.Vec, t float64, f linalg.Vec, sj *
 		return
 	}
 	p := w.sys.sparsePlan()
-	if sj.P != w.sys.sparsePattern {
+	if sj.P != w.sys.SparsePattern() {
 		panic("circuit: EvalFJSparse values are not on the system's SparsePattern")
 	}
 	f.Zero()

@@ -38,7 +38,8 @@ const (
 	NewtonIterations
 	// NewtonBacktracks counts line-search step halvings.
 	NewtonBacktracks
-	// LUFactorizations counts dense LU factorizations.
+	// LUFactorizations counts numeric LU factorizations on either backend:
+	// dense, a sparse first factorization, and a sparse refactor.
 	LUFactorizations
 	// LUSolves counts triangular solves against a factorization.
 	LUSolves
@@ -71,7 +72,8 @@ const (
 	EngineEvictions
 	// LUFactorizationsReused counts the subset of LUFactorizations that
 	// refactorized into retained buffers (FactorizeInto on a warm scratch)
-	// instead of allocating fresh factor/pivot storage.
+	// instead of allocating fresh factor/pivot storage: a dense
+	// factorization into kept buffers, or a sparse refactor.
 	LUFactorizationsReused
 	// ScratchBytesPinned accumulates the bytes of numeric storage that
 	// solver and transient scratches keep from one run to the next: 8 per
@@ -82,16 +84,18 @@ const (
 	// byte once. Index and pivot arrays, circuit evaluation workspaces and
 	// the results a run returns are not counted.
 	ScratchBytesPinned
-	// SparseFactorizations counts sparse LU factorizations that ran the
-	// symbolic analysis (first factorization per topology/pattern).
+	// SparseFactorizations counts the sparse LU factorizations that sized
+	// a factorization's storage from its pattern's symbolic analysis (its
+	// first on that pattern). With SparseRefactors it splits the sparse
+	// share of LUFactorizations.
 	SparseFactorizations
-	// SparseRefactors counts the subset of sparse factorizations that reused
-	// an existing symbolic factorization (KLU-style numeric refactor — the
-	// hot path).
+	// SparseRefactors counts the sparse LU factorizations that replayed the
+	// numeric phase into the factors a factorization kept (KLU-style
+	// refactor — the hot path).
 	SparseRefactors
 	// SparseFillIns accumulates the fill-in (factor nonzeros beyond the
-	// matrix pattern) reported by symbolic analyses, a direct measure of the
-	// ordering quality.
+	// matrix pattern) of every sparse first factorization, a direct
+	// measure of the ordering quality.
 	SparseFillIns
 	// EngineDiskHits counts artifact computations short-circuited by a
 	// verified read from the engine's disk store (the persistent cache tier).

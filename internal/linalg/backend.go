@@ -2,14 +2,16 @@ package linalg
 
 // Backend selects the linear-algebra implementation an analysis runs its
 // Newton/transient linear solves through. The zero value (BackendAuto) picks
-// per circuit: dense below a node-count threshold — keeping every existing
-// small-circuit path bit-identical — and sparse for the large, intrinsically
-// sparse oscillator-network topologies that dense O(n³) LU cannot reach.
+// per circuit from the density of its Jacobian pattern: dense partial-
+// pivoting LU for the small, nearly full matrices of a lone ring, sparse
+// KLU-style LU wherever the pattern is sparse enough for the sparse
+// factorization to win — the SPICE-level serial adder (14 nodes, density
+// 0.19) and the coupled oscillator arrays alike.
 type Backend int
 
 const (
-	// BackendAuto selects dense or sparse from the system size and Jacobian
-	// density (see Resolve). This is the default.
+	// BackendAuto selects dense or sparse from the Jacobian density (see
+	// Resolve). This is the default.
 	BackendAuto Backend = iota
 	// BackendDense forces the dense LU path (internal/linalg.LU).
 	BackendDense
@@ -30,29 +32,23 @@ func (b Backend) String() string {
 	}
 }
 
-// SparseNodeThreshold is the free-node count at which BackendAuto starts
-// considering the sparse backend. Below it, dense LU factorizes in the
-// cache and the auto path must not even compute a sparsity pattern, so the
-// historical small-circuit benchmarks stay bit-identical and allocation-free.
-const SparseNodeThreshold = 64
-
 // SparseDensityMax is the largest Jacobian density (nnz/n²) for which
-// BackendAuto still selects sparse: beyond it the fill-in of a sparse
-// factorization stops paying for its indexing overhead.
+// BackendAuto selects sparse. Factor + solve of the transient iteration
+// matrix C/h + J/2 (BenchmarkIterationLU) crosses over between density
+// 0.39, where the backends tie (a two-ring array, 6 nodes), and 0.22, where
+// sparse wins (a 9-stage ring); the 3-stage ring (0.67) stays dense and the
+// adder (0.19) runs sparse, 1.9× faster per factor + solve.
 const SparseDensityMax = 0.25
 
 // Resolve maps an Auto backend to a concrete one for a system with n
-// unknowns and nnz structural Jacobian nonzeros. Explicit backends pass
-// through unchanged. Callers resolving Auto for n < SparseNodeThreshold may
-// pass nnz < 0 (pattern not computed): the answer is Dense regardless.
+// unknowns and nnz structural Jacobian nonzeros: sparse when
+// nnz ≤ SparseDensityMax·n², dense otherwise. Explicit backends pass
+// through unchanged.
 func (b Backend) Resolve(n, nnz int) Backend {
 	if b != BackendAuto {
 		return b
 	}
-	if n < SparseNodeThreshold {
-		return BackendDense
-	}
-	if nnz >= 0 && float64(nnz) > SparseDensityMax*float64(n)*float64(n) {
+	if float64(nnz) > SparseDensityMax*float64(n)*float64(n) {
 		return BackendDense
 	}
 	return BackendSparse

@@ -2,8 +2,9 @@
 // the KLU-style LU factorization behind linalg.BackendSparse: the sparsity
 // pattern of a circuit Jacobian is fixed once per topology, values are
 // overwritten in place every Newton iteration, the symbolic factorization
-// (fill-reducing ordering + fill pattern) is computed once and reused
-// forever, and the numeric refactor/solve hot path allocates nothing —
+// (fill-reducing ordering + fill pattern) is computed once per pattern and
+// shared by every factorization on it, and the numeric refactor/solve hot
+// path allocates nothing —
 // mirroring the pinned-buffer FactorizeInto/SolveInto discipline of the
 // dense internal/linalg.LU.
 //
@@ -17,6 +18,7 @@ package sparse
 import (
 	"fmt"
 	"sort"
+	"sync"
 
 	"repro/internal/linalg"
 )
@@ -24,11 +26,16 @@ import (
 // Pattern is an immutable square CSC sparsity pattern: ColPtr[j]..ColPtr[j+1]
 // indexes the sorted row indices of column j inside Rows. Patterns are built
 // once per topology (PatternFromEntries) and shared read-only between any
-// number of CSC value arrays, factorizations and goroutines.
+// number of CSC value arrays, factorizations and goroutines. A pattern also
+// carries its LU's symbolic analysis, computed on the first factorization on
+// it (see LU), so its fields must not change once it has been factored.
 type Pattern struct {
 	N      int
 	ColPtr []int
 	Rows   []int
+
+	once sync.Once
+	sym  *symbolic
 }
 
 // PatternFromEntries builds a pattern for an n×n matrix from coordinate

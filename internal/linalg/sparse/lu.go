@@ -9,10 +9,12 @@ import (
 
 // LU is a KLU-style sparse LU factorization with a hard split between the
 // symbolic phase (fill-reducing minimum-degree order + Gilbert–Peierls
-// reachability giving the exact fill pattern of L and U, computed ONCE per
-// Pattern and reused forever) and the numeric phase (Refactor: overwrite the
-// stored factor values for new matrix values on the same pattern, zero
-// allocations, no pattern work).
+// reachability giving the exact fill pattern of L and U) and the numeric
+// phase (refactor: overwrite the factor values for new matrix values on the
+// same pattern, zero allocations, no pattern work). The symbolic phase is a
+// property of the Pattern: it is computed ONCE per Pattern, on the first
+// factorization of any LU on it, and shared read-only by every LU on that
+// Pattern — scalar runs, each lane of a batch, concurrent workers.
 //
 // Pivoting is static on the (permuted) diagonal — the standard
 // circuit-simulation choice: the transient iteration matrix C/h + θ·J and
@@ -24,36 +26,34 @@ import (
 // both backends.
 //
 // Like the dense linalg.LU, one LU value's methods must not be called
-// concurrently (the scatter/solve work arrays are pinned inside), but any
-// number of goroutines may hold their own LU over one shared Pattern.
+// concurrently (the factor values and the scatter/solve work arrays are its
+// own), but any number of goroutines may hold their own LU over one shared
+// Pattern.
 type LU struct {
-	pat   *Pattern // analyzed pattern; identity-compared by FactorizeInto
-	n     int
+	pat *Pattern  // pattern of the factored values; identity-compared by FactorizeInto
+	sym *symbolic // pat's analysis, shared
+	lx  []float64 // L values, on sym.li
+	ux  []float64 // U values, on sym.ui
+	d   []float64 // pivots (diagonal of U)
+	x   []float64 // dense scatter accumulator
+	w   []float64 // solve work
+
+	reused bool // last FactorizeInto was a refactor into this LU's factors
+}
+
+// symbolic is the analysis of one Pattern: the pivot order and the exact
+// structure of L and U in permuted coordinates. It is immutable once built.
+type symbolic struct {
 	perm  []int // perm[k] = original index of the k-th pivot
 	iperm []int
 	// L: strictly lower triangular, CSC in permuted coordinates.
-	lp []int
-	li []int
-	lx []float64
+	lp, li []int
 	// U: strictly upper triangular, CSC in permuted coordinates; the row
 	// indices of each column are stored in the DFS topological order the
-	// symbolic phase discovered — Refactor replays updates in exactly this
+	// analysis discovered — refactor replays updates in exactly this
 	// order, which is what makes the numeric phase pattern-blind.
-	up []int
-	ui []int
-	ux []float64
-	d  []float64 // pivots (diagonal of U)
-	// Pinned numeric scratch.
-	x []float64 // dense scatter accumulator
-	w []float64 // solve work
-	// Symbolic scratch (kept so re-analysis on a new pattern reuses it).
-	mark  []int
-	stack []int
-	pstk  []int
-	topo  []int
-
-	reused bool // last FactorizeInto was a refactor on the retained symbolic
-	fillin int  // structural fill: nnz(L)+nnz(U)+n − nnz(A)
+	up, ui []int
+	fillin int // structural fill: nnz(L)+nnz(U)+n − nnz(A)
 }
 
 // Factorize analyzes and factorizes a, returning a new LU.
@@ -66,99 +66,95 @@ func Factorize(a *CSC) (*LU, error) {
 }
 
 // FactorizeInto (re)factorizes a. When a shares the Pattern of the previous
-// call, only the numeric refactor runs — zero allocations, the KLU hot path;
-// observe via ReusedSymbolic. A new pattern triggers the full symbolic
-// analysis (ordering + fill computation), which allocates.
+// call, only the numeric refactor runs into the retained factors — zero
+// allocations, the KLU hot path; observe via ReusedSymbolic. A new pattern
+// sizes the factors from the pattern's symbolic analysis in one allocation,
+// running the analysis first if no LU on that pattern has.
 func (f *LU) FactorizeInto(a *CSC) error {
-	if f.pat != a.P {
-		f.analyze(a.P)
-		f.reused = false
-	} else {
-		f.reused = true
+	f.reused = f.pat == a.P
+	if !f.reused {
+		f.bind(a.P)
 	}
 	return f.refactor(a)
 }
 
-// ReusedSymbolic reports whether the most recent FactorizeInto skipped the
-// symbolic phase (numeric refactor on the retained pattern/ordering).
+// bind points f at p's symbolic analysis and sizes its numeric arrays from
+// one backing allocation.
+func (f *LU) bind(p *Pattern) {
+	f.pat, f.sym = p, p.analysis()
+	n, nl, nu := p.N, len(f.sym.li), len(f.sym.ui)
+	buf := make([]float64, nl+nu+3*n)
+	f.lx, buf = buf[:nl:nl], buf[nl:]
+	f.ux, buf = buf[:nu:nu], buf[nu:]
+	f.d, f.x, f.w = buf[:n:n], buf[n:2*n:2*n], buf[2*n:3*n:3*n]
+}
+
+// ReusedSymbolic reports whether the most recent FactorizeInto was a
+// numeric refactor into this LU's retained factors on its pattern.
 func (f *LU) ReusedSymbolic() bool { return f.reused }
 
 // FillIn returns the number of structural fill entries the symbolic
 // factorization created beyond the matrix pattern itself.
-func (f *LU) FillIn() int { return f.fillin }
+func (f *LU) FillIn() int { return f.sym.fillin }
 
-// N returns the matrix dimension.
-func (f *LU) N() int { return f.n }
+// analysis returns p's symbolic analysis, running it on first use.
+func (p *Pattern) analysis() *symbolic {
+	p.once.Do(func() { p.sym = analyze(p) })
+	return p.sym
+}
 
 // analyze runs the symbolic phase: minimum-degree ordering, then
 // Gilbert–Peierls reachability to compute the exact pattern of L and U and
 // the per-column topological update order.
-func (f *LU) analyze(p *Pattern) {
+func analyze(p *Pattern) *symbolic {
 	n := p.N
-	f.pat = p
-	f.n = n
-	f.perm = MinDegreeOrder(p)
-	if cap(f.iperm) < n {
-		f.iperm = make([]int, n)
+	s := &symbolic{perm: MinDegreeOrder(p), iperm: make([]int, n)}
+	for k, o := range s.perm {
+		s.iperm[o] = k
 	}
-	f.iperm = f.iperm[:n]
-	for k, o := range f.perm {
-		f.iperm[o] = k
+	work := make([]int, 4*n)
+	mark, stack, pstk, topo := work[:n], work[n:2*n], work[2*n:3*n], work[3*n:]
+	for i := range mark {
+		mark[i] = -1
 	}
-	if cap(f.mark) < n {
-		f.mark = make([]int, n)
-		f.stack = make([]int, n)
-		f.pstk = make([]int, n)
-		f.topo = make([]int, n)
-		f.x = make([]float64, n)
-		f.w = make([]float64, n)
-		f.d = make([]float64, n)
-	}
-	f.mark = f.mark[:n]
-	f.stack, f.pstk, f.topo = f.stack[:n], f.pstk[:n], f.topo[:n]
-	f.x, f.w, f.d = f.x[:n], f.w[:n], f.d[:n]
-	for i := range f.mark {
-		f.mark[i] = -1
-	}
-	f.lp = append(f.lp[:0], 0)
-	f.up = append(f.up[:0], 0)
-	f.li, f.ui = f.li[:0], f.ui[:0]
+	s.lp = append(make([]int, 0, n+1), 0)
+	s.up = append(make([]int, 0, n+1), 0)
 
 	for j := 0; j < n; j++ {
 		// DFS over the graph of already-computed L columns from the nonzero
 		// rows of permuted A(:,j); reverse postorder = topological order.
 		head := n
-		origCol := f.perm[j]
+		origCol := s.perm[j]
 		for k := p.ColPtr[origCol]; k < p.ColPtr[origCol+1]; k++ {
-			i := f.iperm[p.Rows[k]]
-			if f.mark[i] == j {
+			i := s.iperm[p.Rows[k]]
+			if mark[i] == j {
 				continue
 			}
 			// Iterative DFS from i.
 			depth := 0
-			f.stack[0] = i
-			f.mark[i] = j
+			stack[0] = i
+			mark[i] = j
 			if i < j {
-				f.pstk[0] = f.lp[i]
+				pstk[0] = s.lp[i]
 			} else {
-				f.pstk[0] = -1 // no children: L column i not computed yet
+				pstk[0] = -1 // no children: L column i not computed yet
 			}
 			for depth >= 0 {
-				v := f.stack[depth]
+				v := stack[depth]
 				advanced := false
-				if f.pstk[depth] >= 0 {
-					end := f.lp[v+1]
-					for f.pstk[depth] < end {
-						r := f.li[f.pstk[depth]]
-						f.pstk[depth]++
-						if f.mark[r] != j {
-							f.mark[r] = j
+				if pstk[depth] >= 0 {
+					end := s.lp[v+1]
+					for pstk[depth] < end {
+						r := s.li[pstk[depth]]
+						pstk[depth]++
+						if mark[r] != j {
+							mark[r] = j
 							depth++
-							f.stack[depth] = r
+							stack[depth] = r
 							if r < j {
-								f.pstk[depth] = f.lp[r]
+								pstk[depth] = s.lp[r]
 							} else {
-								f.pstk[depth] = -1
+								pstk[depth] = -1
 							}
 							advanced = true
 							break
@@ -167,7 +163,7 @@ func (f *LU) analyze(p *Pattern) {
 				}
 				if !advanced {
 					head--
-					f.topo[head] = v
+					topo[head] = v
 					depth--
 				}
 			}
@@ -175,33 +171,27 @@ func (f *LU) analyze(p *Pattern) {
 		// Partition the reach set: rows < j become U(:,j) (kept in topo
 		// order), rows > j become L(:,j); j itself is the pivot slot.
 		for t := head; t < n; t++ {
-			if v := f.topo[t]; v < j {
-				f.ui = append(f.ui, v)
+			if v := topo[t]; v < j {
+				s.ui = append(s.ui, v)
 			}
 		}
-		f.up = append(f.up, len(f.ui))
+		s.up = append(s.up, len(s.ui))
 		for t := head; t < n; t++ {
-			if v := f.topo[t]; v > j {
-				f.li = append(f.li, v)
+			if v := topo[t]; v > j {
+				s.li = append(s.li, v)
 			}
 		}
-		f.lp = append(f.lp, len(f.li))
+		s.lp = append(s.lp, len(s.li))
 	}
-	if cap(f.lx) < len(f.li) {
-		f.lx = make([]float64, len(f.li))
-	}
-	f.lx = f.lx[:len(f.li)]
-	if cap(f.ux) < len(f.ui) {
-		f.ux = make([]float64, len(f.ui))
-	}
-	f.ux = f.ux[:len(f.ui)]
-	f.fillin = len(f.li) + len(f.ui) + n - p.NNZ()
+	s.fillin = len(s.li) + len(s.ui) + n - p.NNZ()
+	return s
 }
 
 // refactor overwrites the factor values for a's current values. Pure
 // numeric replay of the symbolic pattern: zero allocations.
 func (f *LU) refactor(a *CSC) error {
-	n, p := f.n, f.pat
+	p, s := f.pat, f.sym
+	n := p.N
 	scale := a.MaxAbs()
 	if scale == 0 {
 		if n == 0 {
@@ -210,31 +200,32 @@ func (f *LU) refactor(a *CSC) error {
 		return fmt.Errorf("sparse: %w (zero matrix)", linalg.ErrSingular)
 	}
 	tol := scale * 1e-300 // absolute floor, mirroring the dense factorization
-	x := f.x
+	x, lx, ux := f.x, f.lx, f.ux
+	lp, li, up, ui, iperm := s.lp, s.li, s.up, s.ui, s.iperm
 	for j := 0; j < n; j++ {
 		// Zero the scatter accumulator over this column's factor pattern,
 		// then scatter the permuted A column into it.
-		for t := f.up[j]; t < f.up[j+1]; t++ {
-			x[f.ui[t]] = 0
+		for t := up[j]; t < up[j+1]; t++ {
+			x[ui[t]] = 0
 		}
 		x[j] = 0
-		for t := f.lp[j]; t < f.lp[j+1]; t++ {
-			x[f.li[t]] = 0
+		for t := lp[j]; t < lp[j+1]; t++ {
+			x[li[t]] = 0
 		}
-		origCol := f.perm[j]
+		origCol := s.perm[j]
 		for k := p.ColPtr[origCol]; k < p.ColPtr[origCol+1]; k++ {
-			x[f.iperm[p.Rows[k]]] += a.Val[k]
+			x[iperm[p.Rows[k]]] += a.Val[k]
 		}
 		// Eliminate: process U rows in the stored topological order.
-		for t := f.up[j]; t < f.up[j+1]; t++ {
-			k := f.ui[t]
+		for t := up[j]; t < up[j+1]; t++ {
+			k := ui[t]
 			xk := x[k]
-			f.ux[t] = xk
+			ux[t] = xk
 			if xk == 0 {
 				continue
 			}
-			for q := f.lp[k]; q < f.lp[k+1]; q++ {
-				x[f.li[q]] -= xk * f.lx[q]
+			for q := lp[k]; q < lp[k+1]; q++ {
+				x[li[q]] -= xk * lx[q]
 			}
 		}
 		piv := x[j]
@@ -242,8 +233,8 @@ func (f *LU) refactor(a *CSC) error {
 			return fmt.Errorf("sparse: %w (pivot %d, |pivot|=%.3g)", linalg.ErrSingular, j, math.Abs(piv))
 		}
 		f.d[j] = piv
-		for t := f.lp[j]; t < f.lp[j+1]; t++ {
-			f.lx[t] = x[f.li[t]] / piv
+		for t := lp[j]; t < lp[j+1]; t++ {
+			lx[t] = x[li[t]] / piv
 		}
 	}
 	return nil
@@ -252,17 +243,17 @@ func (f *LU) refactor(a *CSC) error {
 // SolveInto solves A·x = b into dst and returns dst. dst may alias b (the
 // solve runs in a pinned internal buffer); no allocation occurs.
 func (f *LU) SolveInto(dst, b linalg.Vec) linalg.Vec {
-	n := f.n
+	n, perm := f.pat.N, f.sym.perm
 	if len(b) != n || len(dst) != n {
 		panic("sparse: LU.SolveInto dimension mismatch")
 	}
 	w := f.w
 	for k := 0; k < n; k++ {
-		w[k] = b[f.perm[k]]
+		w[k] = b[perm[k]]
 	}
 	f.solvePermuted(w)
 	for k := 0; k < n; k++ {
-		dst[f.perm[k]] = w[k]
+		dst[perm[k]] = w[k]
 	}
 	return dst
 }
@@ -270,24 +261,26 @@ func (f *LU) SolveInto(dst, b linalg.Vec) linalg.Vec {
 // solvePermuted runs L then U substitution on a right-hand side already in
 // permuted coordinates, in place.
 func (f *LU) solvePermuted(w []float64) {
-	n := f.n
+	s := f.sym
+	lp, li, up, ui, lx, ux, d := s.lp, s.li, s.up, s.ui, f.lx, f.ux, f.d
+	n := len(d)
 	for j := 0; j < n; j++ {
 		xj := w[j]
 		if xj == 0 {
 			continue
 		}
-		for q := f.lp[j]; q < f.lp[j+1]; q++ {
-			w[f.li[q]] -= xj * f.lx[q]
+		for q := lp[j]; q < lp[j+1]; q++ {
+			w[li[q]] -= xj * lx[q]
 		}
 	}
 	for j := n - 1; j >= 0; j-- {
-		xj := w[j] / f.d[j]
+		xj := w[j] / d[j]
 		w[j] = xj
 		if xj == 0 {
 			continue
 		}
-		for t := f.up[j]; t < f.up[j+1]; t++ {
-			w[f.ui[t]] -= xj * f.ux[t]
+		for t := up[j]; t < up[j+1]; t++ {
+			w[ui[t]] -= xj * ux[t]
 		}
 	}
 }
@@ -296,18 +289,18 @@ func (f *LU) solvePermuted(w []float64) {
 // work vector; dst may alias b. Used by the sparse sensitivity propagation,
 // where B is the (dense) monodromy right-hand side.
 func (f *LU) SolveMatInto(dst, b *linalg.Mat) *linalg.Mat {
-	n := f.n
+	n, perm := f.pat.N, f.sym.perm
 	if b.Rows != n || dst.Rows != n || dst.Cols != b.Cols {
 		panic("sparse: LU.SolveMatInto dimension mismatch")
 	}
 	w, cols := f.w, b.Cols
 	for c := 0; c < cols; c++ {
 		for k := 0; k < n; k++ {
-			w[k] = b.Data[f.perm[k]*cols+c]
+			w[k] = b.Data[perm[k]*cols+c]
 		}
 		f.solvePermuted(w)
 		for k := 0; k < n; k++ {
-			dst.Data[f.perm[k]*cols+c] = w[k]
+			dst.Data[perm[k]*cols+c] = w[k]
 		}
 	}
 	return dst

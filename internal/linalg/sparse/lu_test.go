@@ -4,6 +4,7 @@ import (
 	"errors"
 	"math"
 	"math/rand"
+	"sync"
 	"testing"
 
 	"repro/internal/linalg"
@@ -251,5 +252,50 @@ func TestPatternIndexOf(t *testing.T) {
 	dup := PatternFromEntries(2, []int{0, 0, 1}, []int{0, 0, 1})
 	if dup.NNZ() != 2 {
 		t.Fatalf("dup nnz = %d, want 2", dup.NNZ())
+	}
+}
+
+// TestAnalysisSharedPerPattern factors one fresh pattern from several
+// goroutines at once: every LU binds the same symbolic analysis, computed
+// once, and each solve is bit-identical to a solo factorization on a copy
+// of the pattern.
+func TestAnalysisSharedPerPattern(t *testing.T) {
+	a := randSparse(rand.New(rand.NewSource(5)), 40, 0.1)
+	pat := &Pattern{N: a.P.N, ColPtr: a.P.ColPtr, Rows: a.P.Rows} // not yet analyzed
+	b := linalg.NewVec(pat.N)
+	for i := range b {
+		b[i] = float64(i%7) - 3
+	}
+	solo, err := Factorize(&CSC{P: &Pattern{N: pat.N, ColPtr: pat.ColPtr, Rows: pat.Rows}, Val: a.Val})
+	if err != nil {
+		t.Fatal(err)
+	}
+	want := solo.SolveInto(linalg.NewVec(pat.N), b)
+
+	const workers = 4
+	lus := make([]*LU, workers)
+	errs := make([]error, workers)
+	var wg sync.WaitGroup
+	for w := range lus {
+		wg.Add(1)
+		go func(w int) {
+			defer wg.Done()
+			lus[w], errs[w] = Factorize(&CSC{P: pat, Val: append([]float64(nil), a.Val...)})
+		}(w)
+	}
+	wg.Wait()
+	for w, f := range lus {
+		if errs[w] != nil {
+			t.Fatalf("worker %d: %v", w, errs[w])
+		}
+		if f.sym != lus[0].sym {
+			t.Fatalf("worker %d bound an analysis of its own", w)
+		}
+		got := f.SolveInto(linalg.NewVec(pat.N), b)
+		for i := range want {
+			if got[i] != want[i] {
+				t.Fatalf("worker %d: x[%d] = %g, solo %g", w, i, got[i], want[i])
+			}
+		}
 	}
 }

@@ -48,7 +48,7 @@ type Options struct {
 	// Backend selects the linear-algebra backend for the inner transient
 	// integrations (corrector + monodromy propagation), where a shooting
 	// solve spends essentially all of its linear-algebra time. The zero
-	// value (Auto) picks sparse for large circuits. The bordered Newton
+	// value (Auto) picks by the Jacobian's density. The bordered Newton
 	// update itself always runs dense: its Jacobian embeds the monodromy
 	// matrix M − I, which is structurally dense for any connected circuit.
 	Backend linalg.Backend

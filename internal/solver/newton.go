@@ -242,7 +242,9 @@ func (s *sparseSys) evalF(x, f linalg.Vec)  { s.fn(x, f, nil) }
 func (s *sparseSys) evalFJ(x, f linalg.Vec) { s.fn(x, f, s.sc.sj) }
 func (s *sparseSys) factorize(m *diag.Metrics) error {
 	err := s.sc.slu.FactorizeInto(s.sc.sj)
+	m.Inc(diag.LUFactorizations)
 	if s.sc.slu.ReusedSymbolic() {
+		m.Inc(diag.LUFactorizationsReused)
 		m.Inc(diag.SparseRefactors)
 	} else {
 		m.Inc(diag.SparseFactorizations)

@@ -2,17 +2,20 @@ package transient_test
 
 import (
 	"context"
+	"fmt"
 	"math"
 	"testing"
 
+	"repro/internal/circuit"
+	"repro/internal/diag"
 	"repro/internal/linalg"
 	"repro/internal/ringosc"
 	"repro/internal/transient"
 )
 
-// buildCoupled returns a small coupled-ring system (6 nodes — below the Auto
-// threshold, so sparse runs only when forced, which is exactly what these
-// tests do).
+// buildCoupled returns a small coupled-ring system (6 nodes, dense under
+// Auto, so sparse runs only when forced, which is exactly what these tests
+// do).
 func buildCoupled(t *testing.T) (*ringosc.Array, linalg.Vec) {
 	t.Helper()
 	arr, err := ringosc.BuildArray(2)
@@ -93,35 +96,106 @@ func TestSparseBackendReusesScratch(t *testing.T) {
 	}
 }
 
-// TestAutoBackendSelectsDenseBelowThreshold pins the Auto contract for small
-// circuits: below the node threshold the run must take the dense path, whose
-// results are bit-identical to an explicit BackendDense run.
-func TestAutoBackendSelectsDenseBelowThreshold(t *testing.T) {
-	arr, x0 := buildCoupled(t)
-	if arr.Sys.N >= linalg.SparseNodeThreshold {
-		t.Skipf("test circuit too large: %d nodes", arr.Sys.N)
-	}
-	if b := arr.Sys.ResolveBackend(linalg.BackendAuto); b != linalg.BackendDense {
-		t.Fatalf("Auto resolved to %v below threshold", b)
-	}
-	T := 1 / arr.EstimatedF0()
-	auto, err := transient.Run(arr.Sys, x0, 0, T/8, transient.Options{
-		Method: transient.Trap, Step: T / 256,
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	dense, err := transient.Run(arr.Sys, x0, 0, T/8, transient.Options{
-		Method: transient.Trap, Step: T / 256, Backend: linalg.BackendDense,
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	af, df := auto.Final(), dense.Final()
-	for i := range af {
-		if af[i] != df[i] {
-			t.Fatalf("Auto and Dense differ at node %d", i)
+// autoCircuit is a circuit of the dense-against-sparse crossover
+// (BenchmarkIterationLU) with a start state and a step.
+type autoCircuit struct {
+	name string
+	sys  *circuit.System
+	x0   linalg.Vec
+	h    float64
+}
+
+// autoCircuits builds the crossover's circuits, densest first.
+func autoCircuits(t *testing.T) []autoCircuit {
+	t.Helper()
+	var cs []autoCircuit
+	for _, stages := range []int{3, 5, 9} {
+		cfg := ringosc.DefaultConfig()
+		cfg.Stages = stages
+		r, err := ringosc.Build(cfg)
+		if err != nil {
+			t.Fatal(err)
 		}
+		cs = append(cs, autoCircuit{fmt.Sprintf("ring%d", stages), r.Sys, r.KickStart(), 1 / r.EstimatedF0() / 256})
+	}
+	const f1 = 9.6e3
+	l, err := ringosc.BuildLatch(ringosc.DefaultLatchConfig(f1))
+	if err != nil {
+		t.Fatal(err)
+	}
+	cs = append(cs, autoCircuit{"latch", l.Sys, l.KickStart(), 1 / f1 / 256})
+	for _, rings := range []int{2, 4, 8, 16} {
+		arr, err := ringosc.BuildArray(rings)
+		if err != nil {
+			t.Fatal(err)
+		}
+		cs = append(cs, autoCircuit{fmt.Sprintf("array%d", rings), arr.Sys, arr.KickStart(), 1 / arr.EstimatedF0() / 256})
+	}
+	sys, x0, h := oracleAdder(t)
+	return append(cs, autoCircuit{"adder", sys, x0, h})
+}
+
+// TestAutoBackendByDensity pins Auto's choice per circuit: dense for the
+// rings, the D latch and the two-ring array, whose patterns are nearly
+// full, and sparse from the 9-stage ring's density of 0.22 down, the
+// SPICE-level adder included. An Auto run is bit-identical to a run forced
+// onto the backend Auto resolved.
+func TestAutoBackendByDensity(t *testing.T) {
+	want := map[string]linalg.Backend{
+		"ring3": linalg.BackendDense, "ring5": linalg.BackendDense,
+		"latch": linalg.BackendDense, "array2": linalg.BackendDense,
+		"ring9": linalg.BackendSparse, "array4": linalg.BackendSparse,
+		"adder": linalg.BackendSparse, "array8": linalg.BackendSparse,
+		"array16": linalg.BackendSparse,
+	}
+	for _, c := range autoCircuits(t) {
+		n, nnz := c.sys.N, c.sys.SparsePattern().NNZ()
+		got := c.sys.ResolveBackend(linalg.BackendAuto)
+		t.Logf("%s: n = %d, nnz = %d, density %.3f: %v", c.name, n, nnz, float64(nnz)/float64(n*n), got)
+		if got != want[c.name] {
+			t.Errorf("%s: Auto resolved to %v, want %v", c.name, got, want[c.name])
+			continue
+		}
+		auto, err := transient.Run(c.sys, c.x0, 0, 32*c.h, transient.Options{Method: transient.Trap, Step: c.h})
+		if err != nil {
+			t.Fatal(err)
+		}
+		forced, err := transient.Run(c.sys, c.x0, 0, 32*c.h, transient.Options{Method: transient.Trap, Step: c.h, Backend: got})
+		if err != nil {
+			t.Fatal(err)
+		}
+		requireSameBits(t, auto.Steps, auto.Final(), forced.Final())
+	}
+}
+
+// TestFactorizationCountsAgreeAcrossBackends integrates the adder dense and
+// forced sparse: both do the same work, and diag.LUFactorizations counts
+// it on both. On the sparse backend every factorization is a first
+// factorization or a refactor, and the refactors are the reused ones.
+func TestFactorizationCountsAgreeAcrossBackends(t *testing.T) {
+	sys, x0, h := oracleAdder(t)
+	ms := make([]*diag.Metrics, len(oracleBackends))
+	for i, bk := range oracleBackends {
+		ms[i] = diag.New()
+		_, err := transient.RunCtx(diag.WithMetrics(context.Background(), ms[i]), sys, x0, 0, 2000*h,
+			transient.Options{Method: transient.Trap, Step: h, Backend: bk})
+		if err != nil {
+			t.Fatalf("%v: %v", bk, err)
+		}
+	}
+	dense, sp := ms[0], ms[1]
+	for _, c := range []diag.Counter{diag.TransientSteps, diag.NewtonIterations, diag.LUFactorizations,
+		diag.LUFactorizationsReused, diag.CircuitEvals, diag.CircuitJacEvals} {
+		if d, s := dense.Get(c), sp.Get(c); d != s || d == 0 {
+			t.Errorf("%v: dense %d, sparse %d; want equal and nonzero", c, d, s)
+		}
+	}
+	if f, r := sp.Get(diag.SparseFactorizations), sp.Get(diag.SparseRefactors); f+r != sp.Get(diag.LUFactorizations) || r != sp.Get(diag.LUFactorizationsReused) {
+		t.Errorf("sparse: %d first factorizations + %d refactors against %d factorizations, %d reused",
+			f, r, sp.Get(diag.LUFactorizations), sp.Get(diag.LUFactorizationsReused))
+	}
+	if n := dense.Get(diag.SparseFactorizations) + dense.Get(diag.SparseRefactors); n != 0 {
+		t.Errorf("dense run counted %d sparse factorizations", n)
 	}
 }
 

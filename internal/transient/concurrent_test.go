@@ -116,3 +116,49 @@ func TestRunCtxCancellationStopsMidRun(t *testing.T) {
 		t.Fatalf("%d steps taken after cancellation", res.Steps)
 	}
 }
+
+// TestConcurrentSparseRunsShareAnalysis runs sparse integrations of one
+// freshly built adder concurrently, so their first factorizations race to
+// the System's pattern and sparse plan and to the pattern's one symbolic
+// analysis, and requires each to be bit-identical to a solo run on an
+// adder built apart. Exercised under -race by the tier-1+ gate.
+func TestConcurrentSparseRunsShareAnalysis(t *testing.T) {
+	shared, x0, h := oracleAdder(t)
+	solo, _, _ := oracleAdder(t)
+	opts := []transient.Options{
+		{Method: transient.Trap, Step: h},
+		{Method: transient.BE, Step: h, Sensitivity: true},
+		{Method: transient.Gear2, Step: h},
+		{Method: transient.Trap, Step: h / 2, Sensitivity: true},
+	}
+	got := make([]*transient.Result, len(opts))
+	errs := make([]error, len(opts))
+	var wg sync.WaitGroup
+	for i := range opts {
+		opts[i].Backend = linalg.BackendSparse
+		wg.Add(1)
+		go func(i int) {
+			defer wg.Done()
+			got[i], errs[i] = transient.Run(shared, x0, 0, 200*h, opts[i])
+		}(i)
+	}
+	wg.Wait()
+	for i, o := range opts {
+		if errs[i] != nil {
+			t.Fatalf("concurrent run %d: %v", i, errs[i])
+		}
+		ref, err := transient.Run(solo, x0, 0, 200*h, o)
+		if err != nil {
+			t.Fatalf("solo run %d: %v", i, err)
+		}
+		if len(ref.X) != len(got[i].X) {
+			t.Fatalf("run %d: %d recorded points, solo %d", i, len(got[i].X), len(ref.X))
+		}
+		for k := range ref.X {
+			requireSameBits(t, k, got[i].X[k], ref.X[k])
+		}
+		if ref.Sens != nil {
+			requireSameBits(t, len(ref.X)-1, got[i].Sens.Data, ref.Sens.Data)
+		}
+	}
+}

@@ -137,7 +137,7 @@ func (d *denseMatrix) sibling() matrix {
 }
 
 // sparseMatrix is a matrix on the sparse backend: values on the pattern and
-// a KLU-style factorization whose symbolic analysis runs once.
+// a KLU-style factorization on the pattern's one symbolic analysis.
 type sparseMatrix struct {
 	a   sparse.CSC
 	lu  sparse.LU
@@ -158,12 +158,14 @@ func (s *sparseMatrix) combine(c, jv []float64, w float64) {
 	}
 }
 
-// factor counts a symbolic analysis as a factorization, plus its fill-in,
-// and pins the factors it sized (nnz + fill-in values); a numeric replay
-// counts as a refactor.
+// factor counts every factorization, and one into the factors it kept a
+// reuse and a sparse refactor; the first is a sparse factorization, which
+// counts its fill-in and pins the factors it sized (nnz + fill-in values).
 func (s *sparseMatrix) factor(m *diag.Metrics) error {
 	err := s.lu.FactorizeInto(&s.a)
+	m.Inc(diag.LUFactorizations)
 	if s.lu.ReusedSymbolic() {
+		m.Inc(diag.LUFactorizationsReused)
 		m.Inc(diag.SparseRefactors)
 	} else {
 		m.Inc(diag.SparseFactorizations)

@@ -499,7 +499,7 @@ func TestAdderNewtonWork(t *testing.T) {
 		}
 		steps := float64(res.Steps)
 		iters := float64(m.Get(diag.NewtonIterations))
-		factors := float64(m.Get(diag.LUFactorizations) + m.Get(diag.SparseFactorizations) + m.Get(diag.SparseRefactors))
+		factors := float64(m.Get(diag.LUFactorizations))
 		jacs := float64(m.Get(diag.CircuitJacEvals))
 		t.Logf("%v: per step %.3f Newton iterations, %.3f factorizations, %.3f Jacobian evaluations", bk, iters/steps, factors/steps, jacs/steps)
 		if iters/steps > 2.7 {

@@ -80,9 +80,10 @@ type Options struct {
 	// Record decimation: keep every Record-th accepted point (default 1).
 	Record int
 	// Backend selects the linear-algebra backend for the corrector and the
-	// sensitivity propagation. The zero value (Auto) picks sparse for large
-	// circuits and dense for small ones (see circuit.System.ResolveBackend);
-	// the dense branch is bit-identical to the pre-backend engine.
+	// sensitivity propagation. The zero value (Auto) picks by the density of
+	// the circuit's Jacobian pattern (see circuit.System.ResolveBackend):
+	// sparse for the SPICE-level adder and the oscillator arrays, dense for
+	// a lone ring or the D latch.
 	Backend linalg.Backend
 }
 
