@@ -1,27 +1,11 @@
 GO ?= go
 
-.PHONY: check fmt vet build perfbench-check test test-short race xval xval-update bench bench-baseline bench-compare bench-overhead bench-alloc bench-engine bench-sparse bench-batch bench-noise bench-serve lint-deprecated loc
+.PHONY: check fmt vet build perfbench-check test test-short race xval xval-update bench bench-baseline bench-compare bench-overhead bench-alloc bench-engine bench-sparse bench-batch bench-noise bench-serve loc
 
 # The tier-1+ gate (see ROADMAP.md): formatting, vet, build, the pinned
 # benchmark's vet and tests, the full test suite under the race detector,
-# the cross-method conformance ledger, and the deprecated-API lint. CI and
-# pre-commit both run this.
-check: fmt vet lint-deprecated build perfbench-check race xval
-
-# The pre-context wrappers in phlogon.go (FindPSS, ExtractPPV, RingPPV,
-# RunTransient) exist for external compatibility only. Nothing inside the
-# module — commands, internal packages, examples, or the facade itself — may
-# call them; root-level tests are exempt because they deliberately pin the
-# deprecated surface. The second grep catches unqualified calls in the root
-# package (definition lines excluded; calls through other receivers such as
-# Engine.RingPPV are not deprecated and do not match).
-lint-deprecated:
-	@out=$$(grep -rn --include='*.go' -E 'phlogon\.(FindPSS|ExtractPPV|RingPPV|RunTransient)\(' cmd internal examples 2>/dev/null; \
-	grep -n -E '(^|[^.A-Za-z0-9_])(FindPSS|ExtractPPV|RingPPV|RunTransient)\(' *.go 2>/dev/null \
-		| grep -v -E '^[^:]*_test\.go:' | grep -v -E '^[^:]*:[0-9]+:func '); \
-	if [ -n "$$out" ]; then \
-		echo "deprecated pre-context API used inside the module:"; echo "$$out"; exit 1; \
-	fi
+# and the cross-method conformance ledger. CI and pre-commit both run this.
+check: fmt vet build perfbench-check race xval
 
 # Code size, the count ROADMAP.md's line targets use: tracked non-test Go
 # lines outside perfbench/ (the pinned benchmark, a module of its own), per

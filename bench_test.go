@@ -752,7 +752,7 @@ func BenchmarkVariationMCScalar(b *testing.B) {
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, err := variation.MonteCarloCtx(ctx, cfg, params, benchMCSamples, 1, 1); err != nil {
+		if _, err := variation.MonteCarloSampledEng(ctx, nil, cfg, params, benchMCSamples, variation.PseudoSampler{Seed: 1}, 1); err != nil {
 			b.Fatal(err)
 		}
 	}
@@ -835,7 +835,7 @@ func BenchmarkStochasticEnsembleBatched(b *testing.B) { benchBER(b, false) }
 func BenchmarkFacadePipeline(b *testing.B) {
 	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {
-		if _, _, _, err := phlogon.RingPPV(phlogon.DefaultRingConfig()); err != nil {
+		if _, _, _, err := phlogon.RingPPVCtx(context.Background(), phlogon.DefaultRingConfig()); err != nil {
 			b.Fatal(err)
 		}
 	}

@@ -203,7 +203,8 @@ func TestErrTransientCorrectorNoConvergence(t *testing.T) {
 		t.Fatal(err)
 	}
 	res, err := transient.RunBatch(context.Background(), b, r.KickStart(), transient.BatchOptions{
-		Method: transient.Trap, Steps: 4, H: []float64{step}, MaxNewton: 1, NewtonTol: 1e-15,
+		Options: transient.Options{Method: transient.Trap, Step: step, MaxNewton: 1, NewtonTol: 1e-15},
+		T1:      []float64{4 * step},
 	})
 	if err != nil {
 		t.Fatal(err)

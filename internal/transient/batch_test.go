@@ -42,12 +42,21 @@ func kickedStart(k, n int) []float64 {
 	return x
 }
 
-// TestRunBatchMatchesScalar pins the batched stepper to the scalar path:
-// every lane integrated in lockstep (per-lane step sizes) — BE, Trap, and
-// Gear2 against runGear2 — must agree with a scalar transient.Run of the
-// same corner to tight tolerance, including the propagated monodromy. Step
-// sizes and counts are chosen so the scalar accumulated time hits t1
-// exactly (no clamped final step).
+// laneEnds returns the end times of lanes taking steps steps of h[k] from
+// 0.
+func laneEnds(h []float64, steps float64) []float64 {
+	t1 := make([]float64, len(h))
+	for k := range h {
+		t1[k] = steps * h[k]
+	}
+	return t1
+}
+
+// TestRunBatchMatchesScalar pins the lanes to the scalar run's stepping,
+// restated over the one corrector: every lane of a four-corner batch, each
+// with its own step size, takes bit for bit the steps that a loop of
+// ThetaStepper takes on its grid from the run's predictor — for Gear2 a BE
+// first step from the lane's state, then GearStepper's BDF2 steps.
 func TestRunBatchMatchesScalar(t *testing.T) {
 	const K = 4
 	const steps = 96
@@ -60,42 +69,49 @@ func TestRunBatchMatchesScalar(t *testing.T) {
 	x0 := kickedStart(K, n)
 	h := make([]float64, K)
 	for k := range h {
-		// (8+k)·2⁻³³ s: per-lane steps whose partial sums are exact in FP.
 		h[k] = float64(8+k) * math.Ldexp(1, -33)
 	}
 	for _, method := range []transient.Method{transient.BE, transient.Trap, transient.Gear2} {
 		res, err := transient.RunBatch(context.Background(), b, x0, transient.BatchOptions{
-			Method: method, Steps: steps, H: h, Sensitivity: true,
+			Options: transient.Options{Method: method}, H: h, T1: laneEnds(h, steps), RecordStates: true,
 		})
 		if err != nil {
 			t.Fatalf("%v: RunBatch: %v", method, err)
 		}
-		for k := 0; k < K; k++ {
+		opt := transient.Options{Method: method, NewtonTol: 1e-9, MaxNewton: 40}
+		for k, sys := range systems {
 			if res.Err[k] != nil {
 				t.Fatalf("%v: lane %d failed: %v", method, k, res.Err[k])
 			}
-			t1 := float64(steps) * h[k]
-			scalar, err := transient.Run(systems[k], linalg.Vec(x0[k*n:(k+1)*n]), 0, t1, transient.Options{
-				Method: method, Step: h[k], Sensitivity: true,
-			})
-			if err != nil {
-				t.Fatalf("%v: scalar lane %d: %v", method, k, err)
+			var theta, bdf transient.StepFunc
+			if method == transient.Gear2 {
+				beOpt := opt
+				beOpt.Method = transient.BE
+				theta, bdf = transient.ThetaStepper(sys, beOpt), transient.GearStepper(sys, opt)
+			} else {
+				theta = transient.ThetaStepper(sys, opt)
 			}
-			if scalar.Steps != steps {
-				t.Fatalf("%v: scalar lane %d took %d steps, want %d (grid not exact)", method, k, scalar.Steps, steps)
-			}
-			want := scalar.Final()
-			got := res.LaneX(k)
-			for i := 0; i < n; i++ {
-				if d := math.Abs(got[i] - want[i]); d > 1e-10*(1+math.Abs(want[i])) {
-					t.Errorf("%v: lane %d x[%d]: batch %v vs scalar %v (diff %g)", method, k, i, got[i], want[i], d)
+			x := linalg.Vec(x0[k*n : (k+1)*n]).Clone()
+			prev, prev2, pred := x.Clone(), x.Clone(), linalg.NewVec(n)
+			for s := 0; s < steps; s++ {
+				tt := float64(s) * h[k]
+				var got linalg.Vec
+				switch {
+				case method == transient.Gear2 && s > 0:
+					got, _, err = bdf(prev, x, tt, h[k])
+				case method == transient.Gear2:
+					got, _, err = theta(x, x, tt, h[k])
+				default:
+					fixedPredict(pred, x, prev, prev2, s, h[k])
+					got, _, err = theta(x, pred, tt, h[k])
 				}
-			}
-			for i := 0; i < n*n; i++ {
-				d := math.Abs(res.Sens[k].Data[i] - scalar.Sens.Data[i])
-				if d > 1e-8*(1+math.Abs(scalar.Sens.Data[i])) {
-					t.Errorf("%v: lane %d monodromy[%d]: batch %v vs scalar %v", method, k, i, res.Sens[k].Data[i], scalar.Sens.Data[i])
+				if err != nil {
+					t.Fatalf("%v lane %d step %d: %v", method, k, s, err)
 				}
+				requireSameBits(t, s, res.States[k][s+1], got)
+				prev2.CopyFrom(prev)
+				prev.CopyFrom(x)
+				x.CopyFrom(got)
 			}
 		}
 	}
@@ -115,8 +131,8 @@ func TestRunBatchActiveMaskAndRecording(t *testing.T) {
 	x0 := kickedStart(K, n)
 	h := []float64{1e-9, 1.5e-9, 2e-9}
 	res, err := transient.RunBatch(context.Background(), b, x0, transient.BatchOptions{
-		Method: transient.Trap, Steps: steps, H: h,
-		Record: true, RecordNode: 0, RecordStates: true,
+		Options: transient.Options{Method: transient.Trap}, H: h, T1: laneEnds(h, steps),
+		RecordWave: true, RecordNode: 0, RecordStates: true,
 		Active: []int{0, 2},
 	})
 	if err != nil {
@@ -163,22 +179,23 @@ func TestRunBatchOptionValidation(t *testing.T) {
 	}
 	x0 := make([]float64, 2*b.N)
 	ctx := context.Background()
-	if _, err := transient.RunBatch(ctx, b, x0, transient.BatchOptions{Steps: 0, H: []float64{1e-9, 1e-9}}); err == nil {
-		t.Fatal("zero Steps accepted")
+	ends := []float64{1e-9, 1e-9}
+	if _, err := transient.RunBatch(ctx, b, x0, transient.BatchOptions{H: []float64{1e-9, 1e-9}}); err == nil {
+		t.Fatal("missing T1 accepted")
 	}
-	if _, err := transient.RunBatch(ctx, b, x0, transient.BatchOptions{Steps: 1, H: []float64{1e-9}}); err == nil {
+	if _, err := transient.RunBatch(ctx, b, x0, transient.BatchOptions{H: []float64{1e-9}, T1: ends}); err == nil {
 		t.Fatal("short H accepted")
 	}
 	for _, h := range []float64{-1, 0, math.NaN(), math.Inf(1), math.Inf(-1)} {
-		res, err := transient.RunBatch(ctx, b, x0, transient.BatchOptions{Steps: 1, H: []float64{1e-9, h}})
+		res, err := transient.RunBatch(ctx, b, x0, transient.BatchOptions{H: []float64{1e-9, h}, T1: ends})
 		if err == nil || res != nil {
 			t.Fatalf("H[1] = %g accepted: (%v, %v)", h, res, err)
 		}
 	}
-	if _, err := transient.RunBatch(ctx, b, x0[:3], transient.BatchOptions{Steps: 1, H: []float64{1e-9, 1e-9}}); err == nil {
+	if _, err := transient.RunBatch(ctx, b, x0[:3], transient.BatchOptions{H: []float64{1e-9, 1e-9}, T1: ends}); err == nil {
 		t.Fatal("short x0 accepted")
 	}
-	if _, err := transient.RunBatch(ctx, b, x0, transient.BatchOptions{Steps: 1, H: []float64{1e-9, 1e-9}, Active: []int{5}}); err == nil {
+	if _, err := transient.RunBatch(ctx, b, x0, transient.BatchOptions{H: []float64{1e-9, 1e-9}, T1: ends, Active: []int{5}}); err == nil {
 		t.Fatal("out-of-range Active lane accepted")
 	}
 }
@@ -197,7 +214,7 @@ func TestRunBatchScratchReuse(t *testing.T) {
 	sc := transient.NewBatchScratch(b)
 	x0 := kickedStart(K, b.N)
 	h := []float64{1e-9, 1.2e-9, 1.4e-9}
-	opt := transient.BatchOptions{Method: transient.Trap, Steps: steps, H: h, Sensitivity: true}
+	opt := transient.BatchOptions{Options: transient.Options{Method: transient.Trap, Sensitivity: true}, H: h, T1: laneEnds(h, steps)}
 	if _, err := sc.Run(context.Background(), x0, opt); err != nil {
 		t.Fatal(err)
 	}

@@ -27,8 +27,8 @@ func halvingBatch(t *testing.T, active []int) (*transient.BatchResult, *diag.Met
 	h := []float64{2e-7, 2e-5}
 	m := diag.New()
 	res, err := transient.RunBatch(diag.WithMetrics(context.Background(), m), b, x0, transient.BatchOptions{
-		Method: transient.Trap, Steps: 24, H: h, MaxNewton: 4,
-		Sensitivity: true, Record: true, RecordStates: true, Active: active,
+		Options: transient.Options{Method: transient.Trap, MaxNewton: 4, Sensitivity: true},
+		H:       h, T1: laneEnds(h, 24), RecordWave: true, RecordStates: true, Active: active,
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -89,7 +89,8 @@ func TestRunBatchHalvesFailingLane(t *testing.T) {
 		xm[n+j] -= eps
 		run := func(x []float64) linalg.Vec {
 			r, err := transient.RunBatch(context.Background(), b, x, transient.BatchOptions{
-				Method: transient.Trap, Steps: 24, H: h, MaxNewton: 4, Active: []int{1},
+				Options: transient.Options{Method: transient.Trap, MaxNewton: 4},
+				H:       h, T1: laneEnds(h, 24), Active: []int{1},
 			})
 			if err != nil || r.Err[1] != nil {
 				t.Fatalf("perturbed run: %v %v", err, r.Err[1])
@@ -116,7 +117,8 @@ func TestRunBatchHalvingUnderflow(t *testing.T) {
 	}
 	m := diag.New()
 	res, err := transient.RunBatch(diag.WithMetrics(context.Background(), m), b, kickedStart(1, b.N), transient.BatchOptions{
-		Method: transient.BE, Steps: 4, H: []float64{2e-7}, NewtonTol: 1e-300,
+		Options: transient.Options{Method: transient.BE, NewtonTol: 1e-300},
+		H:       []float64{2e-7}, T1: []float64{4 * 2e-7},
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -127,5 +129,86 @@ func TestRunBatchHalvingUnderflow(t *testing.T) {
 	// 2e-7/2^20 is the first half step below the floor of 2e-13.
 	if got := m.Get(diag.TransientRejections); got != 19 {
 		t.Fatalf("%d rejections, want 19", got)
+	}
+}
+
+// TestLanesIndependentUnderStepControl: every lane of a batch computes what
+// transient.Run of its circuit does, bit for bit, although each lane has
+// its own step control — in a three-corner θ batch with different steps
+// and end times, one interval not a whole number of steps and one lane
+// forced to halve as in halvingBatch, and in a two-corner adaptive batch.
+// The batch's counts are the sums of its lanes'.
+func TestLanesIndependentUnderStepControl(t *testing.T) {
+	for _, c := range []struct {
+		name string
+		opt  transient.BatchOptions
+	}{
+		{"theta", transient.BatchOptions{
+			Options: transient.Options{Method: transient.Trap, MaxNewton: 4, Sensitivity: true, Record: 3},
+			H:       []float64{2e-7, 3e-7, 2e-5}, T1: []float64{24 * 2e-7, 30.5 * 3e-7, 24 * 2e-5},
+		}},
+		{"adaptive", transient.BatchOptions{
+			Options: transient.Options{Method: transient.Trap, Adaptive: true, Sensitivity: true},
+			H:       []float64{1e-6, 2e-6}, T1: []float64{5e-5, 7e-5},
+		}},
+	} {
+		systems := cornerRings(t, len(c.opt.H))
+		b, err := circuit.NewBatch(systems)
+		if err != nil {
+			t.Fatal(err)
+		}
+		n := b.N
+		x0 := kickedStart(b.K, n)
+		c.opt.RecordStates = true
+		res, err := transient.RunBatch(context.Background(), b, x0, c.opt)
+		if err != nil {
+			t.Fatal(err)
+		}
+		steps, rejected, iters := 0, 0, 0
+		for k, sys := range systems {
+			if res.Err[k] != nil {
+				t.Fatalf("%s lane %d: %v", c.name, k, res.Err[k])
+			}
+			opt := c.opt.Options
+			opt.Step = c.opt.H[k]
+			solo, err := transient.Run(sys, linalg.Vec(x0[k*n:(k+1)*n]), 0, c.opt.T1[k], opt)
+			if err != nil {
+				t.Fatalf("%s lane %d alone: %v", c.name, k, err)
+			}
+			if len(solo.T) != len(res.T[k]) {
+				t.Fatalf("%s lane %d: %d points recorded, %d alone", c.name, k, len(res.T[k]), len(solo.T))
+			}
+			requireSameBits(t, -1, res.T[k], solo.T)
+			for i, x := range solo.X {
+				requireSameBits(t, i, res.States[k][i], x)
+			}
+			requireSameBits(t, -1, res.Sens[k].Data, solo.Sens.Data)
+			steps, rejected, iters = steps+solo.Steps, rejected+solo.Rejected, iters+solo.NewtonIters
+		}
+		if res.Steps != steps || res.Rejected != rejected || res.NewtonIters != iters {
+			t.Fatalf("%s: %d steps, %d rejections, %d iterations; the lanes alone %d, %d, %d",
+				c.name, res.Steps, res.Rejected, res.NewtonIters, steps, rejected, iters)
+		}
+		if rejected == 0 {
+			t.Fatalf("%s: no lane rejected a step", c.name)
+		}
+		t.Logf("%s: %d steps, %d rejections, %d iterations", c.name, steps, rejected, iters)
+	}
+}
+
+// TestRetakeDepthBounded: with a MinStep far below any step a retake
+// reaches, a corrector that never converges still fails the run with
+// ErrStepUnderflow once one grid step has been halved 62 times, the
+// deepest retake whose sub-steps a lane can count.
+func TestRetakeDepthBounded(t *testing.T) {
+	sys := cornerRings(t, 1)[0]
+	res, err := transient.Run(sys, linalg.Vec(kickedStart(1, sys.N)), 0, 4*2e-7, transient.Options{
+		Method: transient.BE, Step: 2e-7, MinStep: 1e-300, NewtonTol: 1e-300, MaxNewton: 2,
+	})
+	if !errors.Is(err, transient.ErrStepUnderflow) {
+		t.Fatalf("err = %v, want ErrStepUnderflow", err)
+	}
+	if res.Steps != 0 || res.Rejected != 62 {
+		t.Fatalf("%d steps, %d halvings; want 0 and 62", res.Steps, res.Rejected)
 	}
 }

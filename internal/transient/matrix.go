@@ -1,31 +1,22 @@
 package transient
 
 import (
-	"repro/internal/circuit"
 	"repro/internal/diag"
 	"repro/internal/linalg"
 	"repro/internal/linalg/sparse"
 )
 
 // This file holds everything the two linear-algebra backends do
-// differently, behind one type: where a Jacobian is stamped, how a lane's
-// values on the batch pattern land in the backend's layout, how a matrix is
-// factored and counted, and in which order a θ monodromy factor is
-// propagated. The θ and BDF2 correctors (corrector.go) and the lockstep
-// lanes (batch.go) are written once over it.
+// differently, behind one type: how a lane's values on the batch pattern
+// land in the backend's layout, how a matrix is factored and counted, and
+// in which order a θ monodromy factor is propagated. The lanes (batch.go)
+// are written once over it.
 
-// matrix is one n×n matrix of a corrector together with a factorization of
-// its own. Its values take the backend's layout — dense row-major n², or
-// one value per entry of a sparsity pattern — which is also the layout of
-// the C values the corrector scales (corrector.scaledC), so the two combine
-// entrywise (addScaled). Matrices made together share one value array
-// (newMatrices); a sibling has values of its own.
+// matrix is one n×n matrix of a lane together with a factorization of its
+// own. Its values take the backend's layout — dense row-major n², or one
+// value per entry of a sparsity pattern. Matrices made together share one
+// value array (newMatrices); a sibling has values of its own.
 type matrix interface {
-	// vals returns the values.
-	vals() []float64
-	// eval evaluates f and the Jacobian at (x, t) through ws, J into the
-	// values.
-	eval(ws *circuit.Workspace, x linalg.Vec, t float64, f linalg.Vec)
 	// combine sets the values to c + w·J, with c and J given as one lane's
 	// values on the batch pattern.
 	combine(c, jv []float64, w float64)
@@ -46,19 +37,15 @@ type matrix interface {
 
 // newMatrices returns count n×n matrices of backend be that share one
 // value array — their users assemble and factor one at a time — each with
-// a factorization of its own, and spare more floats from the same
-// allocation (a corrector's scaled C rides along).
-// Sparse values live on pat; a dense matrix reads pat only to place lane
-// values (combine), so the scalar dense path passes nil and never builds a
-// pattern.
-func newMatrices(be linalg.Backend, n int, pat *sparse.Pattern, count, spare int, p *pins) ([]matrix, []float64) {
+// a factorization of its own. Sparse values live on pat; a dense matrix
+// reads pat to place lane values (combine).
+func newMatrices(be linalg.Backend, n int, pat *sparse.Pattern, count int, p *pins) []matrix {
 	size := n * n
 	if be == linalg.BackendSparse {
 		size = pat.NNZ()
 	}
-	buf := make([]float64, size+spare)
-	p.add(len(buf))
-	vals := buf[:size:size]
+	vals := make([]float64, size)
+	p.add(size)
 	ms := make([]matrix, count)
 	if be == linalg.BackendSparse {
 		sm := make([]sparseMatrix, count)
@@ -73,22 +60,16 @@ func newMatrices(be linalg.Backend, n int, pat *sparse.Pattern, count, spare int
 			ms[i] = &dm[i]
 		}
 	}
-	return ms, buf[size:]
+	return ms
 }
 
 // denseMatrix is a matrix on the dense backend: row-major values and a
 // partial-pivoting LU.
 type denseMatrix struct {
 	a   linalg.Mat
-	pat *sparse.Pattern // the lanes' Jacobian pattern (combine); nil on the scalar path
+	pat *sparse.Pattern // the lanes' Jacobian pattern (combine)
 	lu  linalg.LU
 	pin *pins
-}
-
-func (d *denseMatrix) vals() []float64 { return d.a.Data }
-
-func (d *denseMatrix) eval(ws *circuit.Workspace, x linalg.Vec, t float64, f linalg.Vec) {
-	ws.EvalFJ(x, t, f, &d.a)
 }
 
 // combine scatters c + w·J into the zeroed matrix: off the pattern C and
@@ -142,12 +123,6 @@ type sparseMatrix struct {
 	a   sparse.CSC
 	lu  sparse.LU
 	pin *pins
-}
-
-func (s *sparseMatrix) vals() []float64 { return s.a.Val }
-
-func (s *sparseMatrix) eval(ws *circuit.Workspace, x linalg.Vec, t float64, f linalg.Vec) {
-	ws.EvalFJSparse(x, t, f, &s.a)
 }
 
 func (s *sparseMatrix) combine(c, jv []float64, w float64) {

@@ -89,7 +89,7 @@ func TestBatchLaneRejectsNonFiniteIterate(t *testing.T) {
 		t.Fatal(err)
 	}
 	res, err := transient.RunBatch(context.Background(), b, []float64{0, 0}, transient.BatchOptions{
-		Method: transient.Trap, Steps: 200, H: []float64{1e-5, 1e-5},
+		Options: transient.Options{Method: transient.Trap, Step: 1e-5}, T1: []float64{2e-3, 2e-3},
 	})
 	if err != nil {
 		t.Fatal(err)

@@ -352,8 +352,9 @@ func fixedPredict(pred, x, prev, prev2 linalg.Vec, k int, h float64) {
 	transient.Predict(pred, x, prev, prev2, h, h1, h2)
 }
 
-// TestThetaStepBitIdenticalToReference drives the θ stepper of each backend
-// and that backend's reference corrector, taking the policy's decisions,
+// TestThetaStepBitIdenticalToReference drives the lane corrector's θ step
+// (ThetaStepper) on each backend and that backend's reference corrector,
+// taking the policy's decisions,
 // through the same 2,000 steps of the adder (Trap and BE, from the run
 // loop's predictor): every accepted state and iteration count must match
 // bit for bit.
@@ -696,7 +697,7 @@ func refGear(sys *circuit.System, bk linalg.Backend, x1 linalg.Vec, t1, h float6
 // every lane with the shared predictor, the reference corrector taking the
 // policy's decisions from the previous step's carried factorization, and
 // the reference sensitivity assembly: every recorded state and each lane's
-// final monodromy match bit for bit. A Gear2 lane replays runGear2's
+// final monodromy match bit for bit. A Gear2 lane replays the Gear2
 // sequence: a BE first step from the lane's state, then BDF2 steps from the
 // line through the two states before, the first of them without a carried
 // factorization.
@@ -720,7 +721,8 @@ func TestBatchLaneBitIdenticalToReference(t *testing.T) {
 				th = 1
 			}
 			res, err := transient.RunBatch(context.Background(), b, x0, transient.BatchOptions{
-				Method: m, Steps: steps, H: h, Sensitivity: true, RecordStates: true, Backend: bk,
+				Options: transient.Options{Method: m, Sensitivity: true, Backend: bk},
+				H:       h, T1: laneEnds(h, steps), RecordStates: true,
 			})
 			if err != nil {
 				t.Fatal(err)

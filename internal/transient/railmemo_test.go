@@ -10,7 +10,7 @@ import (
 	"repro/internal/transient"
 )
 
-// TestRailEvaluatedOncePerTimePoint: across a θ run, the stepper's workspace
+// TestRailEvaluatedOncePerTimePoint: across a θ run, the run's workspace
 // runs a rail's V(t) and dV/dt once per accepted time point — the step's
 // f(x0, t) reuses the previous step's evaluations at t, and every Newton
 // iteration at t+h shares one — although three devices and a coupling

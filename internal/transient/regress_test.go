@@ -187,7 +187,8 @@ func TestFixedStepRunEndsWithRemainder(t *testing.T) {
 
 // ringAtT64 is the paper's ring integrated from its kick-start at 64 Trap
 // steps per estimated period with a two-iteration corrector cap, which
-// makes the corrector fail, and the run halve its step, a few times.
+// makes the corrector fail, and the run retake a step in halves, a few
+// times.
 func ringAtT64(t *testing.T, ctx context.Context, method transient.Method) (*transient.Result, float64, error) {
 	t.Helper()
 	r, err := ringosc.Build(ringosc.DefaultConfig())
@@ -201,26 +202,35 @@ func ringAtT64(t *testing.T, ctx context.Context, method transient.Method) (*tra
 	return res, T, err
 }
 
-// TestFixedStepRejectionRestartsGrid: after a corrector failure halves the
-// step, the run continues on the grid of the halved step from the accepted
-// point and still lands on t1 — no sliver steps.
-func TestFixedStepRejectionRestartsGrid(t *testing.T) {
+// TestFixedStepRejectionRetakesInHalves: a fixed-step run whose corrector
+// fails retakes that grid step in halves and lands back on its grid — every
+// halving adds one accepted sub-step, the run ends on 20·T exactly, it
+// records grid points t0 + k·h only, and no step is shorter than
+// h/2^Rejected.
+func TestFixedStepRejectionRetakesInHalves(t *testing.T) {
 	res, T, err := ringAtT64(t, context.Background(), transient.Trap)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if res.Rejected == 0 {
-		t.Fatal("no corrector failure: the test does not exercise a restart")
+		t.Fatal("no corrector failure: the test does not exercise a retake")
+	}
+	h := T / 64
+	if grid := len(res.T) - 1; res.Steps != grid+res.Rejected {
+		t.Fatalf("%d steps over %d grid steps and %d halvings", res.Steps, grid, res.Rejected)
 	}
 	if last := res.T[len(res.T)-1]; last != 20*T {
 		t.Fatalf("run ends at %v, want %v", last, 20*T)
 	}
 	minStep := math.Inf(1)
 	for k := 1; k < len(res.T); k++ {
+		if k < len(res.T)-1 && res.T[k] != float64(k)*h {
+			t.Fatalf("T[%d] = %v, not the grid point %v", k, res.T[k], float64(k)*h)
+		}
 		minStep = math.Min(minStep, res.T[k]-res.T[k-1])
 	}
-	if hMin := T / 64 / math.Exp2(float64(res.Rejected)); minStep < hMin*(1-1e-6) {
-		t.Fatalf("shortest step %.6g s after %d halvings of %.6g s", minStep, res.Rejected, T/64)
+	if hMin := h / math.Exp2(float64(res.Rejected)); minStep < hMin*(1-1e-6) {
+		t.Fatalf("shortest step %.6g s after %d halvings of %.6g s", minStep, res.Rejected, h)
 	}
 }
 

@@ -154,16 +154,14 @@ func TestPerWorkerScratchesAreIndependent(t *testing.T) {
 }
 
 // TestScratchBytesPinnedFromBuffers pins ScratchBytesPinned to the buffers
-// a run allocates, 8 bytes per float64: the run's four vectors; each
-// corrector's five vectors, its value slab (the values its one matrix
-// factors the iteration and sensitivity systems from, and C scaled for the
-// step), the factors of that one factorization (n² dense, nnz + fill-in
-// sparse) and its sensitivity scratch (the θ-method's Jacobian at the
-// accepted point, its propagator's right-hand matrix and an n×n product, or
-// BDF2's two n×n products); and a batch's lane-major state, the state of a
-// step retaken in halves, its lanes' shared values, one factorization per
-// lane and scaled C, and its shared sensitivity scratch. A scratch reports each byte once, so a second run
-// through it adds nothing.
+// a run allocates, 8 bytes per float64. A scratch is a one-lane batch
+// scratch, and a K-lane one pins its lane-major state (x, x1, prev, prev2,
+// f0, the lane times tl and tl1, the Jacobian cache and each lane's scaled
+// C on the batch pattern), the solve vectors resid and dxv, the lanes'
+// shared matrix values, one factorization per lane (n² dense, nnz + fill-in
+// sparse) and, in sensitivity runs, the propagator's right-hand matrix and
+// an n×n product, and for Gear2 a second one. A scratch reports each byte
+// once, so a second run through it adds nothing.
 func TestScratchBytesPinnedFromBuffers(t *testing.T) {
 	arr, x0 := buildCoupled(t)
 	sys, T := arr.Sys, 1/arr.EstimatedF0()
@@ -173,11 +171,11 @@ func TestScratchBytesPinnedFromBuffers(t *testing.T) {
 		want func(fill int64) int64 // fill: the fill-in the run's symbolic analyses reported in all
 	}{
 		{transient.Options{Method: transient.Trap, Backend: linalg.BackendDense},
-			func(int64) int64 { return 4*n + 5*n + 2*n*n + n*n + 3*n*n }},
+			func(int64) int64 { return 7*n + 2 + 2*nnz + n*n + n*n + 2*n*n }},
 		{transient.Options{Method: transient.BE, Backend: linalg.BackendSparse},
-			func(fill int64) int64 { return 4*n + 5*n + 2*nnz + nnz + fill + 2*nnz + n*n }},
+			func(fill int64) int64 { return 7*n + 2 + 2*nnz + nnz + nnz + fill + nnz + n*n }},
 		{transient.Options{Method: transient.Gear2, Backend: linalg.BackendDense},
-			func(int64) int64 { return 4*n + 2*(5*n+2*n*n+n*n) + 3*n*n + 2*n*n }},
+			func(int64) int64 { return 7*n + 2 + 2*nnz + n*n + n*n + 3*n*n }},
 	} {
 		c.opt.Step, c.opt.Sensitivity = T/256, true
 		m := diag.New()
@@ -204,11 +202,11 @@ func TestScratchBytesPinnedFromBuffers(t *testing.T) {
 	sc := transient.NewBatchScratch(b)
 	for run := 0; run < 2; run++ {
 		if _, err := sc.Run(diag.WithMetrics(context.Background(), m), kickedStart(K, b.N),
-			transient.BatchOptions{Method: transient.Trap, Steps: 20, H: h, Sensitivity: true}); err != nil {
+			transient.BatchOptions{Options: transient.Options{Method: transient.Trap, Sensitivity: true}, H: h, T1: laneEnds(h, 20)}); err != nil {
 			t.Fatal(err)
 		}
 	}
-	state := 6*K*n + 2*K + 2*K*nnz + 5*n // x, x1, prev, prev2, f0, fcache; tl, tl1; jcache, scaled C; resid, dxv, and the halving's sx, sp, spp
+	state := 5*K*n + 2*K + 2*K*nnz + 2*n // x, x1, prev, prev2, f0; tl, tl1; jcache, scaled C; resid, dxv
 	lanes := n*n + K*n*n                 // shared values; one factorization per lane
 	if got, want := m.Get(diag.ScratchBytesPinned), 8*(state+lanes+2*n*n); got != want {
 		t.Errorf("batch: %d bytes pinned, want %d", got, want)

@@ -75,7 +75,7 @@ func TestPredictExtrapolatesQuadratics(t *testing.T) {
 func TestNewtonLoopChordDecisions(t *testing.T) {
 	type iteration struct {
 		refactor bool    // what the policy must ask for
-		dx       float64 // the update the iteration returns
+		dx       float64 // the update the iteration applies
 	}
 	for _, c := range []struct {
 		name    string
@@ -102,20 +102,16 @@ func TestNewtonLoopChordDecisions(t *testing.T) {
 		}},
 	} {
 		x1 := linalg.Vec{0}
-		k := 0
-		_, iters, err := newtonLoop(nil, x1, 40, 1e-9, c.carried, func(refactor bool) (linalg.Vec, error) {
-			if k >= len(c.script) {
-				t.Fatalf("%s: iteration %d past the script", c.name, k)
+		p := newtonPolicy{chord: c.carried}
+		for k, it := range c.script {
+			fresh := p.refactor()
+			if fresh != it.refactor {
+				t.Fatalf("%s: iteration %d: refactor = %v, want %v", c.name, k, fresh, it.refactor)
 			}
-			if refactor != c.script[k].refactor {
-				t.Fatalf("%s: iteration %d: refactor = %v, want %v", c.name, k, refactor, c.script[k].refactor)
+			done, err := p.apply(x1, linalg.Vec{it.dx}, 1e-9, fresh)
+			if err != nil || done != (k == len(c.script)-1) {
+				t.Fatalf("%s: iteration %d: converged %v, err %v", c.name, k, done, err)
 			}
-			dx := linalg.Vec{c.script[k].dx}
-			k++
-			return dx, nil
-		})
-		if err != nil || iters != len(c.script) {
-			t.Fatalf("%s: %d iterations, err %v; want %d and nil", c.name, iters, err, len(c.script))
 		}
 	}
 }

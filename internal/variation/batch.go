@@ -184,20 +184,11 @@ func EvaluateBatchEng(ctx context.Context, eng *engine.Engine, nominal ringosc.C
 	return batchEvalCorners(ctx, eng, nom, cfgs)
 }
 
-// MonteCarloBatch is MonteCarlo through the batched evaluation path: same
-// corners (PseudoSampler draws are bit-identical to MonteCarlo's), solved
-// DefaultBatchLanes at a time from a shared nominal warm start.
-func MonteCarloBatch(base ringosc.Config, params []Param, n int, seed int64) ([]Sample, error) {
-	samples, _, err := MonteCarloBatchEng(context.Background(), nil, base, params, n,
-		PseudoSampler{Seed: seed}, DefaultBatchLanes, 1)
-	return samples, err
-}
-
 // MonteCarloBatchEng draws n corners with smp and evaluates them through the
 // batched PSS pipeline, `lanes` corners per batched solve (0 means
 // DefaultBatchLanes), with up to `workers` batches in flight concurrently.
 // It returns the samples (corner deltas + metrics, same shape as
-// MonteCarloEng) and the full per-corner model chains for downstream noise
+// MonteCarloSampledEng) and the full per-corner model chains for downstream noise
 // studies. Sample i's corner is smp.Draw(i) regardless of lane and worker
 // geometry, so results are bit-stable under re-chunking only in the drawn
 // corners; the solved metrics agree with the scalar path to solver tolerance

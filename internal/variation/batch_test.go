@@ -23,7 +23,7 @@ func TestMonteCarloBatchMatchesScalar(t *testing.T) {
 	params := variation.StandardParams()
 	ctx := context.Background()
 
-	scalar, err := variation.MonteCarloEng(ctx, nil, base, params, n, seed, 1)
+	scalar, err := variation.MonteCarloSampledEng(ctx, nil, base, params, n, variation.PseudoSampler{Seed: seed}, 1)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -82,11 +82,11 @@ func TestEvaluateBatchEngScalarFallback(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	want0, err := variation.Evaluate(base)
+	want0, err := variation.EvaluateEng(ctx, nil, base)
 	if err != nil {
 		t.Fatal(err)
 	}
-	want1, err := variation.Evaluate(other)
+	want1, err := variation.EvaluateEng(ctx, nil, other)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -35,9 +35,8 @@ func clipSigma(d float64) float64 {
 
 // PseudoSampler is the classic pseudo-random Gaussian sampler: sample i
 // draws from rand.New(rand.NewSource(parallel.SubSeed(Seed, i))), one
-// NormFloat64 per parameter, clipped at ±3σ. This reproduces the draws of
-// MonteCarlo/MonteCarloEng bit for bit, so switching call sites to the
-// sampler API does not move any golden number.
+// NormFloat64 per parameter, clipped at ±3σ: the draws Monte Carlo made
+// before the sampler API, bit for bit, so no golden number moved with it.
 type PseudoSampler struct {
 	Seed int64
 }

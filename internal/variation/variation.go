@@ -74,23 +74,13 @@ func NewEngine(workers int) *engine.Engine {
 	})
 }
 
-// Evaluate runs the full pipeline (build → PSS → PPV → GAE band) for a
-// configuration.
-func Evaluate(cfg ringosc.Config) (Metrics, error) {
-	return EvaluateCtx(context.Background(), cfg)
-}
-
-// EvaluateCtx is Evaluate with cancellation threaded into the PSS shooting
-// transients. Each call builds its own circuit and workspaces, so any number
-// of evaluations may run concurrently.
-func EvaluateCtx(ctx context.Context, cfg ringosc.Config) (Metrics, error) {
-	return EvaluateEng(ctx, nil, cfg)
-}
-
-// EvaluateEng is EvaluateCtx resolving the PSS→PPV chain through a memoizing
-// engine (see NewEngine): repeated corners — the nominal point of every
+// EvaluateEng runs the full pipeline (build → PSS → PPV → GAE band) for a
+// configuration, resolving the PSS→PPV chain through a memoizing engine
+// (see NewEngine): repeated corners — the nominal point of every
 // sensitivity run, or identical Monte-Carlo re-runs — coalesce into one
-// computation. A nil engine computes directly.
+// computation. A nil engine computes directly. Each call builds its own
+// circuit and workspaces, so any number of evaluations may run
+// concurrently.
 func EvaluateEng(ctx context.Context, eng *engine.Engine, cfg ringosc.Config) (Metrics, error) {
 	cr, err := evaluateCornerEng(ctx, eng, cfg)
 	if err != nil {
@@ -158,24 +148,14 @@ type Sensitivity struct {
 	DF0, DV1, DV2, DLockWidth float64
 }
 
-// Sensitivities computes one-at-a-time ±1σ central differences through the
-// whole pipeline.
-func Sensitivities(base ringosc.Config, params []Param) ([]Sensitivity, error) {
-	return SensitivitiesCtx(context.Background(), base, params, 1)
-}
-
-// SensitivitiesCtx is Sensitivities with cancellation and a worker pool: the
-// 2·len(params) corner evaluations (each a full PSS→PPV→GAE pipeline, by far
-// the dominant cost) run concurrently on up to workers goroutines after the
-// nominal point. Results are bit-identical at any worker count.
-func SensitivitiesCtx(ctx context.Context, base ringosc.Config, params []Param, workers int) ([]Sensitivity, error) {
-	return SensitivitiesEng(ctx, nil, base, params, workers)
-}
-
-// SensitivitiesEng is SensitivitiesCtx with the corner pipelines resolved
-// through a memoizing engine (nil: compute directly). Sharing one engine
-// between the sensitivity and Monte-Carlo passes of a characterization run
-// makes the repeated nominal evaluation free.
+// SensitivitiesEng computes one-at-a-time ±1σ central differences through
+// the whole pipeline. After the nominal point, the 2·len(params) corner
+// evaluations (each a full PSS→PPV→GAE pipeline, by far the dominant cost)
+// run concurrently on up to workers goroutines; results are bit-identical
+// at any worker count. The corner pipelines resolve through a memoizing
+// engine (nil: compute directly): sharing one engine between the
+// sensitivity and Monte-Carlo passes of a characterization run makes the
+// repeated nominal evaluation free.
 func SensitivitiesEng(ctx context.Context, eng *engine.Engine, base ringosc.Config, params []Param, workers int) ([]Sensitivity, error) {
 	nom, err := EvaluateEng(ctx, eng, base)
 	if err != nil {
@@ -251,34 +231,14 @@ type Sample struct {
 	Metrics Metrics
 }
 
-// MonteCarlo draws n samples with Gaussian parameter spreads (clipped at
-// ±3σ) using a deterministic seed, and evaluates each through the pipeline.
-func MonteCarlo(base ringosc.Config, params []Param, n int, seed int64) ([]Sample, error) {
-	return MonteCarloCtx(context.Background(), base, params, n, seed, 1)
-}
-
-// MonteCarloCtx is MonteCarlo with cancellation and a worker pool. Sample i
-// draws from its own RNG seeded with parallel.SubSeed(seed, i), so the
-// sampled corners — and every downstream statistic — are bit-identical at
-// any worker count. On error or cancellation the partial slice is returned;
-// samples that did not run are zero-valued.
-func MonteCarloCtx(ctx context.Context, base ringosc.Config, params []Param, n int, seed int64, workers int) ([]Sample, error) {
-	return MonteCarloEng(ctx, nil, base, params, n, seed, workers)
-}
-
-// MonteCarloEng is MonteCarloCtx with the sample pipelines resolved through
-// a memoizing engine (nil: compute directly); re-running the same seed
-// against a warm engine is then nearly free. The corners are those of
-// PseudoSampler{Seed: seed} — bit-identical to this function's historical
-// inline draws.
-func MonteCarloEng(ctx context.Context, eng *engine.Engine, base ringosc.Config, params []Param, n int, seed int64, workers int) ([]Sample, error) {
-	return MonteCarloSampledEng(ctx, eng, base, params, n, PseudoSampler{Seed: seed}, workers)
-}
-
-// MonteCarloSampledEng is MonteCarloEng with the corner draws delegated to
-// an arbitrary Sampler (pseudo-random, scrambled Sobol, ...). Sample i's
-// corner is smp.Draw(i), so the run remains bit-identical at any worker
-// count.
+// MonteCarloSampledEng draws n corners with smp (pseudo-random — clipped
+// Gaussian spreads from PseudoSampler's seed — scrambled Sobol, ...) and
+// evaluates each through the pipeline on up to workers goroutines,
+// resolving the pipelines through a memoizing engine (nil: compute
+// directly); re-running the same draws against a warm engine is then
+// nearly free. Sample i's corner is smp.Draw(i), so the run is
+// bit-identical at any worker count. On error or cancellation the partial
+// slice is returned; samples that did not run are zero-valued.
 func MonteCarloSampledEng(ctx context.Context, eng *engine.Engine, base ringosc.Config, params []Param, n int, smp Sampler, workers int) ([]Sample, error) {
 	return parallel.MapWorkerCtx(ctx, n, workers, func(wctx context.Context, _, i int) (Sample, error) {
 		diag.FromContext(wctx).Inc(diag.SweepPoints)

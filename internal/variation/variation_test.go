@@ -1,6 +1,7 @@
 package variation_test
 
 import (
+	"context"
 	"math"
 	"testing"
 
@@ -9,7 +10,7 @@ import (
 )
 
 func TestEvaluateNominal(t *testing.T) {
-	m, err := variation.Evaluate(ringosc.DefaultConfig())
+	m, err := variation.EvaluateEng(context.Background(), nil, ringosc.DefaultConfig())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -25,7 +26,7 @@ func TestSensitivitiesPhysicalSigns(t *testing.T) {
 	if testing.Short() {
 		t.Skip("runs the pipeline 11 times")
 	}
-	sens, err := variation.Sensitivities(ringosc.DefaultConfig(), variation.StandardParams())
+	sens, err := variation.SensitivitiesEng(context.Background(), nil, ringosc.DefaultConfig(), variation.StandardParams(), 1)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -60,11 +61,11 @@ func TestMonteCarloReproducibleAndSpread(t *testing.T) {
 	}
 	base := ringosc.DefaultConfig()
 	params := variation.StandardParams()
-	a, err := variation.MonteCarlo(base, params, 10, 7)
+	a, err := variation.MonteCarloSampledEng(context.Background(), nil, base, params, 10, variation.PseudoSampler{Seed: 7}, 1)
 	if err != nil {
 		t.Fatal(err)
 	}
-	b, err := variation.MonteCarlo(base, params, 10, 7)
+	b, err := variation.MonteCarloSampledEng(context.Background(), nil, base, params, 10, variation.PseudoSampler{Seed: 7}, 1)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -82,7 +83,7 @@ func TestMonteCarloReproducibleAndSpread(t *testing.T) {
 	}
 	// Designer margin: the SYNC needed to cover the worst corner must be a
 	// sane current (µA–mA scale).
-	nom, err := variation.Evaluate(base)
+	nom, err := variation.EvaluateEng(context.Background(), nil, base)
 	if err != nil {
 		t.Fatal(err)
 	}

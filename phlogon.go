@@ -29,8 +29,7 @@
 //	_ = sol
 //
 // Every analysis entry point takes a context.Context first (cancellation,
-// deadlines, and diagnostics attribution flow through it); the ctx-less
-// names remain as deprecated wrappers over context.Background().
+// deadlines, and diagnostics attribution flow through it).
 package phlogon
 
 import (
@@ -150,22 +149,10 @@ func FindPSSCtx(ctx context.Context, osc Oscillator) (*PSS, error) {
 	return engine.ColdPSS(ctx, osc, pss.Options{StepsPerPeriod: 1024})
 }
 
-// FindPSS computes a ring's periodic steady state by shooting.
-//
-// Deprecated: use FindPSSCtx, or an Engine to memoize the solve.
-func FindPSS(r *Ring) (*PSS, error) { return FindPSSCtx(context.Background(), r) }
-
 // ExtractPPVCtx extracts the time-domain PPV macromodel from an
 // oscillator's PSS, as an Engine miss does.
 func ExtractPPVCtx(ctx context.Context, osc Oscillator, sol *PSS) (*PPV, error) {
 	return engine.ColdPPV(ctx, osc, sol)
-}
-
-// ExtractPPV extracts the time-domain PPV macromodel from a PSS.
-//
-// Deprecated: use ExtractPPVCtx, or an Engine to memoize the extraction.
-func ExtractPPV(r *Ring, sol *PSS) (*PPV, error) {
-	return ExtractPPVCtx(context.Background(), r, sol)
 }
 
 // RingPPVCtx is the one-call pipeline: build → PSS → PPV. Unlike an
@@ -186,13 +173,6 @@ func RingPPVCtx(ctx context.Context, cfg RingConfig) (*Ring, *PSS, *PPV, error) 
 	return r, sol, p, nil
 }
 
-// RingPPV is the one-call pipeline: build → PSS → PPV.
-//
-// Deprecated: use Engine.RingPPV (memoized) or RingPPVCtx.
-func RingPPV(cfg RingConfig) (*Ring, *PSS, *PPV, error) {
-	return RingPPVCtx(context.Background(), cfg)
-}
-
 // NewGAE builds a Generalized Adler Equation around a PPV.
 func NewGAE(p *PPV, f1 float64, inj ...Injection) *GAE {
 	return gae.NewModel(p, f1, inj...)
@@ -202,13 +182,6 @@ func NewGAE(p *PPV, f1 float64, inj ...Injection) *GAE {
 // analysis) with cancellation.
 func RunTransientCtx(ctx context.Context, sys *System, x0 []float64, t0, t1 float64, opt TransientOptions) (*TransientResult, error) {
 	return transient.RunCtx(ctx, sys, x0, t0, t1, opt)
-}
-
-// RunTransient integrates a circuit's ODE (SPICE-level transient analysis).
-//
-// Deprecated: use RunTransientCtx.
-func RunTransient(sys *System, x0 []float64, t0, t1 float64, opt TransientOptions) (*TransientResult, error) {
-	return RunTransientCtx(context.Background(), sys, x0, t0, t1, opt)
 }
 
 // NewSerialAdder builds the Fig. 15 serial adder on phase macromodels.

@@ -14,7 +14,7 @@ import (
 
 // TestFacadePipeline exercises the documented public flow end to end.
 func TestFacadePipeline(t *testing.T) {
-	ring, sol, p, err := phlogon.RingPPV(phlogon.DefaultRingConfig())
+	ring, sol, p, err := phlogon.RingPPVCtx(context.Background(), phlogon.DefaultRingConfig())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -86,7 +86,7 @@ func TestFacadeNetlistRoundTrip(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	res, err := phlogon.RunTransient(sys, []float64{0}, 0, 1e-6, transient.Options{
+	res, err := phlogon.RunTransientCtx(context.Background(), sys, []float64{0}, 0, 1e-6, transient.Options{
 		Method: transient.BE, Step: 1e-9,
 	})
 	if err != nil {
@@ -112,7 +112,7 @@ func TestFacadeNetlistNegativeCapacitance(t *testing.T) {
 }
 
 func TestFacadeSerialAdder(t *testing.T) {
-	_, _, p, err := phlogon.RingPPV(phlogon.DefaultRingConfig())
+	_, _, p, err := phlogon.RingPPVCtx(context.Background(), phlogon.DefaultRingConfig())
 	if err != nil {
 		t.Fatal(err)
 	}
