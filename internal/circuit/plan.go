@@ -11,10 +11,12 @@ import (
 // A plan evaluates f (and J) for K congruent systems, its lanes: one kernel
 // per device type present, holding its devices' terminals and Jacobian
 // slots resolved once and the per-lane parameters in contiguous arrays, and
-// runs that call the kernels in device declaration order. A System builds a
-// one-lane plan on the dense row-major layout at Assemble and one on its
-// sparse pattern with that pattern; a Batch is a K-lane plan on lane 0's
-// sparse pattern.
+// runs that call the kernels in device declaration order. Its Jacobian
+// slots index one lane's values on the system's sparse pattern. A System
+// builds its one-lane plan at Assemble — the kernels resolve dense
+// row-major slots, the pattern is derived from them, and the slots are
+// remapped onto it — and a Batch of K > 1 lanes builds a K-lane plan on
+// lane 0's pattern the same way.
 //
 // Bit-identity contract: per lane, a plan accumulates into every residual
 // entry and Jacobian slot in declaration order, then adds the Gmin
@@ -56,8 +58,8 @@ func (p Peers) At(i, k int) Device { return p.lanes[k].Ckt.devices[p.pos[i]] }
 
 // Layout is the geometry kernels resolve their devices against while a plan
 // is built: the lane and node counts, Jacobian slots and per-lane memo
-// entries. Kernels take their slot tables from Slots, so a plan on a sparse
-// pattern can remap them once every kernel is built.
+// entries. Kernels take their slot tables from Slots, so the plan can remap
+// them onto a sparse pattern once every kernel is built.
 type Layout struct {
 	k, n    int     // lanes, nodes
 	memo    int     // per-lane memo entries reserved so far
@@ -88,8 +90,9 @@ func (l *Layout) ints(n int) []int {
 	return l.chunk[m : m+n : m+n]
 }
 
-// Slot resolves the Jacobian position (row, col) within one lane's values,
-// or −1 when either node is not free (the stamp is dropped).
+// Slot resolves the Jacobian position (row, col) to its dense row-major
+// slot, which the plan remaps onto the pattern, or −1 when either node is
+// not free (the stamp is dropped).
 func (l *Layout) Slot(row, col NodeID) int {
 	if !row.IsFree() || !col.IsFree() {
 		return -1
@@ -170,10 +173,11 @@ func (e *EvalContext) dvdt(k int, n NodeID) float64 {
 	return d
 }
 
-// newPlan builds the plan for lanes: on the dense row-major layout when pat
-// is nil, on pat otherwise. Kernels are built per device type, so a plan
-// costs a few allocations per type present, not per device.
-func newPlan(lanes []*System, pat *sparse.Pattern) (*plan, error) {
+// newPlan builds the plan for lanes with its Jacobian slots on the dense
+// row-major layout; remap moves them onto a pattern. Kernels are built per
+// device type, so a plan costs a few allocations per type present, not per
+// device.
+func newPlan(lanes []*System) (*plan, error) {
 	s0 := lanes[0]
 	devs := s0.Ckt.devices
 	p := &plan{lay: Layout{k: len(lanes), n: s0.N, memo: 2 * len(s0.Ckt.rails)}, lanes: lanes}
@@ -251,19 +255,22 @@ func newPlan(lanes []*System, pat *sparse.Pattern) (*plan, error) {
 	for i := range p.diag {
 		p.diag[i] = p.lay.Slot(NodeID(i), NodeID(i))
 	}
-	if pat != nil {
-		n := s0.N
-		for _, sl := range p.lay.slabs {
-			for j, v := range sl {
-				if v >= 0 {
-					if sl[j] = pat.IndexOf(v/n, v%n); sl[j] < 0 {
-						return nil, fmt.Errorf("a kernel stamps (%d,%d) outside the sparse pattern", v/n, v%n)
-					}
+	return p, nil
+}
+
+// remap moves the plan's dense row-major Jacobian slots onto pat.
+func (p *plan) remap(pat *sparse.Pattern) error {
+	n := p.lay.n
+	for _, sl := range p.lay.slabs {
+		for j, v := range sl {
+			if v >= 0 {
+				if sl[j] = pat.IndexOf(v/n, v%n); sl[j] < 0 {
+					return fmt.Errorf("a kernel stamps (%d,%d) outside the sparse pattern", v/n, v%n)
 				}
 			}
 		}
 	}
-	return p, nil
+	return nil
 }
 
 // eval runs the plan on e's active lanes: the lanes' memos move to their

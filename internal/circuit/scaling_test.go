@@ -20,21 +20,22 @@ func TestEvalScaledSourceStepping(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	ws := sys.NewWorkspace()
 	f := linalg.NewVec(1)
 	x := linalg.Vec{0}
 	// Full source: f = −2 mA (+gmin terms).
-	sys.EvalScaled(x, 0, f, nil, 1, 1)
+	ws.EvalScaled(x, 0, f, nil, 1, 1)
 	if math.Abs(f[0]+2e-3) > 1e-9 {
 		t.Fatalf("srcScale=1: f = %g", f[0])
 	}
 	// Half source.
-	sys.EvalScaled(x, 0, f, nil, 1, 0.5)
+	ws.EvalScaled(x, 0, f, nil, 1, 0.5)
 	if math.Abs(f[0]+1e-3) > 1e-9 {
 		t.Fatalf("srcScale=0.5: f = %g", f[0])
 	}
 	// Gmin scaling adds g·scale·x.
 	x[0] = 1
-	sys.EvalScaled(x, 0, f, nil, 1e6, 0)
+	ws.EvalScaled(x, 0, f, nil, 1e6, 0)
 	want := 1e-3 + c.Gmin*1e6*1 // resistor + scaled gmin
 	if math.Abs(f[0]-want) > 1e-12 {
 		t.Fatalf("gmin scaling: f = %g, want %g", f[0], want)

@@ -115,12 +115,12 @@ func oracleCircuits() map[string]func(k int) (*circuit.System, error) {
 // TestStampsBitIdenticalToReference is the device and circuit layers'
 // bit-identity contract: at random (x, t), every kernel yields exactly the
 // bits of the reference stamps (RefEval, which reads every rail and source
-// afresh). It checks one lane on the dense layout (Workspace.EvalScaled),
-// one lane on the sparse layout (EvalScaledSparse) and a batch of lanes with
-// different parameters at a shared time (EvalFJBatch, EvalFBatch) and at
-// per-lane times (EvalBatchAt); f-only and f+J evaluations; unit and
-// non-unit GminScale and SourceScale on the single lanes, unit ones on the
-// batch. Times repeat, so the time memos serve hits as well as misses.
+// afresh). It checks one lane (Workspace.EvalScaled on the pattern, and
+// EvalFJ scattered to n×n) and a batch of lanes with different parameters
+// at a shared time (EvalFJBatch, EvalFBatch) and at per-lane times
+// (EvalBatchAt); f-only and f+J evaluations; unit and non-unit GminScale
+// and SourceScale on the single lane, unit ones on EvalFJ and the batch.
+// Times repeat, so the time memos serve hits as well as misses.
 func TestStampsBitIdenticalToReference(t *testing.T) {
 	for name, mk := range oracleCircuits() {
 		t.Run(name, func(t *testing.T) {
@@ -164,19 +164,17 @@ func TestStampsBitIdenticalToReference(t *testing.T) {
 				}
 				ref(0, tt)
 				if wantJ {
-					ws.EvalScaled(x0, tt, f, j, gs, ss)
-					sameBits(t, trial, "dense J", j.Data, jr.Data)
+					ws.EvalScaled(x0, tt, f, sj.Val, gs, ss)
+					sameBits(t, trial, "lane J", sj.ToDense(sjd).Data, jr.Data)
 				} else {
 					ws.EvalScaled(x0, tt, f, nil, gs, ss)
 				}
-				sameBits(t, trial, "dense f", f, fr)
-				if wantJ {
-					ws.EvalScaledSparse(x0, tt, f, sj, gs, ss)
-					sameBits(t, trial, "sparse J", sj.ToDense(sjd).Data, jr.Data)
-				} else {
-					ws.EvalScaledSparse(x0, tt, f, nil, gs, ss)
+				sameBits(t, trial, "lane f", f, fr)
+				if wantJ && gs == 1 && ss == 1 {
+					ws.EvalFJ(x0, tt, f, j)
+					sameBits(t, trial, "EvalFJ J", j.Data, jr.Data)
+					sameBits(t, trial, "EvalFJ f", f, fr)
 				}
-				sameBits(t, trial, "sparse f", f, fr)
 
 				gs, ss = 1, 1
 				switch {

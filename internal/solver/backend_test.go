@@ -7,7 +7,6 @@ import (
 
 	"repro/internal/diag"
 	"repro/internal/linalg"
-	"repro/internal/linalg/sparse"
 	"repro/internal/ringosc"
 	"repro/internal/solver"
 )
@@ -22,11 +21,11 @@ func TestDCOperatingPointBackendsAgree(t *testing.T) {
 		t.Fatal(err)
 	}
 	ctx := context.Background()
-	xd, err := solver.DCOperatingPointBackendCtx(ctx, arr.Sys, nil, 0, linalg.BackendDense)
+	xd, err := solver.DCOperatingPointBackend(ctx, arr.Sys, nil, 0, linalg.BackendDense)
 	if err != nil {
 		t.Fatalf("dense: %v", err)
 	}
-	xs, err := solver.DCOperatingPointBackendCtx(ctx, arr.Sys, nil, 0, linalg.BackendSparse)
+	xs, err := solver.DCOperatingPointBackend(ctx, arr.Sys, nil, 0, linalg.BackendSparse)
 	if err != nil {
 		t.Fatalf("sparse: %v", err)
 	}
@@ -47,83 +46,28 @@ func TestDCOperatingPointBackendsAgree(t *testing.T) {
 	}
 }
 
-// TestSolveSparseWithScratchReuse re-runs a sparse Newton solve through one
-// warm scratch and requires bit-identical iterates: the symbolic
-// factorization is computed once and the numeric refactor must reproduce the
-// cold factorization exactly (the solver-level refactor-correctness proof).
-func TestSolveSparseWithScratchReuse(t *testing.T) {
-	arr, err := ringosc.BuildArray(2)
-	if err != nil {
-		t.Fatal(err)
-	}
-	ws := arr.Sys.NewWorkspace()
-	pat := arr.Sys.SparsePattern()
-	fn := func(x linalg.Vec, f linalg.Vec, sj *sparse.CSC) {
-		if sj == nil {
-			ws.EvalF(x, 0, f)
-			return
-		}
-		ws.EvalFJSparse(x, 0, f, sj)
-	}
-	x0 := linalg.NewVec(arr.Sys.N)
-	sc := solver.NewSparseScratch(pat)
-	x1, st1, err := solver.SolveSparseWith(context.Background(), fn, pat, x0, solver.Options{}, sc)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !st1.Converged {
-		t.Fatal("sparse Newton did not converge")
-	}
-	got1 := x1.Clone()
-	x2, st2, err := solver.SolveSparseWith(context.Background(), fn, pat, x0, solver.Options{}, sc)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if st2.Iterations != st1.Iterations {
-		t.Fatalf("warm re-solve took %d iterations, cold took %d", st2.Iterations, st1.Iterations)
-	}
-	for i := range got1 {
-		if x2[i] != got1[i] {
-			t.Fatalf("warm re-solve not bit-identical at node %d", i)
-		}
-	}
-}
-
 // TestScratchBytesPinnedFromBuffers pins ScratchBytesPinned to the buffers
-// a solve allocates, 8 bytes per float64: five n-vectors, the Jacobian (n²
-// dense, nnz sparse) and its factors (n², or nnz + fill-in), reported once
-// however often the scratch solves.
+// a DC solve allocates, 8 bytes per float64: five n-vectors, the Jacobian
+// values on the pattern (nnz), the Newton matrix (n² dense, nnz sparse) and
+// its factors (n², or nnz + fill-in), reported once however many Newton
+// solves the escalation ladder runs.
 func TestScratchBytesPinnedFromBuffers(t *testing.T) {
 	arr, err := ringosc.BuildArray(2)
 	if err != nil {
 		t.Fatal(err)
 	}
-	ws, pat := arr.Sys.NewWorkspace(), arr.Sys.SparsePattern()
-	n, nnz := int64(arr.Sys.N), int64(pat.NNZ())
-	x0 := linalg.NewVec(arr.Sys.N)
-	m := diag.New()
-	ctx := diag.WithMetrics(context.Background(), m)
-	dense := func(x linalg.Vec, f linalg.Vec, j *linalg.Mat) { ws.EvalScaled(x, 0, f, j, 1, 1) }
-	sc := solver.NewScratch(arr.Sys.N)
-	for run := 0; run < 2; run++ {
-		if _, _, err := solver.SolveWith(ctx, dense, x0, solver.Options{}, sc); err != nil {
+	n, nnz := int64(arr.Sys.N), int64(arr.Sys.SparsePattern().NNZ())
+	for _, be := range []linalg.Backend{linalg.BackendDense, linalg.BackendSparse} {
+		m := diag.New()
+		if _, err := solver.DCOperatingPointBackend(diag.WithMetrics(context.Background(), m), arr.Sys, nil, 0, be); err != nil {
 			t.Fatal(err)
 		}
-	}
-	if got, want := m.Get(diag.ScratchBytesPinned), 8*(5*n+2*n*n); got != want {
-		t.Errorf("dense: %d bytes pinned, want %d", got, want)
-	}
-
-	m = diag.New()
-	ctx = diag.WithMetrics(context.Background(), m)
-	sparseFn := func(x linalg.Vec, f linalg.Vec, sj *sparse.CSC) { ws.EvalScaledSparse(x, 0, f, sj, 1, 1) }
-	sc = solver.NewSparseScratch(pat)
-	for run := 0; run < 2; run++ {
-		if _, _, err := solver.SolveSparseWith(ctx, sparseFn, pat, x0, solver.Options{}, sc); err != nil {
-			t.Fatal(err)
+		want := 8 * (5*n + nnz + 2*n*n)
+		if be == linalg.BackendSparse {
+			want = 8 * (5*n + 3*nnz + m.Get(diag.SparseFillIns))
 		}
-	}
-	if got, want := m.Get(diag.ScratchBytesPinned), 8*(5*n+2*nnz+m.Get(diag.SparseFillIns)); got != want {
-		t.Errorf("sparse: %d bytes pinned, want %d", got, want)
+		if got := m.Get(diag.ScratchBytesPinned); got != want {
+			t.Errorf("%v: %d bytes pinned, want %d", be, got, want)
+		}
 	}
 }

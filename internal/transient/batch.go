@@ -17,7 +17,7 @@ import (
 // interval under its own step control, and every circuit evaluation is
 // fanned across the lanes that need it in one EvalBatchAt call. A single
 // circuit's run (Scratch.Run) is a one-lane batch. The per-lane linear
-// algebra runs on the backend's matrix type (matrix.go) and every step on
+// algebra runs on solver's dense/sparse Matrix type and every step on
 // the corrector's pieces (corrector.go) under the one Newton policy — in
 // sensitivity runs the accepted point's evaluation serves the next step as
 // f0 and J0, and its factored sensitivity system as the first iteration
@@ -225,10 +225,10 @@ type BatchScratch struct {
 	// Newton starts from. The lanes' matrices share one value array and
 	// factor each on their own.
 	be   linalg.Backend
-	mats []matrix
+	mats []solver.Matrix
 	// Sensitivity scratch (lazy): the propagator's right-hand matrix and
 	// n×n products (tmp2 for BDF2 only), shared by the lanes.
-	rhs       matrix
+	rhs       solver.Matrix
 	tmp, tmp2 *linalg.Mat
 
 	// Lane bookkeeping: the lanes still integrating, those of them still
@@ -237,7 +237,7 @@ type BatchScratch struct {
 	// accepted.
 	live, iterLanes, factorLanes, chordLanes, needEval, accepted []int
 
-	pin pins
+	pin solver.Pins
 }
 
 // NewBatchScratch returns a scratch for batched integration over b.
@@ -270,14 +270,14 @@ func NewBatchScratch(b *circuit.Batch) *BatchScratch {
 	for i, s := range b.Systems {
 		sc.cors[i] = newCorrector(s, b.CVals(i), cut(nnz), sc.dxv)
 	}
-	sc.pin.add(size)
+	sc.pin.Add(size)
 	return sc
 }
 
 // ensureLanes makes the per-lane matrices for backend be.
 func (sc *BatchScratch) ensureLanes(be linalg.Backend) {
 	if sc.mats == nil || sc.be != be {
-		sc.mats = newMatrices(be, sc.N, sc.b.Pattern(), sc.K, &sc.pin)
+		sc.mats = solver.NewMatrices(be, sc.N, sc.b.Pattern(), sc.K, &sc.pin)
 		sc.be, sc.rhs, sc.tmp, sc.tmp2 = be, nil, nil, nil
 	}
 }
@@ -367,13 +367,13 @@ func (sc *BatchScratch) run(ctx context.Context, x0 []float64, opt BatchOptions)
 	}
 	sc.ensureLanes(sc.b.Systems[0].ResolveBackend(opt.Backend))
 	if opt.Sensitivity && sc.rhs == nil {
-		sc.rhs, sc.tmp = sc.mats[0].sibling(), sc.pin.mat(n)
+		sc.rhs, sc.tmp = sc.mats[0].Sibling(), sc.pin.Mat(n)
 	}
 	if opt.Sensitivity && gear && sc.tmp2 == nil {
-		sc.tmp2 = sc.pin.mat(n)
+		sc.tmp2 = sc.pin.Mat(n)
 	}
 	dm := diag.FromContext(ctx)
-	defer sc.pin.report(dm)
+	defer sc.pin.Report(dm)
 	sc.bw.SetMetrics(dm)
 
 	res := &BatchResult{K: K, N: n, Err: make([]error, K)}
@@ -695,12 +695,12 @@ func (sc *BatchScratch) correctLane(k int, th, vtol float64, dm *diag.Metrics) (
 	a := sc.mats[k]
 	if fresh {
 		ln.carry = 0
-		a.combine(cor.scaledC(ln.hf), sc.bw.JV[k*sc.nnz:(k+1)*sc.nnz], w)
-		if err := a.factor(dm); err != nil {
+		a.Combine(cor.scaledC(ln.hf), sc.bw.JV[k*sc.nnz:(k+1)*sc.nnz], w)
+		if err := a.Factor(dm); err != nil {
 			return false, fmt.Errorf("transient: singular iteration matrix: %w", err)
 		}
 	}
-	dx := a.solve(sc.dxv, sc.resid)
+	dx := a.Solve(sc.dxv, sc.resid)
 	dm.Inc(diag.LUSolves)
 	return ln.pol.apply(x1, dx, vtol, fresh)
 }
@@ -777,8 +777,8 @@ func (sc *BatchScratch) sensLane(k int, th, h float64, sens *linalg.Mat, dm *dia
 	jb := k * sc.nnz
 	ch := sc.cors[k].scaledC(h)
 	lhs := sc.mats[k]
-	lhs.combine(ch, sc.bw.JV[jb:jb+sc.nnz], th)
-	sc.rhs.combine(ch, sc.jcache[jb:jb+sc.nnz], -(1 - th))
+	lhs.Combine(ch, sc.bw.JV[jb:jb+sc.nnz], th)
+	sc.rhs.Combine(ch, sc.jcache[jb:jb+sc.nnz], -(1 - th))
 	return propagateTheta(dm, lhs, sc.rhs, sens, sc.tmp)
 }
 
@@ -793,8 +793,8 @@ func (sc *BatchScratch) sensLane(k int, th, h float64, sens *linalg.Mat, dm *dia
 // stays in the lane's matrix for the next step.
 func (sc *BatchScratch) gearSensLane(k int, h float64, sens, prev *linalg.Mat, dm *diag.Metrics) error {
 	cor, a := &sc.cors[k], sc.mats[k]
-	a.combine(cor.scaledC(h), sc.bw.JV[k*sc.nnz:(k+1)*sc.nnz], 1)
-	if err := a.factor(dm); err != nil {
+	a.Combine(cor.scaledC(h), sc.bw.JV[k*sc.nnz:(k+1)*sc.nnz], 1)
+	if err := a.Factor(dm); err != nil {
 		return fmt.Errorf("singular sensitivity matrix: %w", err)
 	}
 	for i := range sc.tmp.Data {
@@ -802,7 +802,7 @@ func (sc *BatchScratch) gearSensLane(k int, h float64, sens, prev *linalg.Mat, d
 	}
 	prev.CopyFrom(sens)
 	cor.cs.MulMatInto(sc.tmp2, sc.tmp)
-	a.solveMat(sens, sc.tmp2)
+	a.SolveMat(sens, sc.tmp2)
 	dm.Add(diag.LUSolves, int64(sc.N))
 	return nil
 }

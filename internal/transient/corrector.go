@@ -15,8 +15,8 @@ import (
 // method-scaled capacitance cache, the residual's capacitive term over C's
 // nonzeros, the clamped update, the Newton policy (convergence test,
 // refactor or chord) and the θ sensitivity propagation. The lanes
-// (batch.go) take every step with them over the backend's matrix type
-// (matrix.go). The capacitance cache and the residual perform the
+// (batch.go) take every step with them over solver's dense/sparse Matrix
+// type. The capacitance cache and the residual perform the
 // floating-point operations of the n²-dense assembly they replaced (kept
 // as the test oracle), in the same order, less additions of exact zeros,
 // so their results are bit for bit the same.
@@ -256,11 +256,11 @@ func (p *newtonPolicy) apply(x1, dx []float64, vtol float64, fresh bool) (bool, 
 
 // propagateTheta factors the θ sensitivity system lhs = C/h + θ·J1 and
 // sets sens to lhs⁻¹·rhs·sens, rhs holding C/h − (1−θ)·J0.
-func propagateTheta(m *diag.Metrics, lhs, rhs matrix, sens, tmp *linalg.Mat) error {
-	if err := lhs.factor(m); err != nil {
+func propagateTheta(m *diag.Metrics, lhs, rhs solver.Matrix, sens, tmp *linalg.Mat) error {
+	if err := lhs.Factor(m); err != nil {
 		return fmt.Errorf("singular sensitivity matrix: %w", err)
 	}
 	m.Add(diag.LUSolves, int64(sens.Rows))
-	lhs.propagate(rhs, sens, tmp)
+	lhs.Propagate(rhs, sens, tmp)
 	return nil
 }
