@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: check fmt vet build perfbench-check test test-short race xval xval-update bench bench-baseline bench-compare bench-overhead bench-alloc bench-engine bench-sparse bench-batch bench-noise bench-serve loc
+.PHONY: check fmt vet build perfbench-check test test-short race xval xval-update fuzz-smoke bench bench-baseline bench-compare bench-overhead bench-alloc bench-engine bench-sparse bench-batch bench-noise bench-serve loc
 
 # The tier-1+ gate (see ROADMAP.md): formatting, vet, build, the pinned
 # benchmark's vet and tests, the full test suite under the race detector,
@@ -54,6 +54,12 @@ xval:
 # Regenerate the golden fixtures from the current engines (review the diff!).
 xval-update:
 	$(GO) run ./cmd/phlogon-xval -update
+
+# Fuzz smoke run: ten seconds of FuzzParseAssembleDC, the parse → assemble
+# → DC operating point path phlogon-sim runs on an untrusted deck. A failing
+# input lands in internal/netlist/testdata/fuzz and replays in `make test`.
+fuzz-smoke:
+	$(GO) test -run '^$$' -fuzz '^FuzzParseAssembleDC$$' -fuzztime 10s ./internal/netlist
 
 bench:
 	$(GO) test -run '^$$' -bench . -benchtime 1x .

@@ -27,7 +27,7 @@ func TestErrNoConvergenceFromShooting(t *testing.T) {
 	}
 	// One Newton iteration at an unreachable tolerance must fail through the
 	// public sentinel.
-	_, err = pss.ShootAutonomous(r.Sys, r.KickStart(), pss.Options{
+	_, err = pss.ShootAutonomousCtx(context.Background(), r.Sys, r.KickStart(), pss.Options{
 		GuessT: 1 / r.EstimatedF0(), StepsPerPeriod: 64, SettleCycles: 1,
 		MaxIter: 1, Tol: 1e-30,
 	})

@@ -37,7 +37,11 @@ func main() {
 	// Stage 1 — bit storage: locking range vs SYNC amplitude (Fig. 7).
 	fmt.Println("== bit storage (SHIL locking range)")
 	m := phlogon.NewGAE(p, f1)
-	for _, pt := range m.SweepSyncAmplitude(0, 2, []float64{50e-6, 100e-6, 150e-6, 200e-6}) {
+	cone, err := m.SweepSyncAmplitudeCtx(context.Background(), 0, 2, []float64{50e-6, 100e-6, 150e-6, 200e-6}, 1)
+	if err != nil {
+		log.Fatal(err)
+	}
+	for _, pt := range cone {
 		fmt.Printf("  SYNC %6.0f µA → lock band width %7.4g Hz\n", pt.Amp*1e6, pt.F1Hi-pt.F1Lo)
 	}
 
@@ -49,7 +53,11 @@ func main() {
 		phlogon.Injection{Name: "D", Node: 0, Amp: 0, Harmonic: 1, Phase: dPhase},
 	)
 	threshold := math.Inf(1)
-	for _, pt := range base.SweepInjectionAmplitude(1, gae.Linspace(0, 200e-6, 81)) {
+	sweep, err := base.SweepInjectionAmplitudeCtx(context.Background(), 1, gae.Linspace(0, 200e-6, 81), 1)
+	if err != nil {
+		log.Fatal(err)
+	}
+	for _, pt := range sweep {
 		if len(pt.Stable) == 1 {
 			threshold = pt.Param
 			break
@@ -73,7 +81,7 @@ func main() {
 				x0 = e.Dphi
 			}
 		}
-		tr := mm.Transient(x0, 0, 5000*T1, T1)
+		tr := mm.TransientCtx(context.Background(), x0, 0, 5000*T1, T1)
 		fmt.Printf("  D = %6.1f µA → settles in %7.3f ms\n", da*1e6, tr.SettleTime(0.02)*1e3)
 	}
 

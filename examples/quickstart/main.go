@@ -62,7 +62,7 @@ func main() {
 	// logic-1 lock, flips the stored bit from the logic-0 lock.
 	dPhase := d0 + m.PhaseOfHarmonic(0, 1) - 0.25
 	flip := m.With(phlogon.Injection{Name: "D", Node: 0, Amp: 150e-6, Harmonic: 1, Phase: dPhase})
-	tr := flip.Transient(d1-0.003, 0, 3000/f1, 1/f1)
+	tr := flip.TransientCtx(context.Background(), d1-0.003, 0, 3000/f1, 1/f1)
 	fmt.Printf("bit flip with a 150 µA D input: %.4f → %.4f cycles, settles in %.3g ms (%.0f cycles)\n",
 		d1, tr.Final(), tr.SettleTime(0.02)*1e3, tr.SettleTime(0.02)*f1)
 

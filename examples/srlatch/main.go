@@ -44,7 +44,11 @@ func main() {
 			func(l *phlogic.SRLatch) bool { return l.HoldsUnderMismatch(1.5, mm) })
 	}
 	fmt.Println("\nstable phases vs |S|=|R| (same phase, weighted gate):")
-	for _, pt := range weighted.SweepMagnitude(gae.Linspace(0, 1.5, 7), false) {
+	pts, err := weighted.SweepMagnitudeCtx(context.Background(), gae.Linspace(0, 1.5, 7), false, 1)
+	if err != nil {
+		log.Fatal(err)
+	}
+	for _, pt := range pts {
 		fmt.Printf("  |S|=%4.2f V → stable Δφ* %v\n", pt.Param, pt.Stable)
 	}
 

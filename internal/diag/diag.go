@@ -31,7 +31,8 @@ type Counter int
 
 // The counter taxonomy. Keep DESIGN.md's table in sync when extending.
 const (
-	// NewtonSolves counts top-level damped-Newton solves (solver.Solve).
+	// NewtonSolves counts top-level Newton solves: each stage of the DC
+	// ladder, each lane's shooting solve and each HB refinement.
 	NewtonSolves Counter = iota
 	// NewtonIterations counts Newton iterations across every engine: DC
 	// solves, transient correctors, shooting outer loops, HB refinement.

@@ -54,7 +54,7 @@ func (c *Context) Efficiency() ([]EffRow, error) {
 			return nil, err
 		}
 		start := time.Now()
-		tr, err := transient.Run(l.Sys, l.KickStart(), 0, flipCycles*T1, transient.Options{
+		tr, err := transient.RunCtx(c.ctx(), l.Sys, l.KickStart(), 0, flipCycles*T1, transient.Options{
 			Method: transient.Trap, Step: T1 / 512,
 		})
 		if err != nil {
@@ -69,7 +69,7 @@ func (c *Context) Efficiency() ([]EffRow, error) {
 			gae.Injection{Name: "D", Node: 0, Amp: 150e-6, Harmonic: 1, Phase: dPhase1},
 		)
 		start := time.Now()
-		tr := m.Transient(0.497, 0, flipCycles*T1, T1)
+		tr := m.TransientCtx(c.ctx(), 0.497, 0, flipCycles*T1, T1)
 		el := time.Since(start).Seconds()
 		rows = append(rows, EffRow{"bit-flip (Fig. 17)", "GAE macromodel", len(tr.T), el, el / flipCycles})
 	}
@@ -86,7 +86,7 @@ func (c *Context) Efficiency() ([]EffRow, error) {
 		}
 		T1fsm := 1 / ac.Cfg.F1
 		start := time.Now()
-		tr, err := transient.Run(ac.Sys, ac.InitialState(sol, false, false), 0, 3*ac.ClockPeriod,
+		tr, err := transient.RunCtx(c.ctx(), ac.Sys, ac.InitialState(sol, false, false), 0, 3*ac.ClockPeriod,
 			transient.Options{Method: transient.Trap, Step: T1fsm / 256, Record: 8})
 		if err != nil {
 			return nil, err

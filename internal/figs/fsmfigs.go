@@ -196,7 +196,7 @@ func (c *Context) Fig17() (*Result, error) {
 	if err != nil {
 		return nil, err
 	}
-	tr, err := transient.Run(l.Sys, l.KickStart(), 0, totalCycles*T1, transient.Options{
+	tr, err := transient.RunCtx(c.ctx(), l.Sys, l.KickStart(), 0, totalCycles*T1, transient.Options{
 		Method: transient.Trap, Step: T1 / 512,
 	})
 	if err != nil {
@@ -219,7 +219,7 @@ func (c *Context) Fig17() (*Result, error) {
 		gae.Injection{Name: "SYNC", Node: 0, Amp: cfg.SyncAmp, Harmonic: 2, Phase: cal.SyncPhase},
 		gae.Injection{Name: "D", Node: 0, Amp: cfg.DAmp, Harmonic: 1, Phase: dPhase1 + 0.5},
 	)
-	gaeTr := m.Transient(preFlipPhase(pre), flipT, totalCycles*T1, T1)
+	gaeTr := m.TransientCtx(c.ctx(), preFlipPhase(pre), flipT, totalCycles*T1, T1)
 
 	// Offset the GAE trace so its pre-flip level matches the measured
 	// zero-crossing phase (the two phase definitions differ by a constant —
@@ -337,7 +337,7 @@ func (c *Context) Fig19() (*Result, error) {
 		return nil, err
 	}
 	T1 := 1 / ac.Cfg.F1
-	run, err := transient.Run(ac.Sys, ac.InitialState(sol, false, false), 0, 3*ac.ClockPeriod,
+	run, err := transient.RunCtx(c.ctx(), ac.Sys, ac.InitialState(sol, false, false), 0, 3*ac.ClockPeriod,
 		transient.Options{Method: transient.Trap, Step: T1 / 256, Record: 4})
 	if err != nil {
 		return nil, err
@@ -417,7 +417,7 @@ func (c *Context) Fig20() (*Result, error) {
 			return nil, err
 		}
 		T1 := 1 / ac.Cfg.F1
-		run, err := transient.Run(ac.Sys, ac.InitialState(sol, sc.carry, sc.carry), 0, ac.ClockPeriod,
+		run, err := transient.RunCtx(c.ctx(), ac.Sys, ac.InitialState(sol, sc.carry, sc.carry), 0, ac.ClockPeriod,
 			transient.Options{Method: transient.Trap, Step: T1 / 256, Record: 4})
 		if err != nil {
 			return nil, err

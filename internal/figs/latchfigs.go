@@ -430,7 +430,7 @@ func (c *Context) Fig12() (*Result, error) {
 			gae.Injection{Name: "SYNC", Node: 0, Amp: fig10SyncAmp, Harmonic: 2, Phase: cal.SyncPhase},
 			gae.Injection{Name: "D", Node: 0, Amp: da, Harmonic: 1, Phase: dPhase + 0.5},
 		)
-		tr := m.Transient(preFlipPhase(pre), 0, 3000*T1, T1)
+		tr := m.TransientCtx(c.ctx(), preFlipPhase(pre), 0, 3000*T1, T1)
 		// Resample onto a uniform grid for plotting/CSV.
 		const n = 400
 		x := make([]float64, n)

@@ -17,7 +17,10 @@ func TestLockingBandsMatchesScalarAndHandlesNil(t *testing.T) {
 		nil,
 		gae.NewModel(p, p.F0, gae.Injection{Name: "SYNC", Node: 0, Amp: 60e-6, Harmonic: 2}),
 	}
-	serial := gae.LockingBands(models)
+	serial, err := gae.LockingBandsCtx(context.Background(), models, 1)
+	if err != nil {
+		t.Fatal(err)
+	}
 	if len(serial) != len(models) {
 		t.Fatalf("got %d bands, want %d", len(serial), len(models))
 	}

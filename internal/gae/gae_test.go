@@ -1,6 +1,7 @@
 package gae_test
 
 import (
+	"context"
 	"math"
 	"sync"
 	"testing"
@@ -27,7 +28,7 @@ func ringPPV(t testing.TB) *ppv.PPV {
 			fixErr = err
 			return
 		}
-		sol, err := pss.ShootAutonomous(r.Sys, r.KickStart(), pss.Options{
+		sol, err := pss.ShootAutonomousCtx(context.Background(), r.Sys, r.KickStart(), pss.Options{
 			GuessT: 1 / r.EstimatedF0(), StepsPerPeriod: 1024,
 		})
 		if err != nil {
@@ -110,7 +111,10 @@ func TestLockingConeLinearInAmplitude(t *testing.T) {
 	// in A (Fig. 7's V shape).
 	m := gae.NewModel(p, p.F0)
 	amps := []float64{50e-6, 100e-6, 200e-6}
-	pts := m.SweepSyncAmplitude(0, 2, amps)
+	pts, err := m.SweepSyncAmplitudeCtx(context.Background(), 0, 2, amps, 1)
+	if err != nil {
+		t.Fatal(err)
+	}
 	w := make([]float64, len(pts))
 	for i, pt := range pts {
 		if !pt.Locks {
@@ -138,7 +142,10 @@ func TestDInputDestroysOneLock(t *testing.T) {
 			gae.Injection{Name: "D", Node: 0, Amp: 0, Harmonic: 1},
 		)
 		amps := gae.Linspace(0, 4*syncAmp, 161)
-		pts := base.SweepInjectionAmplitude(1, amps)
+		pts, err := base.SweepInjectionAmplitudeCtx(context.Background(), 1, amps, 1)
+		if err != nil {
+			t.Fatal(err)
+		}
 		seenOne := false
 		threshold := math.Inf(1)
 		for _, pt := range pts {
@@ -181,7 +188,10 @@ func TestPhaseErrorGrowsWithDetuning(t *testing.T) {
 	refs := []float64{d0, d1}
 	lo, hi := m.LockingBand()
 	f1s := gae.Linspace(lo+(hi-lo)*0.02, hi-(hi-lo)*0.02, 21)
-	pts := m.SweepPhaseError(f1s, refs)
+	pts, err := m.SweepPhaseErrorCtx(context.Background(), f1s, refs, 1)
+	if err != nil {
+		t.Fatal(err)
+	}
 	center := pts[len(pts)/2]
 	edgeLo, edgeHi := pts[0], pts[len(pts)-1]
 	maxOf := func(p gae.PhaseErrorPoint) float64 {
@@ -215,7 +225,7 @@ func TestTransientConvergesToStableLock(t *testing.T) {
 	// Many initial conditions; each must converge to one of the two locks.
 	T1 := 1 / m.F1
 	for _, x0 := range []float64{0.05, 0.3, 0.55, 0.8} {
-		res := m.Transient(x0, 0, 3000*T1, T1)
+		res := m.TransientCtx(context.Background(), x0, 0, 3000*T1, T1)
 		final := math.Mod(math.Mod(res.Final(), 1)+1, 1)
 		ok := false
 		for _, e := range st {
@@ -239,8 +249,8 @@ func TestAveragedVsNonAveragedTransient(t *testing.T) {
 	)
 	T1 := 1 / m.F1
 	x0 := 0.1
-	avg := m.Transient(x0, 0, 800*T1, T1)
-	raw := m.TransientNonAveraged(x0, 0, 800*T1, 64, nil)
+	avg := m.TransientCtx(context.Background(), x0, 0, 800*T1, T1)
+	raw := m.TransientNonAveragedCtx(context.Background(), x0, 0, 800*T1, 64, nil)
 	// Compare final settled phases.
 	d := gae.CircularDistance(math.Mod(avg.Final()+10, 1), math.Mod(raw.Final()+10, 1))
 	if d > 0.02 {
@@ -258,7 +268,7 @@ func TestSettleTimeMonotoneInDrive(t *testing.T) {
 			gae.Injection{Name: "SYNC", Node: 0, Amp: 100e-6, Harmonic: 2},
 			gae.Injection{Name: "D", Node: 0, Amp: amp, Harmonic: 1, Phase: 0.1},
 		)
-		res := m.Transient(0.62, 0, 5000*T1, T1)
+		res := m.TransientCtx(context.Background(), 0.62, 0, 5000*T1, T1)
 		return res.SettleTime(0.01)
 	}
 	s100 := settle(100e-6)

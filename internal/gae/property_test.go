@@ -1,6 +1,7 @@
 package gae_test
 
 import (
+	"context"
 	"math"
 	"math/rand"
 	"testing"
@@ -61,11 +62,11 @@ func TestZeroInjectionDriftMatchesDetuning(t *testing.T) {
 		dt := 50 / p.F0
 		want := (p.F0 - f1) * dt
 
-		avg := m.Transient(x0, 0, dt, 1/p.F0).Final() - x0
+		avg := m.TransientCtx(context.Background(), x0, 0, dt, 1/p.F0).Final() - x0
 		if d := math.Abs(avg - want); d > 1e-9*(1+math.Abs(want)) {
 			t.Errorf("rel=%g: averaged drift %g, want %g", rel, avg, want)
 		}
-		raw := m.TransientNonAveraged(x0, 0, dt, 64, nil).Final() - x0
+		raw := m.TransientNonAveragedCtx(context.Background(), x0, 0, dt, 64, nil).Final() - x0
 		if d := math.Abs(raw - want); d > 1e-9*(1+math.Abs(want)) {
 			t.Errorf("rel=%g: unaveraged drift %g, want %g", rel, raw, want)
 		}
@@ -125,7 +126,7 @@ func TestTransientsRespectStability(t *testing.T) {
 	})
 	for _, eq := range m.Equilibria() {
 		for _, off := range []float64{-0.02, 0.02} {
-			res := m.Transient(eq.Dphi+off, 0, 3000/p.F0, 1/p.F0)
+			res := m.TransientCtx(context.Background(), eq.Dphi+off, 0, 3000/p.F0, 1/p.F0)
 			d := gae.CircularDistance(res.Final(), eq.Dphi)
 			if eq.Stable && d > 1e-3 {
 				t.Errorf("stable eq %.4f: transient from %+g ended %g away", eq.Dphi, off, d)

@@ -24,16 +24,11 @@ type LockPoint struct {
 	Locks      bool
 }
 
-// SweepSyncAmplitude computes the locking band as a function of SYNC
+// SweepSyncAmplitudeCtx computes the locking band as a function of SYNC
 // amplitude (Fig. 7's V-shaped locking cone). syncNode/syncHarm describe the
-// SYNC injection; other injections in the model are held fixed.
-func (m *Model) SweepSyncAmplitude(syncNode, syncHarm int, amps []float64) []LockPoint {
-	out, _ := m.SweepSyncAmplitudeCtx(context.Background(), syncNode, syncHarm, amps, 1)
-	return out
-}
-
-// SweepSyncAmplitudeCtx is SweepSyncAmplitude with cancellation and a worker
-// pool (workers <= 0 means one per CPU).
+// SYNC injection; other injections in the model are held fixed. The points
+// run on a worker pool (workers <= 0 means one per CPU) under ctx's
+// cancellation.
 func (m *Model) SweepSyncAmplitudeCtx(ctx context.Context, syncNode, syncHarm int, amps []float64, workers int) ([]LockPoint, error) {
 	defer diag.SpanFrom(ctx, "gae.sweep").End()
 	return parallel.MapWorkerCtx(ctx, len(amps), workers, func(wctx context.Context, _, i int) (LockPoint, error) {
@@ -64,16 +59,10 @@ func equilibriumPointAt(mm *Model, param float64) EquilibriumPoint {
 	return p
 }
 
-// SweepInjectionAmplitude sweeps the amplitude of one injection (identified
-// by index in the model's list) and records every equilibrium — the Fig. 11
-// and Fig. 14 machinery. The model itself is unchanged.
-func (m *Model) SweepInjectionAmplitude(index int, amps []float64) []EquilibriumPoint {
-	out, _ := m.SweepInjectionAmplitudeCtx(context.Background(), index, amps, 1)
-	return out
-}
-
-// SweepInjectionAmplitudeCtx is SweepInjectionAmplitude with cancellation and
-// a worker pool.
+// SweepInjectionAmplitudeCtx sweeps the amplitude of one injection
+// (identified by index in the model's list) and records every equilibrium —
+// the Fig. 11 and Fig. 14 machinery — on a worker pool under ctx's
+// cancellation. The model itself is unchanged.
 func (m *Model) SweepInjectionAmplitudeCtx(ctx context.Context, index int, amps []float64, workers int) ([]EquilibriumPoint, error) {
 	defer diag.SpanFrom(ctx, "gae.sweep").End()
 	return parallel.MapWorkerCtx(ctx, len(amps), workers, func(wctx context.Context, _, i int) (EquilibriumPoint, error) {
@@ -85,13 +74,8 @@ func (m *Model) SweepInjectionAmplitudeCtx(ctx context.Context, index int, amps 
 	})
 }
 
-// SweepDetuning sweeps f1 and records equilibria (Fig. 8's input).
-func (m *Model) SweepDetuning(f1s []float64) []EquilibriumPoint {
-	out, _ := m.SweepDetuningCtx(context.Background(), f1s, 1)
-	return out
-}
-
-// SweepDetuningCtx is SweepDetuning with cancellation and a worker pool.
+// SweepDetuningCtx sweeps f1 and records equilibria (Fig. 8's input) on a
+// worker pool under ctx's cancellation.
 func (m *Model) SweepDetuningCtx(ctx context.Context, f1s []float64, workers int) ([]EquilibriumPoint, error) {
 	defer diag.SpanFrom(ctx, "gae.sweep").End()
 	return parallel.MapWorkerCtx(ctx, len(f1s), workers, func(wctx context.Context, _, i int) (EquilibriumPoint, error) {
@@ -108,16 +92,10 @@ type PhaseErrorPoint struct {
 	Errors []float64 // |Δφᵢ − Δφ̄ᵢ| per stable lock, cycles
 }
 
-// SweepPhaseError computes, across the detunings f1s, the circular distance
-// of every stable lock phase from the reference phases refs (typically the
-// zero-detuning SHIL phases). Points outside the locking range yield empty
-// Errors.
-func (m *Model) SweepPhaseError(f1s []float64, refs []float64) []PhaseErrorPoint {
-	out, _ := m.SweepPhaseErrorCtx(context.Background(), f1s, refs, 1)
-	return out
-}
-
-// SweepPhaseErrorCtx is SweepPhaseError with cancellation and a worker pool.
+// SweepPhaseErrorCtx computes, across the detunings f1s, the circular
+// distance of every stable lock phase from the reference phases refs
+// (typically the zero-detuning SHIL phases), on a worker pool under ctx's
+// cancellation. Points outside the locking range yield empty Errors.
 func (m *Model) SweepPhaseErrorCtx(ctx context.Context, f1s []float64, refs []float64, workers int) ([]PhaseErrorPoint, error) {
 	defer diag.SpanFrom(ctx, "gae.sweep").End()
 	return parallel.MapWorkerCtx(ctx, len(f1s), workers, func(wctx context.Context, _, i int) (PhaseErrorPoint, error) {
@@ -133,13 +111,6 @@ func (m *Model) SweepPhaseErrorCtx(ctx context.Context, f1s []float64, refs []fl
 type CornerBand struct {
 	F1Lo, F1Hi float64
 	Locks      bool
-}
-
-// LockingBands computes every model's locking band serially; see
-// LockingBandsCtx.
-func LockingBands(models []*Model) []CornerBand {
-	out, _ := LockingBandsCtx(context.Background(), models, 1)
-	return out
 }
 
 // LockingBandsCtx is the corner-ensemble analogue of the scalar sweeps

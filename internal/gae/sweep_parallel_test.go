@@ -52,14 +52,6 @@ func TestSweepsBitIdenticalAtAnyWorkerCount(t *testing.T) {
 			}
 		}
 	}
-
-	// The legacy serial entry points must agree with workers=1 exactly.
-	legacy := m.SweepSyncAmplitude(0, 2, amps)
-	for i := range legacy {
-		if legacy[i] != serialLock[i] {
-			t.Fatalf("legacy wrapper diverges at point %d", i)
-		}
-	}
 }
 
 func TestSweepCancellationStopsPromptly(t *testing.T) {

@@ -39,16 +39,12 @@ func (r *TransientResult) SettleTime(tol float64) float64 {
 	return r.T[0]
 }
 
-// Transient integrates the averaged GAE dΔφ/dt = (f0−f1) + f0·g(Δφ) with
-// classic RK4 and adaptive step halving/doubling on the embedded half-step
-// estimate. The GAE is autonomous, so this is cheap and robust; the paper's
-// Fig. 12 uses exactly this facility to predict bit-flip timing.
-func (m *Model) Transient(dphi0, t0, t1, dt float64) *TransientResult {
-	return m.TransientCtx(context.Background(), dphi0, t0, t1, dt)
-}
-
-// TransientCtx is Transient with cost diagnostics: accepted RK4 steps count
-// as GAESteps on the metrics carried by ctx, under a "gae.transient" span.
+// TransientCtx integrates the averaged GAE dΔφ/dt = (f0−f1) + f0·g(Δφ)
+// with classic RK4 and adaptive step halving/doubling on the embedded
+// half-step estimate. The GAE is autonomous, so this is cheap and robust;
+// the paper's Fig. 12 uses exactly this facility to predict bit-flip
+// timing. Accepted RK4 steps count as GAESteps on the metrics carried by
+// ctx, under a "gae.transient" span.
 func (m *Model) TransientCtx(ctx context.Context, dphi0, t0, t1, dt float64) *TransientResult {
 	defer diag.SpanFrom(ctx, "gae.transient").End()
 	dm := diag.FromContext(ctx)
@@ -99,20 +95,15 @@ type TimeVarying struct {
 	Phase    func(t float64) float64 // cycles
 }
 
-// TransientNonAveraged integrates the unaveraged single-oscillator phase
+// TransientNonAveragedCtx integrates the unaveraged single-oscillator phase
 // equation (the paper's eq. 13, fast-varying mode preserved):
 //
 //	dΔφ/dt = (f0 − f1) + f0 · Σₖ VIₖ((Δφ + f1·t)/f0) · Iₖ(t)
 //
 // with fixed-step RK4 (stepsPerCycle steps per 1/f1). This serves as the
 // ablation reference for the averaged GAE and as the building block of the
-// full-system phase-macromodel simulation in package phasemacro.
-func (m *Model) TransientNonAveraged(dphi0, t0, t1 float64, stepsPerCycle int, programs []TimeVarying) *TransientResult {
-	return m.TransientNonAveragedCtx(context.Background(), dphi0, t0, t1, stepsPerCycle, programs)
-}
-
-// TransientNonAveragedCtx is TransientNonAveraged with cost diagnostics
-// (GAESteps, "gae.transient" span) carried by ctx.
+// full-system phase-macromodel simulation in package phasemacro. Its
+// cost diagnostics (GAESteps, "gae.transient" span) are carried by ctx.
 func (m *Model) TransientNonAveragedCtx(ctx context.Context, dphi0, t0, t1 float64, stepsPerCycle int, programs []TimeVarying) *TransientResult {
 	defer diag.SpanFrom(ctx, "gae.transient").End()
 	dm := diag.FromContext(ctx)

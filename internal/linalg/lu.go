@@ -16,7 +16,7 @@ var ErrSingular = errors.New("linalg: matrix is singular to working precision")
 // pivot buffers across calls: a pinned LU refactorized every Newton iteration
 // allocates only on the first call (or when the matrix dimension grows).
 // tbuf is private scratch for SolveTInto, so the -Into methods of one LU
-// value must not be called concurrently; the allocating Solve/SolveT/SolveMat
+// value must not be called concurrently; the allocating Solve/SolveMat
 // wrappers, and SolveTBuf, remain safe for concurrent use on a shared
 // factorization.
 type LU struct {
@@ -162,7 +162,7 @@ func (f *LU) SolveInto(dst, b Vec) Vec {
 // SolveTInto solves Aᵀ·x = b into dst and returns dst. dst must not alias b.
 // It uses a lazily pinned intermediate inside the LU, so after the first call
 // the steady state is allocation-free — and therefore one LU's -Into methods
-// must not be shared across goroutines (use SolveT or SolveTBuf on shared
+// must not be shared across goroutines (use SolveTBuf on shared
 // factorizations).
 func (f *LU) SolveTInto(dst, b Vec) Vec {
 	n := f.n
@@ -182,7 +182,7 @@ func (f *LU) SolveTInto(dst, b Vec) Vec {
 // (length n) holding the intermediate. It writes nothing of f, so any
 // number of goroutines may call it on one shared factorization without
 // allocating. dst must alias neither b nor y; y may be b itself, which is
-// then overwritten. SolveT and SolveTInto run through it.
+// then overwritten. SolveTInto runs through it.
 func (f *LU) SolveTBuf(dst, b, y Vec) Vec {
 	n := f.n
 	if len(b) != n || len(dst) != n || len(y) != n {

@@ -144,7 +144,7 @@ func (m *Mat) MulVec(v Vec) Vec {
 // must not alias v.
 func (m *Mat) MulVecTInto(dst, v Vec) Vec {
 	if len(v) != m.Rows {
-		panic(fmt.Sprintf("linalg: MulVecT dimension mismatch %d vs %d", m.Rows, len(v)))
+		panic(fmt.Sprintf("linalg: MulVecTInto dimension mismatch %d vs %d", m.Rows, len(v)))
 	}
 	if len(dst) != m.Cols {
 		panic("linalg: MulVecTInto dst length mismatch")

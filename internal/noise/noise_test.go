@@ -1,6 +1,7 @@
 package noise_test
 
 import (
+	"context"
 	"math"
 	"sync"
 	"testing"
@@ -28,7 +29,7 @@ func ringPPV(t testing.TB) (*ppv.PPV, phasemacro.Calibration) {
 			fixErr = err
 			return
 		}
-		sol, err := pss.ShootAutonomous(r.Sys, r.KickStart(), pss.Options{
+		sol, err := pss.ShootAutonomousCtx(context.Background(), r.Sys, r.KickStart(), pss.Options{
 			GuessT: 1 / r.EstimatedF0(), StepsPerPeriod: 1024,
 		})
 		if err != nil {

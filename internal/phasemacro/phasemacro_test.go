@@ -1,6 +1,7 @@
 package phasemacro_test
 
 import (
+	"context"
 	"math"
 	"math/cmplx"
 	"sync"
@@ -27,7 +28,7 @@ func ringPPV(t testing.TB) *ppv.PPV {
 			fixErr = err
 			return
 		}
-		sol, err := pss.ShootAutonomous(r.Sys, r.KickStart(), pss.Options{
+		sol, err := pss.ShootAutonomousCtx(context.Background(), r.Sys, r.KickStart(), pss.Options{
 			GuessT: 1 / r.EstimatedF0(), StepsPerPeriod: 1024,
 		})
 		if err != nil {
@@ -205,7 +206,7 @@ func TestPhaseMacroMatchesGAETransient(t *testing.T) {
 		gae.Injection{Node: 0, Amp: 100e-6, Harmonic: 2, Phase: cal.SyncPhase},
 		gae.Injection{Node: 0, Amp: cmplx.Abs(inj), Harmonic: 1, Phase: cmplx.Phase(inj) / (2 * math.Pi)},
 	)
-	ref := m.Transient(x0, 0, 200/p.F0, 1/p.F0)
+	ref := m.TransientCtx(context.Background(), x0, 0, 200/p.F0, 1/p.F0)
 	// Compare at several times.
 	for _, frac := range []float64{0.25, 0.5, 1.0} {
 		tt := frac * 200 / p.F0

@@ -33,7 +33,7 @@ func circuitFixture(t testing.TB) (*pss.Solution, phlogic.CircuitConfig) {
 			calErr = err
 			return
 		}
-		calSol, err = pss.ShootAutonomous(r.Sys, r.KickStart(), pss.Options{
+		calSol, err = pss.ShootAutonomousCtx(context.Background(), r.Sys, r.KickStart(), pss.Options{
 			GuessT: 1 / r.EstimatedF0(), StepsPerPeriod: 1024,
 		})
 		if err != nil {

@@ -1,6 +1,7 @@
 package phlogic_test
 
 import (
+	"context"
 	"math"
 	"math/cmplx"
 	"sync"
@@ -27,7 +28,7 @@ func ringPPV(t testing.TB) *ppv.PPV {
 			fixErr = err
 			return
 		}
-		sol, err := pss.ShootAutonomous(r.Sys, r.KickStart(), pss.Options{
+		sol, err := pss.ShootAutonomousCtx(context.Background(), r.Sys, r.KickStart(), pss.Options{
 			GuessT: 1 / r.EstimatedF0(), StepsPerPeriod: 1024,
 		})
 		if err != nil {

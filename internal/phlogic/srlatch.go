@@ -83,16 +83,11 @@ func (s *SRLatch) StablePhases(sMag, rMag float64, opposite bool) []float64 {
 	return out
 }
 
-// SweepMagnitude reproduces the Fig. 14 study: sweep |S| = |R| = mag and
-// record the stable phases, for the same-phase (flip) and opposite-phase
-// (hold) input cases.
-func (s *SRLatch) SweepMagnitude(mags []float64, opposite bool) []gae.EquilibriumPoint {
-	out, _ := s.SweepMagnitudeCtx(context.Background(), mags, opposite, 1)
-	return out
-}
-
-// SweepMagnitudeCtx is SweepMagnitude with cancellation and a worker pool;
-// each magnitude is an independent equilibrium solve on a read-only latch.
+// SweepMagnitudeCtx reproduces the Fig. 14 study: sweep |S| = |R| = mag
+// and record the stable phases, for the same-phase (flip) and
+// opposite-phase (hold) input cases. Each magnitude is an independent
+// equilibrium solve on a read-only latch, run on a worker pool under ctx's
+// cancellation.
 func (s *SRLatch) SweepMagnitudeCtx(ctx context.Context, mags []float64, opposite bool, workers int) ([]gae.EquilibriumPoint, error) {
 	return parallel.Map(ctx, len(mags), workers, func(i int) (gae.EquilibriumPoint, error) {
 		pt := gae.EquilibriumPoint{Param: mags[i]}

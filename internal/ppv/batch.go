@@ -17,7 +17,7 @@ import (
 // each grid index a single EvalBatchAt computes every lane's residual and
 // Jacobian together; the residual feeds the normalization's ẋₛ and the
 // Jacobian the adjoint recursion's A(t), so a lane costs one device
-// evaluation per grid point, not one for RHSJacobian and one for XDot. The
+// evaluation per grid point, not one for the Jacobian and one for ẋ. The
 // adjoint recursion and pointwise normalization are interleaved into the
 // same backward pass, so only the current and next grid Jacobians are ever
 // held per lane.
@@ -26,8 +26,8 @@ import (
 // extraction failures land in errs[k]. A non-nil err reports structural
 // misuse only. Lanes are independent, so a lane's PPV is bit for bit the
 // one-lane FromSolution of its Solution, and bit for bit the adjoint
-// written per corner with RHSJacobian and XDot (the package tests keep it
-// as the oracle): the batch evaluator stamps the same device arithmetic in
+// written per corner with Workspace.EvalFJ and XDot (the package tests keep
+// it as the oracle): the batch evaluator stamps the same device arithmetic in
 // the same order, and the recursion and normalization use the same floating
 // point expressions.
 func FromSolutionsBatch(ctx context.Context, b *circuit.Batch, sols []*pss.Solution) (ppvs []*PPV, errs []error, err error) {
@@ -130,7 +130,7 @@ func FromSolutionsBatch(ctx context.Context, b *circuit.Batch, sols []*pss.Solut
 		bw.EvalBatchAt(x, tl, true)
 		for _, k := range active {
 			sys := b.Systems[k]
-			// A_i = −C⁻¹J, the same solve-then-negate order as RHSJacobianInto.
+			// A_i = −C⁻¹J: solve, then negate.
 			bw.LaneJDense(jb, k)
 			sys.CLU.SolveMatInto(aCur[k], jb)
 			aCur[k].Scale(-1)

@@ -1,6 +1,7 @@
 package ppv_test
 
 import (
+	"context"
 	"math"
 	"testing"
 
@@ -20,7 +21,7 @@ func extract(t testing.TB, cfg ringosc.Config) (*ringosc.Ring, *pss.Solution, *p
 	if err != nil {
 		t.Fatal(err)
 	}
-	sol, err := pss.ShootAutonomous(r.Sys, r.KickStart(), pss.Options{
+	sol, err := pss.ShootAutonomousCtx(context.Background(), r.Sys, r.KickStart(), pss.Options{
 		GuessT: 1 / r.EstimatedF0(), StepsPerPeriod: 1024,
 	})
 	if err != nil {
@@ -122,7 +123,7 @@ func TestPPVImpulseResponse(t *testing.T) {
 
 		run := func(withPulse bool) *wave.Waveform {
 			r2, x0 := mk(withPulse)
-			res, err := transient.Run(r2.Sys, x0, 0, 12*T, transient.Options{
+			res, err := transient.RunCtx(context.Background(), r2.Sys, x0, 0, 12*T, transient.Options{
 				Method: transient.Trap, Step: T / 2048,
 			})
 			if err != nil {
@@ -196,7 +197,7 @@ func BenchmarkPPVExtraction(b *testing.B) {
 	if err != nil {
 		b.Fatal(err)
 	}
-	sol, err := pss.ShootAutonomous(r.Sys, r.KickStart(), pss.Options{
+	sol, err := pss.ShootAutonomousCtx(context.Background(), r.Sys, r.KickStart(), pss.Options{
 		GuessT: 1 / r.EstimatedF0(), StepsPerPeriod: 512,
 	})
 	if err != nil {

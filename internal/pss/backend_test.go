@@ -1,6 +1,7 @@
 package pss_test
 
 import (
+	"context"
 	"math"
 	"testing"
 
@@ -29,11 +30,11 @@ func TestShootBackendsAgree(t *testing.T) {
 	dOpt, sOpt := base, base
 	dOpt.Backend = linalg.BackendDense
 	sOpt.Backend = linalg.BackendSparse
-	ds, err := pss.ShootAutonomous(arr.Sys, x0, dOpt)
+	ds, err := pss.ShootAutonomousCtx(context.Background(), arr.Sys, x0, dOpt)
 	if err != nil {
 		t.Fatalf("dense shoot: %v", err)
 	}
-	ss, err := pss.ShootAutonomous(arr.Sys, x0, sOpt)
+	ss, err := pss.ShootAutonomousCtx(context.Background(), arr.Sys, x0, sOpt)
 	if err != nil {
 		t.Fatalf("sparse shoot: %v", err)
 	}

@@ -41,7 +41,7 @@ func cornerRingBatch(t testing.TB, k int) ([]*ringosc.Ring, *circuit.Batch) {
 
 // TestShootAutonomousBatchMatchesScalar: lanes are independent, so lane k
 // of a K-lane ShootAutonomousBatch plus FromSolutionsBatch equals the
-// single-circuit ShootAutonomous plus ppv.FromSolution of its own corner
+// single-circuit ShootAutonomousCtx plus ppv.FromSolution of its own corner
 // (a one-lane batch) bit for bit: f0, Newton count, every grid state, the
 // monodromy and every PPV sample.
 func TestShootAutonomousBatchMatchesScalar(t *testing.T) {
@@ -121,7 +121,7 @@ func requireLanesMatchSolo(t *testing.T, rings []*ringosc.Ring, opt pss.Options,
 			t.Fatalf("lane %d: %v, %v", k, errs[k], perrs[k])
 		}
 		opt.GuessT = guess[k]
-		solo, err := pss.ShootAutonomous(r.Sys, r.KickStart(), opt)
+		solo, err := pss.ShootAutonomousCtx(context.Background(), r.Sys, r.KickStart(), opt)
 		if err != nil {
 			t.Fatalf("lane %d alone: %v", k, err)
 		}
@@ -207,7 +207,7 @@ func TestShootAutonomousBatchWarmStart(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	nomSol, err := pss.ShootAutonomous(nom.Sys, nom.KickStart(), pss.Options{
+	nomSol, err := pss.ShootAutonomousCtx(context.Background(), nom.Sys, nom.KickStart(), pss.Options{
 		GuessT: 1 / nom.EstimatedF0(), StepsPerPeriod: spp,
 	})
 	if err != nil {

@@ -17,7 +17,7 @@ import (
 
 func TestShootAutonomousRequiresGuess(t *testing.T) {
 	r := buildRing(t, ringosc.DefaultConfig())
-	if _, err := pss.ShootAutonomous(r.Sys, r.KickStart(), pss.Options{}); err == nil {
+	if _, err := pss.ShootAutonomousCtx(context.Background(), r.Sys, r.KickStart(), pss.Options{}); err == nil {
 		t.Fatal("missing GuessT must error")
 	}
 }
@@ -74,7 +74,7 @@ func TestShootAutonomousNonOscillator(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := pss.ShootAutonomous(sys, linalg.Vec{1}, pss.Options{
+	if _, err := pss.ShootAutonomousCtx(context.Background(), sys, linalg.Vec{1}, pss.Options{
 		GuessT: 1e-3, MaxIter: 6, SettleCycles: 2,
 	}); err == nil {
 		t.Fatal("non-oscillating circuit must not yield a PSS")
@@ -109,7 +109,7 @@ func TestShootAutonomousRejectsFixedPoint(t *testing.T) {
 	fixedPoint := func(err error) bool {
 		return errors.Is(err, pss.ErrFixedPoint) && errors.Is(err, solver.ErrNoConvergence)
 	}
-	if sol, err := pss.ShootAutonomous(sys, linalg.Vec{1}, pss.Options{GuessT: 1e-3}); sol != nil || !fixedPoint(err) {
+	if sol, err := pss.ShootAutonomousCtx(context.Background(), sys, linalg.Vec{1}, pss.Options{GuessT: 1e-3}); sol != nil || !fixedPoint(err) {
 		t.Fatalf("err = %v, want ErrFixedPoint and no solution", err)
 	}
 }
@@ -122,7 +122,7 @@ func TestShootAutonomousRejectsFixedPoint(t *testing.T) {
 func TestFixedPointIndependentOfSettle(t *testing.T) {
 	sys := dampedRC(t)
 	for _, settle := range []int{1, 2, 3, 5, 7, 8, 12, 20, 40} {
-		_, err := pss.ShootAutonomous(sys, linalg.Vec{1}, pss.Options{GuessT: 1e-3, SettleCycles: settle})
+		_, err := pss.ShootAutonomousCtx(context.Background(), sys, linalg.Vec{1}, pss.Options{GuessT: 1e-3, SettleCycles: settle})
 		if !errors.Is(err, pss.ErrFixedPoint) || !errors.Is(err, solver.ErrNoConvergence) {
 			t.Errorf("settle %d: err = %v, want ErrFixedPoint", settle, err)
 		}
@@ -131,7 +131,7 @@ func TestFixedPointIndependentOfSettle(t *testing.T) {
 
 func TestSolutionKAndGrid(t *testing.T) {
 	r := buildRing(t, ringosc.DefaultConfig())
-	sol, err := pss.ShootAutonomous(r.Sys, r.KickStart(), pss.Options{
+	sol, err := pss.ShootAutonomousCtx(context.Background(), r.Sys, r.KickStart(), pss.Options{
 		GuessT: 1 / r.EstimatedF0(), StepsPerPeriod: 256,
 	})
 	if err != nil {

@@ -26,7 +26,7 @@ type HBSolution struct {
 	Sys   *circuit.System // circuit the solution lives on
 	// Residual is the ∞-norm of the HB residual at the solution.
 	Residual float64
-	// Iterations counts Newton steps taken by RefineHB.
+	// Iterations counts Newton steps taken by RefineHBCtx.
 	Iterations int
 }
 
@@ -297,18 +297,13 @@ func (h *HBSolution) harm(node, n int) complex128 {
 	return cmplx.Conj(h.X[node][-n])
 }
 
-// RefineHB polishes an HB solution with a real-unknown Newton iteration on
-// the harmonic-balance residual, treating ω as unknown and anchoring the
+// RefineHBCtx polishes an HB solution with a real-unknown Newton iteration
+// on the harmonic-balance residual, treating ω as unknown and anchoring the
 // phase by pinning Im(X_1[anchorNode]) at its current value. Starting from
 // a time-domain shooting solution it typically converges in 2–4 steps and
-// sharpens the frequency estimate beyond the integrator's O(h²) bias.
-func RefineHB(sys *circuit.System, hb *HBSolution, maxIter int, tol float64) error {
-	return RefineHBCtx(context.Background(), sys, hb, maxIter, tol)
-}
-
-// RefineHBCtx is RefineHB with cost diagnostics: the polish runs under an
-// "hb.refine" span and counts Newton iterations, LU work and circuit
-// evaluations on the metrics carried by ctx.
+// sharpens the frequency estimate beyond the integrator's O(h²) bias. The
+// polish runs under an "hb.refine" span and counts Newton iterations, LU
+// work and circuit evaluations on the metrics carried by ctx.
 func RefineHBCtx(ctx context.Context, sys *circuit.System, hb *HBSolution, maxIter int, tol float64) error {
 	defer diag.SpanFrom(ctx, "hb.refine").End()
 	dm := diag.FromContext(ctx)

@@ -1,6 +1,7 @@
 package pss_test
 
 import (
+	"context"
 	"math"
 	"math/cmplx"
 	"testing"
@@ -13,7 +14,7 @@ import (
 func ringHB(t testing.TB, harms int) (*ringosc.Ring, *pss.Solution, *pss.HBSolution) {
 	t.Helper()
 	r := buildRing(t, ringosc.DefaultConfig())
-	sol, err := pss.ShootAutonomous(r.Sys, r.KickStart(), pss.Options{
+	sol, err := pss.ShootAutonomousCtx(context.Background(), r.Sys, r.KickStart(), pss.Options{
 		GuessT: 1 / r.EstimatedF0(), StepsPerPeriod: 1024,
 	})
 	if err != nil {
@@ -37,7 +38,7 @@ func TestRefineHBImprovesResidual(t *testing.T) {
 	r, sol, hb := ringHB(t, 24)
 	_ = r
 	before := hb.Residual
-	if err := pss.RefineHB(r.Sys, hb, 12, 1e-10); err != nil {
+	if err := pss.RefineHBCtx(context.Background(), r.Sys, hb, 12, 1e-10); err != nil {
 		t.Fatalf("RefineHB: %v", err)
 	}
 	if hb.Residual >= before {
@@ -57,7 +58,7 @@ func TestPPVHBMatchesTimeDomainPPV(t *testing.T) {
 	// frequency-domain PPV-HB [17]) must agree — the strongest internal
 	// cross-validation in the tool chain.
 	r, sol, hb := ringHB(t, 20)
-	if err := pss.RefineHB(r.Sys, hb, 12, 1e-10); err != nil {
+	if err := pss.RefineHBCtx(context.Background(), r.Sys, hb, 12, 1e-10); err != nil {
 		t.Fatal(err)
 	}
 	coefs, err := hb.PPVHB()
@@ -109,7 +110,7 @@ func TestHBNodeSeriesMatchesTimeDomain(t *testing.T) {
 
 func BenchmarkRefineHB(b *testing.B) {
 	r := buildRing(b, ringosc.DefaultConfig())
-	sol, err := pss.ShootAutonomous(r.Sys, r.KickStart(), pss.Options{
+	sol, err := pss.ShootAutonomousCtx(context.Background(), r.Sys, r.KickStart(), pss.Options{
 		GuessT: 1 / r.EstimatedF0(), StepsPerPeriod: 512,
 	})
 	if err != nil {
@@ -119,7 +120,7 @@ func BenchmarkRefineHB(b *testing.B) {
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		hb := pss.HBFromSolution(r.Sys, sol, 16)
-		if err := pss.RefineHB(r.Sys, hb, 12, 1e-10); err != nil {
+		if err := pss.RefineHBCtx(context.Background(), r.Sys, hb, 12, 1e-10); err != nil {
 			b.Fatal(err)
 		}
 	}
@@ -127,14 +128,14 @@ func BenchmarkRefineHB(b *testing.B) {
 
 func BenchmarkPPVHB(b *testing.B) {
 	r := buildRing(b, ringosc.DefaultConfig())
-	sol, err := pss.ShootAutonomous(r.Sys, r.KickStart(), pss.Options{
+	sol, err := pss.ShootAutonomousCtx(context.Background(), r.Sys, r.KickStart(), pss.Options{
 		GuessT: 1 / r.EstimatedF0(), StepsPerPeriod: 512,
 	})
 	if err != nil {
 		b.Fatal(err)
 	}
 	hb := pss.HBFromSolution(r.Sys, sol, 16)
-	if err := pss.RefineHB(r.Sys, hb, 12, 1e-10); err != nil {
+	if err := pss.RefineHBCtx(context.Background(), r.Sys, hb, 12, 1e-10); err != nil {
 		b.Fatal(err)
 	}
 	b.ReportAllocs()

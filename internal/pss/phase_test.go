@@ -1,6 +1,7 @@
 package pss_test
 
 import (
+	"context"
 	"errors"
 	"testing"
 
@@ -15,7 +16,7 @@ import (
 // node 0 rises through Vdd/2.
 func TestPhaseOriginIsMidRailRisingEdge(t *testing.T) {
 	r := buildRing(t, ringosc.DefaultConfig())
-	sol, err := pss.ShootAutonomous(r.Sys, r.KickStart(), pss.Options{GuessT: 1 / r.EstimatedF0(), StepsPerPeriod: 256})
+	sol, err := pss.ShootAutonomousCtx(context.Background(), r.Sys, r.KickStart(), pss.Options{GuessT: 1 / r.EstimatedF0(), StepsPerPeriod: 256})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -62,7 +63,7 @@ func TestShootAutonomousNoPhaseCrossing(t *testing.T) {
 		t.Fatalf("nb is node %d, want node 0", ckt.NodeIndex("nb"))
 	}
 	x0 := linalg.Vec{3, 2.7, 0.3, 1.5}
-	_, err = pss.ShootAutonomous(sys, x0, pss.Options{GuessT: 1 / 9.6e3, StepsPerPeriod: 256})
+	_, err = pss.ShootAutonomousCtx(context.Background(), sys, x0, pss.Options{GuessT: 1 / 9.6e3, StepsPerPeriod: 256})
 	if !errors.Is(err, pss.ErrNoPhaseCrossing) || !errors.Is(err, solver.ErrNoConvergence) || errors.Is(err, pss.ErrFixedPoint) {
 		t.Errorf("err = %v, want ErrNoPhaseCrossing", err)
 	}
@@ -81,7 +82,7 @@ func TestShootAutonomousRejectsDrivenLatch(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	_, err = pss.ShootAutonomous(l.Sys, l.KickStart(), pss.Options{GuessT: 1 / l.EstimatedF0(), StepsPerPeriod: 1024})
+	_, err = pss.ShootAutonomousCtx(context.Background(), l.Sys, l.KickStart(), pss.Options{GuessT: 1 / l.EstimatedF0(), StepsPerPeriod: 1024})
 	if !errors.Is(err, pss.ErrNotAutonomous) || !errors.Is(err, solver.ErrNoConvergence) {
 		t.Errorf("err = %v, want ErrNotAutonomous", err)
 	}
@@ -98,7 +99,7 @@ func TestStabilityReportNeedsTrivialMultiplier(t *testing.T) {
 		t.Errorf("latch multipliers reported stable (trivial %v)", trivial)
 	}
 	r := buildRing(t, ringosc.DefaultConfig())
-	sol, err := pss.ShootAutonomous(r.Sys, r.KickStart(), pss.Options{GuessT: 1 / r.EstimatedF0(), StepsPerPeriod: 1024})
+	sol, err := pss.ShootAutonomousCtx(context.Background(), r.Sys, r.KickStart(), pss.Options{GuessT: 1 / r.EstimatedF0(), StepsPerPeriod: 1024})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -109,17 +109,11 @@ func (s *Solution) StateAt(t float64) linalg.Vec {
 	return out
 }
 
-// ShootAutonomous finds the limit cycle of an autonomous circuit starting
-// from the (non-equilibrium) state x0.
-//
-// ShootAutonomous is safe to call concurrently on one shared System: all
-// mutable evaluation state lives in per-call workspaces.
-func ShootAutonomous(sys *circuit.System, x0 linalg.Vec, opt Options) (*Solution, error) {
-	return ShootAutonomousCtx(context.Background(), sys, x0, opt)
-}
-
-// ShootAutonomousCtx is ShootAutonomous with cancellation: the settle and
-// shooting transients check ctx between integration steps. The circuit is
+// ShootAutonomousCtx finds the limit cycle of an autonomous circuit
+// starting from the (non-equilibrium) state x0. The settle and shooting
+// transients check ctx between integration steps. It is safe to call
+// concurrently on one shared System: all mutable evaluation state lives in
+// per-call workspaces. The circuit is
 // shot as a one-lane batch (ShootAutonomousBatch), so a single circuit's
 // solve is bit for bit its lane's in any batch.
 func ShootAutonomousCtx(ctx context.Context, sys *circuit.System, x0 linalg.Vec, opt Options) (*Solution, error) {

@@ -1,6 +1,7 @@
 package pss_test
 
 import (
+	"context"
 	"math"
 	"math/cmplx"
 	"testing"
@@ -19,7 +20,7 @@ func buildRing(t testing.TB, cfg ringosc.Config) *ringosc.Ring {
 
 func TestShootAutonomousRing(t *testing.T) {
 	r := buildRing(t, ringosc.DefaultConfig())
-	sol, err := pss.ShootAutonomous(r.Sys, r.KickStart(), pss.Options{
+	sol, err := pss.ShootAutonomousCtx(context.Background(), r.Sys, r.KickStart(), pss.Options{
 		GuessT: 1 / r.EstimatedF0(), StepsPerPeriod: 512,
 	})
 	if err != nil {
@@ -56,7 +57,7 @@ func TestShootAutonomousSymmetryAcrossStages(t *testing.T) {
 	// shifted by T/3 and inverted in slope sense; at minimum all three
 	// waveforms must share identical min/max.
 	r := buildRing(t, ringosc.DefaultConfig())
-	sol, err := pss.ShootAutonomous(r.Sys, r.KickStart(), pss.Options{
+	sol, err := pss.ShootAutonomousCtx(context.Background(), r.Sys, r.KickStart(), pss.Options{
 		GuessT: 1 / r.EstimatedF0(),
 	})
 	if err != nil {
@@ -80,7 +81,7 @@ func TestShootAutonomousSymmetryAcrossStages(t *testing.T) {
 
 func TestNodeSeriesReconstruction(t *testing.T) {
 	r := buildRing(t, ringosc.DefaultConfig())
-	sol, err := pss.ShootAutonomous(r.Sys, r.KickStart(), pss.Options{
+	sol, err := pss.ShootAutonomousCtx(context.Background(), r.Sys, r.KickStart(), pss.Options{
 		GuessT: 1 / r.EstimatedF0(),
 	})
 	if err != nil {
@@ -103,7 +104,7 @@ func TestNodeSeriesReconstruction(t *testing.T) {
 
 func TestStateAtWrapsPeriod(t *testing.T) {
 	r := buildRing(t, ringosc.DefaultConfig())
-	sol, err := pss.ShootAutonomous(r.Sys, r.KickStart(), pss.Options{
+	sol, err := pss.ShootAutonomousCtx(context.Background(), r.Sys, r.KickStart(), pss.Options{
 		GuessT: 1 / r.EstimatedF0(),
 	})
 	if err != nil {
@@ -121,7 +122,7 @@ func TestStateAtWrapsPeriod(t *testing.T) {
 
 func TestShootAutonomous2N1P(t *testing.T) {
 	r := buildRing(t, ringosc.Config2N1P())
-	sol, err := pss.ShootAutonomous(r.Sys, r.KickStart(), pss.Options{
+	sol, err := pss.ShootAutonomousCtx(context.Background(), r.Sys, r.KickStart(), pss.Options{
 		GuessT: 1 / r.EstimatedF0(),
 	})
 	if err != nil {
@@ -146,7 +147,7 @@ func BenchmarkShootAutonomousRing(b *testing.B) {
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, err := pss.ShootAutonomous(r.Sys, x0, pss.Options{
+		if _, err := pss.ShootAutonomousCtx(context.Background(), r.Sys, x0, pss.Options{
 			GuessT: 1 / r.EstimatedF0(), StepsPerPeriod: 256, SettleCycles: 10,
 		}); err != nil {
 			b.Fatal(err)

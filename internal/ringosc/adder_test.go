@@ -41,7 +41,7 @@ func getAdderFixture(t testing.TB) *adderFixture {
 			adderErr = err
 			return
 		}
-		sol, err := pss.ShootAutonomous(r.Sys, r.KickStart(), pss.Options{
+		sol, err := pss.ShootAutonomousCtx(context.Background(), r.Sys, r.KickStart(), pss.Options{
 			GuessT: 1 / r.EstimatedF0(), StepsPerPeriod: 1024,
 		})
 		if err != nil {
@@ -91,7 +91,7 @@ func runAdder(t testing.TB, f *adderFixture, a, b []bool, carry0 bool, nPeriods 
 		t.Fatal(err)
 	}
 	T1 := 1 / f.sol.F0
-	res, err := transient.Run(ac.Sys, ac.InitialState(f.sol, carry0, carry0), 0,
+	res, err := transient.RunCtx(context.Background(), ac.Sys, ac.InitialState(f.sol, carry0, carry0), 0,
 		float64(nPeriods)*ac.ClockPeriod, transient.Options{
 			Method: transient.Trap, Step: T1 / 256, Record: 4,
 		})

@@ -1,6 +1,7 @@
 package ringosc_test
 
 import (
+	"context"
 	"math"
 	"testing"
 
@@ -15,7 +16,7 @@ func TestRingOscillatesAtCalibratedFrequency(t *testing.T) {
 		t.Fatal(err)
 	}
 	T := 1 / r.EstimatedF0()
-	res, err := transient.Run(r.Sys, r.KickStart(), 0, 30*T, transient.Options{
+	res, err := transient.RunCtx(context.Background(), r.Sys, r.KickStart(), 0, 30*T, transient.Options{
 		Method: transient.Trap, Step: T / 400,
 	})
 	if err != nil {
@@ -82,7 +83,7 @@ func TestSHILLockAtSpiceLevel(t *testing.T) {
 			t.Fatal(err)
 		}
 		T1 := 1 / f1
-		res, err := transient.Run(l.Sys, l.KickStart(), 0, 120*T1, transient.Options{
+		res, err := transient.RunCtx(context.Background(), l.Sys, l.KickStart(), 0, 120*T1, transient.Options{
 			Method: transient.Trap, Step: T1 / 512,
 		})
 		if err != nil {

@@ -37,11 +37,11 @@ func TestSparseBackendMatchesDense(t *testing.T) {
 		dOpt, sOpt := opt, opt
 		dOpt.Backend = linalg.BackendDense
 		sOpt.Backend = linalg.BackendSparse
-		dres, err := transient.Run(arr.Sys, x0, 0, T/4, dOpt)
+		dres, err := transient.RunCtx(context.Background(), arr.Sys, x0, 0, T/4, dOpt)
 		if err != nil {
 			t.Fatalf("%v dense: %v", method, err)
 		}
-		sres, err := transient.Run(arr.Sys, x0, 0, T/4, sOpt)
+		sres, err := transient.RunCtx(context.Background(), arr.Sys, x0, 0, T/4, sOpt)
 		if err != nil {
 			t.Fatalf("%v sparse: %v", method, err)
 		}
@@ -156,11 +156,11 @@ func TestAutoBackendByDensity(t *testing.T) {
 			t.Errorf("%s: Auto resolved to %v, want %v", c.name, got, want[c.name])
 			continue
 		}
-		auto, err := transient.Run(c.sys, c.x0, 0, 32*c.h, transient.Options{Method: transient.Trap, Step: c.h})
+		auto, err := transient.RunCtx(context.Background(), c.sys, c.x0, 0, 32*c.h, transient.Options{Method: transient.Trap, Step: c.h})
 		if err != nil {
 			t.Fatal(err)
 		}
-		forced, err := transient.Run(c.sys, c.x0, 0, 32*c.h, transient.Options{Method: transient.Trap, Step: c.h, Backend: got})
+		forced, err := transient.RunCtx(context.Background(), c.sys, c.x0, 0, 32*c.h, transient.Options{Method: transient.Trap, Step: c.h, Backend: got})
 		if err != nil {
 			t.Fatal(err)
 		}

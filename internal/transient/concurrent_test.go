@@ -31,7 +31,7 @@ func TestConcurrentRunsOnSharedSystem(t *testing.T) {
 	// Serial references.
 	ref := make([]*transient.Result, len(opts))
 	for i, o := range opts {
-		res, err := transient.Run(sys, linalg.Vec{0}, 0, 2*tau, o)
+		res, err := transient.RunCtx(context.Background(), sys, linalg.Vec{0}, 0, 2*tau, o)
 		if err != nil {
 			t.Fatalf("serial run %d: %v", i, err)
 		}
@@ -45,7 +45,7 @@ func TestConcurrentRunsOnSharedSystem(t *testing.T) {
 		wg.Add(1)
 		go func(i int, o transient.Options) {
 			defer wg.Done()
-			got[i], errs[i] = transient.Run(sys, linalg.Vec{0}, 0, 2*tau, o)
+			got[i], errs[i] = transient.RunCtx(context.Background(), sys, linalg.Vec{0}, 0, 2*tau, o)
 		}(i, o)
 	}
 	wg.Wait()
@@ -139,7 +139,7 @@ func TestConcurrentSparseRunsShareAnalysis(t *testing.T) {
 		wg.Add(1)
 		go func(i int) {
 			defer wg.Done()
-			got[i], errs[i] = transient.Run(shared, x0, 0, 200*h, opts[i])
+			got[i], errs[i] = transient.RunCtx(context.Background(), shared, x0, 0, 200*h, opts[i])
 		}(i)
 	}
 	wg.Wait()
@@ -147,7 +147,7 @@ func TestConcurrentSparseRunsShareAnalysis(t *testing.T) {
 		if errs[i] != nil {
 			t.Fatalf("concurrent run %d: %v", i, errs[i])
 		}
-		ref, err := transient.Run(solo, x0, 0, 200*h, o)
+		ref, err := transient.RunCtx(context.Background(), solo, x0, 0, 200*h, o)
 		if err != nil {
 			t.Fatalf("solo run %d: %v", i, err)
 		}

@@ -1,6 +1,7 @@
 package transient_test
 
 import (
+	"context"
 	"math"
 	"testing"
 
@@ -13,7 +14,7 @@ import (
 func TestGear2RCCharge(t *testing.T) {
 	sys := rcCircuit(t)
 	tau := 1e-3
-	res, err := transient.Run(sys, linalg.Vec{0}, 0, 3*tau, transient.Options{
+	res, err := transient.RunCtx(context.Background(), sys, linalg.Vec{0}, 0, 3*tau, transient.Options{
 		Method: transient.Gear2, Step: tau / 500,
 	})
 	if err != nil {
@@ -29,7 +30,7 @@ func TestGear2SecondOrderConvergence(t *testing.T) {
 	sys := rcCircuit(t)
 	tau := 1e-3
 	errAt := func(h float64) float64 {
-		res, err := transient.Run(sys, linalg.Vec{0}, 0, tau, transient.Options{
+		res, err := transient.RunCtx(context.Background(), sys, linalg.Vec{0}, 0, tau, transient.Options{
 			Method: transient.Gear2, Step: h,
 		})
 		if err != nil {
@@ -65,7 +66,7 @@ func TestGear2LStabilityDampsStiffRinging(t *testing.T) {
 	}
 	h := 1e-4 // 100× the time constant
 	run := func(m transient.Method) []float64 {
-		res, err := transient.Run(build(), linalg.Vec{1}, 0, 20*h, transient.Options{
+		res, err := transient.RunCtx(context.Background(), build(), linalg.Vec{1}, 0, 20*h, transient.Options{
 			Method: m, Step: h,
 		})
 		if err != nil {
@@ -96,7 +97,7 @@ func TestGear2LStabilityDampsStiffRinging(t *testing.T) {
 func TestGear2SensitivityMatchesExponential(t *testing.T) {
 	sys := rcCircuit(t)
 	tau := 1e-3
-	res, err := transient.Run(sys, linalg.Vec{1}, 0, tau, transient.Options{
+	res, err := transient.RunCtx(context.Background(), sys, linalg.Vec{1}, 0, tau, transient.Options{
 		Method: transient.Gear2, Step: tau / 1000, Sensitivity: true,
 	})
 	if err != nil {
@@ -110,7 +111,7 @@ func TestGear2SensitivityMatchesExponential(t *testing.T) {
 
 func TestGear2RejectsAdaptive(t *testing.T) {
 	sys := rcCircuit(t)
-	if _, err := transient.Run(sys, linalg.Vec{0}, 0, 1e-3, transient.Options{
+	if _, err := transient.RunCtx(context.Background(), sys, linalg.Vec{0}, 0, 1e-3, transient.Options{
 		Method: transient.Gear2, Step: 1e-6, Adaptive: true,
 	}); err == nil {
 		t.Fatal("Gear2 + Adaptive must be rejected")

@@ -133,7 +133,7 @@ func TestRunBatchHalvingUnderflow(t *testing.T) {
 }
 
 // TestLanesIndependentUnderStepControl: every lane of a batch computes what
-// transient.Run of its circuit does, bit for bit, although each lane has
+// transient.RunCtx of its circuit does, bit for bit, although each lane has
 // its own step control — in a three-corner θ batch with different steps
 // and end times, one interval not a whole number of steps and one lane
 // forced to halve as in halvingBatch, and in a two-corner adaptive batch.
@@ -171,7 +171,7 @@ func TestLanesIndependentUnderStepControl(t *testing.T) {
 			}
 			opt := c.opt.Options
 			opt.Step = c.opt.H[k]
-			solo, err := transient.Run(sys, linalg.Vec(x0[k*n:(k+1)*n]), 0, c.opt.T1[k], opt)
+			solo, err := transient.RunCtx(context.Background(), sys, linalg.Vec(x0[k*n:(k+1)*n]), 0, c.opt.T1[k], opt)
 			if err != nil {
 				t.Fatalf("%s lane %d alone: %v", c.name, k, err)
 			}
@@ -202,7 +202,7 @@ func TestLanesIndependentUnderStepControl(t *testing.T) {
 // deepest retake whose sub-steps a lane can count.
 func TestRetakeDepthBounded(t *testing.T) {
 	sys := cornerRings(t, 1)[0]
-	res, err := transient.Run(sys, linalg.Vec(kickedStart(1, sys.N)), 0, 4*2e-7, transient.Options{
+	res, err := transient.RunCtx(context.Background(), sys, linalg.Vec(kickedStart(1, sys.N)), 0, 4*2e-7, transient.Options{
 		Method: transient.BE, Step: 2e-7, MinStep: 1e-300, NewtonTol: 1e-300, MaxNewton: 2,
 	})
 	if !errors.Is(err, transient.ErrStepUnderflow) {

@@ -55,7 +55,7 @@ func TestCorrectorRejectsNonFiniteIterate(t *testing.T) {
 	for _, bk := range []linalg.Backend{linalg.BackendDense, linalg.BackendSparse} {
 		for _, m := range []transient.Method{transient.Trap, transient.BE, transient.Gear2} {
 			t.Run(fmt.Sprintf("%v/%v", bk, m), func(t *testing.T) {
-				res, err := transient.Run(sys, linalg.Vec{0}, 0, 2e-3, transient.Options{
+				res, err := transient.RunCtx(context.Background(), sys, linalg.Vec{0}, 0, 2e-3, transient.Options{
 					Method: m, Step: 1e-5, Backend: bk,
 				})
 				if err == nil {
@@ -113,13 +113,13 @@ func TestRunRejectsMalformedInput(t *testing.T) {
 	sys := nanAfterSystem(t, false)
 	for _, m := range []transient.Method{transient.BE, transient.Trap, transient.Gear2} {
 		for _, step := range []float64{math.NaN(), math.Inf(1), math.Inf(-1), 0} {
-			res, err := transient.Run(sys, linalg.Vec{0}, 0, 1e-3, transient.Options{Method: m, Step: step})
+			res, err := transient.RunCtx(context.Background(), sys, linalg.Vec{0}, 0, 1e-3, transient.Options{Method: m, Step: step})
 			if err == nil || res != nil {
 				t.Errorf("%v step %g: (%v, %v), want an error and no result", m, step, res, err)
 			}
 		}
 		for _, x0 := range []linalg.Vec{{}, {0, 0}} {
-			res, err := transient.Run(sys, x0, 0, 1e-3, transient.Options{Method: m, Step: 1e-5})
+			res, err := transient.RunCtx(context.Background(), sys, x0, 0, 1e-3, transient.Options{Method: m, Step: 1e-5})
 			if err == nil || res != nil {
 				t.Errorf("%v x0 of length %d: (%v, %v), want an error and no result", m, len(x0), res, err)
 			}

@@ -323,7 +323,7 @@ type oracleStart struct {
 func oracleStarts(t *testing.T, sys *circuit.System, x0 linalg.Vec, h float64) []oracleStart {
 	t.Helper()
 	const settle = 12000
-	res, err := transient.Run(sys, x0, 0, settle*h, transient.Options{Method: transient.Trap, Step: h})
+	res, err := transient.RunCtx(context.Background(), sys, x0, 0, settle*h, transient.Options{Method: transient.Trap, Step: h})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -1,6 +1,7 @@
 package transient_test
 
 import (
+	"context"
 	"crypto/sha256"
 	"encoding/binary"
 	"encoding/hex"
@@ -152,7 +153,7 @@ func TestRunPinned(t *testing.T) {
 							if st.adaptive {
 								opt.Step = c.adaptH
 							}
-							res, err := transient.Run(c.sys, c.x0, c.t0, c.t0+st.steps*c.h, opt)
+							res, err := transient.RunCtx(context.Background(), c.sys, c.x0, c.t0, c.t0+st.steps*c.h, opt)
 							if err != nil {
 								t.Fatalf("%s sens=%v record=%d: %v", name, sens, rec, err)
 							}

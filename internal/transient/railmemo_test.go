@@ -1,6 +1,7 @@
 package transient_test
 
 import (
+	"context"
 	"math"
 	"testing"
 
@@ -33,7 +34,7 @@ func TestRailEvaluatedOncePerTimePoint(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	res, err := transient.Run(sys, linalg.Vec{0, 0}, 0, 2e-4, transient.Options{Method: transient.Trap, Step: 2e-6})
+	res, err := transient.RunCtx(context.Background(), sys, linalg.Vec{0, 0}, 0, 2e-4, transient.Options{Method: transient.Trap, Step: 2e-6})
 	if err != nil {
 		t.Fatal(err)
 	}

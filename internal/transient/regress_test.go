@@ -31,7 +31,7 @@ func TestRecordDecimationFlushesTail(t *testing.T) {
 			}
 			t.Run(name, func(t *testing.T) {
 				run := func(record int) *transient.Result {
-					res, err := transient.Run(sys, linalg.Vec{0}, 0, 3*tau, transient.Options{
+					res, err := transient.RunCtx(context.Background(), sys, linalg.Vec{0}, 0, 3*tau, transient.Options{
 						Method: method, Step: tau / 333, Adaptive: adaptive, Record: record,
 					})
 					if err != nil {
@@ -74,7 +74,7 @@ func TestFinalNilOnEmptyResult(t *testing.T) {
 
 func TestGear2AdaptiveIsExplicitError(t *testing.T) {
 	sys := rcCircuit(t)
-	_, err := transient.Run(sys, linalg.Vec{0}, 0, 1e-3, transient.Options{
+	_, err := transient.RunCtx(context.Background(), sys, linalg.Vec{0}, 0, 1e-3, transient.Options{
 		Method: transient.Gear2, Step: 1e-6, Adaptive: true,
 	})
 	if !errors.Is(err, transient.ErrGear2Adaptive) {
@@ -140,7 +140,7 @@ func TestFixedStepRunLandsOnGrid(t *testing.T) {
 	t1 := steps * h
 	for _, m := range []transient.Method{transient.BE, transient.Trap, transient.Gear2} {
 		t.Run(m.String(), func(t *testing.T) {
-			res, err := transient.Run(sys, linalg.Vec{0}, 0, t1, transient.Options{Method: m, Step: h})
+			res, err := transient.RunCtx(context.Background(), sys, linalg.Vec{0}, 0, t1, transient.Options{Method: m, Step: h})
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -169,7 +169,7 @@ func TestFixedStepRunEndsWithRemainder(t *testing.T) {
 	t1 := 100.5 * h
 	want := 3 * (1 - math.Exp(-t1/tau))
 	for _, m := range []transient.Method{transient.BE, transient.Trap, transient.Gear2} {
-		res, err := transient.Run(sys, linalg.Vec{0}, 0, t1, transient.Options{Method: m, Step: h})
+		res, err := transient.RunCtx(context.Background(), sys, linalg.Vec{0}, 0, t1, transient.Options{Method: m, Step: h})
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -189,18 +189,12 @@ func NewScratch(sys *circuit.System) *Scratch {
 	return &Scratch{b: NewBatchScratch(b)}
 }
 
-// Run integrates the circuit ODE C·ẋ = −f(x,t) from x0 over [t0, t1].
-//
-// Run is safe to call concurrently on one shared System: every piece of
-// integration scratch lives in a per-call Scratch.
-func Run(sys *circuit.System, x0 linalg.Vec, t0, t1 float64, opt Options) (*Result, error) {
-	return RunCtx(context.Background(), sys, x0, t0, t1, opt)
-}
-
-// RunCtx is Run with cancellation: the integration checks ctx between steps
-// and returns ctx.Err() (with the partial trajectory) once canceled. It
-// integrates through a private Scratch; loops that re-run transients on one
-// System should hold a Scratch and call its Run method instead.
+// RunCtx integrates the circuit ODE C·ẋ = −f(x,t) from x0 over [t0, t1].
+// The integration checks ctx between steps and returns ctx.Err() (with the
+// partial trajectory) once canceled. It integrates through a private
+// Scratch, so it is safe to call concurrently on one shared System; loops
+// that re-run transients on one System should hold a Scratch and call its
+// Run method instead.
 func RunCtx(ctx context.Context, sys *circuit.System, x0 linalg.Vec, t0, t1 float64, opt Options) (*Result, error) {
 	return NewScratch(sys).Run(ctx, x0, t0, t1, opt)
 }

@@ -1,6 +1,7 @@
 package transient_test
 
 import (
+	"context"
 	"math"
 	"testing"
 
@@ -30,7 +31,7 @@ func rcCircuit(t testing.TB) *circuit.System {
 func TestRCChargeBE(t *testing.T) {
 	sys := rcCircuit(t)
 	tau := 1e-3
-	res, err := transient.Run(sys, linalg.Vec{0}, 0, 3*tau, transient.Options{
+	res, err := transient.RunCtx(context.Background(), sys, linalg.Vec{0}, 0, 3*tau, transient.Options{
 		Method: transient.BE, Step: tau / 2000,
 	})
 	if err != nil {
@@ -47,7 +48,7 @@ func TestRCChargeTrapSecondOrder(t *testing.T) {
 	sys := rcCircuit(t)
 	tau := 1e-3
 	errAt := func(h float64) float64 {
-		res, err := transient.Run(sys, linalg.Vec{0}, 0, tau, transient.Options{
+		res, err := transient.RunCtx(context.Background(), sys, linalg.Vec{0}, 0, tau, transient.Options{
 			Method: transient.Trap, Step: h,
 		})
 		if err != nil {
@@ -80,7 +81,7 @@ func TestSineDrivenRCAmplitude(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	res, err := transient.Run(sys, linalg.Vec{0}, 0, 20/f0, transient.Options{
+	res, err := transient.RunCtx(context.Background(), sys, linalg.Vec{0}, 0, 20/f0, transient.Options{
 		Method: transient.Trap, Step: 1 / f0 / 400,
 	})
 	if err != nil {
@@ -105,13 +106,13 @@ func TestSineDrivenRCAmplitude(t *testing.T) {
 func TestAdaptiveMatchesFixed(t *testing.T) {
 	sys := rcCircuit(t)
 	tau := 1e-3
-	fixed, err := transient.Run(sys, linalg.Vec{0}, 0, 2*tau, transient.Options{
+	fixed, err := transient.RunCtx(context.Background(), sys, linalg.Vec{0}, 0, 2*tau, transient.Options{
 		Method: transient.Trap, Step: tau / 5000,
 	})
 	if err != nil {
 		t.Fatal(err)
 	}
-	adaptive, err := transient.Run(sys, linalg.Vec{0}, 0, 2*tau, transient.Options{
+	adaptive, err := transient.RunCtx(context.Background(), sys, linalg.Vec{0}, 0, 2*tau, transient.Options{
 		Method: transient.Trap, Step: tau / 100, Adaptive: true, LTETol: 1e-6,
 	})
 	if err != nil {
@@ -131,7 +132,7 @@ func TestSensitivityMatchesFiniteDifference(t *testing.T) {
 	sys := rcCircuit(t)
 	tau := 1e-3
 	T := tau
-	res, err := transient.Run(sys, linalg.Vec{1}, 0, T, transient.Options{
+	res, err := transient.RunCtx(context.Background(), sys, linalg.Vec{1}, 0, T, transient.Options{
 		Method: transient.Trap, Step: tau / 2000, Sensitivity: true,
 	})
 	if err != nil {
@@ -169,7 +170,7 @@ func TestSensitivityNonlinearFiniteDifference(t *testing.T) {
 	x0 := linalg.Vec{1.4, 1.6}
 	T := 2e-5
 	opt := transient.Options{Method: transient.Trap, Step: 1e-8, Sensitivity: true}
-	res, err := transient.Run(sys, x0, 0, T, opt)
+	res, err := transient.RunCtx(context.Background(), sys, x0, 0, T, opt)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -181,11 +182,11 @@ func TestSensitivityNonlinearFiniteDifference(t *testing.T) {
 		xm := x0.Clone()
 		xp[col] += h
 		xm[col] -= h
-		rp, err := transient.Run(sys, xp, 0, T, optNoSens)
+		rp, err := transient.RunCtx(context.Background(), sys, xp, 0, T, optNoSens)
 		if err != nil {
 			t.Fatal(err)
 		}
-		rm, err := transient.Run(sys, xm, 0, T, optNoSens)
+		rm, err := transient.RunCtx(context.Background(), sys, xm, 0, T, optNoSens)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -201,7 +202,7 @@ func TestSensitivityNonlinearFiniteDifference(t *testing.T) {
 
 func TestRecordDecimation(t *testing.T) {
 	sys := rcCircuit(t)
-	res, err := transient.Run(sys, linalg.Vec{0}, 0, 1e-3, transient.Options{
+	res, err := transient.RunCtx(context.Background(), sys, linalg.Vec{0}, 0, 1e-3, transient.Options{
 		Method: transient.BE, Step: 1e-6, Record: 10,
 	})
 	if err != nil {

@@ -23,7 +23,7 @@ func cornerModels(t *testing.T, n int) []variation.CornerResult {
 	if err != nil {
 		t.Fatal(err)
 	}
-	sol, err := pss.ShootAutonomous(r.Sys, r.KickStart(), pss.Options{
+	sol, err := pss.ShootAutonomousCtx(context.Background(), r.Sys, r.KickStart(), pss.Options{
 		GuessT: 1 / r.EstimatedF0(), StepsPerPeriod: 1024,
 	})
 	if err != nil {

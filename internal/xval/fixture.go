@@ -43,7 +43,7 @@ type Fixtures struct {
 }
 
 // HBHarmonics is the truncation order of the harmonic-balance fixture.
-// 20 harmonics resolve the ring waveform to the 1e-10 residual RefineHB
+// 20 harmonics resolve the ring waveform to the 1e-10 residual RefineHBCtx
 // converges to; the comparison tolerances in cases_*.go assume this order.
 const HBHarmonics = 20
 
