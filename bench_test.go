@@ -109,7 +109,9 @@ func BenchmarkNoiseEnsembleWorkersN(b *testing.B) { benchEnsemble(b, 0) }
 // full shooting solve on the paper's ring with diagnostics disabled (no
 // metrics in the context). `make bench-overhead` holds it within 2% of
 // BENCH_baseline.json; allocs/op must not grow at all (the disabled path is
-// a nil check and must not allocate).
+// a nil check and must not allocate). The work counts it reports are its
+// warm-up op's, counted on metrics the timed ops do not carry, and `make
+// bench-alloc` gates them exactly.
 func BenchmarkShootAutonomousRing(b *testing.B) {
 	r, err := ringosc.Build(ringosc.DefaultConfig())
 	if err != nil {
@@ -117,18 +119,20 @@ func BenchmarkShootAutonomousRing(b *testing.B) {
 	}
 	x0 := r.KickStart()
 	opt := pss.Options{GuessT: 1 / r.EstimatedF0(), StepsPerPeriod: 256, SettleCycles: 10}
-	op := func() error {
-		_, err := pss.ShootAutonomousCtx(context.Background(), r.Sys, x0, opt)
+	op := func(ctx context.Context) error {
+		_, err := pss.ShootAutonomousCtx(ctx, r.Sys, x0, opt)
 		return err
 	}
-	warmUp(b, op)
+	m := diag.New()
+	warmUp(b, func() error { return op(diag.WithMetrics(context.Background(), m)) })
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if err := op(); err != nil {
+		if err := op(context.Background()); err != nil {
 			b.Fatal(err)
 		}
 	}
+	reportWork(b, m, 1)
 }
 
 // warmUp runs one op of a benchmark outside its timer, before any metrics
@@ -633,7 +637,7 @@ func BenchmarkAblationPPVTimeDomain(b *testing.B) {
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, err := ppv.FromSolution(r.Sys, sol); err != nil {
+		if _, err := ppv.FromSolutionCtx(context.Background(), r.Sys, sol); err != nil {
 			b.Fatal(err)
 		}
 	}
@@ -728,7 +732,7 @@ func BenchmarkSparseVsDenseShoot(b *testing.B) {
 						b.Fatal(err)
 					}
 				}
-				reportWork(b, m)
+				reportWork(b, m, b.N)
 			})
 		}
 	}
@@ -756,7 +760,7 @@ func BenchmarkVariationMCScalar(b *testing.B) {
 			b.Fatal(err)
 		}
 	}
-	reportWork(b, m)
+	reportWork(b, m, b.N)
 }
 
 func BenchmarkVariationMCBatched(b *testing.B) {
@@ -772,16 +776,16 @@ func BenchmarkVariationMCBatched(b *testing.B) {
 			b.Fatal(err)
 		}
 	}
-	reportWork(b, m)
+	reportWork(b, m, b.N)
 }
 
-// reportWork reports a shooting or Monte-Carlo benchmark's work per op —
-// Newton iterations, LU factorizations (on either backend), circuit
-// evaluations and transient steps — which `make bench-batch` and `make
-// bench-sparse` gate exactly, so a change to a benchmark's work shows as a
-// count, not only as a time.
-func reportWork(b *testing.B, m *diag.Metrics) {
-	n := float64(b.N)
+// reportWork reports a shooting or Monte-Carlo benchmark's work per op,
+// over the ops ops m counted — Newton iterations, LU factorizations (on
+// either backend), circuit evaluations and transient steps — which `make
+// bench-alloc`, `make bench-batch` and `make bench-sparse` gate exactly, so
+// a change to a benchmark's work shows as a count, not only as a time.
+func reportWork(b *testing.B, m *diag.Metrics, ops int) {
+	n := float64(ops)
 	b.ReportMetric(float64(m.Get(diag.NewtonIterations))/n, "newton_iters/op")
 	b.ReportMetric(float64(m.Get(diag.LUFactorizations))/n, "lu_factorizations/op")
 	b.ReportMetric(float64(m.Get(diag.CircuitEvals))/n, "circuit_evals/op")

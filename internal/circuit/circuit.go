@@ -54,6 +54,7 @@ type Rail struct {
 	// legacy absolute step, which is wrong for rails much faster or much
 	// slower than nanoseconds. Zero keeps the legacy absolute step.
 	TimeScale float64
+	dc        bool // registered by AddDCRail: constant in time
 }
 
 // Device is a circuit element. StampC is called once at assembly time to
@@ -119,7 +120,7 @@ func (c *Circuit) AddRail(name string, v func(t float64) float64) NodeID {
 		panic(fmt.Sprintf("circuit: node %q already exists as a free node", name))
 	}
 	if i, ok := c.railIndex[name]; ok {
-		c.rails[i].V = v
+		c.rails[i].V, c.rails[i].dc = v, false
 		return NodeID(-2 - i)
 	}
 	i := len(c.rails)
@@ -132,6 +133,7 @@ func (c *Circuit) AddRail(name string, v func(t float64) float64) NodeID {
 func (c *Circuit) AddDCRail(name string, v float64) NodeID {
 	id := c.AddRail(name, func(float64) float64 { return v })
 	c.rails[-2-int(id)].DVDt = func(float64) float64 { return 0 }
+	c.rails[-2-int(id)].dc = true
 	return id
 }
 
@@ -275,9 +277,9 @@ func (s *CapStamper) AddCap(a, b NodeID, cap float64) {
 // structure (circuit, capacitance matrix and its factorization, rail-cap
 // list, Jacobian pattern and evaluation plan), so any number of analyses
 // may share one System concurrently. All per-evaluation scratch lives in
-// Workspace values obtained from NewWorkspace; the EvalF/EvalFJ/XDot
-// methods on System itself are allocation-per-call conveniences that are
-// likewise safe for concurrent use.
+// Workspace values obtained from NewWorkspace; the EvalF/EvalFJ methods on
+// System itself are allocation-per-call conveniences that are likewise
+// safe for concurrent use.
 type System struct {
 	Ckt *Circuit
 	N   int
@@ -296,6 +298,7 @@ type System struct {
 	plan    *plan
 	pattern *sparse.Pattern
 	sparseC *sparse.CSC
+	driven  bool // see Driven
 }
 
 // Assemble builds the System: stamps capacitances (adding parasitics),
@@ -306,10 +309,17 @@ type System struct {
 func (c *Circuit) Assemble() (*System, error) {
 	n := len(c.nodeNames)
 	st := &CapStamper{ckt: c, C: linalg.NewMat(n, n)}
+	driven := false
 	for _, d := range c.devices {
 		if d.StampC(st); st.err != nil {
 			return nil, fmt.Errorf("circuit: device %q: %w", d.Label(), st.err)
 		}
+		if tv, ok := d.(interface{ TimeVarying() bool }); ok && tv.TimeVarying() {
+			driven = true
+		}
+	}
+	for _, r := range c.rails {
+		driven = driven || !r.dc
 	}
 	for i := 0; i < n; i++ {
 		st.C.Addf(i, i, c.ParasiticCap)
@@ -325,6 +335,7 @@ func (c *Circuit) Assemble() (*System, error) {
 		CLU:      lu,
 		railCaps: st.railCaps,
 		cNZ:      sparse.FromDense(st.C),
+		driven:   driven,
 	}
 	s.self[0] = s
 	if s.plan, err = newPlan(s.self[:]); err != nil {
@@ -363,14 +374,12 @@ func (s *System) EvalFJ(x linalg.Vec, t float64, f linalg.Vec, j *linalg.Mat) {
 	s.NewWorkspace().EvalFJ(x, t, f, j)
 }
 
-// XDot computes ẋ = -C⁻¹·f(x, t), the ODE right-hand side. It allocates per
-// call and is safe for concurrent use; hot loops should use
-// Workspace.XDotInto.
-func (s *System) XDot(x linalg.Vec, t float64) linalg.Vec {
-	f := s.EvalF(x, t, nil)
-	f.Scale(-1)
-	return s.CLU.Solve(f)
-}
+// Driven reports whether any rail or source of the circuit varies in time:
+// a rail registered by AddRail or AddRailDeriv, or a device whose
+// TimeVarying method reports true (a source with a waveform). Rails
+// registered by AddDCRail and DC sources are constant. A driven circuit
+// has no autonomous limit cycle.
+func (s *System) Driven() bool { return s.driven }
 
 // InjectionGain returns the vector mapping a current injected *into* free
 // node k to the ODE right-hand side: ẋ += gain·I. (gain = C⁻¹·e_k.)

@@ -127,7 +127,7 @@ func TestInjectionGain(t *testing.T) {
 }
 
 func TestXDotRC(t *testing.T) {
-	// RC to a 3 V rail: ẋ = (3-x)/(RC) approx (parasitic ≪ C).
+	// RC to a 3 V rail: ẋ = −C⁻¹·f = (3-x)/(RC) approx (parasitic ≪ C).
 	c := circuit.New()
 	vdd := c.AddDCRail("vdd", 3.0)
 	n1 := c.Node("n1")
@@ -139,7 +139,9 @@ func TestXDotRC(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	xd := sys.XDot(linalg.Vec{1.0}, 0)
+	f := sys.EvalF(linalg.Vec{1.0}, 0, nil)
+	f.Scale(-1)
+	xd := sys.CLU.Solve(f)
 	want := (3.0 - 1.0) / (1e3 * 1e-6)
 	if math.Abs(xd[0]-want) > 1e-3*want {
 		t.Fatalf("xdot = %g, want %g", xd[0], want)

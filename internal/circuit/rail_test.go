@@ -109,3 +109,49 @@ func TestSetRailTimeScalePanics(t *testing.T) {
 		}()
 	}
 }
+
+// TestDrivenRecordsTimeVarying: a System is driven when any rail or
+// source varies in time — a waveform rail (AddRail, AddRailDeriv, or a DC
+// rail re-registered with a waveform), a sine or PWL source, a current
+// source with its own I — and not when its rails are DC rails and its
+// sources DC sources.
+func TestDrivenRecordsTimeVarying(t *testing.T) {
+	wave := func(t float64) float64 { return t }
+	for _, c := range []struct {
+		name   string
+		build  func(c *circuit.Circuit, n circuit.NodeID)
+		driven bool
+	}{
+		{"dc", func(c *circuit.Circuit, n circuit.NodeID) {
+			c.AddDCRail("vdd", 3)
+			c.Add(device.DCCurrent("i", circuit.Ground, n, 1e-3))
+		}, false},
+		{"rail", func(c *circuit.Circuit, n circuit.NodeID) { c.AddRail("en", wave) }, true},
+		{"rail deriv", func(c *circuit.Circuit, n circuit.NodeID) { c.AddRailDeriv("en", wave, wave) }, true},
+		{"dc rail re-registered", func(c *circuit.Circuit, n circuit.NodeID) {
+			c.AddDCRail("en", 3)
+			c.AddRail("en", wave)
+		}, true},
+		{"sine", func(c *circuit.Circuit, n circuit.NodeID) {
+			c.Add(&device.SineCurrent{Name: "i", To: n, Amp: 1e-3, Freq: 1e3})
+		}, true},
+		{"pwl", func(c *circuit.Circuit, n circuit.NodeID) {
+			c.Add(&device.PWLCurrent{Name: "i", To: n, Times: []float64{0, 1}, Values: []float64{0, 1e-3}})
+		}, true},
+		{"waveform source", func(c *circuit.Circuit, n circuit.NodeID) {
+			c.Add(&device.CurrentSource{Name: "i", To: n, I: wave})
+		}, true},
+	} {
+		ckt := circuit.New()
+		n := ckt.Node("n1")
+		ckt.Add(&device.Resistor{Name: "r", A: n, B: circuit.Ground, R: 1e3})
+		c.build(ckt, n)
+		sys, err := ckt.Assemble()
+		if err != nil {
+			t.Fatal(err)
+		}
+		if sys.Driven() != c.driven {
+			t.Errorf("%s: Driven() = %v, want %v", c.name, sys.Driven(), c.driven)
+		}
+	}
+}

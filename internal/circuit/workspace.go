@@ -10,8 +10,7 @@ import (
 // run analyses against a (shared, immutable) System: the one-lane context
 // its plan evaluates through, with the lane's time memo (rail V and dV/dt,
 // source values and rail-controlled conductances at the last evaluated time
-// — see Rail for the contract), plus the residual buffer of XDotInto and
-// the Jacobian values EvalFJ scatters.
+// — see Rail for the contract), plus the Jacobian values EvalFJ scatters.
 //
 // A Workspace is NOT safe for concurrent use — that is its whole point: give
 // each worker goroutine its own Workspace via System.NewWorkspace() and any
@@ -22,8 +21,6 @@ type Workspace struct {
 	sys *System
 	ctx EvalContext // the one-lane context, reused across evaluations
 	key [1]uint64   // ctx.keys: the bits of the time the memo holds
-	// scratch for XDotInto's residual
-	fbuf linalg.Vec
 	// jac holds EvalFJ's Jacobian values on the pattern (made on first use).
 	jac sparse.CSC
 	// m counts circuit evaluations when diagnostics are enabled (nil
@@ -44,9 +41,8 @@ func (w *Workspace) SetMetrics(m *diag.Metrics) { w.m = m }
 // system. Each concurrent analysis should own exactly one.
 func (s *System) NewWorkspace() *Workspace {
 	m := s.plan.lay.memo
-	buf := make([]float64, s.N+m) // fbuf and the time memo share one allocation
-	w := &Workspace{sys: s, fbuf: linalg.Vec(buf[:s.N:s.N])}
-	w.ctx = EvalContext{N: s.N, NNZ: s.pattern.NNZ(), Active: lane0, memo: nanFill(buf[s.N:]), keys: w.key[:], m: m, lanes: s.self[:]}
+	w := &Workspace{sys: s}
+	w.ctx = EvalContext{N: s.N, NNZ: s.pattern.NNZ(), Active: lane0, memo: nanFill(make([]float64, m)), keys: w.key[:], m: m, lanes: s.self[:]}
 	return w
 }
 
@@ -89,15 +85,4 @@ func (w *Workspace) EvalScaled(x linalg.Vec, t float64, f linalg.Vec, jv []float
 	w.sys.plan.eval(e)
 	// Drop slice references so the workspace does not pin caller buffers.
 	e.X, e.F, e.JV = nil, nil, nil
-}
-
-// XDotInto computes ẋ = -C⁻¹·f(x, t) into dst (which must not alias x),
-// using workspace scratch for the residual: hot loops pass a pinned
-// destination and the evaluation touches only workspace scratch. Safe
-// concurrently across workspaces — the shared System.CLU factorization is
-// read-only under SolveInto.
-func (w *Workspace) XDotInto(dst linalg.Vec, x linalg.Vec, t float64) linalg.Vec {
-	f := w.EvalF(x, t, w.fbuf)
-	f.Scale(-1)
-	return w.sys.CLU.SolveInto(dst, f)
 }

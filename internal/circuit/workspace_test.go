@@ -57,14 +57,6 @@ func TestWorkspaceMatchesSystemEval(t *testing.T) {
 			t.Fatalf("EvalFJ Jacobian mismatch at flat index %d", i)
 		}
 	}
-
-	xdSys := sys.XDot(x, tt)
-	xdWs := ws.XDotInto(linalg.NewVec(n), x, tt)
-	for i := 0; i < n; i++ {
-		if xdSys[i] != xdWs[i] {
-			t.Fatalf("XDot mismatch at %d", i)
-		}
-	}
 }
 
 func TestWorkspaceReuseIsStateless(t *testing.T) {
@@ -76,7 +68,7 @@ func TestWorkspaceReuseIsStateless(t *testing.T) {
 	x := linalg.Vec{0.4, 1.2}
 	first := ws.EvalF(x, 1e-5, nil)
 	ws.EvalFJ(linalg.Vec{-2, 0.1}, 9e-5, linalg.NewVec(sys.N), linalg.NewMat(sys.N, sys.N))
-	ws.XDotInto(linalg.NewVec(sys.N), linalg.Vec{5, -5}, 2e-5)
+	ws.EvalF(linalg.Vec{5, -5}, 2e-5, nil)
 	again := ws.EvalF(x, 1e-5, nil)
 	for i := range first {
 		if first[i] != again[i] {
@@ -101,7 +93,7 @@ func TestConcurrentWorkspacesShareOneSystem(t *testing.T) {
 		ref[g] = make([]linalg.Vec, evals)
 		for k := 0; k < evals; k++ {
 			x := linalg.Vec{math.Sin(float64(g + k)), math.Cos(float64(g * k))}
-			ref[g][k] = refWS.XDotInto(linalg.NewVec(n), x, float64(k)*1e-6)
+			ref[g][k] = refWS.EvalF(x, float64(k)*1e-6, linalg.NewVec(n))
 		}
 	}
 
@@ -115,7 +107,7 @@ func TestConcurrentWorkspacesShareOneSystem(t *testing.T) {
 			got[g] = make([]linalg.Vec, evals)
 			for k := 0; k < evals; k++ {
 				x := linalg.Vec{math.Sin(float64(g + k)), math.Cos(float64(g * k))}
-				got[g][k] = ws.XDotInto(linalg.NewVec(n), x, float64(k)*1e-6)
+				got[g][k] = ws.EvalF(x, float64(k)*1e-6, linalg.NewVec(n))
 			}
 		}(g)
 	}

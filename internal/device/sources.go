@@ -15,6 +15,7 @@ type CurrentSource struct {
 	Name     string
 	From, To circuit.NodeID
 	I        func(t float64) float64
+	dc       bool // built by DCCurrent: I is constant
 }
 
 // Label implements circuit.Device.
@@ -26,6 +27,9 @@ func (s *CurrentSource) StampC(*circuit.CapStamper) {}
 // At evaluates the source current at time t.
 func (s *CurrentSource) At(t float64) float64 { return s.I(t) }
 
+// TimeVarying reports whether I may vary in time (circuit.System.Driven).
+func (s *CurrentSource) TimeVarying() bool { return !s.dc }
+
 // NewKernel implements circuit.Device.
 func (*CurrentSource) NewKernel(p circuit.Peers, lay *circuit.Layout) (circuit.Kernel, error) {
 	return newSourceKernel(p, lay)
@@ -33,7 +37,7 @@ func (*CurrentSource) NewKernel(p circuit.Peers, lay *circuit.Layout) (circuit.K
 
 // DCCurrent builds a constant current source.
 func DCCurrent(name string, from, to circuit.NodeID, amps float64) *CurrentSource {
-	return &CurrentSource{Name: name, From: from, To: to, I: func(float64) float64 { return amps }}
+	return &CurrentSource{Name: name, From: from, To: to, I: func(float64) float64 { return amps }, dc: true}
 }
 
 // SineCurrent builds I(t) = Amp·cos(2π·(Freq·t + Phase)) + Offset, flowing
@@ -58,6 +62,9 @@ func (s *SineCurrent) StampC(*circuit.CapStamper) {}
 func (s *SineCurrent) At(t float64) float64 {
 	return s.Amp*math.Cos(2*math.Pi*(s.Freq*t+s.Phase)) + s.Offset
 }
+
+// TimeVarying reports that the source varies in time (circuit.System.Driven).
+func (*SineCurrent) TimeVarying() bool { return true }
 
 // NewKernel implements circuit.Device.
 func (*SineCurrent) NewKernel(p circuit.Peers, lay *circuit.Layout) (circuit.Kernel, error) {
@@ -103,6 +110,9 @@ func (s *PWLCurrent) At(t float64) float64 {
 	frac := (t - s.Times[lo]) / (s.Times[hi] - s.Times[lo])
 	return s.Values[lo] + frac*(s.Values[hi]-s.Values[lo])
 }
+
+// TimeVarying reports that the source varies in time (circuit.System.Driven).
+func (*PWLCurrent) TimeVarying() bool { return true }
 
 // NewKernel implements circuit.Device.
 func (*PWLCurrent) NewKernel(p circuit.Peers, lay *circuit.Layout) (circuit.Kernel, error) {

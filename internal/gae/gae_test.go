@@ -35,7 +35,7 @@ func ringPPV(t testing.TB) *ppv.PPV {
 			fixErr = err
 			return
 		}
-		fixPPV, fixErr = ppv.FromSolution(r.Sys, sol)
+		fixPPV, fixErr = ppv.FromSolutionCtx(context.Background(), r.Sys, sol)
 	})
 	if fixErr != nil {
 		t.Fatal(fixErr)

@@ -166,6 +166,10 @@ func (p *parser) directive(name string, args []string) error {
 		if len(args) != 2 {
 			return fmt.Errorf(".rail wants name and value/waveform")
 		}
+		if v, err := ParseValue(args[1]); err == nil {
+			p.ckt.AddDCRail(args[0], v)
+			return nil
+		}
 		fn, err := parseWaveform(args[1])
 		if err != nil {
 			return err

@@ -201,3 +201,30 @@ func TestParseErrors(t *testing.T) {
 		}
 	}
 }
+
+// TestParseDrivenDecks: a deck whose rails are plain values and whose
+// sources are DC is autonomous — `.rail vdd 3.0` registers a DC rail —
+// while a waveform rail or a sine source makes it driven.
+func TestParseDrivenDecks(t *testing.T) {
+	for _, c := range []struct {
+		deck   string
+		driven bool
+	}{
+		{".rail vdd 3.0\nR1 vdd a 1k\nI1 0 a dc 1m\nI2 0 a 2m\n", false},
+		{".rail vdd 3.0\n.rail en pulse(0 3 1m 10u 10u 2m 5m)\nR1 en a 1k\n", true},
+		{".rail ref sin(1.5 1.5 1k 0)\nR1 ref a 1k\n", true},
+		{".rail vdd 3.0\nR1 vdd a 1k\nI1 0 a sin(100u 9.6k 0.25)\n", true},
+	} {
+		ckt, err := netlist.Parse(c.deck)
+		if err != nil {
+			t.Fatal(err)
+		}
+		sys, err := ckt.Assemble()
+		if err != nil {
+			t.Fatal(err)
+		}
+		if sys.Driven() != c.driven {
+			t.Errorf("%q: Driven() = %v, want %v", c.deck, sys.Driven(), c.driven)
+		}
+	}
+}

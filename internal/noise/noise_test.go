@@ -36,7 +36,7 @@ func ringPPV(t testing.TB) (*ppv.PPV, phasemacro.Calibration) {
 			fixErr = err
 			return
 		}
-		fixPPV, fixErr = ppv.FromSolution(r.Sys, sol)
+		fixPPV, fixErr = ppv.FromSolutionCtx(context.Background(), r.Sys, sol)
 		if fixErr != nil {
 			return
 		}

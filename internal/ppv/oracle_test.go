@@ -17,7 +17,7 @@ import (
 //
 //	w_i = (I + h/2·A_i)ᵀ (I − h/2·A_{i+1})⁻ᵀ w_{i+1},
 //
-// then the pointwise normalization v_i·ẋₛ(t_i) = 1 with ẋₛ from XDot, and
+// then the pointwise normalization v_i·ẋₛ(t_i) = 1 with ẋₛ = −C⁻¹·f, and
 // the current-injection form VI = C⁻ᵀ v. It returns the PPV samples and the
 // normalization spread; it is the oracle FromSolutionsBatch is held to bit
 // for bit.
@@ -61,7 +61,9 @@ func refAdjoint(sys *circuit.System, sol *pss.Solution) ([]linalg.Vec, float64, 
 	vi := make([]linalg.Vec, k+1)
 	minC, maxC := math.Inf(1), math.Inf(-1)
 	for i := range vi {
-		c := adj[i].Dot(sys.XDot(sol.States[i], sol.Grid[i]))
+		xd := sys.EvalF(sol.States[i], sol.Grid[i], nil)
+		xd.Scale(-1)
+		c := adj[i].Dot(sys.CLU.Solve(xd))
 		if c == 0 {
 			return nil, 0, fmt.Errorf("degenerate normalization at grid %d", i)
 		}

@@ -11,7 +11,7 @@
 //     the adjoint LTV system, obtained from the left eigenvector of the
 //     monodromy matrix at eigenvalue 1, propagated backward over one period
 //     with the discrete adjoint of the trapezoidal variational map
-//     (FromSolution);
+//     (FromSolutionCtx);
 //   - frequency domain (PPV-HB, Mei–Roychowdhury): the left null vector of
 //     the harmonic-balance Jacobian at the PSS (FromHB in hb.go of
 //     package pss is consumed here via FromHBJacobian).
@@ -54,15 +54,10 @@ type PPV struct {
 // MaxHarmonics controls how many harmonics NodeSeries keeps.
 const MaxHarmonics = 32
 
-// FromSolution extracts the PPV from a converged autonomous PSS by the
-// time-domain adjoint method.
-func FromSolution(sys *circuit.System, sol *pss.Solution) (*PPV, error) {
-	return FromSolutionCtx(context.Background(), sys, sol)
-}
-
-// FromSolutionCtx is FromSolution with cancellation. The circuit is
-// extracted as a one-lane batch (FromSolutionsBatch), so a single circuit's
-// PPV is bit for bit its lane's in any batch.
+// FromSolutionCtx extracts the PPV from a converged autonomous PSS by the
+// time-domain adjoint method, checking ctx between grid points. The circuit
+// is extracted as a one-lane batch (FromSolutionsBatch), so a single
+// circuit's PPV is bit for bit its lane's in any batch.
 func FromSolutionCtx(ctx context.Context, sys *circuit.System, sol *pss.Solution) (*PPV, error) {
 	if sol == nil {
 		return nil, errors.New("ppv: no PSS solution to extract from")

@@ -27,7 +27,7 @@ func extract(t testing.TB, cfg ringosc.Config) (*ringosc.Ring, *pss.Solution, *p
 	if err != nil {
 		t.Fatal(err)
 	}
-	p, err := ppv.FromSolution(r.Sys, sol)
+	p, err := ppv.FromSolutionCtx(context.Background(), r.Sys, sol)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -206,7 +206,7 @@ func BenchmarkPPVExtraction(b *testing.B) {
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, err := ppv.FromSolution(r.Sys, sol); err != nil {
+		if _, err := ppv.FromSolutionCtx(context.Background(), r.Sys, sol); err != nil {
 			b.Fatal(err)
 		}
 	}

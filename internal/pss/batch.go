@@ -107,15 +107,16 @@ func ShootAutonomousBatch(ctx context.Context, b *circuit.Batch, x0 []float64, o
 		return lanes[:w]
 	}
 
-	// Per-lane phase levels, and per-lane workspaces for the border column ẋ(T).
+	// Per-lane phase levels. A driven lane, with no autonomous orbit and f
+	// depending on t, is refused before it integrates.
 	level := make([]float64, K)
-	wss := make([]*circuit.Workspace, K)
-	fT := linalg.NewVec(n)
 	for _, k := range active {
 		level[k] = phaseLevel(b.Systems[k])
-		wss[k] = b.Systems[k].NewWorkspace()
-		wss[k].SetMetrics(dm)
+		if b.Systems[k].Driven() {
+			fail(k, fmt.Errorf("pss: a rail or source of the circuit varies in time: %w", ErrNotAutonomous))
+		}
 	}
+	active = prune(active)
 
 	// Settle onto the limit cycles at the settle resolution (see settleSteps):
 	// SettleCycles−1 free-running Trap cycles, then the search run, stepped
@@ -123,7 +124,7 @@ func ShootAutonomousBatch(ctx context.Context, b *circuit.Batch, x0 []float64, o
 	// scans for the phase origin. Node 0 is recorded throughout, for the
 	// period refined from its recurrence over the whole settle, and the full
 	// state only in the search run.
-	if opt.SettleCycles > 0 {
+	if opt.SettleCycles > 0 && len(active) > 0 {
 		sp := diag.SpanFrom(ctx, "pss.settle")
 		sspp := settleSteps(spp)
 		for _, k := range active {
@@ -148,7 +149,7 @@ func ShootAutonomousBatch(ctx context.Context, b *circuit.Batch, x0 []float64, o
 					continue
 				}
 				copy(x[k*n:(k+1)*n], res.LaneX(k))
-				ts1[k], v1[k] = settleTimes(res.T[k], h[k]), res.NodeV[k]
+				ts1[k], v1[k] = res.T[k], res.NodeV[k]
 				t0[k] = ts1[k][len(ts1[k])-1]
 				if Tref, err := estimatePeriodFromSeries(ts1[k], v1[k], opt.GuessT[k]); err == nil {
 					h[k] = Tref / float64(sspp)
@@ -170,7 +171,7 @@ func ShootAutonomousBatch(ctx context.Context, b *circuit.Batch, x0 []float64, o
 				fail(k, fmt.Errorf("pss: settle transient failed: %w", res.Err[k]))
 				continue
 			}
-			T[k] = settlePeriod(ts1[k], v1[k], settleTimes(res.T[k], h[k]), res.NodeV[k], opt.GuessT[k])
+			T[k] = settlePeriod(ts1[k], v1[k], res.T[k], res.NodeV[k], opt.GuessT[k])
 			if perr := phaseStart(x[k*n:(k+1)*n], res.States[k], level[k], opt.Tol); perr != nil {
 				fail(k, perr)
 			}
@@ -179,8 +180,12 @@ func ShootAutonomousBatch(ctx context.Context, b *circuit.Batch, x0 []float64, o
 	}
 
 	// Bordered Newton, per lane over batched monodromy transients:
-	//   [ M − I   ẋ(T) ] [Δx]   [ −r ]
-	//   [ e_0ᵀ      0  ] [ΔT] = [  0 ]
+	//   [ M − I   ∂x(T)/∂T ] [Δx]   [ −r ]
+	//   [ e_0ᵀ        0    ] [ΔT] = [  0 ]
+	//
+	// Both blocks are derivatives of the discrete period map the Newton
+	// solves, StepsPerPeriod steps of T/StepsPerPeriod, so it converges
+	// quadratically: ∂x(T)/∂T is the transient's DXDH over StepsPerPeriod.
 	//
 	// Every Newton run records states: the run that *detects* a lane's
 	// convergence integrates one full period from the converged (x, T) with
@@ -258,9 +263,8 @@ func ShootAutonomousBatch(ctx context.Context, b *circuit.Batch, x0 []float64, o
 				}
 				big.Addf(i, i, -1)
 			}
-			wss[k].XDotInto(fT, xT, T[k])
-			for i := 0; i < n; i++ {
-				big.Set(i, n, fT[i])
+			for i, v := range run.DXDH[base : base+n] {
+				big.Set(i, n, v/float64(spp))
 			}
 			big.Set(n, 0, 1)
 			for i := 0; i < n; i++ {
@@ -300,19 +304,6 @@ func ShootAutonomousBatch(ctx context.Context, b *circuit.Batch, x0 []float64, o
 		}
 	}
 	return sols, errs, nil
-}
-
-// settleTimes overwrites a settle run's recorded time axis — its lane's
-// grid t0 + k·h — with t0, t0 + h, (t0 + h) + h, … accumulated step by
-// step, and returns it. The two differ by rounding only; the settle's
-// period estimates are fitted on the accumulated axis, the one the pinned
-// work counts of the batched Monte-Carlo benchmark were measured on, where
-// the grid's roundings move a corner's Newton and LU counts by one or two.
-func settleTimes(ts []float64, h float64) []float64 {
-	for i := 1; i < len(ts); i++ {
-		ts[i] = ts[i-1] + h
-	}
-	return ts
 }
 
 // laneEnds sets dst[k], for the given lanes, to the time lane k reaches

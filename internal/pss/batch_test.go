@@ -41,7 +41,7 @@ func cornerRingBatch(t testing.TB, k int) ([]*ringosc.Ring, *circuit.Batch) {
 
 // TestShootAutonomousBatchMatchesScalar: lanes are independent, so lane k
 // of a K-lane ShootAutonomousBatch plus FromSolutionsBatch equals the
-// single-circuit ShootAutonomousCtx plus ppv.FromSolution of its own corner
+// single-circuit ShootAutonomousCtx plus ppv.FromSolutionCtx of its own corner
 // (a one-lane batch) bit for bit: f0, Newton count, every grid state, the
 // monodromy and every PPV sample.
 func TestShootAutonomousBatchMatchesScalar(t *testing.T) {
@@ -127,7 +127,7 @@ func requireLanesMatchSolo(t *testing.T, rings []*ringosc.Ring, opt pss.Options,
 		}
 		requireSameSolution(t, fmt.Sprintf("lane %d", k), sols[k], solo)
 		if adjoint {
-			soloP, err := ppv.FromSolution(r.Sys, solo)
+			soloP, err := ppv.FromSolutionCtx(context.Background(), r.Sys, solo)
 			if err != nil {
 				t.Fatalf("lane %d alone: %v", k, err)
 			}

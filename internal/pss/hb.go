@@ -230,7 +230,7 @@ func (h *HBSolution) FullJacobian() *linalg.CMat {
 // PPVHB extracts the frequency-domain PPV (Mei–Roychowdhury PPV-HB): the
 // left null vector of the HB Jacobian, normalized so that ⟨v, ẋₛ⟩ = 1.
 // It returns per-node Fourier coefficients (0..H) of the *current-injection*
-// PPV, directly comparable with ppv.FromSolution's NodeSeries.
+// PPV, directly comparable with ppv.FromSolutionCtx's NodeSeries.
 func (h *HBSolution) PPVHB() ([][]complex128, error) {
 	sys := h.Sys
 	n := sys.N

@@ -65,7 +65,7 @@ func TestPPVHBMatchesTimeDomainPPV(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	td, err := ppv.FromSolution(r.Sys, sol)
+	td, err := ppv.FromSolutionCtx(context.Background(), r.Sys, sol)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -91,11 +91,12 @@ func phaseStart(dst linalg.Vec, states []linalg.Vec, level, tol float64) error {
 	return fmt.Errorf("%w (level %.4g V, node 0 spans [%.4g, %.4g] V over the settle's last cycle)", ErrNoPhaseCrossing, level, lo, hi)
 }
 
-// ErrNotAutonomous reports an autonomous solve whose converged orbit has no
-// Floquet multiplier near 1. An autonomous orbit's phase direction is neutral,
-// so its monodromy keeps a multiplier at 1 up to the discretization's error;
-// a circuit driven by a time-dependent source has none, and the period the
-// solve converged is one the settle made up. It wraps solver.ErrNoConvergence.
+// ErrNotAutonomous reports an autonomous solve of a driven circuit
+// (circuit.System.Driven), refused before it integrates, or one whose
+// converged orbit has no Floquet multiplier near 1. An autonomous orbit's
+// phase direction is neutral, so its monodromy keeps a multiplier at 1 up to
+// the discretization's error; a circuit driven by a time-dependent source
+// has none. It wraps solver.ErrNoConvergence.
 var ErrNotAutonomous = fmt.Errorf("pss: orbit has no Floquet multiplier near 1 (is the circuit driven?): %w", solver.ErrNoConvergence)
 
 // trivialMultiplierBound is how far from 1 the trivial Floquet multiplier of

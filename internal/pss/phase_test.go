@@ -5,6 +5,8 @@ import (
 	"errors"
 	"testing"
 
+	"repro/internal/circuit"
+	"repro/internal/diag"
 	"repro/internal/linalg"
 	"repro/internal/netlist"
 	"repro/internal/pss"
@@ -85,6 +87,38 @@ func TestShootAutonomousRejectsDrivenLatch(t *testing.T) {
 	_, err = pss.ShootAutonomousCtx(context.Background(), l.Sys, l.KickStart(), pss.Options{GuessT: 1 / l.EstimatedF0(), StepsPerPeriod: 1024})
 	if !errors.Is(err, pss.ErrNotAutonomous) || !errors.Is(err, solver.ErrNoConvergence) {
 		t.Errorf("err = %v, want ErrNotAutonomous", err)
+	}
+}
+
+// TestDrivenCircuitRefusedBeforeIntegrating: a circuit with a time-varying
+// rail or source — the D latch, with its SYNC and D sources and its EN
+// rail — is refused with ErrNotAutonomous before its settle, by the
+// single-circuit and the batched solve, in zero transient steps; a ring is
+// not driven.
+func TestDrivenCircuitRefusedBeforeIntegrating(t *testing.T) {
+	l, err := ringosc.BuildLatch(ringosc.DefaultLatchConfig(9596))
+	if err != nil {
+		t.Fatal(err)
+	}
+	b, err := circuit.NewBatch([]*circuit.System{l.Sys})
+	if err != nil {
+		t.Fatal(err)
+	}
+	m := diag.New()
+	ctx := diag.WithMetrics(context.Background(), m)
+	guess := 1 / l.EstimatedF0()
+	if _, err := pss.ShootAutonomousCtx(ctx, l.Sys, l.KickStart(), pss.Options{GuessT: guess}); !errors.Is(err, pss.ErrNotAutonomous) {
+		t.Errorf("err = %v, want ErrNotAutonomous", err)
+	}
+	sols, errs, err := pss.ShootAutonomousBatch(ctx, b, l.KickStart(), pss.BatchShootOptions{GuessT: []float64{guess}})
+	if err != nil || sols[0] != nil || !errors.Is(errs[0], pss.ErrNotAutonomous) {
+		t.Errorf("batched: (%v, %v, %v), want the lane refused with ErrNotAutonomous", sols[0], errs[0], err)
+	}
+	if steps := m.Get(diag.TransientSteps); steps != 0 {
+		t.Errorf("%d transient steps before refusing", steps)
+	}
+	if r := buildRing(t, ringosc.DefaultConfig()); r.Sys.Driven() || !l.Sys.Driven() {
+		t.Errorf("Driven: ring %v, latch %v", r.Sys.Driven(), l.Sys.Driven())
 	}
 }
 

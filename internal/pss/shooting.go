@@ -7,10 +7,11 @@
 //
 // for (x0, T) by Newton iteration, where L is the phase level (mid-rail; see
 // phase.go) and the start sits on node 0's rising edge through it. The
-// monodromy matrix ∂x(T)/∂x0 comes from the transient integrator's
-// sensitivity propagation; its Floquet multipliers certify orbital stability
-// (one multiplier pinned at 1, the rest inside the unit circle) and feed
-// directly into the PPV extraction of package ppv.
+// monodromy matrix ∂x(T)/∂x0 and the border ∂x(T)/∂T come from the
+// transient integrator's sensitivity propagation, both derivatives of the
+// discrete period map. The monodromy's Floquet multipliers certify
+// orbital stability (one multiplier pinned at 1, the rest inside the unit
+// circle), and it feeds directly into the PPV extraction of package ppv.
 //
 // A frequency-domain (harmonic balance) refinement of the same orbit is
 // provided in hb.go; the PPV-HB extraction path builds on it.
@@ -37,7 +38,10 @@ type Options struct {
 	StepsPerPeriod int     // fixed integration steps per period (default 512)
 	MaxIter        int     // Newton iterations (default 30)
 	Tol            float64 // ∞-norm tolerance on the periodicity residual, volts (default 1e-7)
-	Method         transient.Method
+	// Method integrates the shooting periods; its zero value, BE, is what
+	// every solve that leaves it unset integrates with (the settle always
+	// runs Trap). BE is first order: the orbit's f0 moves with the step.
+	Method transient.Method
 	// SettleCycles integrates this many free-running cycles of GuessT
 	// before shooting starts, to land near the limit cycle (default 7), at
 	// min(StepsPerPeriod, 64) steps per period. The last of them is searched

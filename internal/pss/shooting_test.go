@@ -52,6 +52,25 @@ func TestShootAutonomousRing(t *testing.T) {
 	}
 }
 
+// TestShootAutonomousNineStagesConvergesInThree: the 9-stage ring, shot
+// cold at 1,024 steps per period, converges after 3 bordered Newton
+// iterations — quadratically, on the derivative of the discrete period map
+// it solves. Bordered with the flow's ẋ(T) it took 4.
+func TestShootAutonomousNineStagesConvergesInThree(t *testing.T) {
+	cfg := ringosc.DefaultConfig()
+	cfg.Stages = 9
+	r := buildRing(t, cfg)
+	sol, err := pss.ShootAutonomousCtx(context.Background(), r.Sys, r.KickStart(), pss.Options{
+		GuessT: 1 / r.EstimatedF0(), StepsPerPeriod: 1024,
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if sol.Iterations != 3 {
+		t.Errorf("converged after %d iterations, want 3", sol.Iterations)
+	}
+}
+
 func TestShootAutonomousSymmetryAcrossStages(t *testing.T) {
 	// In a symmetric ring, each stage's waveform is the previous stage's
 	// shifted by T/3 and inverted in slope sense; at minimum all three

@@ -48,7 +48,7 @@ func getAdderFixture(t testing.TB) *adderFixture {
 			adderErr = err
 			return
 		}
-		p, err := ppv.FromSolution(r.Sys, sol)
+		p, err := ppv.FromSolutionCtx(context.Background(), r.Sys, sol)
 		if err != nil {
 			adderErr = err
 			return

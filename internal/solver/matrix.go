@@ -29,12 +29,14 @@ type Matrix interface {
 	Solve(dst, b linalg.Vec) linalg.Vec
 	// SolveMat solves A·X = B into dst, which must not alias b.
 	SolveMat(dst, b *linalg.Mat)
-	// Propagate sets sens to A⁻¹·R·sens, where A is this matrix's
+	// Propagate sets the augmented sens, [[S, s], [0, 1]], to
+	// [[A⁻¹·R·S, A⁻¹·(R·s + b)], [0, 1]], where A is this matrix's
 	// factorization, R the values of r (a sibling, whose values it may
-	// overwrite) and tmp n×n scratch.
-	Propagate(r Matrix, sens, tmp *linalg.Mat)
+	// overwrite) and tmp n×(n+1) scratch: s is one more column of the
+	// solve, and S's columns keep the bits they take alone.
+	Propagate(r Matrix, sens, tmp *linalg.Mat, b linalg.Vec)
 	// Sibling returns a matrix of the same backend and layout with values
-	// of its own, counted as pinned.
+	// of its own, counted as pinned; a dense one has a spare column for b.
 	Sibling() Matrix
 }
 
@@ -79,7 +81,7 @@ type denseMatrix struct {
 func (d *denseMatrix) Set(jv []float64) {
 	a, n, p := d.a.Data, d.a.Cols, d.pat
 	clear(a)
-	for j := 0; j < n; j++ {
+	for j := 0; j < p.N; j++ {
 		for q := p.ColPtr[j]; q < p.ColPtr[j+1]; q++ {
 			a[p.Rows[q]*n+j] = jv[q]
 		}
@@ -91,7 +93,7 @@ func (d *denseMatrix) Set(jv []float64) {
 func (d *denseMatrix) Combine(c, jv []float64, w float64) {
 	a, n, p := d.a.Data, d.a.Cols, d.pat
 	clear(a)
-	for j := 0; j < n; j++ {
+	for j := 0; j < p.N; j++ {
 		for q := p.ColPtr[j]; q < p.ColPtr[j+1]; q++ {
 			a[p.Rows[q]*n+j] = c[q] + w*jv[q]
 		}
@@ -115,20 +117,25 @@ func (d *denseMatrix) Solve(dst, b linalg.Vec) linalg.Vec { return d.lu.SolveInt
 
 func (d *denseMatrix) SolveMat(dst, b *linalg.Mat) { d.lu.SolveMatInto(dst, b) }
 
-// Propagate solves the propagator A⁻¹·R into tmp and multiplies it into
-// sens through r's values, which it overwrites: on dense storage the n
-// column solves against R cost what they would against R·sens.
-func (d *denseMatrix) Propagate(r Matrix, sens, tmp *linalg.Mat) {
+// Propagate solves the propagator A⁻¹·[R b] into tmp and multiplies it
+// into sens through r's values, which it overwrites: on dense storage the
+// n column solves against R cost what they would against R·S. The product
+// adds b's column times sens's last row, [0 1], to each row last, and a
+// sum from +0 is never −0, so S's entries keep their bits.
+func (d *denseMatrix) Propagate(r Matrix, sens, tmp *linalg.Mat, b linalg.Vec) {
 	rv := &r.(*denseMatrix).a
+	for i, v := range b {
+		rv.Data[i*rv.Cols+rv.Rows] = v
+	}
 	d.lu.SolveMatInto(tmp, rv)
 	tmp.MulInto(rv, sens)
-	sens.CopyFrom(rv)
+	copy(sens.Data, rv.Data)
 }
 
 func (d *denseMatrix) Sibling() Matrix {
 	n := d.a.Rows
-	d.pin.Add(n * n)
-	return &denseMatrix{a: linalg.Mat{Rows: n, Cols: n, Data: make([]float64, n*n)}, pat: d.pat, pin: d.pin}
+	d.pin.Add(n * (n + 1))
+	return &denseMatrix{a: linalg.Mat{Rows: n, Cols: n + 1, Data: make([]float64, n*(n+1))}, pat: d.pat, pin: d.pin}
 }
 
 // sparseMatrix is a Matrix on the sparse backend: values on the pattern
@@ -170,12 +177,16 @@ func (s *sparseMatrix) Solve(dst, b linalg.Vec) linalg.Vec { return s.lu.SolveIn
 
 func (s *sparseMatrix) SolveMat(dst, b *linalg.Mat) { s.lu.SolveMatInto(dst, b) }
 
-// Propagate forms R·sens into tmp as a sparse×dense product and
-// back-solves its columns into sens: O(n·(nnz + factors)) where the dense
-// order's propagator would cost O(n³).
-func (s *sparseMatrix) Propagate(r Matrix, sens, tmp *linalg.Mat) {
-	r.(*sparseMatrix).a.MulMatInto(tmp, sens)
-	s.lu.SolveMatInto(sens, tmp)
+// Propagate forms R·[S s] + [0 b] into tmp as a sparse×dense product
+// and back-solves its columns into sens: O(n·(nnz + factors)) where the
+// dense order's propagator would cost O(n³).
+func (s *sparseMatrix) Propagate(r Matrix, sens, tmp *linalg.Mat, b linalg.Vec) {
+	top := linalg.Mat{Rows: tmp.Rows, Cols: tmp.Cols, Data: sens.Data[:len(tmp.Data)]}
+	r.(*sparseMatrix).a.MulMatInto(tmp, &top)
+	for i, v := range b {
+		tmp.Data[i*tmp.Cols+tmp.Rows] += v
+	}
+	s.lu.SolveMatInto(&top, tmp)
 }
 
 func (s *sparseMatrix) Sibling() Matrix {
@@ -191,10 +202,10 @@ type Pins struct{ pinned, reported int64 }
 // Add counts n more float64 values as pinned.
 func (p *Pins) Add(n int) { p.pinned += 8 * int64(n) }
 
-// Mat returns a zeroed n×n matrix, counted as pinned.
-func (p *Pins) Mat(n int) *linalg.Mat {
-	p.Add(n * n)
-	return linalg.NewMat(n, n)
+// Mat returns a zeroed rows×cols matrix, counted as pinned.
+func (p *Pins) Mat(rows, cols int) *linalg.Mat {
+	p.Add(rows * cols)
+	return linalg.NewMat(rows, cols)
 }
 
 // Report adds the bytes pinned since the last report to m.

@@ -73,6 +73,10 @@ type BatchResult struct {
 	// Sens[k] is lane k's monodromy dx(T1[k])/dx(T0[k]) (Sensitivity runs;
 	// nil for failed or inactive lanes).
 	Sens []*linalg.Mat
+	// DXDH is lane-major like X (Sensitivity runs): lane k's block is
+	// ∂x(T1[k])/∂H[k] with the step count fixed, every step the lane took
+	// and T1[k] − T0[k] scaling with H[k]; zero for failed or inactive lanes.
+	DXDH []float64
 	// Err[k] is lane k's first failure, nil for lanes that completed.
 	Err []error
 	// Steps counts accepted steps, Rejected halved and rejected ones, and
@@ -227,7 +231,9 @@ type BatchScratch struct {
 	be   linalg.Backend
 	mats []solver.Matrix
 	// Sensitivity scratch (lazy): the propagator's right-hand matrix and
-	// n×n products (tmp2 for BDF2 only), shared by the lanes.
+	// n×(n+1) products (tmp2 for BDF2 only), shared by the lanes. A lane
+	// propagates its monodromy S with its step derivative s beside it, as
+	// the augmented [[S, s], [0, 1]] (see solver.Matrix.Propagate).
 	rhs       solver.Matrix
 	tmp, tmp2 *linalg.Mat
 
@@ -367,10 +373,10 @@ func (sc *BatchScratch) run(ctx context.Context, x0 []float64, opt BatchOptions)
 	}
 	sc.ensureLanes(sc.b.Systems[0].ResolveBackend(opt.Backend))
 	if opt.Sensitivity && sc.rhs == nil {
-		sc.rhs, sc.tmp = sc.mats[0].Sibling(), sc.pin.Mat(n)
+		sc.rhs, sc.tmp = sc.mats[0].Sibling(), sc.pin.Mat(n, n+1)
 	}
 	if opt.Sensitivity && gear && sc.tmp2 == nil {
-		sc.tmp2 = sc.pin.Mat(n)
+		sc.tmp2 = sc.pin.Mat(n, n+1)
 	}
 	dm := diag.FromContext(ctx)
 	defer sc.pin.Report(dm)
@@ -399,9 +405,9 @@ func (sc *BatchScratch) run(ctx context.Context, x0 []float64, opt BatchOptions)
 		}
 		sc.tl[k] = t0
 		if opt.Sensitivity {
-			res.Sens[k] = linalg.Eye(n)
+			res.Sens[k] = linalg.Eye(n + 1)
 			if gear {
-				ln.sPrev = linalg.NewMat(n, n)
+				ln.sPrev = linalg.NewMat(n+1, n+1)
 			}
 		}
 	}
@@ -442,7 +448,7 @@ func (sc *BatchScratch) run(ctx context.Context, x0 []float64, opt BatchOptions)
 
 	for len(sc.live) > 0 {
 		if err := ctx.Err(); err != nil {
-			res.X = append([]float64(nil), sc.x...)
+			sc.finish(res)
 			return res, err
 		}
 		// Each lane's step: its end time and formula step, its predictor,
@@ -520,8 +526,31 @@ func (sc *BatchScratch) run(ctx context.Context, x0 []float64, opt BatchOptions)
 		}
 		prune()
 	}
-	res.X = append([]float64(nil), sc.x...)
+	sc.finish(res)
 	return res, nil
+}
+
+// finish hands out the run's final states and, in sensitivity runs, cuts
+// each lane's monodromy out of its augmented propagation in place, its s
+// column going to DXDH. X and DXDH share one allocation.
+func (sc *BatchScratch) finish(res *BatchResult) {
+	kn, n := sc.K*sc.N, sc.N
+	buf := make([]float64, kn+len(res.Sens)*n)
+	copy(buf, sc.x)
+	res.X = buf[:kn:kn]
+	if res.Sens != nil {
+		res.DXDH = buf[kn:]
+	}
+	for k, s := range res.Sens {
+		if s == nil {
+			continue
+		}
+		for i := 0; i < n; i++ {
+			res.DXDH[k*n+i] = s.Data[i*(n+1)+n]
+			copy(s.Data[i*n:(i+1)*n], s.Data[i*(n+1):])
+		}
+		*s = linalg.Mat{Rows: n, Cols: n, Data: s.Data[:n*n]}
+	}
 }
 
 // underflow is the failure of a lane whose corrector failed with cause at
@@ -766,32 +795,43 @@ func (sc *BatchScratch) propagate(k int, th float64, gear bool, sens *linalg.Mat
 	return err
 }
 
-// sensLane propagates lane k's monodromy through the accepted θ step:
+// sensLane propagates lane k's monodromy S and step derivative s through
+// the accepted θ step of size h on its grid of step H:
 //
 //	S ← (C/h + θ·J1)⁻¹ · (C/h − (1−θ)·J0) · S
+//	s ← (C/h + θ·J1)⁻¹ · [(C/h − (1−θ)·J0) · s + C·(x1 − x0)/(h·H)]
 //
-// with J1 read from the workspace's accepted-point evaluation and J0 from
-// the cache (the evaluation at the step's start). The factored left-hand
-// matrix stays in the lane's matrix for the next step.
+// with J1 and f1 read from the workspace's accepted-point evaluation and
+// J0 and f0 from the cache (the evaluation at the step's start). s's last
+// term is the step's own dependence on H, h scaling with it; the step's
+// equation gives C·(x1 − x0)/h as −(θ·f1 + (1−θ)·f0). The factored
+// left-hand matrix stays in the lane's matrix for the next step.
 func (sc *BatchScratch) sensLane(k int, th, h float64, sens *linalg.Mat, dm *diag.Metrics) error {
-	jb := k * sc.nnz
+	n, jb := sc.N, k*sc.nnz
+	f0, w := sc.f0[k*n:(k+1)*n], -1/sc.lanes[k].g.h
+	for i, v := range sc.bw.F[k*n : (k+1)*n] {
+		sc.resid[i] = w * (th*v + (1-th)*f0[i])
+	}
 	ch := sc.cors[k].scaledC(h)
 	lhs := sc.mats[k]
 	lhs.Combine(ch, sc.bw.JV[jb:jb+sc.nnz], th)
 	sc.rhs.Combine(ch, sc.jcache[jb:jb+sc.nnz], -(1 - th))
-	return propagateTheta(dm, lhs, sc.rhs, sens, sc.tmp)
+	return propagateTheta(dm, lhs, sc.rhs, sens, sc.tmp, sc.resid)
 }
 
-// gearSensLane propagates lane k's monodromy through the accepted BDF2
-// step:
+// gearSensLane propagates lane k's monodromy and step derivative through
+// the accepted BDF2 step on its grid of step H = h:
 //
 //	S_{n+1} = (3C/(2h) + J1)⁻¹ · C·(4·S_n − S_{n−1})/(2h)
+//	s_{n+1} = (3C/(2h) + J1)⁻¹ · [C·(4·s_n − s_{n−1})/(2h) − f1/H]
 //
-// with S_n in sens and S_{n−1} in prev, which become S_{n+1} and S_n. C·(…)
-// is the product over C's nonzeros, which adds the terms of the dense row
-// product in its order, less C's exact zeros. The factored 3C/(2h) + J1
-// stays in the lane's matrix for the next step.
+// with S_n in sens and S_{n−1} in prev, which become S_{n+1} and S_n; −f1
+// is the step's C·(3·x1 − 4·x0 + x_{n−1})/(2h). C·(…) is the product over
+// C's nonzeros, which adds the terms of the dense row product in its
+// order, less C's exact zeros. The factored 3C/(2h) + J1 stays in the
+// lane's matrix for the next step.
 func (sc *BatchScratch) gearSensLane(k int, h float64, sens, prev *linalg.Mat, dm *diag.Metrics) error {
+	n := sc.N
 	cor, a := &sc.cors[k], sc.mats[k]
 	a.Combine(cor.scaledC(h), sc.bw.JV[k*sc.nnz:(k+1)*sc.nnz], 1)
 	if err := a.Factor(dm); err != nil {
@@ -802,7 +842,11 @@ func (sc *BatchScratch) gearSensLane(k int, h float64, sens, prev *linalg.Mat, d
 	}
 	prev.CopyFrom(sens)
 	cor.cs.MulMatInto(sc.tmp2, sc.tmp)
-	a.SolveMat(sens, sc.tmp2)
-	dm.Add(diag.LUSolves, int64(sc.N))
+	for i, v := range sc.bw.F[k*n : (k+1)*n] {
+		sc.tmp2.Data[i*(n+1)+n] -= v / h
+	}
+	a.SolveMat(sc.tmp, sc.tmp2)
+	copy(sens.Data, sc.tmp.Data)
+	dm.Add(diag.LUSolves, int64(n+1))
 	return nil
 }

@@ -255,12 +255,13 @@ func (p *newtonPolicy) apply(x1, dx []float64, vtol float64, fresh bool) (bool, 
 }
 
 // propagateTheta factors the θ sensitivity system lhs = C/h + θ·J1 and
-// sets sens to lhs⁻¹·rhs·sens, rhs holding C/h − (1−θ)·J0.
-func propagateTheta(m *diag.Metrics, lhs, rhs solver.Matrix, sens, tmp *linalg.Mat) error {
+// propagates the augmented sens, [[S, s], [0, 1]], through it: S to
+// lhs⁻¹·rhs·S and s to lhs⁻¹·(rhs·s + b), rhs holding C/h − (1−θ)·J0.
+func propagateTheta(m *diag.Metrics, lhs, rhs solver.Matrix, sens, tmp *linalg.Mat, b linalg.Vec) error {
 	if err := lhs.Factor(m); err != nil {
 		return fmt.Errorf("singular sensitivity matrix: %w", err)
 	}
 	m.Add(diag.LUSolves, int64(sens.Rows))
-	lhs.Propagate(rhs, sens, tmp)
+	lhs.Propagate(rhs, sens, tmp, b)
 	return nil
 }

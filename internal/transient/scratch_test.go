@@ -159,8 +159,9 @@ func TestPerWorkerScratchesAreIndependent(t *testing.T) {
 // f0, the lane times tl and tl1, the Jacobian cache and each lane's scaled
 // C on the batch pattern), the solve vectors resid and dxv, the lanes'
 // shared matrix values, one factorization per lane (n² dense, nnz + fill-in
-// sparse) and, in sensitivity runs, the propagator's right-hand matrix and
-// an n×n product, and for Gear2 a second one. A scratch reports each byte
+// sparse) and, in sensitivity runs, the propagator's right-hand matrix
+// (dense with a spare column for the step derivative's term) and an
+// n×(n+1) product, and for Gear2 a second one. A scratch reports each byte
 // once, so a second run through it adds nothing.
 func TestScratchBytesPinnedFromBuffers(t *testing.T) {
 	arr, x0 := buildCoupled(t)
@@ -171,11 +172,11 @@ func TestScratchBytesPinnedFromBuffers(t *testing.T) {
 		want func(fill int64) int64 // fill: the fill-in the run's symbolic analyses reported in all
 	}{
 		{transient.Options{Method: transient.Trap, Backend: linalg.BackendDense},
-			func(int64) int64 { return 7*n + 2 + 2*nnz + n*n + n*n + 2*n*n }},
+			func(int64) int64 { return 7*n + 2 + 2*nnz + n*n + n*n + 2*n*(n+1) }},
 		{transient.Options{Method: transient.BE, Backend: linalg.BackendSparse},
-			func(fill int64) int64 { return 7*n + 2 + 2*nnz + nnz + nnz + fill + nnz + n*n }},
+			func(fill int64) int64 { return 7*n + 2 + 2*nnz + nnz + nnz + fill + nnz + n*(n+1) }},
 		{transient.Options{Method: transient.Gear2, Backend: linalg.BackendDense},
-			func(int64) int64 { return 7*n + 2 + 2*nnz + n*n + n*n + 3*n*n }},
+			func(int64) int64 { return 7*n + 2 + 2*nnz + n*n + n*n + 3*n*(n+1) }},
 	} {
 		c.opt.Step, c.opt.Sensitivity = T/256, true
 		m := diag.New()
@@ -208,7 +209,7 @@ func TestScratchBytesPinnedFromBuffers(t *testing.T) {
 	}
 	state := 5*K*n + 2*K + 2*K*nnz + 2*n // x, x1, prev, prev2, f0; tl, tl1; jcache, scaled C; resid, dxv
 	lanes := n*n + K*n*n                 // shared values; one factorization per lane
-	if got, want := m.Get(diag.ScratchBytesPinned), 8*(state+lanes+2*n*n); got != want {
+	if got, want := m.Get(diag.ScratchBytesPinned), 8*(state+lanes+2*n*(n+1)); got != want {
 		t.Errorf("batch: %d bytes pinned, want %d", got, want)
 	}
 }

@@ -96,3 +96,26 @@ func TestEvaluateBatchEngScalarFallback(t *testing.T) {
 		}
 	}
 }
+
+// TestWarmCornersConvergeQuadratically: the 16 seeded corners of
+// BenchmarkVariationMCBatched, warm-started in one 16-lane batch, each
+// converge after 2 bordered Newton iterations. The border is the exact
+// derivative of the discrete period map, so the Newton converges
+// quadratically; bordered with the flow's ẋ(T), which under BE differs
+// from it at first order, every corner took 3.
+func TestWarmCornersConvergeQuadratically(t *testing.T) {
+	if testing.Short() {
+		t.Skip("full-pipeline Monte Carlo")
+	}
+	const n = 16
+	_, corners, err := variation.MonteCarloBatchEng(context.Background(), nil, ringosc.DefaultConfig(),
+		variation.StandardParams(), n, variation.PseudoSampler{Seed: 1}, n, 1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i, c := range corners {
+		if it := c.PPV.Sol.Iterations; it != 2 {
+			t.Errorf("corner %d converged after %d iterations, want 2", i, it)
+		}
+	}
+}

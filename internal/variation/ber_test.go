@@ -29,7 +29,7 @@ func cornerModels(t *testing.T, n int) []variation.CornerResult {
 	if err != nil {
 		t.Fatal(err)
 	}
-	p, err := ppv.FromSolution(r.Sys, sol)
+	p, err := ppv.FromSolutionCtx(context.Background(), r.Sys, sol)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -112,7 +112,7 @@ func evaluateCornerEng(ctx context.Context, eng *engine.Engine, cfg ringosc.Conf
 		if err != nil {
 			return CornerResult{}, err
 		}
-		p, err = ppv.FromSolution(r.Sys, sol)
+		p, err = ppv.FromSolutionCtx(ctx, r.Sys, sol)
 		if err != nil {
 			return CornerResult{}, err
 		}
