@@ -10,7 +10,9 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"math"
 	"math/cmplx"
+	"math/rand"
 	"runtime"
 	"testing"
 
@@ -22,6 +24,7 @@ import (
 	"repro/internal/linalg"
 	"repro/internal/linalg/sparse"
 	"repro/internal/noise"
+	"repro/internal/parallel"
 	"repro/internal/phasemacro"
 	"repro/internal/phlogic"
 	"repro/internal/ppv"
@@ -739,25 +742,36 @@ func BenchmarkSparseVsDenseShoot(b *testing.B) {
 }
 
 // --- Batched-ensemble Monte Carlo: the same 16 seeded process corners
-// through the scalar per-corner pipeline (one cold PSS→PPV→GAE chain per
-// corner) and through the SoA batched pipeline (one nominal solve, then all
-// corners warm-started in lockstep through circuit.Batch). Both run one
-// worker so the comparison is pure per-corner cost, not parallelism. `make
-// bench-batch` pins both into BENCH_baseline.json and holds the batched
-// path's ≥5x advantage via `phlogon-benchdiff ratio`. ---
+// solved each alone and cold (one PSS→PPV→GAE chain per corner through
+// variation.EvaluateEng) and through the SoA batched pipeline (one nominal
+// solve, then all corners warm-started in lockstep through circuit.Batch).
+// Both run one worker so the comparison is pure per-corner cost, not
+// parallelism. `make bench-batch` pins both into BENCH_baseline.json and
+// holds the batched path's ≥5x advantage via `phlogon-benchdiff ratio`. ---
 
 const benchMCSamples = 16
 
+// BenchmarkVariationMCScalar is the per-corner reference: each drawn corner
+// is solved alone and cold, on one worker.
 func BenchmarkVariationMCScalar(b *testing.B) {
 	cfg := ringosc.DefaultConfig()
 	params := variation.StandardParams()
+	smp := variation.PseudoSampler{Seed: 1}
 	m := diag.New()
 	ctx := diag.WithMetrics(context.Background(), m)
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, err := variation.MonteCarloSampledEng(ctx, nil, cfg, params, benchMCSamples, variation.PseudoSampler{Seed: 1}, 1); err != nil {
-			b.Fatal(err)
+		for k := 0; k < benchMCSamples; k++ {
+			deltas := make([]float64, len(params))
+			smp.Draw(k, deltas)
+			corner := cfg
+			for j, prm := range params {
+				prm.Apply(&corner, deltas[j])
+			}
+			if _, err := variation.EvaluateEng(ctx, nil, corner); err != nil {
+				b.Fatal(err)
+			}
 		}
 	}
 	reportWork(b, m, b.N)
@@ -795,11 +809,12 @@ func reportWork(b *testing.B, m *diag.Metrics, ops int) {
 // --- Batched stochastic ensembles: a 64-member BER study of a six-injection
 // SHIL latch (SYNC plus logic/clock/neighbor couplings — the folded CompiledG
 // carries two harmonic stacks), 10,000 Euler–Maruyama steps per member. The
-// scalar leg runs the pre-batching interpreted pipeline (per-step Harmonic
-// pick-off, trajectory retention); the batched leg runs the compiled SoA
-// lanes with in-loop hop counting. Both run one worker so the ratio is pure
-// per-member cost; `make bench-noise` holds the batched path's ≥4x advantage
-// via `phlogon-benchdiff ratio`. ---
+// scalar leg runs members one at a time on g summed injection by injection
+// (a harmonic pick-off, a sin and a cos per injection per step), keeping
+// every trajectory; the batched leg runs the compiled SoA lanes with in-loop
+// hop counting. Both run one worker so the ratio is pure per-member cost;
+// `make bench-noise` holds the batched path's ≥4x advantage via
+// `phlogon-benchdiff ratio`. ---
 
 func benchBERModel(b *testing.B) *gae.Model {
 	_, sol, p := benchFixture(b)
@@ -817,22 +832,68 @@ func benchBERModel(b *testing.B) *gae.Model {
 	)
 }
 
-func benchBER(b *testing.B, scalar bool) {
-	m := benchBERModel(b)
-	opt := noise.BEROptions{
-		TBit: 0.05, Bits: 20, Members: 64, Dt: 1e-4, Seed: 1, Workers: 1, Scalar: scalar,
+// benchBEROptions is the study both legs run at diffusion benchBERD.
+var benchBEROptions = noise.BEROptions{TBit: 0.05, Bits: 20, Members: 64, Dt: 1e-4, Seed: 1, Workers: 1}
+
+const benchBERD = 4e-3
+
+// interpretedRHS is the GAE right-hand side with g summed injection by
+// injection, the evaluation the folded kernel (gae.CompiledG) replaced.
+func interpretedRHS(m *gae.Model) func(dphi float64) float64 {
+	return func(dphi float64) float64 {
+		g := 0.0
+		for _, in := range m.Injections {
+			c := m.P.Harmonic(in.Node, in.Harmonic)
+			ang := 2 * math.Pi * (float64(in.Harmonic)*dphi - in.Phase)
+			g += in.Amp * (real(c)*math.Cos(ang) - imag(c)*math.Sin(ang))
+		}
+		return (m.P.F0 - m.F1) + m.P.F0*g
 	}
+}
+
+// BenchmarkStochasticEnsembleScalar is the per-member reference: the same
+// members, seeds and Euler–Maruyama steps as the batched leg, each member
+// integrated alone on interpretedRHS with its trajectory grown by append
+// and its hops counted afterwards by noise.CountHops.
+func BenchmarkStochasticEnsembleScalar(b *testing.B) {
+	m := benchBERModel(b)
+	opt := benchBEROptions
+	rhs := interpretedRHS(m)
+	t1 := opt.TBit * float64(opt.Bits)
+	steps := int(math.Floor(t1 / opt.Dt * (1 + 1e-12)))
+	sd := math.Sqrt(benchBERD * opt.Dt)
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, err := noise.EstimateBER(context.Background(), m, 4e-3, opt); err != nil {
+		_, err := parallel.MapWorkerCtx(context.Background(), opt.Members, opt.Workers,
+			func(_ context.Context, _, member int) (*noise.StochasticResult, error) {
+				rng := rand.New(rand.NewSource(parallel.SubSeed(opt.Seed, member)))
+				res := &noise.StochasticResult{}
+				x := opt.Dphi0
+				for k := 0; k <= steps; k++ {
+					res.T = append(res.T, float64(k)*opt.Dt)
+					res.Dphi = append(res.Dphi, x)
+					x += rhs(x)*opt.Dt + sd*rng.NormFloat64()
+				}
+				res.Hops = noise.CountHops(res.Dphi)
+				return res, nil
+			})
+		if err != nil {
 			b.Fatal(err)
 		}
 	}
 }
 
-func BenchmarkStochasticEnsembleScalar(b *testing.B)  { benchBER(b, true) }
-func BenchmarkStochasticEnsembleBatched(b *testing.B) { benchBER(b, false) }
+func BenchmarkStochasticEnsembleBatched(b *testing.B) {
+	m := benchBERModel(b)
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if _, err := noise.EstimateBER(context.Background(), m, benchBERD, benchBEROptions); err != nil {
+			b.Fatal(err)
+		}
+	}
+}
 
 // BenchmarkFacadePipeline measures the whole designer flow through the
 // public API (build → PSS → PPV).

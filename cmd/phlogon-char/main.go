@@ -7,8 +7,8 @@
 //
 //	phlogon-char noise [-sync 100u] [-d 5e-3] [-runs 6] [-2n1p] [-workers n]
 //	phlogon-char sens  [-2n1p] [-workers n]
-//	phlogon-char mc    [-n 25] [-seed 1] [-sampler pseudo|sobol] [-batch] [-lanes 8] [-2n1p] [-workers n]
-//	phlogon-char yield [-n 25] [-seed 1] [-sampler pseudo|sobol] [-lanes 8] [-d 5e-3] [-ber 1e-2] [-batch 64] [-scalar] [-2n1p] [-workers n]
+//	phlogon-char mc    [-n 25] [-seed 1] [-sampler pseudo|sobol] [-lanes 8] [-2n1p] [-workers n]
+//	phlogon-char yield [-n 25] [-seed 1] [-sampler pseudo|sobol] [-lanes 8] [-d 5e-3] [-ber 1e-2] [-batch 64] [-2n1p] [-workers n]
 package main
 
 import (
@@ -42,16 +42,9 @@ func main() {
 	seed := fs.Int64("seed", 1, "Monte-Carlo / ensemble seed")
 	runs := fs.Int("runs", 6, "noise: stochastic ensemble members")
 	samplerName := fs.String("sampler", "pseudo", "mc/yield: corner sampler (pseudo|sobol)")
-	// -batch is subcommand-specific: mc switches the corner PSS pipeline,
-	// yield sizes the stochastic SoA lane width.
-	var useBatch *bool
-	var berLanes *int
-	var berScalar *bool
+	berLanes := noise.DefaultEnsembleLanes
 	if cmd == "yield" {
-		berLanes = fs.Int("batch", noise.DefaultEnsembleLanes, "yield: stochastic SoA lane width per ensemble batch")
-		berScalar = fs.Bool("scalar", false, "yield: use the scalar (pre-batching) stochastic pipeline")
-	} else {
-		useBatch = fs.Bool("batch", false, "mc: evaluate corners through the batched PSS path")
+		fs.IntVar(&berLanes, "batch", berLanes, "yield: stochastic SoA lane width per ensemble batch")
 	}
 	lanes := fs.Int("lanes", variation.DefaultBatchLanes, "mc/yield: corners per batched PSS solve")
 	berTarget := fs.Float64("ber", 1e-2, "yield: acceptable BER per corner")
@@ -122,19 +115,12 @@ func main() {
 		veng := variation.NewEngine(*workers)
 		params := variation.StandardParams()
 		smp := newSampler(*samplerName, len(params), *seed)
-		var samples []variation.Sample
-		var err error
-		if *useBatch {
-			samples, _, err = variation.MonteCarloBatchEng(ctx, veng, cfg, params, *nMC, smp, *lanes, *workers)
-		} else {
-			samples, err = variation.MonteCarloSampledEng(ctx, veng, cfg, params, *nMC, smp, *workers)
-		}
+		samples, _, err := variation.MonteCarloBatchEng(ctx, veng, cfg, params, *nMC, smp, *lanes, *workers)
 		if err != nil {
 			fatal(err)
 		}
 		st := variation.Summarize(samples)
-		fmt.Printf("%d Monte-Carlo samples (seed %d, %s sampler%s):\n",
-			len(samples), *seed, smp.Name(), map[bool]string{true: ", batched", false: ""}[*useBatch])
+		fmt.Printf("%d Monte-Carlo samples (seed %d, %s sampler):\n", len(samples), *seed, smp.Name())
 		fmt.Printf("  f0:         mean %.5g Hz, rel. std %.3g\n", st.MeanF0, st.RelStdF0)
 		fmt.Printf("  lock width: mean %.4g Hz, rel. std %.3g (SYNC 100 µA)\n", st.MeanLockWidth, st.RelStdLockWidth)
 		fmt.Printf("  |V2|:       mean %.4g,    rel. std %.3g\n", st.MeanV2, st.RelStdV2)
@@ -165,7 +151,7 @@ func main() {
 			ctx = diag.WithMetrics(ctx, met)
 		}
 		opt := noise.BEROptions{TBit: 0.05, Bits: 20, Members: *runs, Dt: 1e-4, Seed: *seed,
-			Workers: *workers, Scalar: *berScalar, Lanes: *berLanes}
+			Workers: *workers, Lanes: berLanes}
 		results, err := variation.CornerBERs(ctx, corners, *dStr, opt)
 		if err != nil {
 			fatal(err)
@@ -185,10 +171,8 @@ func main() {
 		fmt.Printf("  parametric yield: %.1f %% of corners meet the BER target\n", 100*y)
 		if sw := met.Get(diag.StochBatchSteps); sw > 0 {
 			fmt.Printf("  stochastic lanes: %d SoA sweeps, mean occupancy %.1f of %d lanes, %d compiled g(Δφ) kernels\n",
-				sw, float64(met.Get(diag.StochBatchLaneSteps))/float64(sw), *berLanes,
+				sw, float64(met.Get(diag.StochBatchLaneSteps))/float64(sw), berLanes,
 				met.Get(diag.CompiledGCompiles))
-		} else if *berScalar {
-			fmt.Printf("  stochastic lanes: scalar pipeline (batching disabled)\n")
 		}
 	default:
 		usage()

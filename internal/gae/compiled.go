@@ -16,14 +16,15 @@ import (
 // (negative-harmonic injections fold into K_{|m|} by the reality condition,
 // zero-harmonic ones into the constant c₀). Evaluation then needs a single
 // math.Sincos of θ = 2πΔφ regardless of how many injections the model has:
-// cos(mθ)/sin(mθ) follow by the angle-addition recurrence. This is what makes
-// the batched stochastic integrators pay — the interpreted Model.G costs one
-// sin+cos and one harmonic lookup per injection per step.
+// cos(mθ)/sin(mθ) follow by the angle-addition recurrence. It is the one
+// evaluation of g: Model.G, GPrime and RHS, the sweeps and the transients
+// all run it, and the stochastic lanes of package noise sweep it over SoA
+// arrays.
 //
-// The folding changes the floating-point expression tree, so CompiledG agrees
-// with Model.G to ≤1e-14 of the coefficient scale (property-tested), not bit
-// for bit. All batched-vs-scalar bit-identity claims in package noise are
-// therefore stated between compiled paths.
+// The folding changes the floating-point expression tree, so CompiledG
+// agrees with the injection-by-injection sum of the package doc to ≤1e-14
+// of the coefficient scale (property-tested against that sum), not bit for
+// bit.
 //
 // A CompiledG is immutable and safe for concurrent use by any number of
 // goroutines, provided the captured ExtraG (if any) is itself safe for
@@ -104,11 +105,11 @@ func (c *CompiledG) gAt(dphi float64) float64 {
 	return g
 }
 
-// G evaluates g(Δφ), matching Model.G to ≤1e-14 of the coefficient scale.
+// G evaluates g(Δφ).
 func (c *CompiledG) G(dphi float64) float64 { return c.gAt(dphi) }
 
-// GPrime evaluates dg/dΔφ. The ExtraG term uses the same central difference
-// as Model.GPrime.
+// GPrime evaluates dg/dΔφ. The ExtraG term is differentiated by a central
+// difference of step 1e-6 cycles.
 func (c *CompiledG) GPrime(dphi float64) float64 {
 	s := 0.0
 	if len(c.re) > 0 {

@@ -54,7 +54,7 @@ func (m *Model) TransientCtx(ctx context.Context, dphi0, t0, t1, dt float64) *Tr
 	h := dt
 	res.T = append(res.T, t)
 	res.Dphi = append(res.Dphi, x)
-	rhs := m.RHS
+	rhs := m.Compile().RHS
 	step := func(x0, h float64) float64 {
 		k1 := rhs(x0)
 		k2 := rhs(x0 + h/2*k1)

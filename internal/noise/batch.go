@@ -10,143 +10,98 @@ import (
 	"repro/internal/parallel"
 )
 
-// This file is the structure-of-arrays counterpart of StochasticTransient:
-// K ensemble lanes of the same compiled GAE advance through one dense
-// Euler–Maruyama sweep per time step, mirroring the lane discipline of
-// circuit.Batch at the phase-equation level.
+// This file is the one stochastic stepper: K ensemble lanes of the same
+// compiled GAE advance through one dense Euler–Maruyama sweep per time
+// step, mirroring the lane discipline of circuit.Batch at the
+// phase-equation level. StochasticTransient is its one-lane call.
 //
 // Bit-identity argument. A lane's floating-point history is determined by
-// (Dphi0, the compiled RHS kernel, Dt, D, and its private RNG stream
-// SubSeed(Seed, Index)); every batched operation — gae.CompiledG.RHSBatch,
-// the noise add, the hop counter — is element-wise, so neither the lane
-// width, nor the position a lane occupies in the SoA arrays, nor the order
-// other lanes retire in can change a lane's op sequence. Lane k is therefore
-// bit-identical (trajectory and hop count) to StochasticTransient with seed
-// SubSeed(Seed, k), regardless of how callers group lanes into batches.
-//
-// Compaction rule. Lanes end at per-lane horizons (T1) and may retire early
-// via Stop; a retiring lane is swapped with the last active slot and the
-// active count shrinks, so the inner sweep always runs dense over [0, na).
+// (Dphi0, the compiled RHS kernel, Dt, D, and its RNG seed); every batched
+// operation — gae.CompiledG.RHSBatch, the noise add, the hop counter — is
+// element-wise, so neither the lane width nor the position a lane occupies
+// in the SoA arrays can change a lane's op sequence. A lane is therefore
+// bit-identical (trajectory and hop count) to StochasticTransient with its
+// seed, regardless of how callers group lanes into batches.
 
-// BatchLane describes one ensemble member of a StochasticBatch.
-type BatchLane struct {
-	// Index selects the lane's RNG stream: SubSeed(opt.Seed, Index). Member
-	// i of an ensemble uses Index i, making results independent of how the
-	// members are partitioned into batches.
-	Index int
-	// Dphi0 is the initial phase (cycles).
-	Dphi0 float64
-	// T1 is the lane's end time (s); lanes of one batch may differ (e.g.
-	// per-corner observation windows).
-	T1 float64
-}
-
-// BatchOptions configures StochasticBatch. T0, Dt, D and Seed are shared by
-// all lanes of the batch.
+// BatchOptions configures StochasticBatch. Every lane of a batch shares
+// them; a lane is just its RNG seed.
 type BatchOptions struct {
-	D    float64 // phase diffusion, cycles²/s
-	T0   float64 // start time, s
-	Dt   float64 // Euler–Maruyama step, s
-	Seed int64   // ensemble seed (lane draws from SubSeed(Seed, lane.Index))
+	Dphi0 float64 // initial phase, cycles
+	D     float64 // phase diffusion, cycles²/s
+	T0    float64 // start time, s
+	T1    float64 // end time, s
+	Dt    float64 // Euler–Maruyama step, s
 	// Record retains the full T/Dphi trajectory of every lane. BER-style
 	// hop counting leaves it false: hops are counted in-loop and the
 	// trajectories are never materialized.
 	Record bool
-	// Stop, when non-nil, is consulted after every recorded sample; on true
-	// the lane retires early with the statistics accumulated so far (e.g. a
-	// hop budget that makes a corner's failure verdict final).
-	Stop func(lane BatchLane, dphi float64, hops int) bool
 }
 
-// StochasticBatch integrates all lanes through the compiled GAE cg with
-// additive phase diffusion, returning one StochasticResult per lane (in lane
-// order). Each lane reproduces StochasticTransient with the same sub-seed
-// bit for bit — see the bit-identity argument above. On cancellation the
-// finished lanes keep their results, unfinished lanes are nil, and ctx.Err()
-// is returned.
-func StochasticBatch(ctx context.Context, cg *gae.CompiledG, lanes []BatchLane, opt BatchOptions) ([]*StochasticResult, error) {
+// StochasticBatch integrates one lane per seed through the compiled GAE cg
+// with additive phase diffusion, returning one StochasticResult per lane
+// (in seed order). The grid is t = T0 + k·Dt over the whole Dt intervals in
+// [T0, T1]; an empty window gives results with no samples and zero hops.
+// Each lane reproduces StochasticTransient with its seed bit for bit — see
+// the bit-identity argument above. On cancellation every result is nil and
+// ctx.Err() is returned.
+func StochasticBatch(ctx context.Context, cg *gae.CompiledG, seeds []int64, opt BatchOptions) ([]*StochasticResult, error) {
 	defer diag.SpanFrom(ctx, "noise.batch").End()
 	met := diag.FromContext(ctx)
-	results := make([]*StochasticResult, len(lanes))
+	results := make([]*StochasticResult, len(seeds))
+	// steps = number of whole Dt intervals in [T0, T1]; the relative guard
+	// keeps exact divisions (0.7/0.1, 1/0.1) from flooring one short.
+	steps := int(math.Floor((opt.T1 - opt.T0) / opt.Dt * (1 + 1e-12)))
+	for l := range results {
+		r := &StochasticResult{}
+		if opt.Record && steps >= 0 {
+			r.T = make([]float64, steps+1)
+			r.Dphi = make([]float64, steps+1)
+		}
+		results[l] = r
+	}
+	if steps < 0 || len(seeds) == 0 {
+		return results, nil
+	}
+
+	// SoA lane state.
+	x := make([]float64, len(seeds))
+	rhs := make([]float64, len(seeds))
+	rngs := make([]*rand.Rand, len(seeds))
+	hcs := make([]hopCounter, len(seeds))
+	for l, s := range seeds {
+		x[l] = opt.Dphi0
+		rngs[l] = rand.New(rand.NewSource(s))
+		hcs[l] = hopCounter{basin: nearestBasin(opt.Dphi0)}
+	}
 	sd := math.Sqrt(opt.D * opt.Dt)
-
-	// SoA slot state. Slot order is scrambled by compaction; idx maps a slot
-	// back to its lane.
-	n := len(lanes)
-	x := make([]float64, n)
-	rngs := make([]*rand.Rand, n)
-	hcs := make([]hopCounter, n)
-	steps := make([]int, n)
-	idx := make([]int, n)
-	na := 0
-	for i, ln := range lanes {
-		// Whole dt intervals in [T0, T1], with the same relative guard as
-		// StochasticTransient so the grids agree exactly.
-		st := int(math.Floor((ln.T1 - opt.T0) / opt.Dt * (1 + 1e-12)))
-		res := &StochasticResult{}
-		results[i] = res
-		if st < 0 {
-			continue // empty window: no samples, zero hops (scalar parity)
-		}
-		if opt.Record {
-			res.T = make([]float64, 0, st+1)
-			res.Dphi = make([]float64, 0, st+1)
-		}
-		x[na] = ln.Dphi0
-		rngs[na] = rand.New(rand.NewSource(parallel.SubSeed(opt.Seed, ln.Index)))
-		hcs[na] = hopCounter{basin: nearestBasin(ln.Dphi0)}
-		steps[na] = st
-		idx[na] = i
-		na++
-	}
-	rhs := make([]float64, na)
-
-	retire := func(slot int) {
-		results[idx[slot]].Hops = hcs[slot].hops
-		na--
-		x[slot] = x[na]
-		rngs[slot] = rngs[na]
-		hcs[slot] = hcs[na]
-		steps[slot] = steps[na]
-		idx[slot] = idx[na]
-	}
-	// sample records/observes tick k on every active lane and retires lanes
-	// at their horizon or stop condition. Downward iteration keeps the
-	// retire swap from revisiting an already-sampled lane.
-	sample := func(k int) {
-		for slot := na - 1; slot >= 0; slot-- {
-			i := idx[slot]
+	for k := 0; ; k++ {
+		for l, r := range results {
 			if opt.Record {
-				results[i].T = append(results[i].T, opt.T0+float64(k)*opt.Dt)
-				results[i].Dphi = append(results[i].Dphi, x[slot])
+				r.T[k] = opt.T0 + float64(k)*opt.Dt
+				r.Dphi[k] = x[l]
 			}
-			hcs[slot].observe(x[slot])
-			if k >= steps[slot] || (opt.Stop != nil && opt.Stop(lanes[i], x[slot], hcs[slot].hops)) {
-				retire(slot)
-			}
+			hcs[l].observe(x[l])
 		}
-	}
-
-	sample(0)
-	for k := 1; na > 0; k++ {
-		if k&0x3ff == 0 {
+		if k == steps {
+			break
+		}
+		if (k+1)&0x3ff == 0 {
 			if err := ctx.Err(); err != nil {
-				for slot := 0; slot < na; slot++ {
-					results[idx[slot]] = nil
-				}
+				clear(results)
 				return results, err
 			}
 		}
 		met.Inc(diag.StochBatchSteps)
-		met.Add(diag.StochBatchLaneSteps, int64(na))
-		// One dense sweep: compiled RHS over all active lanes, then the
-		// per-lane noise add — the same expression, per lane, as the scalar
-		// stepper's x += RHS(x)·dt + √(D·dt)·ξ.
-		cg.RHSBatch(x[:na], rhs[:na])
-		for l := 0; l < na; l++ {
+		met.Add(diag.StochBatchLaneSteps, int64(len(x)))
+		// One dense sweep: compiled RHS over all lanes, then the per-lane
+		// noise add x += RHS(x)·dt + √(D·dt)·ξ.
+		cg.RHSBatch(x, rhs)
+		for l := range x {
 			x[l] += rhs[l]*opt.Dt + sd*rngs[l].NormFloat64()
 		}
-		sample(k)
+	}
+	for l, r := range results {
+		r.Hops = hcs[l].hops
 	}
 	return results, nil
 }
@@ -156,39 +111,12 @@ func StochasticBatch(ctx context.Context, cg *gae.CompiledG, lanes []BatchLane, 
 // overhead, narrow enough that a few groups still spread across workers.
 const DefaultEnsembleLanes = 64
 
-// EnsembleOptions tunes StochasticEnsembleOpt.
-type EnsembleOptions struct {
-	// Scalar routes every member through the pre-batching interpreted
-	// pipeline — gae.Model.RHS per step with append-grown trajectories —
-	// preserved bit-for-bit as the reference the batched path is
-	// benchmarked against. Scalar results agree with the batched default
-	// statistically but not bit for bit: the batched path evaluates the
-	// compiled (folded-coefficient) g.
-	Scalar bool
-	// Lanes is the SoA lane width per batch (≤0: DefaultEnsembleLanes).
-	Lanes int
-}
-
-// StochasticEnsembleOpt is StochasticEnsemble with explicit batching
-// options. Members are chunked into lane groups of opt.Lanes; the grouping
-// is a pure function of (n, opt.Lanes), and member i always draws from
-// SubSeed(seed, i), so results are bit-identical at any worker count.
-func StochasticEnsembleOpt(ctx context.Context, m *gae.Model, dphi0, d, t0, t1, dt float64, seed int64, n, workers int, opt EnsembleOptions) ([]*StochasticResult, error) {
-	defer diag.SpanFrom(ctx, "noise.ensemble").End()
-	if opt.Scalar {
-		return parallel.MapWorkerCtx(ctx, n, workers, func(wctx context.Context, _, i int) (*StochasticResult, error) {
-			diag.FromContext(wctx).Inc(diag.EnsembleRuns)
-			return stochasticTransientModel(m, dphi0, d, t0, t1, dt, parallel.SubSeed(seed, i)), nil
-		})
-	}
-	return batchedEnsemble(ctx, m, dphi0, d, t0, t1, dt, seed, n, workers, opt.Lanes, true)
-}
-
-// batchedEnsemble chunks n members into lane groups and integrates each
-// group through StochasticBatch. The grouping is a pure function of
-// (n, lanes) and member i always uses lane index i, so the output is
-// bit-identical at any worker count.
-func batchedEnsemble(ctx context.Context, m *gae.Model, dphi0, d, t0, t1, dt float64, seed int64, n, workers, lanes int, record bool) ([]*StochasticResult, error) {
+// batchedEnsemble chunks n members into groups of lanes (≤0:
+// DefaultEnsembleLanes) and integrates each group through StochasticBatch,
+// member i on the seed parallel.SubSeed(seed, i). The grouping is a pure
+// function of (n, lanes), so the output is bit-identical at any worker
+// count.
+func batchedEnsemble(ctx context.Context, m *gae.Model, opt BatchOptions, seed int64, n, workers, lanes int) ([]*StochasticResult, error) {
 	if lanes <= 0 {
 		lanes = DefaultEnsembleLanes
 	}
@@ -197,24 +125,16 @@ func batchedEnsemble(ctx context.Context, m *gae.Model, dphi0, d, t0, t1, dt flo
 	groups := (n + lanes - 1) / lanes
 	chunks, err := parallel.MapWorkerCtx(ctx, groups, workers, func(wctx context.Context, _, gi int) ([]*StochasticResult, error) {
 		lo := gi * lanes
-		hi := lo + lanes
-		if hi > n {
-			hi = n
+		seeds := make([]int64, min(lanes, n-lo))
+		for j := range seeds {
+			seeds[j] = parallel.SubSeed(seed, lo+j)
 		}
-		bl := make([]BatchLane, hi-lo)
-		for j := range bl {
-			bl[j] = BatchLane{Index: lo + j, Dphi0: dphi0, T1: t1}
-		}
-		diag.FromContext(wctx).Add(diag.EnsembleRuns, int64(len(bl)))
-		return StochasticBatch(wctx, cg, bl, BatchOptions{
-			D: d, T0: t0, Dt: dt, Seed: seed, Record: record,
-		})
+		diag.FromContext(wctx).Add(diag.EnsembleRuns, int64(len(seeds)))
+		return StochasticBatch(wctx, cg, seeds, opt)
 	})
 	out := make([]*StochasticResult, n)
 	for gi, ch := range chunks {
-		for j, r := range ch {
-			out[gi*lanes+j] = r
-		}
+		copy(out[gi*lanes:], ch)
 	}
 	return out, err
 }

@@ -39,126 +39,65 @@ func sameResult(t *testing.T, ctxMsg string, got, want *noise.StochasticResult) 
 	}
 }
 
-// The tentpole bit-identity property: a StochasticBatch lane must equal
-// StochasticTransient with the same sub-seed — trajectory and hop count —
-// for any lane grouping, any slot permutation, and per-lane horizons that
-// force compaction mid-run.
+// subSeeds returns the ensemble seeds of members lo..hi−1.
+func subSeeds(seed int64, lo, hi int) []int64 {
+	out := make([]int64, hi-lo)
+	for i := range out {
+		out[i] = parallel.SubSeed(seed, lo+i)
+	}
+	return out
+}
+
+// The bit-identity property: a StochasticBatch lane must equal
+// StochasticTransient with the same seed — trajectory and hop count — for
+// any lane grouping and any lane order.
 func TestStochasticBatchLaneBitIdenticalToTransient(t *testing.T) {
 	m := lockedModel(t)
 	const (
 		d    = 2e-3
 		dt   = 1e-4
+		t1   = 0.02
 		seed = 42
 	)
 	rng := rand.New(rand.NewSource(9))
 	ctx := context.Background()
-
-	// Staggered horizons: lanes retire at different sweeps, exercising the
-	// swap-compaction continuously.
-	lanes := make([]noise.BatchLane, 17)
-	for i := range lanes {
-		lanes[i] = noise.BatchLane{
-			Index: i,
-			Dphi0: 0.5 * float64(i%3),
-			T1:    0.01 + 0.005*float64(i%5),
-		}
-	}
-	want := make([]*noise.StochasticResult, len(lanes))
-	for i, ln := range lanes {
-		want[i] = noise.StochasticTransient(m, ln.Dphi0, d, 0, ln.T1, dt, parallel.SubSeed(seed, ln.Index))
-	}
-
 	cg := m.Compile()
-	opt := noise.BatchOptions{D: d, Dt: dt, Seed: seed, Record: true}
-
-	// One wide batch.
-	got, err := noise.StochasticBatch(ctx, cg, lanes, opt)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for i := range lanes {
-		sameResult(t, "wide batch", got[i], want[i])
-	}
-
-	// Random partitions into narrower batches, in shuffled lane order.
-	for trial := 0; trial < 4; trial++ {
-		perm := rng.Perm(len(lanes))
-		for lo := 0; lo < len(perm); {
-			w := 1 + rng.Intn(7)
-			hi := lo + w
-			if hi > len(perm) {
-				hi = len(perm)
-			}
-			sub := make([]noise.BatchLane, hi-lo)
-			for j := range sub {
-				sub[j] = lanes[perm[lo+j]]
-			}
-			res, err := noise.StochasticBatch(ctx, cg, sub, opt)
-			if err != nil {
-				t.Fatal(err)
-			}
-			for j := range sub {
-				sameResult(t, "narrow batch", res[j], want[perm[lo+j]])
-			}
-			lo = hi
+	seeds := subSeeds(seed, 0, 17)
+	for _, dphi0 := range []float64{0, 0.5} {
+		want := make([]*noise.StochasticResult, len(seeds))
+		for i, s := range seeds {
+			want[i] = noise.StochasticTransient(m, dphi0, d, 0, t1, dt, s)
 		}
-	}
-}
+		opt := noise.BatchOptions{Dphi0: dphi0, D: d, T1: t1, Dt: dt, Record: true}
 
-// A Stop predicate must retire the lane at the first sample where it fires:
-// the recorded trajectory is the exact prefix of the unstopped member, and
-// Hops matches CountHops of that prefix. Other lanes are unaffected.
-func TestStochasticBatchStopPredicate(t *testing.T) {
-	m := lockedModel(t)
-	const (
-		d    = 8e-3 // hot enough to hop within the window
-		dt   = 1e-4
-		seed = 7
-	)
-	ctx := context.Background()
-	cg := m.Compile()
-	lanes := []noise.BatchLane{
-		{Index: 0, Dphi0: 0, T1: 0.4},
-		{Index: 1, Dphi0: 0, T1: 0.4},
-		{Index: 2, Dphi0: 0.5, T1: 0.4},
-	}
-	full, err := noise.StochasticBatch(ctx, cg, lanes, noise.BatchOptions{D: d, Dt: dt, Seed: seed, Record: true})
-	if err != nil {
-		t.Fatal(err)
-	}
-	// Stop lane 1 at its first committed hop; leave the others to run out.
-	stopped, err := noise.StochasticBatch(ctx, cg, lanes, noise.BatchOptions{
-		D: d, Dt: dt, Seed: seed, Record: true,
-		Stop: func(ln noise.BatchLane, _ float64, hops int) bool { return ln.Index == 1 && hops >= 1 },
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	sameResult(t, "unstopped lane 0", stopped[0], full[0])
-	sameResult(t, "unstopped lane 2", stopped[2], full[2])
-
-	s1 := stopped[1]
-	if full[1].Hops == 0 {
-		t.Skipf("lane 1 saw no hops in the window; cannot exercise Stop")
-	}
-	if s1.Hops != 1 {
-		t.Fatalf("stopped lane carries %d hops, want exactly 1", s1.Hops)
-	}
-	if len(s1.Dphi) > len(full[1].Dphi) {
-		t.Fatalf("stopped lane has %d samples, full member only %d", len(s1.Dphi), len(full[1].Dphi))
-	}
-	for k := range s1.Dphi {
-		if s1.Dphi[k] != full[1].Dphi[k] {
-			t.Fatalf("stopped lane diverges from full member at sample %d", k)
+		// One wide batch.
+		got, err := noise.StochasticBatch(ctx, cg, seeds, opt)
+		if err != nil {
+			t.Fatal(err)
 		}
-	}
-	// The lane retired at exactly the first committed hop: the prefix holds
-	// one hop, and the prefix minus its last sample holds none.
-	if got := noise.CountHops(full[1].Dphi[:len(s1.Dphi)]); got != 1 {
-		t.Fatalf("prefix of %d samples holds %d hops, want 1", len(s1.Dphi), got)
-	}
-	if got := noise.CountHops(full[1].Dphi[:len(s1.Dphi)-1]); got != 0 {
-		t.Fatalf("lane outlived its stop condition (%d hops before final sample)", got)
+		for i := range seeds {
+			sameResult(t, "wide batch", got[i], want[i])
+		}
+
+		// Random partitions into narrower batches, in shuffled lane order.
+		for trial := 0; trial < 4; trial++ {
+			perm := rng.Perm(len(seeds))
+			for lo := 0; lo < len(perm); {
+				hi := min(lo+1+rng.Intn(7), len(perm))
+				sub := make([]int64, hi-lo)
+				for j := range sub {
+					sub[j] = seeds[perm[lo+j]]
+				}
+				res, err := noise.StochasticBatch(ctx, cg, sub, opt)
+				if err != nil {
+					t.Fatal(err)
+				}
+				for j := range sub {
+					sameResult(t, "narrow batch", res[j], want[perm[lo+j]])
+				}
+				lo = hi
+			}
+		}
 	}
 }
 
@@ -168,9 +107,9 @@ func TestStochasticBatchSharedCompiledGConcurrent(t *testing.T) {
 	m := lockedModel(t)
 	cg := m.Compile()
 	ctx := context.Background()
-	opt := noise.BatchOptions{D: 1e-3, Dt: 1e-4, Seed: 3, Record: true}
-	lanes := []noise.BatchLane{{Index: 0, T1: 0.02}, {Index: 1, Dphi0: 0.5, T1: 0.03}}
-	ref, err := noise.StochasticBatch(ctx, cg, lanes, opt)
+	opt := noise.BatchOptions{Dphi0: 0.5, D: 1e-3, T1: 0.03, Dt: 1e-4, Record: true}
+	seeds := subSeeds(3, 0, 2)
+	ref, err := noise.StochasticBatch(ctx, cg, seeds, opt)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -180,7 +119,7 @@ func TestStochasticBatchSharedCompiledGConcurrent(t *testing.T) {
 		wg.Add(1)
 		go func(g int) {
 			defer wg.Done()
-			res, err := noise.StochasticBatch(ctx, cg, lanes, opt)
+			res, err := noise.StochasticBatch(ctx, cg, seeds, opt)
 			if err != nil {
 				errs[g] = err
 				return
@@ -203,8 +142,8 @@ func TestStochasticBatchSharedCompiledGConcurrent(t *testing.T) {
 	}
 }
 
-// The batched-by-default ensemble and BER paths must agree with per-member
-// StochasticTransient exactly, at any lane width.
+// The ensemble and BER paths must agree with per-member StochasticTransient
+// exactly, BER at any lane width.
 func TestEnsembleAndBERMatchTransientMembers(t *testing.T) {
 	m := lockedModel(t)
 	const (
@@ -221,15 +160,14 @@ func TestEnsembleAndBERMatchTransientMembers(t *testing.T) {
 		want[i] = noise.StochasticTransient(m, 0, d, 0, t1, dt, parallel.SubSeed(seed, i))
 		wantHops += want[i].Hops
 	}
+	ens, err := noise.StochasticEnsemble(ctx, m, 0, d, 0, t1, dt, seed, members, 3)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i := range ens {
+		sameResult(t, "ensemble member", ens[i], want[i])
+	}
 	for _, lanes := range []int{1, 4, 64} {
-		ens, err := noise.StochasticEnsembleOpt(ctx, m, 0, d, 0, t1, dt, seed, members, 3,
-			noise.EnsembleOptions{Lanes: lanes})
-		if err != nil {
-			t.Fatal(err)
-		}
-		for i := range ens {
-			sameResult(t, "ensemble member", ens[i], want[i])
-		}
 		ber, err := noise.EstimateBER(ctx, m, d, noise.BEROptions{
 			TBit: t1 / 5, Bits: 5, Members: members, Dt: dt, Seed: seed, Lanes: lanes,
 		})
@@ -241,19 +179,6 @@ func TestEnsembleAndBERMatchTransientMembers(t *testing.T) {
 		}
 		if ber.Bits != members*5 {
 			t.Fatalf("lanes=%d: bits %d, want %d", lanes, ber.Bits, members*5)
-		}
-	}
-	// The scalar fallback runs the interpreted pipeline: same shape and
-	// statistics machinery, hop counts within the same ballpark (not pinned
-	// bitwise — the kernels differ at the last ulp).
-	sc, err := noise.StochasticEnsembleOpt(ctx, m, 0, d, 0, t1, dt, seed, members, 2,
-		noise.EnsembleOptions{Scalar: true})
-	if err != nil {
-		t.Fatal(err)
-	}
-	for i, r := range sc {
-		if len(r.Dphi) != len(want[i].Dphi) {
-			t.Fatalf("scalar member %d: %d samples, want %d", i, len(r.Dphi), len(want[i].Dphi))
 		}
 	}
 }

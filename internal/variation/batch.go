@@ -14,7 +14,7 @@ import (
 	"repro/internal/ringosc"
 )
 
-// This file implements the batched Monte-Carlo path: instead of solving each
+// This file implements the Monte-Carlo path: instead of solving each
 // sampled corner's PSS from a cold start (a 7-cycle settle, shoot from a
 // kicked state), corners are evaluated K lanes at a time through
 // pss.ShootAutonomousBatch over a circuit.Batch, warm-started from one
@@ -170,29 +170,18 @@ func batchEvalCorners(ctx context.Context, eng *engine.Engine, nom nominalOrbit,
 	return out, nil
 }
 
-// EvaluateBatchEng evaluates every corner configuration through the batched
-// warm-started pipeline, seeded from the nominal configuration's orbit. All
-// cfgs must share the nominal topology (same ring structure, different
-// parameters) to batch; corners that cannot batch or converge fall back to
-// a cold solve of the corner alone. A nil engine computes the nominal
-// directly.
-func EvaluateBatchEng(ctx context.Context, eng *engine.Engine, nominal ringosc.Config, cfgs []ringosc.Config) ([]CornerResult, error) {
-	nom, err := resolveNominal(ctx, eng, nominal)
-	if err != nil {
-		return nil, err
-	}
-	return batchEvalCorners(ctx, eng, nom, cfgs)
-}
-
-// MonteCarloBatchEng draws n corners with smp and evaluates them through the
-// batched PSS pipeline, `lanes` corners per batched solve (0 means
-// DefaultBatchLanes), with up to `workers` batches in flight concurrently.
-// It returns the samples (corner deltas + metrics, same shape as
-// MonteCarloSampledEng) and the full per-corner model chains for downstream noise
-// studies. Sample i's corner is smp.Draw(i) regardless of lane and worker
-// geometry, so results are bit-stable under re-chunking only in the drawn
-// corners; the solved metrics agree with the scalar path to solver tolerance
-// (both converge the same periodicity residual), not bit-for-bit.
+// MonteCarloBatchEng draws n corners with smp (pseudo-random — clipped
+// Gaussian spreads from PseudoSampler's seed — scrambled Sobol, ...) and
+// evaluates them through the batched PSS pipeline, `lanes` corners per
+// batched solve (0 means DefaultBatchLanes), with up to `workers` batches in
+// flight concurrently. The nominal orbit the lanes start from resolves
+// through a memoizing engine (nil: compute directly), as does the cold
+// solve of any corner the batch cannot take. It returns the samples (corner
+// deltas + metrics) and the full per-corner model chains for downstream
+// noise studies. Sample i's corner is smp.Draw(i) regardless of lane and
+// worker geometry; the solved metrics agree with a cold solve of the corner
+// alone (EvaluateEng) to solver tolerance (both converge the same
+// periodicity residual), not bit for bit.
 func MonteCarloBatchEng(ctx context.Context, eng *engine.Engine, base ringosc.Config, params []Param, n int, smp Sampler, lanes, workers int) ([]Sample, []CornerResult, error) {
 	if lanes <= 0 {
 		lanes = DefaultBatchLanes

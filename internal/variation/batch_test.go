@@ -10,9 +10,10 @@ import (
 )
 
 // TestMonteCarloBatchMatchesScalar runs the same seeded Monte Carlo through
-// the scalar pipeline and the warm-started batched pipeline. The drawn
-// corners must be bit-identical; the solved metrics agree to solver
-// tolerance (both paths converge the same periodicity residual).
+// the warm-started batched pipeline and solves each drawn corner alone and
+// cold (EvaluateEng). The drawn corners must be bit-identical; the solved
+// metrics agree to solver tolerance (both paths converge the same
+// periodicity residual).
 func TestMonteCarloBatchMatchesScalar(t *testing.T) {
 	if testing.Short() {
 		t.Skip("full-pipeline Monte Carlo")
@@ -23,10 +24,6 @@ func TestMonteCarloBatchMatchesScalar(t *testing.T) {
 	params := variation.StandardParams()
 	ctx := context.Background()
 
-	scalar, err := variation.MonteCarloSampledEng(ctx, nil, base, params, n, variation.PseudoSampler{Seed: seed}, 1)
-	if err != nil {
-		t.Fatal(err)
-	}
 	batched, corners, err := variation.MonteCarloBatchEng(ctx, nil, base, params, n,
 		variation.PseudoSampler{Seed: seed}, n, 1)
 	if err != nil {
@@ -36,22 +33,30 @@ func TestMonteCarloBatchMatchesScalar(t *testing.T) {
 		t.Fatalf("got %d samples / %d corners, want %d", len(batched), len(corners), n)
 	}
 	for i := 0; i < n; i++ {
-		for j := range scalar[i].Deltas {
-			if scalar[i].Deltas[j] != batched[i].Deltas[j] {
-				t.Fatalf("sample %d delta %d: scalar %v vs batched %v (corners differ)",
-					i, j, scalar[i].Deltas[j], batched[i].Deltas[j])
+		deltas := make([]float64, len(params))
+		variation.PseudoSampler{Seed: seed}.Draw(i, deltas)
+		cfg := base
+		for j, prm := range params {
+			if deltas[j] != batched[i].Deltas[j] {
+				t.Fatalf("sample %d delta %d: drawn %v vs batched %v (corners differ)",
+					i, j, deltas[j], batched[i].Deltas[j])
 			}
+			prm.Apply(&cfg, deltas[j])
 		}
-		sm, bm := scalar[i].Metrics, batched[i].Metrics
+		cold, err := variation.EvaluateEng(ctx, nil, cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		sm, bm := cold, batched[i].Metrics
 		relCheck := func(name string, s, b, tol float64) {
 			if rel := math.Abs(b-s) / math.Abs(s); rel > tol {
-				t.Errorf("sample %d %s: scalar %g vs batched %g (rel %g)", i, name, s, b, rel)
+				t.Errorf("sample %d %s: cold %g vs batched %g (rel %g)", i, name, s, b, rel)
 			}
 		}
 		// Both paths converge the same periodicity residual, so the period
 		// matches to solver tolerance. The PPV harmonics carry a sub-percent
 		// numerical scatter that depends on where along the orbit the
-		// converged anchor sits (re-anchoring the *scalar* solve moves V2 by
+		// converged anchor sits (re-anchoring the cold solve moves V2 by
 		// the same ±0.3 %), so the harmonic-derived metrics get 1 %.
 		relCheck("F0", sm.F0, bm.F0, 1e-6)
 		relCheck("V1", sm.V1, bm.V1, 1e-2)
@@ -68,8 +73,8 @@ func TestMonteCarloBatchMatchesScalar(t *testing.T) {
 
 // TestEvaluateBatchEngScalarFallback mixes in a corner whose topology does
 // not match the nominal ring (5 stages vs 3): the batch refuses to assemble
-// and every corner must transparently take the scalar path, reproducing the
-// scalar pipeline bit for bit.
+// and every corner must transparently take the per-corner fallback,
+// reproducing EvaluateEng bit for bit.
 func TestEvaluateBatchEngScalarFallback(t *testing.T) {
 	if testing.Short() {
 		t.Skip("full-pipeline evaluation")
@@ -78,7 +83,7 @@ func TestEvaluateBatchEngScalarFallback(t *testing.T) {
 	other := ringosc.DefaultConfig()
 	other.Stages = 5
 	ctx := context.Background()
-	crs, err := variation.EvaluateBatchEng(ctx, nil, base, []ringosc.Config{base, other})
+	crs, err := variation.EvaluateBatch(ctx, nil, base, []ringosc.Config{base, other})
 	if err != nil {
 		t.Fatal(err)
 	}

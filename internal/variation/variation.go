@@ -231,31 +231,6 @@ type Sample struct {
 	Metrics Metrics
 }
 
-// MonteCarloSampledEng draws n corners with smp (pseudo-random — clipped
-// Gaussian spreads from PseudoSampler's seed — scrambled Sobol, ...) and
-// evaluates each through the pipeline on up to workers goroutines,
-// resolving the pipelines through a memoizing engine (nil: compute
-// directly); re-running the same draws against a warm engine is then
-// nearly free. Sample i's corner is smp.Draw(i), so the run is
-// bit-identical at any worker count. On error or cancellation the partial
-// slice is returned; samples that did not run are zero-valued.
-func MonteCarloSampledEng(ctx context.Context, eng *engine.Engine, base ringosc.Config, params []Param, n int, smp Sampler, workers int) ([]Sample, error) {
-	return parallel.MapWorkerCtx(ctx, n, workers, func(wctx context.Context, _, i int) (Sample, error) {
-		diag.FromContext(wctx).Inc(diag.SweepPoints)
-		cfg := base
-		deltas := make([]float64, len(params))
-		smp.Draw(i, deltas)
-		for j, prm := range params {
-			prm.Apply(&cfg, deltas[j])
-		}
-		m, err := EvaluateEng(wctx, eng, cfg)
-		if err != nil {
-			return Sample{}, fmt.Errorf("variation: sample %d: %w", i, err)
-		}
-		return Sample{Deltas: deltas, Metrics: m}, nil
-	})
-}
-
 // Stats summarizes mean and relative standard deviation of each metric.
 type Stats struct {
 	MeanF0, RelStdF0               float64

@@ -61,11 +61,11 @@ func TestMonteCarloReproducibleAndSpread(t *testing.T) {
 	}
 	base := ringosc.DefaultConfig()
 	params := variation.StandardParams()
-	a, err := variation.MonteCarloSampledEng(context.Background(), nil, base, params, 10, variation.PseudoSampler{Seed: 7}, 1)
+	a, _, err := variation.MonteCarloBatchEng(context.Background(), nil, base, params, 10, variation.PseudoSampler{Seed: 7}, 0, 1)
 	if err != nil {
 		t.Fatal(err)
 	}
-	b, err := variation.MonteCarloSampledEng(context.Background(), nil, base, params, 10, variation.PseudoSampler{Seed: 7}, 1)
+	b, _, err := variation.MonteCarloBatchEng(context.Background(), nil, base, params, 10, variation.PseudoSampler{Seed: 7}, 0, 1)
 	if err != nil {
 		t.Fatal(err)
 	}
