@@ -113,14 +113,16 @@ func (c *Circuit) Node(name string) NodeID {
 
 // AddRail registers a fixed node with a prescribed potential and returns its
 // NodeID. Registering must happen before the name is used as a free node.
-// v must be a pure function of t and must not change after Assemble (see
-// Rail): workspaces evaluate it once per distinct t and reuse the value.
+// Registering a name again replaces its whole Rail: the earlier dV/dt and
+// timescale go with the earlier waveform. v must be a pure function of t
+// and must not change after Assemble (see Rail): workspaces evaluate it
+// once per distinct t and reuse the value.
 func (c *Circuit) AddRail(name string, v func(t float64) float64) NodeID {
 	if _, ok := c.nodeIndex[name]; ok {
 		panic(fmt.Sprintf("circuit: node %q already exists as a free node", name))
 	}
 	if i, ok := c.railIndex[name]; ok {
-		c.rails[i].V, c.rails[i].dc = v, false
+		c.rails[i] = Rail{Name: name, V: v}
 		return NodeID(-2 - i)
 	}
 	i := len(c.rails)

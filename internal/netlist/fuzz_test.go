@@ -21,6 +21,7 @@ import (
 func FuzzParseAssembleDC(f *testing.F) {
 	f.Add(cmdtest.RingDeck)
 	f.Add(dividerDeck)
+	f.Add("C1 x en 1u\n.rail en 3\nR1 x 0 1k\n") // a rail on a node already free
 	f.Fuzz(func(t *testing.T, deck string) {
 		if len(deck) > 2048 {
 			return

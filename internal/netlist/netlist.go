@@ -166,6 +166,9 @@ func (p *parser) directive(name string, args []string) error {
 		if len(args) != 2 {
 			return fmt.Errorf(".rail wants name and value/waveform")
 		}
+		if p.ckt.NodeIndex(args[0]) >= 0 {
+			return fmt.Errorf(".rail %s: node already used as a free node (declare rails before use)", args[0])
+		}
 		if v, err := ParseValue(args[1]); err == nil {
 			p.ckt.AddDCRail(args[0], v)
 			return nil

@@ -164,6 +164,27 @@ R2 ref a 1k
 	}
 }
 
+// A .rail naming a node an earlier line already made free is refused with
+// an error; before, the circuit panicked on the untrusted-deck path.
+func TestParseRailOnFreeNodeErrors(t *testing.T) {
+	if _, err := netlist.Parse("C1 x en 1u\n.rail en 3\nR1 x 0 1k\n"); err == nil {
+		t.Fatal("a .rail on a free node parsed")
+	}
+}
+
+// A rail registered again takes the new waveform whole: its dV/dt is the
+// new ramp's, not the 0 of the DC rail it replaced, so a capacitor to it
+// injects current.
+func TestParseRailReRegistrationTakesNewSlope(t *testing.T) {
+	ckt, err := netlist.Parse(".rail en 3\n.rail en pulse(0 3 1m 10u 10u 5m 10m)\nC1 x en 1u\nR1 x 0 1k\n")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if d := ckt.RailDVDt(ckt.Node("en"), 1.005e-3); math.Abs(d-3e5) > 1e-6*3e5 {
+		t.Fatalf("dV/dt on the rise = %g V/s, want 3e5", d)
+	}
+}
+
 func TestParseSummerAndTgate(t *testing.T) {
 	src := `
 .rail vdd 3.0
