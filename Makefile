@@ -55,11 +55,14 @@ xval:
 xval-update:
 	$(GO) run ./cmd/phlogon-xval -update
 
-# Fuzz smoke run: ten seconds of FuzzParseAssembleDC, the parse → assemble
-# → DC operating point path phlogon-sim runs on an untrusted deck. A failing
-# input lands in internal/netlist/testdata/fuzz and replays in `make test`.
+# Fuzz smoke run: ten seconds each of FuzzParseAssembleDC, the parse →
+# assemble → DC operating point path phlogon-sim runs on an untrusted deck,
+# and FuzzParseNetlistJSON, the logic IR's strict parse and its JSON round
+# trip. A failing input lands in the package's testdata/fuzz and replays in
+# `make test`.
 fuzz-smoke:
 	$(GO) test -run '^$$' -fuzz '^FuzzParseAssembleDC$$' -fuzztime 10s ./internal/netlist
+	$(GO) test -run '^$$' -fuzz '^FuzzParseNetlistJSON$$' -fuzztime 10s ./internal/phlogic
 
 bench:
 	$(GO) test -run '^$$' -bench . -benchtime 1x .
