@@ -119,17 +119,15 @@ const (
 	BatchLaneEvals
 	// StochBatchSteps counts dense Euler–Maruyama sweeps of the SoA
 	// stochastic stepper (noise.StochasticBatch): one per time step over the
-	// batch's active lane set.
+	// batch's lanes.
 	StochBatchSteps
-	// StochBatchLaneSteps accumulates the active-lane count of every
-	// stochastic sweep — the batched counterpart of per-member step counts.
-	// StochBatchLaneSteps/StochBatchSteps is the realized lane occupancy
-	// (mean active width after per-lane horizons and early stops retire
-	// lanes).
+	// StochBatchLaneSteps accumulates the lane count K of every stochastic
+	// sweep — the batched counterpart of per-member step counts. Every lane
+	// of a batch shares its horizon, so StochBatchLaneSteps/StochBatchSteps
+	// is the mean batch width.
 	StochBatchLaneSteps
-	// CompiledGCompiles counts gae.Model → gae.CompiledG precompilations —
-	// the per-ensemble cost that replaced the per-step Harmonic pick-off of
-	// the interpreted g(Δφ).
+	// CompiledGCompiles counts the gae.Model → gae.CompiledG compiles of
+	// stochastic ensembles, one per ensemble.
 	CompiledGCompiles
 
 	numCounters
