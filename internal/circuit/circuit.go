@@ -34,27 +34,26 @@ const Ground NodeID = -1
 // IsFree reports whether the node is a free unknown.
 func (n NodeID) IsFree() bool { return n >= 0 }
 
-// Rail describes a fixed node: a prescribed potential V(t) and its time
-// derivative (needed when capacitors attach to time-varying rails).
+// Rail describes a fixed node: its potential is a Waveform, whose exact
+// dV/dt drives the capacitors attached to it.
 //
-// Rail contract: V and DVDt are pure functions of t — no state, no reads of
-// anything that changes — and a rail's waveform is fixed once the circuit is
-// assembled. Evaluation relies on this: each lane of a plan evaluates a
-// rail's V(t) (and dV/dt) once per distinct t and serves every later read at
-// that t from its time memo, so a Newton step that reads a rail from many
-// devices over several iterations runs its waveform once per time point.
-// Source waveforms are memoized the same way and carry the same contract.
+// Rail contract: a waveform's V and DVDt are pure functions of t — no
+// state, no reads of anything that changes — and a rail's waveform is fixed
+// once the circuit is assembled. Evaluation relies on this: each lane of a
+// plan evaluates a rail's V(t) (and dV/dt) once per distinct t and serves
+// every later read at that t from its time memo, so a Newton step that
+// reads a rail from many devices over several iterations runs its waveform
+// once per time point. Source waveforms are memoized the same way and carry
+// the same contract.
 type Rail struct {
 	Name string
-	V    func(t float64) float64
-	DVDt func(t float64) float64 // optional; nil means numerically differentiated
-	// TimeScale is the characteristic time over which V(t) varies (e.g. the
-	// waveform period). When DVDt is nil, the numeric differentiation step is
-	// taken relative to this scale (h = TimeScale·railDiffRel) instead of the
-	// legacy absolute step, which is wrong for rails much faster or much
-	// slower than nanoseconds. Zero keeps the legacy absolute step.
-	TimeScale float64
-	dc        bool // registered by AddDCRail: constant in time
+	Wave Waveform
+}
+
+// A Source is a device driven by a waveform, such as a current source.
+// Assemble reads the waveform to decide Driven.
+type Source interface {
+	Waveform() Waveform
 }
 
 // Device is a circuit element. StampC is called once at assembly time to
@@ -94,9 +93,13 @@ func New() *Circuit {
 	}
 }
 
+// IsGroundName reports whether name denotes the ground rail: "0", "gnd"
+// or "GND".
+func IsGroundName(name string) bool { return name == "0" || name == "gnd" || name == "GND" }
+
 // Node returns the NodeID for name, creating a free node on first use.
 func (c *Circuit) Node(name string) NodeID {
-	if name == "0" || name == "gnd" || name == "GND" {
+	if IsGroundName(name) {
 		return Ground
 	}
 	if i, ok := c.railIndex[name]; ok {
@@ -112,53 +115,29 @@ func (c *Circuit) Node(name string) NodeID {
 }
 
 // AddRail registers a fixed node with a prescribed potential and returns its
-// NodeID. Registering must happen before the name is used as a free node.
-// Registering a name again replaces its whole Rail: the earlier dV/dt and
-// timescale go with the earlier waveform. v must be a pure function of t
-// and must not change after Assemble (see Rail): workspaces evaluate it
-// once per distinct t and reuse the value.
-func (c *Circuit) AddRail(name string, v func(t float64) float64) NodeID {
+// NodeID. Registering must happen before the name is used as a free node,
+// and a ground name cannot be registered. Registering a name again replaces
+// its waveform. w must not change after Assemble (see Rail): workspaces
+// evaluate it once per distinct t and reuse the value.
+func (c *Circuit) AddRail(name string, w Waveform) NodeID {
 	if _, ok := c.nodeIndex[name]; ok {
 		panic(fmt.Sprintf("circuit: node %q already exists as a free node", name))
 	}
+	if IsGroundName(name) {
+		panic(fmt.Sprintf("circuit: rail %q would name ground", name))
+	}
 	if i, ok := c.railIndex[name]; ok {
-		c.rails[i] = Rail{Name: name, V: v}
+		c.rails[i].Wave = w
 		return NodeID(-2 - i)
 	}
 	i := len(c.rails)
-	c.rails = append(c.rails, Rail{Name: name, V: v})
+	c.rails = append(c.rails, Rail{Name: name, Wave: w})
 	c.railIndex[name] = i
 	return NodeID(-2 - i)
 }
 
 // AddDCRail registers a fixed node at a constant potential.
-func (c *Circuit) AddDCRail(name string, v float64) NodeID {
-	id := c.AddRail(name, func(float64) float64 { return v })
-	c.rails[-2-int(id)].DVDt = func(float64) float64 { return 0 }
-	c.rails[-2-int(id)].dc = true
-	return id
-}
-
-// AddRailDeriv registers a fixed node with a prescribed potential and its
-// analytic time derivative, avoiding numeric differentiation entirely.
-func (c *Circuit) AddRailDeriv(name string, v, dvdt func(t float64) float64) NodeID {
-	id := c.AddRail(name, v)
-	c.rails[-2-int(id)].DVDt = dvdt
-	return id
-}
-
-// SetRailTimeScale declares the characteristic timescale of a time-varying
-// rail (typically its period), making the numeric dV/dt step relative to it.
-// Panics when id is not a registered rail.
-func (c *Circuit) SetRailTimeScale(id NodeID, tau float64) {
-	if id.IsFree() || id == Ground {
-		panic("circuit: SetRailTimeScale requires a rail NodeID")
-	}
-	if tau <= 0 {
-		panic("circuit: rail timescale must be positive")
-	}
-	c.rails[-2-int(id)].TimeScale = tau
-}
+func (c *Circuit) AddDCRail(name string, v float64) NodeID { return c.AddRail(name, DC(v)) }
 
 // Add appends devices to the circuit.
 func (c *Circuit) Add(devs ...Device) {
@@ -187,45 +166,25 @@ func (c *Circuit) RailVoltage(n NodeID, t float64) float64 {
 	if n == Ground {
 		return 0
 	}
-	return c.rails[-2-int(n)].V(t)
+	return c.rails[-2-int(n)].Wave.V(t)
 }
 
 // RailRange returns the lowest and the highest potential among ground and
 // every rail at time t.
 func (c *Circuit) RailRange(t float64) (lo, hi float64) {
 	for _, r := range c.rails {
-		v := r.V(t)
+		v := r.Wave.V(t)
 		lo, hi = math.Min(lo, v), math.Max(hi, v)
 	}
 	return lo, hi
 }
 
-// railDiffRel is the central-difference step as a fraction of a rail's
-// declared timescale: truncation error ~ (2π·railDiffRel)²/6 ≈ 7e-6 relative
-// for a sinusoid, while keeping the step far above float64 granularity.
-const railDiffRel = 1e-3
-
-// railDiffAbs is the legacy absolute step used when no timescale is known.
-const railDiffAbs = 1e-9
-
-// RailDVDt evaluates dV/dt of a non-free node at time t. Rails with an
-// analytic DVDt use it directly; otherwise a central difference is taken
-// with a step relative to the rail's TimeScale when declared (falling back
-// to the legacy absolute step, which is only appropriate for rails varying
-// on roughly nanosecond scales).
+// RailDVDt evaluates dV/dt of a non-free node at time t.
 func (c *Circuit) RailDVDt(n NodeID, t float64) float64 {
 	if n == Ground {
 		return 0
 	}
-	r := c.rails[-2-int(n)]
-	if r.DVDt != nil {
-		return r.DVDt(t)
-	}
-	h := railDiffAbs
-	if r.TimeScale > 0 {
-		h = r.TimeScale * railDiffRel
-	}
-	return (r.V(t+h) - r.V(t-h)) / (2 * h)
+	return c.rails[-2-int(n)].Wave.DVDt(t)
 }
 
 // CapStamper accumulates the constant capacitance matrix.
@@ -316,12 +275,12 @@ func (c *Circuit) Assemble() (*System, error) {
 		if d.StampC(st); st.err != nil {
 			return nil, fmt.Errorf("circuit: device %q: %w", d.Label(), st.err)
 		}
-		if tv, ok := d.(interface{ TimeVarying() bool }); ok && tv.TimeVarying() {
-			driven = true
+		if s, ok := d.(Source); ok {
+			driven = driven || !isDC(s.Waveform())
 		}
 	}
 	for _, r := range c.rails {
-		driven = driven || !r.dc
+		driven = driven || !isDC(r.Wave)
 	}
 	for i := 0; i < n; i++ {
 		st.C.Addf(i, i, c.ParasiticCap)
@@ -376,12 +335,14 @@ func (s *System) EvalFJ(x linalg.Vec, t float64, f linalg.Vec, j *linalg.Mat) {
 	s.NewWorkspace().EvalFJ(x, t, f, j)
 }
 
-// Driven reports whether any rail or source of the circuit varies in time:
-// a rail registered by AddRail or AddRailDeriv, or a device whose
-// TimeVarying method reports true (a source with a waveform). Rails
-// registered by AddDCRail and DC sources are constant. A driven circuit
-// has no autonomous limit cycle.
+// Driven reports whether some rail or source waveform is not DC. A driven
+// circuit has no autonomous limit cycle.
 func (s *System) Driven() bool { return s.driven }
+
+func isDC(w Waveform) bool {
+	_, ok := w.(DC)
+	return ok
+}
 
 // InjectionGain returns the vector mapping a current injected *into* free
 // node k to the ODE right-hand side: ẋ += gain·I. (gain = C⁻¹·e_k.)
@@ -395,16 +356,4 @@ func (s *System) InjectionGain(k int) linalg.Vec {
 func (s *System) Describe() string {
 	return fmt.Sprintf("circuit with %d free nodes, %d rails, %d devices",
 		s.N, len(s.Ckt.rails), len(s.Ckt.devices))
-}
-
-// MaxCap returns the largest diagonal capacitance — a natural scale for
-// time-step heuristics.
-func (s *System) MaxCap() float64 {
-	m := 0.0
-	for i := 0; i < s.N; i++ {
-		if c := math.Abs(s.C.At(i, i)); c > m {
-			m = c
-		}
-	}
-	return m
 }

@@ -151,7 +151,7 @@ func TestXDotRC(t *testing.T) {
 func TestRailCapInjection(t *testing.T) {
 	// Capacitor from a ramping rail into a node: contributes C·dVrail/dt.
 	c := circuit.New()
-	ramp := c.AddRail("ramp", func(t float64) float64 { return 100 * t })
+	ramp := c.AddRail("ramp", rampWave(100))
 	n1 := c.Node("n1")
 	c.Add(
 		&device.Capacitor{Name: "cc", A: ramp, B: n1, C: 1e-6},

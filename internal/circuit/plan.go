@@ -156,7 +156,7 @@ func (e *EvalContext) V(k int, n NodeID) float64 {
 	i := k*e.m + 2*r
 	v := e.memo[i]
 	if v != v { // not yet evaluated at this time (a NaN rail simply re-runs)
-		v = e.lanes[k].Ckt.rails[r].V(e.T(k))
+		v = e.lanes[k].Ckt.rails[r].Wave.V(e.T(k))
 		e.memo[i] = v
 	}
 	return v

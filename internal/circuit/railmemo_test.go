@@ -9,15 +9,24 @@ import (
 	"repro/internal/linalg"
 )
 
+// countingSine is a test waveform, 1.5 + sin(2π·10 kHz·t), that counts its
+// V and dV/dt evaluations.
+type countingSine struct{ v, d *int }
+
+func (w countingSine) V(t float64) float64 { *w.v++; return 1.5 + math.Sin(2*math.Pi*1e4*t) }
+
+func (w countingSine) DVDt(t float64) float64 {
+	*w.d++
+	return 2 * math.Pi * 1e4 * math.Cos(2*math.Pi*1e4*t)
+}
+
 // countingRailSystem reads one counted sinusoidal rail from three devices
 // and couples it capacitively into a node, so every evaluation needs both
 // V(t) and dV/dt of the rail several times.
 func countingRailSystem(t *testing.T, vCalls, dCalls *int) *circuit.System {
 	t.Helper()
 	c := circuit.New()
-	drive := c.AddRailDeriv("drive",
-		func(tt float64) float64 { *vCalls++; return 1.5 + math.Sin(2*math.Pi*1e4*tt) },
-		func(tt float64) float64 { *dCalls++; return 2 * math.Pi * 1e4 * math.Cos(2*math.Pi*1e4*tt) })
+	drive := c.AddRail("drive", countingSine{vCalls, dCalls})
 	n1, n2 := c.Node("n1"), c.Node("n2")
 	c.Add(
 		&device.Resistor{Name: "r1", A: drive, B: n1, R: 1e3},

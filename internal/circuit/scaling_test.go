@@ -46,7 +46,7 @@ func TestRailRedefinitionAndConflicts(t *testing.T) {
 	c := circuit.New()
 	c.AddDCRail("vdd", 3)
 	// Redefining a rail's waveform is allowed.
-	id := c.AddRail("vdd", func(float64) float64 { return 5 })
+	id := c.AddRail("vdd", circuit.DC(5))
 	if got := c.RailVoltage(id, 0); got != 5 {
 		t.Fatalf("redefined rail = %g", got)
 	}
@@ -57,7 +57,7 @@ func TestRailRedefinitionAndConflicts(t *testing.T) {
 			t.Fatal("expected panic for free-node/rail conflict")
 		}
 	}()
-	c.AddRail("x", func(float64) float64 { return 0 })
+	c.AddRail("x", circuit.DC(0))
 }
 
 func TestAssembleFailsWithZeroCapacitance(t *testing.T) {

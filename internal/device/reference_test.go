@@ -253,21 +253,7 @@ func (v *VCCS) refEval(ctx *refContext) {
 
 // refEval is the reference stamp.
 func (s *CurrentSource) refEval(ctx *refContext) {
-	i := s.I(ctx.T) * ctx.SourceScale
-	ctx.AddCurrent(s.From, i)
-	ctx.AddCurrent(s.To, -i)
-}
-
-// refEval is the reference stamp.
-func (s *SineCurrent) refEval(ctx *refContext) {
-	i := (s.Amp*math.Cos(2*math.Pi*(s.Freq*ctx.T+s.Phase)) + s.Offset) * ctx.SourceScale
-	ctx.AddCurrent(s.From, i)
-	ctx.AddCurrent(s.To, -i)
-}
-
-// refEval is the reference stamp.
-func (s *PWLCurrent) refEval(ctx *refContext) {
-	i := s.At(ctx.T) * ctx.SourceScale
+	i := s.Wave.V(ctx.T) * ctx.SourceScale
 	ctx.AddCurrent(s.From, i)
 	ctx.AddCurrent(s.To, -i)
 }

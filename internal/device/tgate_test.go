@@ -14,7 +14,7 @@ import (
 // would confuse Newton).
 func TestTransGateMonotoneConductance(t *testing.T) {
 	c := circuit.New()
-	ctrl := c.AddRail("ctrl", func(float64) float64 { return 0 }) // placeholder
+	ctrl := c.AddDCRail("ctrl", 0) // placeholder
 	_ = ctrl
 	a, b := c.Node("a"), c.Node("b")
 	c.Gmin = 0

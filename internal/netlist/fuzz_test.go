@@ -22,6 +22,12 @@ func FuzzParseAssembleDC(f *testing.F) {
 	f.Add(cmdtest.RingDeck)
 	f.Add(dividerDeck)
 	f.Add("C1 x en 1u\n.rail en 3\nR1 x 0 1k\n") // a rail on a node already free
+	// Capacitors to a sine and a pulse rail (their exact dV/dt), a sine
+	// source, and a rail named after ground (refused).
+	f.Add(".rail ref sin(1.5 1.5 1k 0.1)\nC1 x ref 1u\nR1 x 0 1k\n")
+	f.Add(".rail en pulse(0 3 0 10u 10u 2m 5m)\nC1 x en 1u\nR1 x 0 1k\n")
+	f.Add("I1 0 x sin(100u 9.6k 0.25 10u)\nR1 x 0 1k\nC1 x 0 1n\n")
+	f.Add(".rail gnd 3\nR1 gnd x 1k\nR2 x 0 1k\n")
 	f.Fuzz(func(t *testing.T, deck string) {
 		if len(deck) > 2048 {
 			return

@@ -172,6 +172,37 @@ func TestParseRailOnFreeNodeErrors(t *testing.T) {
 	}
 }
 
+// A .rail named after ground is refused: Node maps the name to ground, so
+// the declared potential would be dropped without a word (x would solve to
+// 0 V in ".rail gnd 3 / R1 gnd x 1k / R2 x 0 1k").
+func TestParseRailNamedGroundErrors(t *testing.T) {
+	for _, name := range []string{"0", "gnd", "GND"} {
+		if _, err := netlist.Parse(".rail " + name + " 3\nR1 " + name + " x 1k\nR2 x 0 1k\n"); err == nil {
+			t.Errorf(".rail %s parsed", name)
+		}
+	}
+}
+
+// A capacitor to a sin(...) rail injects C·dV/dt from the waveform's exact
+// derivative, not a difference quotient.
+func TestParseSinRailCapInjectsExactSlope(t *testing.T) {
+	ckt, err := netlist.Parse(".rail ref sin(1.5 1.5 1k 0.1)\nC1 x ref 1u\nR1 x 0 1k\n")
+	if err != nil {
+		t.Fatal(err)
+	}
+	sys, err := ckt.Assemble()
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, tt := range []float64{0, 0.13e-3, 0.61e-3, 2.37e-3} {
+		want := -2 * math.Pi * 1e3 * 1.5 * math.Sin(2*math.Pi*(1e3*tt+0.1))
+		got := -sys.EvalF(linalg.Vec{0}, tt, nil)[0] / 1e-6
+		if math.Abs(got-want) > 1e-13*2*math.Pi*1e3*1.5 {
+			t.Errorf("t = %g: injected C·dV/dt gives dV/dt = %.17g, want %.17g", tt, got, want)
+		}
+	}
+}
+
 // A rail registered again takes the new waveform whole: its dV/dt is the
 // new ramp's, not the 0 of the DC rail it replaced, so a capacitor to it
 // injects current.

@@ -66,7 +66,7 @@ func NewSerialAdder(p *ppv.PPV, f1 float64, aBits, bBits []bool, cfg SerialAdder
 	if cfg.GateSat == 0 {
 		cfg.GateSat = swing
 	}
-	clk := Clock{Period: cfg.ClockCycles / f1, RampFrac: 0.02}
+	clk := Clock{Period: cfg.ClockCycles / f1}
 	sa := &SerialAdder{
 		Cal:   cal,
 		Clock: clk,

@@ -1,19 +1,21 @@
 package phlogic
 
-import "math"
+import (
+	"math"
+
+	"repro/internal/circuit"
+)
 
 // Clock generates the two-phase enable scheme of a master–slave flip-flop
 // built from level-enabled D latches (Fig. 9 / Fig. 19). Per the paper's
 // scope caption — "Q1 always follows input D at falling edges of CLK, while
 // Q2 follows Q1 at rising edges" — the master is transparent while CLK is
 // high (capturing D at the falling edge) and the slave while CLK is low
-// (capturing Q1 at the rising edge). Enables ramp smoothly over RampFrac of
-// the period so the phase-macromodel ODE stays smooth (physically: the
-// transmission gate's finite transition).
+// (capturing Q1 at the rising edge). The enables follow circuit.ClockLevel,
+// the same smooth clock the transistor-level circuits' clock rails carry.
 type Clock struct {
-	Period   float64 // s
-	Delay    float64 // s before the first rising edge
-	RampFrac float64 // fraction of Period used for each enable ramp (default 0.02)
+	Period float64 // s
+	Delay  float64 // s before the first rising edge
 }
 
 // Level returns the Boolean clock level at t.
@@ -25,34 +27,11 @@ func (c Clock) Level(t float64) bool {
 	return tt < c.Period/2
 }
 
-// ramp is a smooth 0→1 transition of width w centred at 0.
-func ramp(x, w float64) float64 {
-	return 0.5 * (1 + math.Tanh(2*x/w))
-}
-
-// smoothLevel returns the clock as a smooth 0..1 waveform.
-func (c Clock) smoothLevel(t float64) float64 {
-	p := c.Period
-	w := c.RampFrac
-	if w == 0 {
-		w = 0.02
-	}
-	wAbs := w * p
-	tt := math.Mod(t-c.Delay, p)
-	if tt < 0 {
-		tt += p
-	}
-	// High on [0, p/2), low on [p/2, p), smooth edges at 0 and p/2.
-	up := ramp(tt, wAbs) * ramp(p-tt, wAbs) // rises at 0, falls near p
-	down := ramp(tt-p/2, wAbs)
-	return up * (1 - down)
-}
-
 // ENMaster is the master latch enable (transparent while CLK is high).
-func (c Clock) ENMaster(t float64) float64 { return c.smoothLevel(t) }
+func (c Clock) ENMaster(t float64) float64 { return circuit.ClockLevel(t-c.Delay, c.Period) }
 
 // ENSlave is the slave latch enable (transparent while CLK is low).
-func (c Clock) ENSlave(t float64) float64 { return 1 - c.smoothLevel(t) }
+func (c Clock) ENSlave(t float64) float64 { return 1 - circuit.ClockLevel(t-c.Delay, c.Period) }
 
 // BitStream turns an LSB-first bit sequence into a time-dependent level,
 // one bit per clock period. Bit k is presented on

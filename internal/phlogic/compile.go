@@ -460,7 +460,7 @@ func CompileMacro(n *Netlist, p *ppv.PPV, f1 float64, cfg MacroConfig) (*MacroMa
 		m.roIdx[i] = len(m.latches) - 1
 		m.roOut = append(m.roOut, i)
 	}
-	m.Clock = Clock{Period: m.Cfg.ClockCycles / f1, RampFrac: 0.02}
+	m.Clock = Clock{Period: m.Cfg.ClockCycles / f1}
 	return m, nil
 }
 

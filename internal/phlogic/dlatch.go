@@ -57,7 +57,7 @@ func NewPhaseDLatch(p *ppv.PPV, injNode, outNode int, f1 float64, bits []bool, c
 	if cfg.GateSat == 0 {
 		cfg.GateSat = swing
 	}
-	clk := Clock{Period: cfg.ClockCycles / f1, RampFrac: 0.02}
+	clk := Clock{Period: cfg.ClockCycles / f1}
 	// The majority-clocked latch computes D∨Q then D∧Q across one full
 	// cycle, so D must be stable over the whole period: delay the stream's
 	// reference clock by P/4 so bit k is presented exactly on [kP, (k+1)P).

@@ -5,6 +5,7 @@ import (
 	"math"
 	"testing"
 
+	"repro/internal/circuit"
 	"repro/internal/ringosc"
 	"repro/internal/transient"
 	"repro/internal/wave"
@@ -77,7 +78,7 @@ func TestSHILLockAtSpiceLevel(t *testing.T) {
 		cfg := ringosc.DefaultLatchConfig(f1)
 		cfg.SyncAmp = syncAmp
 		cfg.DAmp = 0
-		cfg.EN = func(float64) float64 { return 0 } // gate off: pure SYNC study
+		cfg.EN = circuit.DC(0) // gate off: pure SYNC study
 		l, err := ringosc.BuildLatch(cfg)
 		if err != nil {
 			t.Fatal(err)

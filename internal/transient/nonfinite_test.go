@@ -14,6 +14,18 @@ import (
 	"repro/internal/transient"
 )
 
+// nanAfter is a test waveform: 1 mA, NaN after 1 ms when poisoned.
+type nanAfter struct{ poisoned bool }
+
+func (w nanAfter) V(t float64) float64 {
+	if w.poisoned && t > 1e-3 {
+		return math.NaN()
+	}
+	return 1e-3
+}
+
+func (nanAfter) DVDt(float64) float64 { return 0 }
+
 // nanAfterSystem is an RC node driven by a current source that turns NaN
 // after 1 ms (a broken waveform or device model).
 func nanAfterSystem(t *testing.T, poisoned bool) *circuit.System {
@@ -23,12 +35,7 @@ func nanAfterSystem(t *testing.T, poisoned bool) *circuit.System {
 	c.Add(
 		&device.Resistor{Name: "r", A: n1, B: circuit.Ground, R: 1e3},
 		&device.Capacitor{Name: "c", A: n1, B: circuit.Ground, C: 1e-6},
-		&device.CurrentSource{Name: "i", From: circuit.Ground, To: n1, I: func(tt float64) float64 {
-			if poisoned && tt > 1e-3 {
-				return math.NaN()
-			}
-			return 1e-3
-		}},
+		&device.CurrentSource{Name: "i", From: circuit.Ground, To: n1, Wave: nanAfter{poisoned}},
 	)
 	sys, err := c.Assemble()
 	if err != nil {

@@ -238,8 +238,10 @@ type (
 	Capacitor = device.Capacitor
 	// MOSFET is the long-channel square-law transistor model.
 	MOSFET = device.MOSFET
-	// SineCurrent is a sinusoidal current source.
-	SineCurrent = device.SineCurrent
+	// CurrentSource is a current source driven by a waveform.
+	CurrentSource = device.CurrentSource
+	// Sine is the sinusoidal waveform, with optional half-cycle phase steps.
+	Sine = circuit.Sine
 	// Summer is the behavioural op-amp weighted summer (majority gates).
 	Summer = device.Summer
 	// TransGate is the transmission-gate switch.
