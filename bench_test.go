@@ -630,7 +630,7 @@ func BenchmarkAblationGAENonAveraged(b *testing.B) {
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		m.TransientNonAveragedCtx(context.Background(), 0.3, 0, 200*T1, 64, nil)
+		m.TransientNonAveragedCtx(context.Background(), 0.3, 0, 200*T1, 64)
 	}
 }
 

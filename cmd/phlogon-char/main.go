@@ -170,8 +170,14 @@ func main() {
 		fmt.Printf("  worst corner BER %.3g, target %.3g\n", worst, *berTarget)
 		fmt.Printf("  parametric yield: %.1f %% of corners meet the BER target\n", 100*y)
 		if sw := met.Get(diag.StochBatchSteps); sw > 0 {
+			// A batch is as wide as -batch, or the whole ensemble when that
+			// is smaller.
+			width := berLanes
+			if width <= 0 {
+				width = noise.DefaultEnsembleLanes
+			}
 			fmt.Printf("  stochastic lanes: %d SoA sweeps, mean occupancy %.1f of %d lanes, %d compiled g(Δφ) kernels\n",
-				sw, float64(met.Get(diag.StochBatchLaneSteps))/float64(sw), berLanes,
+				sw, float64(met.Get(diag.StochBatchLaneSteps))/float64(sw), min(width, opt.Members),
 				met.Get(diag.CompiledGCompiles))
 		}
 	default:

@@ -42,7 +42,7 @@ func TestYieldSubcommand(t *testing.T) {
 		t.Fatalf("exit %d\nstdout: %s\nstderr: %s", res.ExitCode, res.Stdout, res.Stderr)
 	}
 	cmdtest.MustContain(t, res.Stdout, "2 corners (seed 1, pseudo sampler)", "40 bit-slots each",
-		"worst corner BER", "parametric yield:", "stochastic lanes:")
+		"worst corner BER", "parametric yield:", "stochastic lanes:", "mean occupancy 2.0 of 2 lanes")
 }
 
 // The per-corner Monte Carlo and the scalar stochastic pipeline are gone:

@@ -250,12 +250,40 @@ func TestAveragedVsNonAveragedTransient(t *testing.T) {
 	T1 := 1 / m.F1
 	x0 := 0.1
 	avg := m.TransientCtx(context.Background(), x0, 0, 800*T1, T1)
-	raw := m.TransientNonAveragedCtx(context.Background(), x0, 0, 800*T1, 64, nil)
+	raw := m.TransientNonAveragedCtx(context.Background(), x0, 0, 800*T1, 64)
 	// Compare final settled phases.
 	d := gae.CircularDistance(math.Mod(avg.Final()+10, 1), math.Mod(raw.Final()+10, 1))
 	if d > 0.02 {
 		t.Errorf("averaged final %g vs non-averaged %g differ by %g cycles",
 			avg.Final(), raw.Final(), d)
+	}
+}
+
+// TestNonAveragedTransientGrid: N reference cycles at 64 steps per cycle
+// take exactly 64·N steps on the grid k·h and end exactly at t1 — no
+// trailing sliver step from accumulated rounding, at any f1.
+func TestNonAveragedTransientGrid(t *testing.T) {
+	p := ringPPV(t)
+	for _, c := range []struct {
+		f1     float64
+		cycles int
+	}{{9581.5, 40}, {9600, 40}, {10000, 40}, {11000, 40}, {12500, 40}, {9600, 1}, {9600, 3}} {
+		m := gae.NewModel(p, c.f1)
+		T1 := 1 / c.f1
+		t1 := float64(c.cycles) * T1
+		res := m.TransientNonAveragedCtx(context.Background(), 0.1, 0, t1, 64)
+		if got, want := len(res.T)-1, 64*c.cycles; got != want {
+			t.Errorf("f1 = %g, %d cycles: %d steps, want %d", c.f1, c.cycles, got, want)
+			continue
+		}
+		if last := res.T[len(res.T)-1]; last != t1 {
+			t.Errorf("f1 = %g, %d cycles: ends at %v, want t1 = %v", c.f1, c.cycles, last, t1)
+		}
+		for k, tk := range res.T[:len(res.T)-1] {
+			if want := float64(k) * (T1 / 64); tk != want {
+				t.Fatalf("f1 = %g: T[%d] = %v, want k·h = %v", c.f1, k, tk, want)
+			}
+		}
 	}
 }
 

@@ -66,7 +66,7 @@ func TestZeroInjectionDriftMatchesDetuning(t *testing.T) {
 		if d := math.Abs(avg - want); d > 1e-9*(1+math.Abs(want)) {
 			t.Errorf("rel=%g: averaged drift %g, want %g", rel, avg, want)
 		}
-		raw := m.TransientNonAveragedCtx(context.Background(), x0, 0, dt, 64, nil).Final() - x0
+		raw := m.TransientNonAveragedCtx(context.Background(), x0, 0, dt, 64).Final() - x0
 		if d := math.Abs(raw - want); d > 1e-9*(1+math.Abs(want)) {
 			t.Errorf("rel=%g: unaveraged drift %g, want %g", rel, raw, want)
 		}

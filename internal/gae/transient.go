@@ -86,25 +86,19 @@ func (m *Model) TransientCtx(ctx context.Context, dphi0, t0, t1, dt float64) *Tr
 	return res
 }
 
-// TimeVarying is a time-dependent injection program for the unaveraged
-// model: Amp and Phase may change over time (EN gating, input phase flips).
-type TimeVarying struct {
-	Node     int
-	Harmonic int
-	Amp      func(t float64) float64
-	Phase    func(t float64) float64 // cycles
-}
-
 // TransientNonAveragedCtx integrates the unaveraged single-oscillator phase
 // equation (the paper's eq. 13, fast-varying mode preserved):
 //
 //	dΔφ/dt = (f0 − f1) + f0 · Σₖ VIₖ((Δφ + f1·t)/f0) · Iₖ(t)
 //
-// with fixed-step RK4 (stepsPerCycle steps per 1/f1). This serves as the
-// ablation reference for the averaged GAE and as the building block of the
-// full-system phase-macromodel simulation in package phasemacro. Its
-// cost diagnostics (GAESteps, "gae.transient" span) are carried by ctx.
-func (m *Model) TransientNonAveragedCtx(ctx context.Context, dphi0, t0, t1 float64, stepsPerCycle int, programs []TimeVarying) *TransientResult {
+// with fixed-step RK4, stepsPerCycle steps per 1/f1. It serves as the
+// ablation reference for the averaged GAE. Its cost diagnostics (GAESteps,
+// "gae.transient" span) are carried by ctx.
+//
+// The time grid is t0 + k·h, indexed by the integer k, and its last point
+// is t1; a trailing partial step runs only when t1 − t0 leaves a real
+// fraction of h, never for floating-point dust (as in phasemacro.Run).
+func (m *Model) TransientNonAveragedCtx(ctx context.Context, dphi0, t0, t1 float64, stepsPerCycle int) *TransientResult {
 	defer diag.SpanFrom(ctx, "gae.transient").End()
 	dm := diag.FromContext(ctx)
 	if stepsPerCycle <= 0 {
@@ -121,27 +115,22 @@ func (m *Model) TransientNonAveragedCtx(ctx context.Context, dphi0, t0, t1 float
 			cur := in.Amp * math.Cos(2*math.Pi*(float64(in.Harmonic)*m.F1*t+in.Phase))
 			s += m.P.NodeSeries[in.Node].Eval(tau) * cur
 		}
-		for _, pr := range programs {
-			amp := pr.Amp(t)
-			if amp == 0 {
-				continue
-			}
-			ph := 0.0
-			if pr.Phase != nil {
-				ph = pr.Phase(t)
-			}
-			cur := amp * math.Cos(2*math.Pi*(float64(pr.Harmonic)*m.F1*t+ph))
-			s += m.P.NodeSeries[pr.Node].Eval(tau) * cur
-		}
 		return (m.P.F0 - m.F1) + m.P.F0*s
 	}
-	res := &TransientResult{}
+	// full = whole h intervals in [t0, t1]; the relative guard keeps exact
+	// divisions from flooring one short.
+	span := t1 - t0
+	full := max(int(math.Floor(span/h*(1+1e-12))), 0)
+	steps := full
+	if span-float64(full)*h > h*1e-9 {
+		steps++
+	}
+	res := &TransientResult{T: make([]float64, steps+1), Dphi: make([]float64, steps+1)}
 	x := dphi0
-	res.T = append(res.T, t0)
-	res.Dphi = append(res.Dphi, x)
-	for t := t0; t < t1; {
-		hh := h
-		if t+hh > t1 {
+	res.T[0], res.Dphi[0] = t0, x
+	for k := 1; k <= steps; k++ {
+		t, hh := t0+float64(k-1)*h, h
+		if k > full {
 			hh = t1 - t
 		}
 		k1 := rhs(t, x)
@@ -149,10 +138,11 @@ func (m *Model) TransientNonAveragedCtx(ctx context.Context, dphi0, t0, t1 float
 		k3 := rhs(t+hh/2, x+hh/2*k2)
 		k4 := rhs(t+hh, x+hh*k3)
 		x += hh / 6 * (k1 + 2*k2 + 2*k3 + k4)
-		t += hh
 		dm.Inc(diag.GAESteps)
-		res.T = append(res.T, t)
-		res.Dphi = append(res.Dphi, x)
+		res.T[k], res.Dphi[k] = t0+float64(k)*h, x
+	}
+	if steps > 0 {
+		res.T[steps] = t1
 	}
 	return res
 }

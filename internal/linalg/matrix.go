@@ -214,9 +214,6 @@ func (m *Mat) NormInf() float64 {
 	return max
 }
 
-// NormFrob returns the Frobenius norm.
-func (m *Mat) NormFrob() float64 { return Vec(m.Data).Norm2() }
-
 // String renders the matrix for debugging.
 func (m *Mat) String() string {
 	var b strings.Builder

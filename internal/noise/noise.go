@@ -56,12 +56,6 @@ func AlphaDiffusion(p *ppv.PPV, sources []Source) float64 {
 	return sum / n
 }
 
-// DphiDiffusion converts the α diffusion to the Δφ (cycles) diffusion used
-// by the stochastic GAE: Δφ = f0·α ⇒ D = f0²·c, in cycles²/s.
-func DphiDiffusion(p *ppv.PPV, sources []Source) float64 {
-	return p.F0 * p.F0 * AlphaDiffusion(p, sources)
-}
-
 // Linewidth returns the Lorentzian full-width half-maximum (Hz) of the
 // oscillator spectrum implied by the α diffusion: FWHM = 2π·f0²·c.
 func Linewidth(p *ppv.PPV, sources []Source) float64 {
